@@ -103,26 +103,30 @@ class ProviderManager {
     // Least-loaded-first selection over live providers. Ties break by a
     // per-chunk hash, not by index: a deterministic index order would pair
     // the same providers for every chunk, and losing that pair would lose
-    // both replicas of a large chunk population at once.
-    const std::size_t n = providers_.size();
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [this, id](std::size_t a, std::size_t b) {
-                       if (assigned_bytes_[a] != assigned_bytes_[b])
-                         return assigned_bytes_[a] < assigned_bytes_[b];
-                       return common::mix64(id * 0x9e3779b9ULL + a) <
-                              common::mix64(id * 0x9e3779b9ULL + b);
-                     });
-    std::vector<net::NodeId> replicas;
-    for (const std::size_t i : order) {
-      if (static_cast<int>(replicas.size()) == replication) break;
-      if (!providers_[i]->alive()) continue;
-      assigned_bytes_[i] += size;
-      replicas.push_back(providers_[i]->node());
+    // both replicas of a large chunk population at once. mix64 is a
+    // bijection, so the order is total and a partial sort picks exactly the
+    // providers a full sort would.
+    std::vector<std::size_t> live;
+    live.reserve(providers_.size());
+    for (std::size_t i = 0; i < providers_.size(); ++i) {
+      if (providers_[i]->alive()) live.push_back(i);
     }
-    if (static_cast<int>(replicas.size()) < replication)
+    const auto want = static_cast<std::size_t>(replication);
+    if (live.size() < want)
       throw BlobError("not enough live providers for replication");
+    std::partial_sort(live.begin(), live.begin() + want, live.end(),
+                      [this, id](std::size_t a, std::size_t b) {
+                        if (assigned_bytes_[a] != assigned_bytes_[b])
+                          return assigned_bytes_[a] < assigned_bytes_[b];
+                        return common::mix64(id * 0x9e3779b9ULL + a) <
+                               common::mix64(id * 0x9e3779b9ULL + b);
+                      });
+    std::vector<net::NodeId> replicas;
+    replicas.reserve(want);
+    for (std::size_t k = 0; k < want; ++k) {
+      assigned_bytes_[live[k]] += size;
+      replicas.push_back(providers_[live[k]]->node());
+    }
     return replicas;
   }
 

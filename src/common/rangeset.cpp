@@ -83,6 +83,17 @@ std::vector<Range> RangeSet::gaps(std::uint64_t begin, std::uint64_t end) const 
   return out;
 }
 
+Range RangeSet::first_gap(std::uint64_t begin, std::uint64_t end) const {
+  auto it = ranges_.upper_bound(begin);
+  if (it != ranges_.begin()) {
+    const auto prev = std::prev(it);
+    // Ranges are coalesced, so the next one starts after prev ends.
+    if (prev->second > begin) begin = prev->second;
+  }
+  if (begin >= end) return {end, end};
+  return {begin, it == ranges_.end() ? end : std::min(end, it->first)};
+}
+
 std::uint64_t RangeSet::total_length() const {
   std::uint64_t total = 0;
   for (const auto& [b, e] : ranges_) total += e - b;

@@ -33,6 +33,8 @@ class RangeSet {
   std::vector<Range> intersection(std::uint64_t begin, std::uint64_t end) const;
   /// Portions of [begin, end) that are NOT covered, in order.
   std::vector<Range> gaps(std::uint64_t begin, std::uint64_t end) const;
+  /// First uncovered portion of [begin, end); empty when fully covered.
+  Range first_gap(std::uint64_t begin, std::uint64_t end) const;
 
   std::uint64_t total_length() const;
   bool empty() const { return ranges_.empty(); }

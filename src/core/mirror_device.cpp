@@ -427,11 +427,17 @@ void MirrorDevice::hint(std::uint64_t offset, std::uint64_t len) {
   const std::uint64_t end = std::min(offset + len, cfg_.capacity);
   if (offset >= end) return;
   if (available_.contains(offset, end)) return;
-  // Prune finished workers, then spawn a background fetch.
-  std::erase_if(prefetchers_,
-                [](const sim::ProcessPtr& p) { return !p || p->finished(); });
-  prefetchers_.push_back(store_->simulation().spawn(
+  track_prefetcher(store_->simulation().spawn(
       "prefetch", prefetch_worker(offset, end)));
+}
+
+void MirrorDevice::track_prefetcher(sim::ProcessPtr p) {
+  if (prefetchers_.size() >= prune_at_) {
+    std::erase_if(prefetchers_,
+                  [](const sim::ProcessPtr& q) { return !q || q->finished(); });
+    prune_at_ = std::max<std::size_t>(64, 2 * prefetchers_.size());
+  }
+  prefetchers_.push_back(std::move(p));
 }
 
 sim::Task<> MirrorDevice::prefetch_worker(std::uint64_t begin,
@@ -469,9 +475,7 @@ MirrorDevice::resolve_backing_chunks() {
 void MirrorDevice::start_scheduled_prefetch(
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges) {
   if (ranges.empty()) return;
-  std::erase_if(prefetchers_,
-                [](const sim::ProcessPtr& p) { return !p || p->finished(); });
-  prefetchers_.push_back(store_->simulation().spawn(
+  track_prefetcher(store_->simulation().spawn(
       "restart-prefetch", scheduled_prefetch_body(std::move(ranges))));
 }
 

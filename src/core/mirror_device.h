@@ -187,6 +187,9 @@ class MirrorDevice : public img::BlockDevice {
   sim::Task<> prefetch_worker(std::uint64_t begin, std::uint64_t end);
   sim::Task<> scheduled_prefetch_body(
       std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges);
+  /// Records a spawned prefetcher. Finished ones are pruned lazily, once the
+  /// list has doubled since the last prune, so a hint costs amortized O(1).
+  void track_prefetcher(sim::ProcessPtr p);
   DecodedChunkCache& node_cache();
 
   blob::BlobStore* store_;
@@ -216,7 +219,8 @@ class MirrorDevice : public img::BlockDevice {
   std::uint64_t zero_bytes_ = 0;
   std::uint64_t last_commit_payload_ = 0;
   std::uint64_t last_commit_shipped_ = 0;
-  std::vector<sim::ProcessPtr> prefetchers_;
+  std::vector<sim::ProcessPtr> prefetchers_;  // read only by the destructor
+  std::size_t prune_at_ = 64;
   std::unique_ptr<sim::Semaphore> prefetch_slots_;
   /// Shared per-node cache (owned by the Cloud) or, when none was supplied
   /// (standalone devices in tests), a private fallback.

@@ -308,21 +308,24 @@ void SimpleFs::ensure_blocks(Inode& ino, std::uint64_t blocks) {
 }
 
 void SimpleFs::free_blocks(Inode& ino) {
+  const std::uint64_t bs = cfg_.block_size;
   for (const common::Range& e : ino.extents) {
     allocated_.erase(e.begin, e.end);
     dirty_blocks_.erase(e.begin, e.end);
-    for (std::uint64_t b = e.begin; b < e.end; ++b) pages_.erase(b);
+    cached_blocks_.erase(e.begin, e.end);
+    pages_.erase(e.begin * bs, e.length() * bs);
   }
   ino.extents.clear();
   ino.size = 0;
   meta_dirty_ = true;
 }
 
-std::uint64_t SimpleFs::physical_block(const Inode& ino,
-                                       std::uint64_t logical_block) const {
+SimpleFs::Placement SimpleFs::locate(const Inode& ino,
+                                     std::uint64_t logical_block) const {
   std::uint64_t remaining = logical_block;
   for (const common::Range& e : ino.extents) {
-    if (remaining < e.length()) return e.begin + remaining;
+    if (remaining < e.length())
+      return {e.begin + remaining, e.length() - remaining};
     remaining -= e.length();
   }
   throw FsError("logical block out of range");
@@ -330,14 +333,30 @@ std::uint64_t SimpleFs::physical_block(const Inode& ino,
 
 // --- data path -------------------------------------------------------------------
 
-sim::Task<common::Buffer> SimpleFs::load_block(std::uint64_t block) {
-  const auto it = pages_.find(block);
-  if (it != pages_.end()) co_return it->second;
+void SimpleFs::cache_read(std::uint64_t block, std::uint64_t count,
+                          const common::Buffer& data) {
+  const std::uint64_t bytes = count * cfg_.block_size;
+  // A copy, not `data` itself: the device's buffer may carry spare capacity.
   common::Buffer page =
-      co_await dev_->read(block * cfg_.block_size, cfg_.block_size);
-  if (page.size() < cfg_.block_size && !page.is_phantom())
-    page.resize(cfg_.block_size);
-  pages_[block] = page;
+      data.slice(0, std::min<std::uint64_t>(bytes, data.size()));
+  page.resize(bytes);
+  pages_.write(block * cfg_.block_size, std::move(page));
+  cached_blocks_.insert(block, block + count);
+}
+
+void SimpleFs::cache_write(std::uint64_t block, common::Buffer data) {
+  const std::uint64_t end = block + data.size() / cfg_.block_size;
+  pages_.write(block * cfg_.block_size, std::move(data));
+  cached_blocks_.insert(block, end);
+  dirty_blocks_.insert(block, end);
+}
+
+sim::Task<common::Buffer> SimpleFs::load_block(std::uint64_t block) {
+  const std::uint64_t bs = cfg_.block_size;
+  if (cached_blocks_.contains(block, block + 1))
+    co_return pages_.read(block * bs, bs);
+  common::Buffer page = co_await dev_->read(block * bs, bs);
+  cache_read(block, 1, page);
   co_return page;
 }
 
@@ -347,33 +366,36 @@ sim::Task<> SimpleFs::pwrite(Fd fd, std::uint64_t offset,
   Inode& node = inodes_.at(fds_.at(fd).ino);
   const std::uint64_t len = data.size();
   if (len == 0) co_return;
+  const std::uint64_t end = offset + len;
   const std::uint64_t old_size = node.size;
-  ensure_blocks(node, (offset + len + bs - 1) / bs);
+  ensure_blocks(node, (end + bs - 1) / bs);
 
-  for (std::uint64_t pos = offset; pos < offset + len;) {
+  for (std::uint64_t pos = offset; pos < end;) {
     const std::uint64_t lblock = pos / bs;
     const std::uint64_t within = pos - lblock * bs;
-    const std::uint64_t piece = std::min(bs - within, offset + len - pos);
-    const std::uint64_t pblock = physical_block(node, lblock);
-    if (within == 0 && piece == bs) {
-      pages_[pblock] = data.slice(pos - offset, bs);
-    } else {
-      common::Buffer page;
-      const bool had_content = lblock * bs < old_size;
-      if (had_content) {
-        page = co_await load_block(pblock);
-      } else {
-        page = common::Buffer::zeros(bs);
-      }
-      if (page.size() < bs) page.resize(bs);
-      page.overwrite(within, data.slice(pos - offset, piece));
-      pages_[pblock] = std::move(page);
+    const Placement at = locate(node, lblock);
+    if (within == 0 && end - pos >= bs) {
+      // Whole blocks: one cache extent per physically contiguous run.
+      const std::uint64_t n = std::min(at.run, (end - pos) / bs) * bs;
+      cache_write(at.block, data.slice(pos - offset, n));
+      pos += n;
+      continue;
     }
-    dirty_blocks_.insert(pblock, pblock + 1);
+    const std::uint64_t piece = std::min(bs - within, end - pos);
+    common::Buffer page;
+    const bool had_content = lblock * bs < old_size;
+    if (had_content) {
+      page = co_await load_block(at.block);
+    } else {
+      page = common::Buffer::zeros(bs);
+    }
+    if (page.size() < bs) page.resize(bs);
+    page.overwrite(within, data.slice(pos - offset, piece));
+    cache_write(at.block, std::move(page));
     pos += piece;
   }
-  if (offset + len > node.size) {
-    node.size = offset + len;
+  if (end > node.size) {
+    node.size = end;
     meta_dirty_ = true;
   }
 }
@@ -395,7 +417,8 @@ sim::Task<common::Buffer> SimpleFs::pread(Fd fd, std::uint64_t offset,
   // Pass 1: populate the page cache with batched device reads — one read
   // per physically-contiguous run of uncached blocks (large files are laid
   // out in few extents, so a big read costs a handful of device ops, not
-  // one per 4 KiB block).
+  // one per 4 KiB block). The next gap is looked up after each read, since
+  // other writers may fill the cache meanwhile.
   const std::uint64_t lb_first = offset / bs;
   const std::uint64_t lb_last = (offset + len + bs - 1) / bs;
   std::uint64_t logical_base = 0;
@@ -404,39 +427,29 @@ sim::Task<common::Buffer> SimpleFs::pread(Fd fd, std::uint64_t offset,
     const std::uint64_t lo = std::max(lb_first, logical_base);
     const std::uint64_t hi = std::min(lb_last, logical_base + e_blocks);
     if (lo < hi) {
-      const std::uint64_t p0 = e.begin + (lo - logical_base);
-      const std::uint64_t count = hi - lo;
-      std::uint64_t i = 0;
-      while (i < count) {
-        if (pages_.find(p0 + i) != pages_.end()) {
-          ++i;
-          continue;
-        }
-        std::uint64_t j = i + 1;
-        while (j < count && pages_.find(p0 + j) == pages_.end()) ++j;
-        common::Buffer run =
-            co_await dev_->read((p0 + i) * bs, (j - i) * bs);
-        if (run.size() < (j - i) * bs) run.resize((j - i) * bs);
-        for (std::uint64_t k = i; k < j; ++k) {
-          pages_[p0 + k] = run.slice((k - i) * bs, bs);
-        }
-        i = j;
+      const std::uint64_t p_end = e.begin + (hi - logical_base);
+      for (common::Range g =
+               cached_blocks_.first_gap(e.begin + (lo - logical_base), p_end);
+           !g.empty(); g = cached_blocks_.first_gap(g.end, p_end)) {
+        const common::Buffer run =
+            co_await dev_->read(g.begin * bs, g.length() * bs);
+        cache_read(g.begin, g.length(), run);
       }
     }
     logical_base += e_blocks;
     if (logical_base >= lb_last) break;
   }
 
-  // Pass 2: assemble from the (now warm) page cache.
+  // Pass 2: assemble from the (now warm) page cache, one piece per
+  // physically contiguous run.
   common::Buffer out;
   for (std::uint64_t pos = offset; pos < offset + len;) {
     const std::uint64_t lblock = pos / bs;
     const std::uint64_t within = pos - lblock * bs;
-    const std::uint64_t piece = std::min(bs - within, offset + len - pos);
-    const std::uint64_t pblock = physical_block(node, lblock);
-    common::Buffer& page = pages_.at(pblock);
-    if (page.size() < within + piece) page.resize(within + piece);
-    out.append(page.slice(within, piece));
+    const Placement at = locate(node, lblock);
+    const std::uint64_t piece =
+        std::min(at.run * bs - within, offset + len - pos);
+    out.append(pages_.read(at.block * bs + within, piece));
     pos += piece;
   }
   co_return out;
@@ -472,13 +485,8 @@ sim::Task<> SimpleFs::flush_dirty_pages() {
   dirty_blocks_.clear();
   const std::uint64_t bs = cfg_.block_size;
   for (const common::Range& r : ranges) {
-    common::Buffer run;
-    for (std::uint64_t b = r.begin; b < r.end; ++b) {
-      common::Buffer page = pages_.at(b);
-      if (page.size() < bs) page.resize(bs);
-      run.append(page);
-    }
-    co_await dev_->write(r.begin * bs, std::move(run));
+    co_await dev_->write(r.begin * bs,
+                         pages_.read(r.begin * bs, r.length() * bs));
   }
 }
 
@@ -507,10 +515,6 @@ sim::Task<> SimpleFs::sync() {
     meta_dirty_ = false;
   }
   co_await dev_->flush();
-}
-
-std::uint64_t SimpleFs::cached_bytes() const {
-  return pages_.size() * cfg_.block_size;
 }
 
 }  // namespace blobcr::guestfs

@@ -24,6 +24,7 @@
 #include "common/buffer.h"
 #include "common/rangeset.h"
 #include "common/rng.h"
+#include "common/sparse.h"
 #include "img/block_device.h"
 #include "sim/sim.h"
 
@@ -93,7 +94,6 @@ class SimpleFs {
   sim::Task<> sync();
 
   bool dirty() const { return !dirty_blocks_.empty() || meta_dirty_; }
-  std::uint64_t cached_bytes() const;
   const FsConfig& config() const { return cfg_; }
   std::uint64_t data_start_block() const { return data_start_; }
   std::uint64_t total_blocks() const { return total_blocks_; }
@@ -123,15 +123,25 @@ class SimpleFs {
   const Inode* resolve(const std::string& path) const;
   std::pair<Inode*, std::string> resolve_parent(const std::string& path);
 
-  /// Logical byte offset -> physical block number for an inode.
-  std::uint64_t physical_block(const Inode& ino, std::uint64_t logical_block)
-      const;
+  /// Where a logical block lives: its physical block, and how many blocks
+  /// of the same extent start there (itself included).
+  struct Placement {
+    std::uint64_t block = 0;
+    std::uint64_t run = 0;
+  };
+  Placement locate(const Inode& ino, std::uint64_t logical_block) const;
   /// Grows the inode to cover `blocks` logical blocks.
   void ensure_blocks(Inode& ino, std::uint64_t blocks);
   std::uint64_t allocate_block();
   void free_blocks(Inode& ino);
 
   sim::Task<common::Buffer> load_block(std::uint64_t block);
+  /// Caches an exact-size copy of `count` blocks read from the device at
+  /// `block` (a short read is zero-extended).
+  void cache_read(std::uint64_t block, std::uint64_t count,
+                  const common::Buffer& data);
+  /// Caches `data` (whole blocks) at `block` and marks it dirty.
+  void cache_write(std::uint64_t block, common::Buffer data);
   sim::Task<> flush_dirty_pages();
 
   img::BlockDevice* dev_;
@@ -146,8 +156,11 @@ class SimpleFs {
   Ino next_ino_ = 2;  // 1 = root
   bool meta_dirty_ = false;
 
-  // Write-back page cache: absolute block -> payload.
-  std::map<std::uint64_t, common::Buffer> pages_;
+  // Write-back page cache, addressed by physical byte offset: one extent per
+  // run of blocks written or read together. cached_blocks_ says which
+  // blocks it holds (a cached block never reads as a hole).
+  common::SparseFile pages_;
+  common::RangeSet cached_blocks_;
   common::RangeSet dirty_blocks_;
 
   struct OpenFile {

@@ -3,6 +3,7 @@
 // reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -271,6 +272,100 @@ TEST(BlobTest, PlacementBalancesProviders) {
   for (const auto& p : tc.store->providers()) {
     EXPECT_EQ(p->stored_bytes(), 16u * 1024);
   }
+}
+
+// Oracle for ProviderManager::pick_replicas: the original selection, a
+// stable sort of every provider by (assigned bytes, per-chunk hash) that
+// then skips dead providers.
+std::vector<net::NodeId> reference_pick(
+    const std::vector<std::unique_ptr<DataProvider>>& providers,
+    std::vector<std::uint64_t>& assigned, ChunkId id, std::uint32_t size,
+    int replication) {
+  std::vector<std::size_t> order(providers.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&assigned, id](std::size_t a, std::size_t b) {
+                     if (assigned[a] != assigned[b])
+                       return assigned[a] < assigned[b];
+                     return common::mix64(id * 0x9e3779b9ULL + a) <
+                            common::mix64(id * 0x9e3779b9ULL + b);
+                   });
+  std::vector<net::NodeId> replicas;
+  for (const std::size_t i : order) {
+    if (static_cast<int>(replicas.size()) == replication) break;
+    if (!providers[i]->alive()) continue;
+    assigned[i] += size;
+    replicas.push_back(providers[i]->node());
+  }
+  if (static_cast<int>(replicas.size()) < replication)
+    throw BlobError("not enough live providers for replication");
+  return replicas;
+}
+
+Task<> allocate_batch(TestCluster& tc, std::vector<std::uint32_t> sizes,
+                      int replication, ChunkId& next_id,
+                      std::vector<ChunkLocation>& out) {
+  out = co_await tc.store->provider_manager().allocate(
+      tc.client_node, sizes, replication, next_id);
+}
+
+class ReplicaSelectionTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReplicaSelectionTest, MatchesStableSortReference) {
+  Rng rng(GetParam());
+  TestCluster tc(/*n_data=*/3 + rng.uniform(8));
+  const auto& providers = tc.store->providers();
+  std::vector<std::uint64_t> assigned(providers.size(), 0);
+  ChunkId next_id = 1;
+  bool threw = false;
+  for (int round = 0; round < 200 && !threw; ++round) {
+    if (rng.chance(0.04)) providers[rng.uniform(providers.size())]->fail();
+    // Few distinct sizes keep many providers tied on load.
+    std::vector<std::uint32_t> sizes(1 + rng.uniform(6));
+    for (std::uint32_t& s : sizes) s = 512u << rng.uniform(3);
+    const int replication = 1 + static_cast<int>(rng.uniform(3));
+
+    std::vector<std::vector<net::NodeId>> expect;
+    try {
+      ChunkId id = next_id;
+      for (const std::uint32_t s : sizes) {
+        expect.push_back(
+            reference_pick(providers, assigned, id++, s, replication));
+      }
+    } catch (const BlobError&) {
+      threw = true;
+    }
+    std::vector<ChunkLocation> got;
+    if (threw) {
+      // The "not enough live providers" error surfaces from allocate too.
+      EXPECT_THROW(tc.run(allocate_batch(tc, sizes, replication, next_id, got)),
+                   BlobError);
+      break;
+    }
+    tc.run(allocate_batch(tc, sizes, replication, next_id, got));
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].replicas, expect[i]) << "round " << round;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplicaSelectionTest,
+                         ::testing::Values(1, 7, 42, 1234, 99991, 31337));
+
+TEST(BlobTest, ReplicaSelectionThrowsWithTooFewLiveProviders) {
+  TestCluster tc(/*n_data=*/3);
+  tc.store->providers()[0]->fail();
+  tc.store->providers()[2]->fail();
+  ChunkId next_id = 1;
+  std::vector<ChunkLocation> got;
+  tc.run(allocate_batch(tc, {1024}, /*replication=*/1, next_id, got));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].replicas,
+            std::vector<net::NodeId>{tc.store->providers()[1]->node()});
+  EXPECT_THROW(tc.run(allocate_batch(tc, {1024}, /*replication=*/2, next_id,
+                                     got)),
+               BlobError);
 }
 
 Task<> replicated_write(TestCluster& tc, BlobId& blob) {
