@@ -78,7 +78,7 @@ DedupResult run_dedup(bool shared_index) {
   sim::Duration ckpt = 0;
   std::size_t rounds = 0;
   for (const apps::JobResult& job : result.jobs) {
-    shipped += job.shipped_bytes;
+    shipped += job.usage.shipped_bytes;
     for (const sim::Duration d : job.checkpoint_times) {
       ckpt += d;
       ++rounds;

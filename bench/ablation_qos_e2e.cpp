@@ -101,8 +101,8 @@ E2eResult run_e2e(std::size_t bulk_jobs, bool fair) {
   const apps::JobResult& sj = result.jobs.back();  // the small tenant
   out.commit_p99_s = p99(sj.blocked_times);
   out.restart_p99_s = p99(sj.restart_times);
-  out.provider_wait_s = sim::to_seconds(sj.provider_wait);
-  out.prefetch_wait_s = sim::to_seconds(sj.prefetch_wait);
+  out.provider_wait_s = sim::to_seconds(sj.usage.provider_wait);
+  out.prefetch_wait_s = sim::to_seconds(sj.usage.prefetch_wait);
   out.verified = result.all_verified();
   out.done = true;
   return out;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "common/rng.h"
+#include "common/strutil.h"
 #include "cr/session.h"
 #include "guestfs/simplefs.h"
 #include "sim/when_all.h"
@@ -130,26 +132,25 @@ Task<> job_body(Cloud* cloud, const MultiJobRun* run, std::size_t job_index,
 
   out->records = co_await session.list();
   out->gc_reclaimed_bytes = session.gc_reclaimed_bytes();
-  if (cloud->blob_store() != nullptr) {
-    // Full admission wait: commit gate plus the fair manager queues. A
-    // fresh per-job tenant has no pre-job usage to subtract.
-    const blob::BlobStore::TenantUsage u =
-        cloud->blob_store()->tenant_usage_snapshot(out->tenant);
-    out->raw_bytes = u.raw_bytes;
-    out->shipped_bytes = u.shipped_bytes;
-    out->commit_wait = u.commit_wait;
-    out->provider_wait = u.provider_wait;
-    out->prefetch_wait = u.prefetch_wait;
-  }
+  out->usage = cloud->tenant_usage(out->tenant);
 }
 
 Task<> multi_job_driver(Cloud* cloud, const MultiJobRun* run,
                         MultiJobResult* result) {
-  co_await cloud->provision_base_image();
   std::size_t total = 0;
-  for (const TenantJobSpec& spec : run->jobs) total += spec.instances;
-  assert(cloud->config().compute_nodes >= 2 * total &&
-         "need node room for every job plus its restart range");
+  bool restarts = false;
+  for (const TenantJobSpec& spec : run->jobs) {
+    total += spec.instances;
+    restarts = restarts || spec.do_restart;
+  }
+  const std::size_t needed = (restarts ? 2 : 1) * total;
+  if (cloud->config().compute_nodes < needed) {
+    throw std::invalid_argument(common::strf(
+        "multi-job run needs %zu compute nodes (every job%s), cloud has %zu",
+        needed, restarts ? " plus its restart range" : "",
+        cloud->config().compute_nodes));
+  }
+  co_await cloud->provision_base_image();
 
   std::vector<Task<>> jobs;
   jobs.reserve(run->jobs.size());

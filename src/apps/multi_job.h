@@ -76,12 +76,10 @@ struct JobResult {
   /// (TenantJobSpec::restart_every) plus the final do_restart one.
   std::vector<sim::Duration> restart_times;
   bool verified = true;
-  /// Per-tenant repository accounting (see BlobStore::TenantUsage).
-  std::uint64_t raw_bytes = 0;
-  std::uint64_t shipped_bytes = 0;
-  sim::Duration commit_wait = 0;
-  sim::Duration provider_wait = 0;
-  sim::Duration prefetch_wait = 0;
+  /// The job's repository accounting summed over every zone
+  /// (Cloud::tenant_usage; commit_wait is the full shared-queue wait). A
+  /// fresh per-job tenant has no pre-job usage, so this is the job's own.
+  blob::BlobStore::TenantUsage usage;
   std::uint64_t gc_reclaimed_bytes = 0;
   /// The job's own catalog lineage as its session lists it.
   std::vector<cr::CheckpointRecord> records;
@@ -101,8 +99,10 @@ struct MultiJobResult {
 };
 
 /// Runs all jobs concurrently on an already-constructed (BlobCR) cloud.
-/// Jobs get disjoint compute-node ranges; restarts land on the range shifted
-/// past every job, so the cloud needs >= 2 * sum(instances) compute nodes.
+/// Jobs get disjoint compute-node ranges, in job order from node 0; final
+/// restarts land on the range shifted past every job, so the cloud needs
+/// >= 2 * sum(instances) compute nodes (sum(instances) when no job sets
+/// do_restart).
 MultiJobResult run_multi_job(core::Cloud& cloud, const MultiJobRun& run);
 
 }  // namespace blobcr::apps

@@ -20,37 +20,6 @@ using core::Cloud;
 using core::Deployment;
 using sim::Task;
 
-
-namespace {
-
-/// Usage baseline, captured after provisioning (the base-image upload runs
-/// as the default tenant and must not leak into a default-tenant job's
-/// numbers). Zero-valued on the PVFS baselines.
-blob::BlobStore::TenantUsage capture_usage(Cloud& cloud,
-                                           net::TenantId tenant) {
-  return cloud.blob_store() != nullptr
-             ? cloud.blob_store()->tenant_usage_snapshot(tenant)
-             : blob::BlobStore::TenantUsage{};
-}
-
-/// Copies the deployment tenant's repository usage since `base` into the
-/// result (BlobCR backend; the PVFS baselines have no shared repository
-/// accounting).
-void fill_tenant_counters(Cloud& cloud, Deployment& dep,
-                          const blob::BlobStore::TenantUsage& base,
-                          RunResult* result) {
-  if (cloud.blob_store() == nullptr) return;
-  const blob::BlobStore::TenantUsage u =
-      cloud.blob_store()->tenant_usage_snapshot(dep.tenant());
-  result->tenant_raw_bytes = u.raw_bytes - base.raw_bytes;
-  result->tenant_shipped_bytes = u.shipped_bytes - base.shipped_bytes;
-  result->tenant_commit_wait = u.commit_wait - base.commit_wait;
-  result->tenant_provider_wait = u.provider_wait - base.provider_wait;
-  result->tenant_prefetch_wait = u.prefetch_wait - base.prefetch_wait;
-}
-
-}  // namespace
-
 const char* mode_name(CkptMode mode) {
   switch (mode) {
     case CkptMode::AppLevel:
@@ -140,8 +109,6 @@ Task<> synthetic_driver(Cloud* cloud, SyntheticRun run, CkptMode mode,
   sim::Simulation& sim = cloud->simulation();
   co_await cloud->provision_base_image();
   Deployment dep(*cloud, run.instances);
-  const blob::BlobStore::TenantUsage usage_base =
-      capture_usage(*cloud, dep.tenant());
   cr::Session session(dep);  // checkpoint identity lives in the catalog
   sim::Time t0 = sim.now();
   co_await dep.deploy_and_boot();
@@ -222,7 +189,6 @@ Task<> synthetic_driver(Cloud* cloud, SyntheticRun run, CkptMode mode,
       }
     }
   }
-  fill_tenant_counters(*cloud, dep, usage_base, result);
 }
 
 }  // namespace
@@ -458,8 +424,6 @@ Task<> cm1_driver(Cloud* cloud, Cm1Run run, CkptMode mode,
   sim::Simulation& sim = cloud->simulation();
   co_await cloud->provision_base_image();
   Deployment dep(*cloud, run.vms);
-  const blob::BlobStore::TenantUsage usage_base =
-      capture_usage(*cloud, dep.tenant());
   cr::Session session(dep);
   sim::Time t0 = sim.now();
   co_await dep.deploy_and_boot();
@@ -540,7 +504,6 @@ Task<> cm1_driver(Cloud* cloud, Cm1Run run, CkptMode mode,
       }
     }
   }
-  fill_tenant_counters(*cloud, dep, usage_base, result);
 }
 
 }  // namespace

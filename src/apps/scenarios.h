@@ -77,18 +77,6 @@ struct RunResult {
   std::uint64_t restart_parity_bytes = 0;
   /// Digest verification outcome (real-data runs; true in phantom mode).
   bool verified = true;
-  /// Per-tenant repository accounting for this job (BlobCR backend),
-  /// measured from a post-provisioning baseline so it covers exactly this
-  /// job's commits: raw commit payload vs post-reduction bytes actually
-  /// shipped, and the time this tenant's requests spent queued at the
-  /// shared admission points (commit gate + fair manager queues).
-  std::uint64_t tenant_raw_bytes = 0;
-  std::uint64_t tenant_shipped_bytes = 0;
-  sim::Duration tenant_commit_wait = 0;
-  /// Queueing at the admission plane's data-path gates (provider-io and
-  /// restart-prefetch), same baseline-diff convention as above.
-  sim::Duration tenant_provider_wait = 0;
-  sim::Duration tenant_prefetch_wait = 0;
 };
 
 /// Elastic (N -> M) restart scenario: N workers each write a distinct data

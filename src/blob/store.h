@@ -152,6 +152,18 @@ class BlobStore {
     /// charge each restored copy to the chunk's owning tenant).
     std::uint64_t repair_copies = 0;
     std::uint64_t repair_bytes = 0;
+
+    TenantUsage& operator+=(const TenantUsage& o) {
+      commits += o.commits;
+      raw_bytes += o.raw_bytes;
+      shipped_bytes += o.shipped_bytes;
+      commit_wait += o.commit_wait;
+      provider_wait += o.provider_wait;
+      prefetch_wait += o.prefetch_wait;
+      repair_copies += o.repair_copies;
+      repair_bytes += o.repair_bytes;
+      return *this;
+    }
   };
   const TenantUsage& tenant_usage(net::TenantId t) const {
     static const TenantUsage kEmpty;

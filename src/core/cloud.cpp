@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <tuple>
 
 #include "common/strutil.h"
 #include "flush/flush_agent.h"
@@ -30,24 +31,12 @@ const char* backend_name(Backend b) {
 // --- Cloud -------------------------------------------------------------------
 
 Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
-  // Deprecated-alias resolution: a non-default CloudConfig::
-  // restart_prefetch_budget forwards into the admission plane's config,
-  // but only when qos.restart_prefetch_budget itself was left at its
-  // default (the new knob wins when both are set).
-  {
-    constexpr std::uint64_t kDefaultBudget = 64 * common::kMB;
-    if (cfg_.restart_prefetch_budget != kDefaultBudget &&
-        cfg_.qos.restart_prefetch_budget == kDefaultBudget) {
-      cfg_.qos.restart_prefetch_budget = cfg_.restart_prefetch_budget;
-    }
-  }
   // Incoherent QoS setups fail here for every backend (the BlobCR stores
   // validate again when their admission planes construct).
   cfg_.qos.validate();
-  // Node layout: [0, C) compute nodes, then service nodes. With federation
-  // the compute pool splits into Z contiguous zone slabs and each zone gets
-  // its own service-node set; Z == 1 reproduces the classic layout (and
-  // node numbering) exactly.
+  // Node layout: [0, C) compute nodes, then service nodes. The compute pool
+  // splits into Z contiguous zone slabs and each zone gets its own
+  // service-node set; Z == 1 is the classic layout (and node numbering).
   const std::size_t c = cfg_.compute_nodes;
   const std::size_t zones =
       cfg_.backend == Backend::BlobCR
@@ -71,9 +60,7 @@ Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
   for (std::size_t z = 0; z < zones; ++z) {
     znodes[z].vm_mgr = static_cast<net::NodeId>(total++);
     znodes[z].pm = static_cast<net::NodeId>(total++);
-    const std::size_t meta =
-        zones == 1 ? cfg_.metadata_nodes : meta_per_zone;
-    for (std::size_t i = 0; i < meta; ++i) {
+    for (std::size_t i = 0; i < meta_per_zone; ++i) {
       znodes[z].meta.push_back(static_cast<net::NodeId>(total++));
     }
   }
@@ -95,6 +82,8 @@ Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
         sim_, common::strf("disk%zu", n), dcfg));
   }
 
+  federation_ =
+      std::make_unique<federation::Fabric>(sim_, *fabric_, cfg_.federation);
   if (cfg_.backend == Backend::BlobCR) {
     const std::size_t slab = c / zones;
     for (std::size_t z = 0; z < zones; ++z) {
@@ -115,35 +104,21 @@ Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
       bcfg.version_shards = cfg_.version_shards;
       bcfg.zone = static_cast<std::uint32_t>(z);
       auto store = std::make_unique<blob::BlobStore>(sim_, *fabric_, bcfg);
-      if (z > 0) {
-        // Disjoint id ranges per zone: a blob/chunk id decodes to its home
-        // zone, and replica copies can keep their origin ChunkId anywhere.
-        store->version_manager().seed_blob_ids(
-            1 + (static_cast<blob::BlobId>(z)
-                 << federation::Fabric::kBlobZoneShift));
-        store->chunk_id_counter() =
-            1 + (static_cast<blob::ChunkId>(z)
-                 << federation::Fabric::kChunkZoneShift);
-        store->node_ref_counter() =
-            1 + (static_cast<blob::NodeRef>(z)
-                 << federation::Fabric::kChunkZoneShift);
-      }
-      if (z == 0) {
-        blob_ = std::move(store);
-      } else {
-        zone_stores_.push_back(std::move(store));
-      }
-    }
-    if (zones > 1) {
-      federation_ = std::make_unique<federation::Fabric>(sim_, *fabric_,
-                                                         cfg_.federation);
-      for (std::size_t z = 0; z < zones; ++z) {
-        const std::size_t begin = z * slab;
-        const std::size_t end = (z + 1 == zones) ? c : (z + 1) * slab;
-        federation_->add_zone(blob_store(static_cast<std::uint32_t>(z)),
-                              static_cast<net::NodeId>(begin),
-                              static_cast<net::NodeId>(end));
-      }
+      // Disjoint id ranges per zone: a blob/chunk id decodes to its home
+      // zone, and replica copies can keep their origin ChunkId anywhere.
+      // Zone 0's range starts at 1, the counters' default.
+      store->version_manager().seed_blob_ids(
+          1 + (static_cast<blob::BlobId>(z)
+               << federation::Fabric::kBlobZoneShift));
+      store->chunk_id_counter() =
+          1 + (static_cast<blob::ChunkId>(z)
+               << federation::Fabric::kChunkZoneShift);
+      store->node_ref_counter() =
+          1 + (static_cast<blob::NodeRef>(z)
+               << federation::Fabric::kChunkZoneShift);
+      federation_->add_zone(store.get(), static_cast<net::NodeId>(begin),
+                            static_cast<net::NodeId>(end));
+      stores_.push_back(std::move(store));
     }
   } else {
     pfs::PvfsCluster::Config pcfg;
@@ -219,19 +194,16 @@ sim::Task<> Cloud::provision_base_image() {
     // One copy of the base image per zone, uploaded from the zone's first
     // compute node: a fresh instance clones its zone's copy, so its later
     // commits stay zone-local (the federation's placement affinity).
-    const std::size_t zone_count = zones();
-    const std::size_t slab = cfg_.compute_nodes / zone_count;
+    const std::size_t slab = cfg_.compute_nodes / stores_.size();
     base_blobs_.clear();
-    for (std::uint32_t z = 0; z < zone_count; ++z) {
-      blob::BlobStore* store = blob_store(z);
-      blob::BlobClient client(*store,
+    for (std::size_t z = 0; z < stores_.size(); ++z) {
+      blob::BlobClient client(*stores_[z],
                               static_cast<net::NodeId>(z * slab));
       const blob::BlobId blob = co_await client.create(cfg_.chunk_size);
       std::vector<blob::Extent> copy = extents;
       (void)co_await client.write_extents(blob, std::move(copy));
       base_blobs_.push_back(blob);
     }
-    base_blob_ = base_blobs_.front();
   } else {
     base_pvfs_path_ = "/images/base.raw";
     pfs::PvfsClient client(*pvfs_, compute_node(0));
@@ -250,31 +222,34 @@ sim::Task<> Cloud::provision_base_image() {
 }
 
 net::TenantId Cloud::register_tenant(const std::string& name, double weight) {
-  if (blob_ != nullptr) {
-    // Same registration order on every zone store => the same TenantId
-    // everywhere, so one id tags a job's requests across the federation.
-    const net::TenantId id = blob_->tenants().register_tenant(name, weight);
-    for (auto& s : zone_stores_) s->tenants().register_tenant(name, weight);
-    return id;
-  }
   // PVFS baselines have no QoS-enforcing repository; ids still namespace
   // per-job artifacts and counters.
-  return ++pvfs_tenant_seq_;
+  if (stores_.empty()) return ++pvfs_tenant_seq_;
+  // Same registration order on every zone store => the same TenantId
+  // everywhere, so one id tags a job's requests across the federation.
+  net::TenantId id = net::kDefaultTenant;
+  for (auto& s : stores_) id = s->tenants().register_tenant(name, weight);
+  return id;
 }
 
 void Cloud::set_tenant_quota(net::TenantId t, blob::BlobStore::TenantQuota q) {
-  if (blob_ != nullptr) blob_->set_tenant_quota(t, q);
-  for (auto& s : zone_stores_) s->set_tenant_quota(t, q);
+  for (auto& s : stores_) s->set_tenant_quota(t, q);
+}
+
+blob::BlobStore::TenantUsage Cloud::tenant_usage(net::TenantId t) const {
+  blob::BlobStore::TenantUsage sum;
+  for (const auto& s : stores_) sum += s->tenant_usage_snapshot(t);
+  return sum;
 }
 
 reduce::ChunkDigestIndex* Cloud::shared_digest_index() {
-  if (blob_ == nullptr) return nullptr;
+  if (stores_.empty()) return nullptr;
   if (shared_index_ == nullptr) {
     shared_index_ = std::make_unique<reduce::ChunkDigestIndex>(
         cfg_.reduction.index_shards);
     shared_index_->attach_service(
         sim_, cfg_.reduction.index_lookup_cost,
-        cfg_.qos.enabled ? &blob_->tenants() : nullptr);
+        cfg_.qos.enabled ? &stores_.front()->tenants() : nullptr);
     // Repository-lifetime hooks (one set, owned here): entries must drop
     // when the GC reclaims chunks, epoch logging must open/close with the
     // concurrent sweep, and logged hits must count as pinned — all even
@@ -282,8 +257,7 @@ reduce::ChunkDigestIndex* Cloud::shared_digest_index() {
     // sweep between jobs.
     // Every zone's store shares the one index — its GC must invalidate
     // entries and its sweeps must see epoch hits just like zone 0's.
-    for (std::uint32_t z = 0; z < zones(); ++z) {
-      blob::BlobStore* s = blob_store(z);
+    for (auto& s : stores_) {
       s->add_chunk_reclaim_hook(
           [index =
                shared_index_.get()](const std::vector<blob::ChunkId>& ids) {
@@ -302,15 +276,13 @@ reduce::ChunkDigestIndex* Cloud::shared_digest_index() {
             index->collect_epoch_hits(out);
           });
     }
-    if (federation_ != nullptr) {
-      federation_->set_digest_index(shared_index_.get());
-    }
+    federation_->set_digest_index(shared_index_.get());
   }
   return shared_index_.get();
 }
 
 redundancy::Manager* Cloud::redundancy() {
-  if (blob_ == nullptr || !cfg_.redundancy.enabled) return nullptr;
+  if (stores_.empty() || !cfg_.redundancy.enabled) return nullptr;
   if (redundancy_ == nullptr) {
     redundancy_ = std::make_unique<redundancy::Manager>(
         sim_, *fabric_, cfg_.redundancy,
@@ -318,8 +290,8 @@ redundancy::Manager* Cloud::redundancy() {
     // One repository-lifetime reclaim hook: GC reclaim of a member chunk
     // invalidates its whole parity group (no orphaned parity blocks), even
     // while no deployment is alive — e.g. a retention sweep between jobs.
-    for (std::uint32_t z = 0; z < zones(); ++z) {
-      blob_store(z)->add_chunk_reclaim_hook(
+    for (auto& s : stores_) {
+      s->add_chunk_reclaim_hook(
           [mgr = redundancy_.get()](const std::vector<blob::ChunkId>& ids) {
             mgr->forget_chunks(ids);
           });
@@ -330,21 +302,16 @@ redundancy::Manager* Cloud::redundancy() {
 
 void Cloud::fail_node(net::NodeId node) {
   // Provider slabs are disjoint across zones — at most one store reacts.
-  if (blob_) blob_->fail_node(node);
-  for (auto& s : zone_stores_) s->fail_node(node);
+  for (auto& s : stores_) s->fail_node(node);
 }
 
 std::uint64_t Cloud::repository_bytes() const {
-  if (blob_) {
-    std::uint64_t total =
-        blob_->total_stored_bytes() + blob_->total_meta_bytes();
-    for (const auto& s : zone_stores_) {
-      total += s->total_stored_bytes() + s->total_meta_bytes();
-    }
-    return total;
-  }
   if (pvfs_) return pvfs_->total_stored_bytes();
-  return 0;
+  std::uint64_t total = 0;
+  for (const auto& s : stores_) {
+    total += s->total_stored_bytes() + s->total_meta_bytes();
+  }
+  return total;
 }
 
 // --- Deployment -----------------------------------------------------------------
@@ -414,22 +381,10 @@ void Deployment::build_instance_fresh(std::size_t i, net::NodeId node) {
   const CloudConfig& cfg = cloud.config();
 
   if (cfg.backend == Backend::BlobCR) {
-    MirrorDevice::Config mcfg;
-    mcfg.capacity = cloud.image_size();
-    mcfg.flush = flush_cfg_;
-    mcfg.tenant = tenant_;
-    mcfg.redundancy = cloud.redundancy();
-    mcfg.federation = cloud.federation();
     // Placement affinity: a fresh instance clones its own zone's base image
     // so its commits land in the zone-local repository.
-    const std::uint32_t zone = cloud.zone_of_node(node);
-    blob::BlobStore* store = cloud.blob_store(zone);
-    if (store == nullptr) store = cloud.blob_store();
-    inst->mirror = std::make_unique<MirrorDevice>(
-        *store, node, cloud.disk(node), cloud.next_disk_stream(node),
-        cloud.base_blob(zone), 1, mcfg,
-        cfg.adaptive_prefetch ? bus_.get() : nullptr, reducer_for_store(store),
-        cloud.chunk_cache(node));
+    inst->mirror = make_mirror(node, cloud.base_blob(cloud.zone_of_node(node)),
+                               1, flush_cfg_);
     inst->proxy = std::make_unique<CheckpointProxy>(
         cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
   } else {
@@ -557,7 +512,6 @@ GlobalCheckpoint Deployment::collect_last_snapshots() const {
     // so Fig4/Table1-style accounting sees drained snapshots.
     if (snap.backend == Backend::BlobCR && snap.image != 0 &&
         snap.version != 0 && snap.bytes == 0 &&
-        cloud_->store_of_blob(snap.image) != nullptr &&
         cloud_->store_of_blob(snap.image)->version_manager().exists(
             snap.image)) {
       const blob::BlobMeta& meta =
@@ -636,30 +590,15 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
   if (cfg.backend == Backend::BlobCR) {
     // Federated restart: if the snapshot's home zone died, resolve the
     // tuple to a survivor-zone adoption of the replicated manifest before
-    // the mirror binds a store. The instance records the *resolved* tuple
-    // so later restarts and retention act on the adopted lineage.
-    if (snap.image != 0 && snap.version != 0 &&
-        cloud.federation() != nullptr && cloud.federation()->enabled()) {
-      const auto resolved = co_await cloud.federation()->resolve_restart(
-          snap.image, snap.version, node, tenant_);
-      snap.image = resolved.first;
-      snap.version = resolved.second;
-      inst->last_snapshot.image = snap.image;
-      inst->last_snapshot.version = snap.version;
-    }
-    MirrorDevice::Config mcfg;
-    mcfg.capacity = cloud.image_size();
-    mcfg.flush = flush_cfg_;
-    mcfg.tenant = tenant_;
-    mcfg.redundancy = cloud.redundancy();
-    mcfg.federation = cloud.federation();
-    blob::BlobStore* store = cloud.store_of_blob(snap.image);
-    if (store == nullptr) store = cloud.blob_store();
-    inst->mirror = std::make_unique<MirrorDevice>(
-        *store, node, cloud.disk(node), cloud.next_disk_stream(node),
-        snap.image, snap.version, mcfg,
-        cfg.adaptive_prefetch ? bus_.get() : nullptr, reducer_for_store(store),
-        cloud.chunk_cache(node));
+    // the mirror binds a store (identity on a live zone or a 1-zone
+    // fabric). The instance records the *resolved* tuple so later restarts
+    // and retention act on the adopted lineage.
+    std::tie(snap.image, snap.version) =
+        co_await cloud.federation()->resolve_restart(snap.image, snap.version,
+                                                     node, tenant_);
+    inst->last_snapshot.image = snap.image;
+    inst->last_snapshot.version = snap.version;
+    inst->mirror = make_mirror(node, snap.image, snap.version, flush_cfg_);
     // Subsequent checkpoints land in the same checkpoint image — except for
     // an elastic clone (M > N), which shares its source tuple with another
     // instance and must derive a fresh image on its first commit instead.
@@ -784,30 +723,13 @@ sim::Task<> Deployment::build_instance_from_plan(std::size_t i,
     auto vol = std::make_unique<AttachedVolume>();
     vol->source = src;
     if (cfg.backend == Backend::BlobCR) {
-      InstanceSnapshot resolved = src;
-      if (resolved.image != 0 && resolved.version != 0 &&
-          cloud.federation() != nullptr && cloud.federation()->enabled()) {
-        const auto r = co_await cloud.federation()->resolve_restart(
-            resolved.image, resolved.version, node, tenant_);
-        resolved.image = r.first;
-        resolved.version = r.second;
-        vol->source = resolved;
-      }
-      MirrorDevice::Config acfg;
-      acfg.capacity = cloud.image_size();
+      std::tie(vol->source.image, vol->source.version) =
+          co_await cloud.federation()->resolve_restart(src.image, src.version,
+                                                       node, tenant_);
       // Nothing commits through a data volume: no async drain, but the
       // parity tier still protects chunks its fetches seed into the cache.
-      acfg.flush = flush::FlushConfig{};
-      acfg.tenant = tenant_;
-      acfg.redundancy = cloud.redundancy();
-      acfg.federation = cloud.federation();
-      blob::BlobStore* store = cloud.store_of_blob(resolved.image);
-      if (store == nullptr) store = cloud.blob_store();
-      vol->mirror = std::make_unique<MirrorDevice>(
-          *store, node, cloud.disk(node), cloud.next_disk_stream(node),
-          resolved.image, resolved.version, acfg,
-          cfg.adaptive_prefetch ? bus_.get() : nullptr,
-          reducer_for_store(store), cloud.chunk_cache(node));
+      vol->mirror = make_mirror(node, vol->source.image, vol->source.version,
+                                flush::FlushConfig{});
     } else {
       auto backing = co_await pfs::PvfsFileStore::open(
           *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
@@ -839,61 +761,33 @@ sim::Task<sim::Duration> Deployment::migrate_instance(std::size_t i,
   co_return cloud_->simulation().now() - t0;
 }
 
-std::uint64_t Deployment::boot_remote_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->remote_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->remote_bytes_fetched();
-    }
-  }
-  return total;
+std::unique_ptr<MirrorDevice> Deployment::make_mirror(
+    net::NodeId node, blob::BlobId blob, blob::VersionId version,
+    const flush::FlushConfig& flush) {
+  Cloud& cloud = *cloud_;
+  MirrorDevice::Config mcfg;
+  mcfg.capacity = cloud.image_size();
+  mcfg.flush = flush;
+  mcfg.tenant = tenant_;
+  mcfg.redundancy = cloud.redundancy();
+  mcfg.federation = cloud.federation();
+  blob::BlobStore& store = *cloud.store_of_blob(blob);
+  reduce::Reducer* reducer =
+      reducers_.empty() ? nullptr : reducers_[store.config().zone].get();
+  return std::make_unique<MirrorDevice>(
+      store, node, cloud.disk(node), cloud.next_disk_stream(node), blob,
+      version, mcfg, cloud.config().adaptive_prefetch ? bus_.get() : nullptr,
+      reducer, cloud.chunk_cache(node));
 }
 
-std::uint64_t Deployment::boot_repo_bytes() const {
+std::uint64_t Deployment::sum_mirrors(
+    std::uint64_t (MirrorDevice::*counter)() const) const {
   std::uint64_t total = 0;
   for (const auto& inst : instances_) {
     if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->repo_bytes_fetched();
+    if (inst->mirror) total += ((*inst->mirror).*counter)();
     for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->repo_bytes_fetched();
-    }
-  }
-  return total;
-}
-
-std::uint64_t Deployment::boot_peer_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->peer_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->peer_bytes_fetched();
-    }
-  }
-  return total;
-}
-
-std::uint64_t Deployment::boot_parity_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->parity_bytes_rebuilt();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->parity_bytes_rebuilt();
-    }
-  }
-  return total;
-}
-
-std::uint64_t Deployment::boot_wan_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->wan_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->wan_bytes_fetched();
+      if (vol->mirror) total += ((*vol->mirror).*counter)();
     }
   }
   return total;

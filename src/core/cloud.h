@@ -88,13 +88,13 @@ struct CloudConfig {
   /// the encode rides the async drain). Off by default; see
   /// src/redundancy/parity.h for the knobs.
   redundancy::RedundancyConfig redundancy;
-  /// Cross-repo federation (BlobCR backend only): federation.zones > 1
-  /// splits the compute pool into that many availability zones, each with
-  /// its own BlobStore (own managers, own metadata plane, own provider
-  /// slab), joined into one logical repository by federation::Fabric.
-  /// Manifest registration and chunk replication ride the async drain, so
-  /// zone-loss failover requires flush.enabled. See
-  /// src/federation/federation.h for the knobs.
+  /// Cross-repo federation (BlobCR backend only): federation.zones splits
+  /// the compute pool into that many availability zones, each with its own
+  /// BlobStore (own managers, own metadata plane, own provider slab),
+  /// joined into one logical repository by federation::Fabric. The default
+  /// single zone is a 1-zone fabric. Manifest registration and chunk
+  /// replication ride the async drain, so zone-loss failover requires
+  /// flush.enabled. See src/federation/federation.h for the knobs.
   federation::FederationConfig federation;
   bool adaptive_prefetch = true;
   sim::Duration hint_latency = 300 * sim::kMicrosecond;
@@ -107,10 +107,6 @@ struct CloudConfig {
   /// Per-compute-node decoded-chunk cache (shared by all mirroring modules
   /// on the node; backs the peer exchange). 0 disables.
   std::uint64_t chunk_cache_bytes = 512 * common::kMB;
-  /// Deprecated alias: forwards into qos.restart_prefetch_budget (the
-  /// admission plane owns all QoS knobs now). A non-default value here
-  /// wins only when the qos field was left at its default.
-  std::uint64_t restart_prefetch_budget = 64 * common::kMB;
   sim::Duration proxy_auth_cost = 500 * sim::kMicrosecond;
 
   vm::GuestOsConfig os = vm::GuestOsConfig::debian_like();
@@ -174,30 +170,32 @@ class Cloud {
   sim::Time now() const { return sim_.now(); }
   const CloudConfig& config() const { return cfg_; }
   net::Fabric& fabric() { return *fabric_; }
-  blob::BlobStore* blob_store() { return blob_.get(); }
-  /// Zone z's store (zone 0 == blob_store()); nullptr for unknown zones or
-  /// non-BlobCR backends.
+  /// Zone 0's store; nullptr on the PVFS baselines.
+  blob::BlobStore* blob_store() { return blob_store(0); }
+  /// Zone z's store; nullptr for unknown zones or non-BlobCR backends.
   blob::BlobStore* blob_store(std::uint32_t zone) {
-    if (zone == 0) return blob_.get();
-    return zone <= zone_stores_.size() ? zone_stores_[zone - 1].get()
-                                       : nullptr;
+    return zone < stores_.size() ? stores_[zone].get() : nullptr;
   }
-  /// Availability zones the repository spans (1 without federation).
-  std::size_t zones() const { return blob_ ? 1 + zone_stores_.size() : 1; }
-  /// The federation fabric joining the zone stores; nullptr when
-  /// federation is off (zones == 1) or the backend is not BlobCR.
+  /// Availability zones the repository spans, one store each (0 on the
+  /// PVFS baselines).
+  std::size_t zones() const { return stores_.size(); }
+  /// The federation fabric joining the zone stores. Never nullptr: a
+  /// single-zone repository is a 1-zone fabric whose enabled() is false,
+  /// and the PVFS baselines get a fabric with no zones.
   federation::Fabric* federation() { return federation_.get(); }
-  /// The store owning `id` (decoded from the blob id's zone bits; always
-  /// the single store without federation).
+  /// The store owning `id` (decoded from the blob id's zone bits); nullptr
+  /// on the PVFS baselines.
   blob::BlobStore* store_of_blob(blob::BlobId id) {
-    return federation_ != nullptr ? federation_->store_of_blob(id)
-                                  : blob_.get();
+    return federation_->store_of_blob(id);
   }
   std::uint32_t zone_of_node(net::NodeId node) const {
-    return federation_ != nullptr ? federation_->zone_of_node(node) : 0;
+    return federation_->zone_of_node(node);
   }
   /// Per-tenant capacity ceiling, installed on every zone's store.
   void set_tenant_quota(net::TenantId t, blob::BlobStore::TenantQuota q);
+  /// Tenant t's repository usage (BlobStore::tenant_usage_snapshot) summed
+  /// over every zone's store; all zero on the PVFS baselines.
+  blob::BlobStore::TenantUsage tenant_usage(net::TenantId t) const;
   pfs::PvfsCluster* pvfs() { return pvfs_.get(); }
   storage::Disk& disk(net::NodeId node) { return *disks_.at(node); }
   std::uint64_t next_disk_stream(net::NodeId node) {
@@ -236,12 +234,11 @@ class Cloud {
   /// inside a simulation process, before deploying.
   sim::Task<> provision_base_image();
   bool provisioned() const { return base_uploaded_; }
-  blob::BlobId base_blob() const { return base_blob_; }
-  /// The base image as uploaded into zone `zone`'s store (federation
-  /// uploads one copy per zone so fresh instances clone — and later commit
-  /// — zone-locally). Falls back to the zone-0 blob for unknown zones.
+  /// The base image as uploaded into zone `zone`'s store (one copy per
+  /// zone, so fresh instances clone — and later commit — zone-locally); 0
+  /// for unknown zones and the PVFS baselines.
   blob::BlobId base_blob(std::uint32_t zone) const {
-    return zone < base_blobs_.size() ? base_blobs_[zone] : base_blob_;
+    return zone < base_blobs_.size() ? base_blobs_[zone] : 0;
   }
   const std::string& base_pvfs_path() const { return base_pvfs_path_; }
   std::uint64_t image_size() const { return cfg_.os.image_size; }
@@ -290,10 +287,9 @@ class Cloud {
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<std::unique_ptr<storage::Disk>> disks_;
   std::vector<storage::StreamIdAllocator> streams_;
-  std::unique_ptr<blob::BlobStore> blob_;
-  /// Zones 1..N-1 of a federated repository (zone 0 is blob_, so every
-  /// pre-federation caller keeps working against it).
-  std::vector<std::unique_ptr<blob::BlobStore>> zone_stores_;
+  /// One BlobStore per availability zone, in zone-id order (empty on the
+  /// PVFS baselines).
+  std::vector<std::unique_ptr<blob::BlobStore>> stores_;
   /// Declared after the stores: destroyed first, while the stores (whose
   /// reclaim hooks reference them) never fire hooks during destruction.
   std::unique_ptr<reduce::ChunkDigestIndex> shared_index_;
@@ -306,8 +302,7 @@ class Cloud {
       chunk_caches_;
   common::SparseFile base_content_;
   bool base_uploaded_ = false;
-  blob::BlobId base_blob_ = 0;
-  std::vector<blob::BlobId> base_blobs_;  // per zone (federation)
+  std::vector<blob::BlobId> base_blobs_;  // per zone
   std::string base_pvfs_path_;
   std::uint64_t deployment_seq_ = 0;
   net::TenantId pvfs_tenant_seq_ = 0;  // fallback ids for non-BlobCR backends
@@ -406,9 +401,9 @@ class Deployment {
   redundancy::Manager* redundancy() { return cloud_->redundancy(); }
   /// Deployment-wide reduction pipeline (nullptr when reduction is off or
   /// the backend is not BlobCR). Shared by all mirroring modules, like the
-  /// prefetch bus, so dedup works across ranks and snapshot versions. With
-  /// federation there is one reducer per zone (dedup Refs stay zone-local);
-  /// this returns zone 0's.
+  /// prefetch bus, so dedup works across ranks and snapshot versions. There
+  /// is one reducer per zone (dedup Refs stay zone-local); this returns
+  /// zone 0's.
   reduce::Reducer* reducer() {
     return reducers_.empty() ? nullptr : reducers_.front().get();
   }
@@ -484,16 +479,28 @@ class Deployment {
   /// (snapshot + teardown + redeploy + boot/resume).
   sim::Task<sim::Duration> migrate_instance(std::size_t i, net::NodeId target);
 
-  std::uint64_t boot_remote_bytes() const;  // lazy-fetch traffic observed
+  /// Lazy-fetch traffic observed, summed over boot devices and attached
+  /// volumes.
+  std::uint64_t boot_remote_bytes() const {
+    return sum_mirrors(&MirrorDevice::remote_bytes_fetched);
+  }
   /// Repository wire bytes vs intra-deployment peer-copy bytes vs parity-
   /// rebuilt bytes behind boot_remote_bytes() (the restart data plane's
   /// transfer classes).
-  std::uint64_t boot_repo_bytes() const;
-  std::uint64_t boot_peer_bytes() const;
-  std::uint64_t boot_parity_bytes() const;
+  std::uint64_t boot_repo_bytes() const {
+    return sum_mirrors(&MirrorDevice::repo_bytes_fetched);
+  }
+  std::uint64_t boot_peer_bytes() const {
+    return sum_mirrors(&MirrorDevice::peer_bytes_fetched);
+  }
+  std::uint64_t boot_parity_bytes() const {
+    return sum_mirrors(&MirrorDevice::parity_bytes_rebuilt);
+  }
   /// Bytes the restart data plane pulled from outside each reader's own
-  /// zone (subset of boot_repo_bytes; 0 without federation).
-  std::uint64_t boot_wan_bytes() const;
+  /// zone (subset of boot_repo_bytes; 0 on a 1-zone fabric).
+  std::uint64_t boot_wan_bytes() const {
+    return sum_mirrors(&MirrorDevice::wan_bytes_fetched);
+  }
 
   /// Scavenge support (cr::Session::scavenge): best-effort recovery of one
   /// chunk's decoded payload from the peer tier — a surviving node's cache
@@ -525,14 +532,18 @@ class Deployment {
   sim::Task<> build_instance_from_plan(std::size_t i, net::NodeId node,
                                        const InstancePlan& plan);
   sim::Task<> boot_instance(std::size_t i);
-  /// The reducer matching a mirror's store: commits through a zone-z store
-  /// must reduce through the zone-z reducer, whose index lookups prefer —
-  /// and whose GC pins register in — that same zone.
-  reduce::Reducer* reducer_for_store(blob::BlobStore* store) {
-    if (reducers_.empty() || store == nullptr) return nullptr;
-    const std::uint32_t z = store->config().zone;
-    return reducers_[z < reducers_.size() ? z : 0].get();
-  }
+  /// A mirroring module on `node` backed by (blob, version), bound to the
+  /// zone store that owns `blob` and to that zone's reducer: commits
+  /// through a zone-z store must reduce through the zone-z reducer, whose
+  /// index lookups prefer — and whose GC pins register in — that zone.
+  std::unique_ptr<MirrorDevice> make_mirror(net::NodeId node,
+                                            blob::BlobId blob,
+                                            blob::VersionId version,
+                                            const flush::FlushConfig& flush);
+  /// Sums one MirrorDevice byte counter over every boot device and
+  /// attached volume.
+  std::uint64_t sum_mirrors(
+      std::uint64_t (MirrorDevice::*counter)() const) const;
 
   Cloud* cloud_;
   std::size_t count_;
@@ -545,8 +556,8 @@ class Deployment {
   sim::ProcessPtr restart_scheduler_;
   std::function<void(std::size_t)> restart_probe_;
   std::unique_ptr<PrefetchBus> bus_;
-  /// One reducer per zone (index 0 without federation): stats, epochs and
-  /// in-flight pins are per (deployment, zone).
+  /// One reducer per zone: stats, epochs and in-flight pins are per
+  /// (deployment, zone).
   std::vector<std::unique_ptr<reduce::Reducer>> reducers_;
   std::unique_ptr<mpi::MpiWorld> mpi_;
   std::vector<std::unique_ptr<Instance>> instances_;

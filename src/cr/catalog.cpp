@@ -300,10 +300,9 @@ Task<CheckpointRecord> Catalog::stage(CheckpointRecord rec) {
   end_ = slot.offset + slot.length;
   records_.push_back(rec);
   frames_.push_back(slot);
-  if (federation::Fabric* fed = cloud_->federation();
-      fed != nullptr && fed->enabled() && blob_client_ != nullptr) {
-    co_await fed->replicate_catalog(cfg_.name, rec.id, std::move(replica),
-                                    cfg_.client_node);
+  if (blob_client_ != nullptr && cloud_->federation()->enabled()) {
+    co_await cloud_->federation()->replicate_catalog(
+        cfg_.name, rec.id, std::move(replica), cfg_.client_node);
   }
   co_return rec;
 }
@@ -317,10 +316,9 @@ Task<> Catalog::update(CheckpointRecord rec) {
     Buffer replica = frame;
     co_await write_at(slot.offset, std::move(frame));
     records_[i] = std::move(rec);
-    if (federation::Fabric* fed = cloud_->federation();
-        fed != nullptr && fed->enabled() && blob_client_ != nullptr) {
-      co_await fed->replicate_catalog(cfg_.name, records_[i].id,
-                                      std::move(replica), cfg_.client_node);
+    if (blob_client_ != nullptr && cloud_->federation()->enabled()) {
+      co_await cloud_->federation()->replicate_catalog(
+          cfg_.name, records_[i].id, std::move(replica), cfg_.client_node);
     }
     co_return;
   }
@@ -406,8 +404,9 @@ std::uint64_t Catalog::compact() {
 
 Task<> Catalog::rehome_if_dead() {
   federation::Fabric* fed = cloud_->federation();
-  if (blob_client_ == nullptr || fed == nullptr || !fed->enabled()) co_return;
-  if (fed->alive(home_store_->config().zone)) co_return;
+  if (blob_client_ == nullptr || fed->alive(home_store_->config().zone)) {
+    co_return;
+  }
   // The home zone's store is gone: every chunk of the old log blob is
   // unreachable, so rebind the client to a survivor *before* any read —
   // open()'s read_all against dead providers would fail, not recover.

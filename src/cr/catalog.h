@@ -100,7 +100,7 @@ class Catalog {
   /// never-opened catalog (fresh driver after the loss) recovers its record
   /// set from the federation's replicated frames first, so survivors can
   /// still list and restart every checkpoint. No-op when the home zone is
-  /// alive or federation is off.
+  /// alive.
   sim::Task<> rehome_if_dead();
 
   blob::BlobId catalog_blob() const { return blob_id_; }

@@ -333,7 +333,7 @@ sim::Task<std::pair<blob::BlobId, blob::VersionId>> Fabric::resolve_restart(
     blob::BlobId image, blob::VersionId version, net::NodeId node,
     net::TenantId tenant) {
   const std::uint32_t home = zone_of_blob(image);
-  if (!enabled() || alive(home)) {
+  if (!enabled() || image == 0 || version == 0 || alive(home)) {
     co_return std::make_pair(image, version);
   }
   const auto key = std::make_pair(image, version);

@@ -57,8 +57,9 @@ class ChunkDigestIndex;
 namespace blobcr::federation {
 
 struct FederationConfig {
-  /// Number of availability zones. 1 (default) = federation off: the cloud
-  /// builds a single store and none of this machinery engages.
+  /// Number of availability zones. 1 (default) = a 1-zone fabric over the
+  /// cloud's single store: enabled() is false, so no replication, WAN
+  /// routing or failover engages.
   std::size_t zones = 1;
   /// Wide-area traffic class between zones: one-way latency and a per-flow
   /// application rate cap layered on the NIC fair share (net::Fabric::Shape).
@@ -80,7 +81,7 @@ struct FederationConfig {
 class Fabric {
  public:
   /// BlobIds carry their home zone in bits [40, 64); ChunkIds in [48, 64).
-  /// Zone 0 keeps the unseeded counters, so single-zone ids decode to 0.
+  /// Zone 0's ranges start at 1, so single-zone ids decode to 0.
   static constexpr unsigned kBlobZoneShift = 40;
   static constexpr unsigned kChunkZoneShift = 48;
 
@@ -111,7 +112,7 @@ class Fabric {
     return zones_[zone].store;
   }
   /// The store owning a blob (decoded from the id; clamped to zone 0 for
-  /// out-of-range ids so pre-federation callers always get a valid store).
+  /// out-of-range ids). nullptr on a fabric with no zones.
   blob::BlobStore* store_of_blob(blob::BlobId id) const;
 
   bool alive(std::uint32_t zone) const {
@@ -161,12 +162,13 @@ class Fabric {
 
   // --- zone-loss restart failover ------------------------------------------
 
-  /// Resolves a checkpoint image for restart on `node`. Owning zone alive:
-  /// identity. Owning zone dead: adopts the version into a surviving zone's
-  /// store (metadata-only rebuild over the federated manifest, leaf tuples
-  /// verbatim) and returns the adopted (blob, version). Idempotent per
-  /// (image, version). Throws when the zone is dead and no manifest was
-  /// ever replicated (the version never drained).
+  /// Resolves a checkpoint image for restart on `node`. Owning zone alive,
+  /// a 1-zone fabric, or no snapshot (image or version 0): identity, with
+  /// no simulated cost. Owning zone dead: adopts the version into a
+  /// surviving zone's store (metadata-only rebuild over the federated
+  /// manifest, leaf tuples verbatim) and returns the adopted (blob,
+  /// version). Idempotent per (image, version). Throws when the zone is
+  /// dead and no manifest was ever replicated (the version never drained).
   sim::Task<std::pair<blob::BlobId, blob::VersionId>> resolve_restart(
       blob::BlobId image, blob::VersionId version, net::NodeId node,
       net::TenantId tenant);

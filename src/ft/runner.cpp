@@ -253,14 +253,6 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
   bool force_ckpt = false;  // zero-work epoch right after a rescale
   co_await cloud->provision_base_image();
 
-  // Usage baseline after provisioning: the reported tenant_* counters cover
-  // exactly this job's commits (a default-tenant job must not inherit the
-  // base-image upload, which also runs as tenant 0).
-  const blob::BlobStore::TenantUsage usage_base =
-      cloud->blob_store() != nullptr
-          ? cloud->blob_store()->tenant_usage_snapshot(cfg->tenant)
-          : blob::BlobStore::TenantUsage{};
-
   auto holder = std::make_shared<DepHolder>();
   std::size_t shift = 0;
   holder->dep = std::make_unique<Deployment>(
@@ -272,9 +264,6 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
   // repository-resident catalog, not in this driver's memory.
   cr::Session::Config scfg;
   scfg.retention = cfg->retention;
-  if (scfg.retention.keep_last == 0 && cfg->gc_keep_last > 0) {
-    scfg.retention.keep_last = static_cast<std::size_t>(cfg->gc_keep_last);
-  }
   scfg.job = cfg->job;
   auto session = std::make_unique<cr::Session>(*holder->dep, scfg);
 
@@ -480,18 +469,6 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
   report->makespan = sim.now() - job_start;
   report->useful_work = completed;
   report->gc_reclaimed_bytes = session->gc_reclaimed_bytes();
-  if (cloud->blob_store() != nullptr) {
-    const blob::BlobStore::TenantUsage usage =
-        cloud->blob_store()->tenant_usage_snapshot(cfg->tenant);
-    report->tenant_raw_bytes = usage.raw_bytes - usage_base.raw_bytes;
-    report->tenant_shipped_bytes =
-        usage.shipped_bytes - usage_base.shipped_bytes;
-    report->tenant_commit_wait = usage.commit_wait - usage_base.commit_wait;
-    report->tenant_provider_wait =
-        usage.provider_wait - usage_base.provider_wait;
-    report->tenant_prefetch_wait =
-        usage.prefetch_wait - usage_base.prefetch_wait;
-  }
   report->ckpt_blocked = st->ckpt_blocked;
   report->completed = !gave_up && completed >= cfg->total_work;
   if (cfg->real_data) {

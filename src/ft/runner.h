@@ -69,9 +69,6 @@ struct FtJobConfig {
   /// collector. keep_last == 0 disables. The runner only ever rolls back
   /// to the latest complete checkpoint, so keeping 1 is always safe.
   cr::RetentionPolicy retention;
-  /// Deprecated alias for retention.keep_last (> 0 wins only when the
-  /// policy above was left at its default).
-  int gc_keep_last = 0;
   /// Repository tenant this job runs as (multi-tenant clouds; see
   /// Cloud::register_tenant). Namespaces the job's checkpoint catalog and
   /// tags its commits for QoS admission and per-tenant accounting.
@@ -128,18 +125,6 @@ struct FtReport {
   std::size_t repair_copies = 0; // replica copies re-created by repair
   std::uint64_t repair_bytes = 0;
   std::uint64_t gc_reclaimed_bytes = 0;
-  /// Per-tenant repository accounting for this job (BlobCR backend),
-  /// measured from a post-provisioning baseline so it covers exactly this
-  /// job's commits: raw commit payload vs post-reduction bytes shipped, and
-  /// the time this tenant's requests sat queued at the shared admission
-  /// points (commit gate + fair manager queues).
-  std::uint64_t tenant_raw_bytes = 0;
-  std::uint64_t tenant_shipped_bytes = 0;
-  sim::Duration tenant_commit_wait = 0;
-  /// Queueing at the admission plane's provider-io / restart-prefetch
-  /// gates, same baseline-diff convention.
-  sim::Duration tenant_provider_wait = 0;
-  sim::Duration tenant_prefetch_wait = 0;
   std::vector<EpochRecord> epochs;
 
   /// Useful-work fraction of the makespan, in (0, 1].

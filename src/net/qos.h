@@ -40,8 +40,7 @@ using TenantId = std::uint32_t;
 inline constexpr TenantId kDefaultTenant = 0;
 
 // Admission policy knobs live in qos::Config (src/qos/admission.h), which
-// owns per-gate slot counts for the whole admission plane; net::QosConfig
-// survives there as a deprecated alias.
+// owns per-gate slot counts for the whole admission plane.
 
 class TenantRegistry {
  public:

@@ -24,9 +24,7 @@
 // queued unlinks, one killed while holding releases as its frame unwinds.
 //
 // All knobs live in one validated qos::Config (per-gate slot counts plus
-// the restart-prefetch byte budget); the scattered predecessors
-// (net::QosConfig, CloudConfig::restart_prefetch_budget) survive one
-// release as deprecated forwarding aliases.
+// the restart-prefetch byte budget).
 #pragma once
 
 #include <cstdint>
@@ -78,7 +76,6 @@ struct Config {
   /// 0 = gate disabled (each device still bounds its own local streams).
   std::size_t prefetch_slots = 0;
   /// Repository bytes the restart scheduler may prefetch per instance.
-  /// (Moved here from CloudConfig::restart_prefetch_budget.)
   std::uint64_t restart_prefetch_budget = 64 * common::kMB;
 
   std::size_t slots(GateClass g) const {
@@ -157,9 +154,3 @@ class AdmissionPlane {
 };
 
 }  // namespace blobcr::qos
-
-namespace blobcr::net {
-/// Deprecated alias (one release): net::QosConfig grew per-class slots and
-/// moved to qos::Config alongside the AdmissionPlane it configures.
-using QosConfig = blobcr::qos::Config;
-}  // namespace blobcr::net

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/multi_job.h"
 #include "blob/client.h"
 #include "core/blobcr.h"
 #include "cr/session.h"
@@ -296,13 +297,18 @@ TEST(FederationTest, HotBudgetPushesCopiesBeyondBuddyZone) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-zone configs build the classic layout and leave federation off.
+// A single-zone config is a 1-zone fabric: the classic layout, and none of
+// the federation machinery (replication, WAN fetches, catalog frames)
+// engages through a checkpoint and a restart.
 // ---------------------------------------------------------------------------
 
-TEST(FederationTest, SingleZoneHasNoFederation) {
+TEST(FederationTest, SingleZoneIsADisabledFabric) {
   Cloud cloud(fed_cfg(1, 4));
   EXPECT_EQ(cloud.zones(), 1u);
-  EXPECT_EQ(cloud.federation(), nullptr);
+  federation::Fabric* fed = cloud.federation();
+  ASSERT_NE(fed, nullptr);
+  EXPECT_EQ(fed->zones(), 1u);
+  EXPECT_FALSE(fed->enabled());
   cloud.run([](Cloud* cl) -> Task<> {
     co_await cl->provision_base_image();
     Deployment dep(*cl, 1);
@@ -313,7 +319,45 @@ TEST(FederationTest, SingleZoneHasNoFederation) {
     EXPECT_EQ(rec.state, RecordState::Complete);
     (void)co_await session.restart(Selector::latest(), /*node_offset=*/1);
     EXPECT_TRUE(co_await state_matches(&dep.vm(0), 3));
+    EXPECT_EQ(dep.boot_wan_bytes(), 0u);
   }(&cloud));
+  EXPECT_EQ(fed->cross_zone_bytes(), 0u);
+  EXPECT_EQ(fed->replica_entries(), 0u);
+  EXPECT_EQ(fed->catalog_records(cr::Catalog::Config{}.name), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Per-tenant usage spans every zone: a multi-job run whose second job sits
+// on zone-1 nodes commits into the zone-1 store, and that job's result
+// counts those bytes (Cloud::tenant_usage sums every zone's store).
+// ---------------------------------------------------------------------------
+
+TEST(FederationTest, MultiJobUsageSumsEveryZone) {
+  Cloud cloud(fed_cfg(2, 8));  // zone 0 = nodes 0-3, zone 1 = nodes 4-7
+  apps::TenantJobSpec filler;
+  filler.name = "zone0-filler";
+  filler.instances = 4;  // every zone-0 node
+  filler.buffer_bytes = 512 * 1024;
+  filler.rounds = 1;
+  filler.do_restart = false;
+  apps::TenantJobSpec job = filler;
+  job.name = "zone1-job";
+  job.instances = 1;  // node 4
+  apps::MultiJobRun run;
+  run.jobs = {filler, job};
+  const apps::MultiJobResult r = apps::run_multi_job(cloud, run);
+  ASSERT_TRUE(r.all_verified());
+
+  const apps::JobResult& j = r.jobs[1];
+  const blob::BlobStore::TenantUsage z0 =
+      cloud.blob_store(0)->tenant_usage_snapshot(j.tenant);
+  const blob::BlobStore::TenantUsage z1 =
+      cloud.blob_store(1)->tenant_usage_snapshot(j.tenant);
+  EXPECT_GT(z1.raw_bytes, 0u) << "the job's commits did not land in zone 1";
+  EXPECT_GT(j.usage.raw_bytes, 0u);
+  EXPECT_EQ(j.usage.raw_bytes, z0.raw_bytes + z1.raw_bytes);
+  EXPECT_EQ(j.usage.shipped_bytes, z0.shipped_bytes + z1.shipped_bytes);
+  EXPECT_EQ(j.usage.commits, z0.commits + z1.commits);
 }
 
 }  // namespace

@@ -516,7 +516,7 @@ TEST(FtRunnerTest, GcBoundsRepositoryGrowth) {
   const FtReport plain = run_ft_job(plain_cloud, job);
   const std::uint64_t plain_repo = plain_cloud.repository_bytes();
 
-  job.gc_keep_last = 1;
+  job.retention.keep_last = 1;
   Cloud gc_cloud(tiny_cfg(Backend::BlobCR));
   const FtReport gced = run_ft_job(gc_cloud, job);
   const std::uint64_t gc_repo = gc_cloud.repository_bytes();
@@ -533,7 +533,7 @@ TEST(FtRunnerTest, GcKeepsRollbackTargetUsable) {
   // still restore cleanly from what survived collection.
   Cloud cloud(tiny_cfg(Backend::BlobCR));
   FtJobConfig job = small_job();
-  job.gc_keep_last = 1;
+  job.retention.keep_last = 1;
   job.failures = FailureSchedule::fixed({{50 * sim::kSecond, 0}});
   const FtReport rep = run_ft_job(cloud, job);
   EXPECT_TRUE(rep.completed);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,13 @@ apps::MultiJobRun three_jobs() {
   return run;
 }
 
+// run_multi_job refuses a cloud without room for every job's node range
+// plus, when any job restarts, its shifted restart range — in every build.
+TEST(MultiTenantTest, MultiJobRefusesTooFewComputeNodes) {
+  Cloud cloud(repo_cfg(7));  // three_jobs(): 4 instances, all restart
+  EXPECT_THROW(apps::run_multi_job(cloud, three_jobs()), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // K=3 concurrent jobs through one repository: bit-exact restores, per-tenant
 // accounting, and per-tenant catalogs that list only their own lineage.
@@ -91,9 +99,9 @@ TEST(MultiTenantTest, ConcurrentJobsRestoreBitExactThroughOneRepository) {
       EXPECT_EQ(job.records[r].state, cr::RecordState::Complete);
       EXPECT_EQ(job.records[r].snapshots.size(), run.jobs[k].instances);
     }
-    EXPECT_GT(job.raw_bytes, 0u) << job.name;
-    EXPECT_GT(job.shipped_bytes, 0u) << job.name;
-    EXPECT_LE(job.shipped_bytes, job.raw_bytes) << job.name;
+    EXPECT_GT(job.usage.raw_bytes, 0u) << job.name;
+    EXPECT_GT(job.usage.shipped_bytes, 0u) << job.name;
+    EXPECT_LE(job.usage.shipped_bytes, job.usage.raw_bytes) << job.name;
   }
   // Distinct tenants, distinct identities.
   EXPECT_NE(result.jobs[0].tenant, result.jobs[1].tenant);
@@ -105,8 +113,8 @@ TEST(MultiTenantTest, ConcurrentJobsRestoreBitExactThroughOneRepository) {
   // one to dedup against — that asymmetry is the multi-tenant win.)
   for (std::size_t k : {1u, 2u}) {
     const apps::JobResult& job = result.jobs[k];
-    EXPECT_LT(static_cast<double>(job.shipped_bytes),
-              0.75 * static_cast<double>(job.raw_bytes))
+    EXPECT_LT(static_cast<double>(job.usage.shipped_bytes),
+              0.75 * static_cast<double>(job.usage.raw_bytes))
         << "cross-job dedup did not bite for staggered job " << job.name;
   }
 }
@@ -138,7 +146,7 @@ TEST(MultiTenantTest, SharedIndexShipsLessThanIsolatedOnOverlappingJobs) {
     Cloud cloud(cfg);
     const apps::MultiJobResult r = apps::run_multi_job(cloud, run);
     std::uint64_t shipped = 0;
-    for (const apps::JobResult& j : r.jobs) shipped += j.shipped_bytes;
+    for (const apps::JobResult& j : r.jobs) shipped += j.usage.shipped_bytes;
     return shipped;
   };
 

@@ -1,11 +1,11 @@
 // End-to-end QoS tests for the repository admission plane (qos/admission.h):
-// the unified qos::Config validates as a unit and absorbs the deprecated
-// CloudConfig knob; the provider-io gate holds weighted fairness when the
-// data-provider pool (not the commit gate) is the bottleneck; admission is
-// kill-safe at every gate class; a mass-rollback storm and live commits
-// share the plane without starving each other in either direction; and
-// restart-prefetch workers killed at deployment teardown release their
-// admission permits (the leak that would wedge the next restart).
+// the unified qos::Config validates as a unit; the provider-io gate holds
+// weighted fairness when the data-provider pool (not the commit gate) is
+// the bottleneck; admission is kill-safe at every gate class; a
+// mass-rollback storm and live commits share the plane without starving
+// each other in either direction; and restart-prefetch workers killed at
+// deployment teardown release their admission permits (the leak that would
+// wedge the next restart).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,8 +33,7 @@ using core::Deployment;
 using sim::Task;
 
 // ---------------------------------------------------------------------------
-// qos::Config — one validated knob set, with the deprecated CloudConfig
-// alias forwarding for exactly one release.
+// qos::Config — one validated knob set.
 // ---------------------------------------------------------------------------
 
 TEST(QosConfigTest, ValidateRejectsFairnessWithEveryGateUnbounded) {
@@ -60,26 +59,6 @@ TEST(QosConfigTest, ValidateRejectsFairnessWithEveryGateUnbounded) {
   ccfg.backend = Backend::BlobCR;
   ccfg.qos.enabled = true;
   EXPECT_THROW(Cloud cloud(ccfg), std::invalid_argument);
-}
-
-TEST(QosConfigTest, DeprecatedBudgetAliasForwardsUnlessNewKnobSet) {
-  CloudConfig base;
-  base.compute_nodes = 4;
-  base.backend = Backend::BlobCR;
-  base.os = vm::GuestOsConfig::test_tiny();
-
-  // Old knob alone: forwards into the unified config.
-  CloudConfig old_only = base;
-  old_only.restart_prefetch_budget = 1 * common::kMB;
-  Cloud c1(old_only);
-  EXPECT_EQ(c1.config().qos.restart_prefetch_budget, 1 * common::kMB);
-
-  // Both set: the new knob wins; the alias is ignored.
-  CloudConfig both = base;
-  both.restart_prefetch_budget = 1 * common::kMB;
-  both.qos.restart_prefetch_budget = 2 * common::kMB;
-  Cloud c2(both);
-  EXPECT_EQ(c2.config().qos.restart_prefetch_budget, 2 * common::kMB);
 }
 
 // ---------------------------------------------------------------------------
