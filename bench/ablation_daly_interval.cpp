@@ -160,7 +160,7 @@ void register_all() {
           state.counters["tau_repo_opt_s"] = tl.tau_repo_opt_s;
           state.counters["single_overhead"] = tl.single_overhead;
           state.counters["daly_tau_s"] = p.daly_tau_s;
-          state.counters["parity_rebuilt_mb"] = mb(p.report.parity_bytes_rebuilt);
+          state.counters["parity_rebuilt_mb"] = mb(p.report.restart.parity);
         })
         ->UseManualTime()
         ->Iterations(1)

@@ -68,7 +68,7 @@ void register_all() {
         // Warm survivor caches must not pull more repository bytes than the
         // cold rescale — the peer tier keeps working across a remap.
         const bool warm_cheaper =
-            warm.restart_repo_bytes <= shrink.restart_repo_bytes;
+            warm.restart.repo <= shrink.restart.repo;
 
         report_seconds(state, shrink.restart_time);
         state.counters["rescale_restart_s"] =
@@ -78,12 +78,12 @@ void register_all() {
         state.counters["warm_restart_s"] = sim::to_seconds(warm.restart_time);
         state.counters["qcow_restart_s"] = sim::to_seconds(qcow.restart_time);
         state.counters["repo_mb_per_inst"] =
-            mb(shrink.restart_repo_bytes) / static_cast<double>(m_small);
+            mb(shrink.restart.repo) / static_cast<double>(m_small);
         state.counters["warm_repo_mb_per_inst"] =
-            mb(warm.restart_repo_bytes) / static_cast<double>(m_small);
+            mb(warm.restart.repo) / static_cast<double>(m_small);
         state.counters["grow_repo_mb_per_inst"] =
-            mb(grow.restart_repo_bytes) / static_cast<double>(n);
-        state.counters["warm_peer_mb"] = mb(warm.restart_peer_bytes);
+            mb(grow.restart.repo) / static_cast<double>(n);
+        state.counters["warm_peer_mb"] = mb(warm.restart.peer);
         state.counters["verified"] =
             (all_verified && tuples_ok && warm_cheaper) ? 1 : 0;
       })

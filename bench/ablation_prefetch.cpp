@@ -40,9 +40,9 @@ void run_point(benchmark::State& state, bool prefetch, bool dedup_heavy,
   state.counters["restart_s"] = sim::to_seconds(result.restart_time);
   state.counters["deploy_s"] = sim::to_seconds(result.deploy_time);
   state.counters["repo_mb_per_inst"] =
-      mb(result.restart_repo_bytes) / static_cast<double>(instances);
+      mb(result.restart.repo) / static_cast<double>(instances);
   state.counters["peer_mb_per_inst"] =
-      mb(result.restart_peer_bytes) / static_cast<double>(instances);
+      mb(result.restart.peer) / static_cast<double>(instances);
   // Bit-exact restore check (1 = every restored digest matched; phantom
   // runs verify trivially). The CI bench gate fails on any 0.
   state.counters["verified"] = result.verified ? 1.0 : 0.0;

@@ -156,8 +156,8 @@ void register_all() {
         // restart-path repository bytes, with every restored rank state
         // digest-verified in all three runs.
         const bool fewer_repo_bytes =
-            parity.restart_repo_bytes < repl2.restart_repo_bytes &&
-            parity.restart_repo_bytes < repair.restart_repo_bytes;
+            parity.restart.repo < repl2.restart.repo &&
+            parity.restart.repo < repair.restart.repo;
         const bool all_ok = parity.completed && parity.verified &&
                             repl2.completed && repl2.verified &&
                             repair.completed && repair.verified;
@@ -165,13 +165,13 @@ void register_all() {
         report_seconds(state, parity.restart_overhead);
         const double n = static_cast<double>(instances);
         state.counters["repo_mb_per_inst"] =
-            mb(parity.restart_repo_bytes) / n;
+            mb(parity.restart.repo) / n;
         state.counters["repl2_repo_mb_per_inst"] =
-            mb(repl2.restart_repo_bytes) / n;
+            mb(repl2.restart.repo) / n;
         state.counters["repair_repo_mb_per_inst"] =
-            mb(repair.restart_repo_bytes) / n;
-        state.counters["parity_rebuilt_mb"] = mb(parity.parity_bytes_rebuilt);
-        state.counters["peer_mb"] = mb(parity.restart_peer_bytes);
+            mb(repair.restart.repo) / n;
+        state.counters["parity_rebuilt_mb"] = mb(parity.restart.parity);
+        state.counters["peer_mb"] = mb(parity.restart.peer);
         state.counters["repair_copied_mb"] = mb(repair.repair_bytes);
         state.counters["verified"] = (fewer_repo_bytes && all_ok) ? 1 : 0;
       })

@@ -26,9 +26,9 @@ void run_point(benchmark::State& state, const Approach& approach,
   // The content-addressed data plane's transfer split (zero for the qcow
   // baselines): repository wire bytes vs intra-deployment peer copies.
   state.counters["repo_mb_per_inst"] =
-      mb(result.restart_repo_bytes) / static_cast<double>(instances);
+      mb(result.restart.repo) / static_cast<double>(instances);
   state.counters["peer_mb_per_inst"] =
-      mb(result.restart_peer_bytes) / static_cast<double>(instances);
+      mb(result.restart.peer) / static_cast<double>(instances);
 }
 
 void register_all() {

@@ -65,7 +65,7 @@ int main() {
     cr::Session session(dep);
     banner(*cl, "deploying 2 VMs; the 8 MB reference ships with the image");
     co_await dep.deploy_and_boot();
-    out->boot_fetch = dep.boot_remote_bytes();
+    out->boot_fetch = dep.source_bytes().remote();
 
     sim::Barrier phase(cl->simulation(), 3);
     for (std::size_t i = 0; i < 2; ++i) {
@@ -84,7 +84,7 @@ int main() {
     }
     co_await phase.arrive_and_wait();
     for (std::size_t i = 0; i < 2; ++i) co_await dep.vm(i).join_guests();
-    out->half_fetch = dep.boot_remote_bytes();
+    out->half_fetch = dep.source_bytes().remote();
     banner(*cl, "half-scan done, checkpointed (sketch table + scan cursor)");
 
     (void)co_await session.commit_last("half-scan");
@@ -108,7 +108,7 @@ int main() {
     }
     co_await phase2.arrive_and_wait();
     for (std::size_t i = 0; i < 2; ++i) co_await dep.vm(i).join_guests();
-    out->restart_fetch = dep.boot_remote_bytes();
+    out->restart_fetch = dep.source_bytes().remote();
     banner(*cl, "scan finished after restart");
   }(&cloud, kcfg, &out));
 

@@ -23,7 +23,7 @@ Task<std::unique_ptr<guestfs::SimpleFs>> mount_snapshot(
     blob::VersionId version) {
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = cl->image_size();
-  auto* dev = new core::MirrorDevice(*cl->blob_store(), cl->compute_node(3),
+  auto* dev = new core::MirrorDevice(*cl->federation(), cl->compute_node(3),
                                      cl->disk(cl->compute_node(3)),
                                      cl->next_disk_stream(3), image, version,
                                      mcfg);

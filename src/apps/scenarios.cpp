@@ -180,9 +180,7 @@ Task<> synthetic_driver(Cloud* cloud, SyntheticRun run, CkptMode mode,
     result->restart_time = sim.now() - t0;
     // The restarted mirrors are fresh objects, so their counters cover
     // exactly the restart's lazy-fetch traffic.
-    result->restart_repo_bytes = dep.boot_repo_bytes();
-    result->restart_peer_bytes = dep.boot_peer_bytes();
-    result->restart_parity_bytes = dep.boot_parity_bytes();
+    result->restart = dep.source_bytes();
     if (run.real_data) {
       for (const bool ok : shared->restore_ok) {
         result->verified = result->verified && ok;
@@ -308,9 +306,7 @@ Task<> elastic_driver(Cloud* cloud, ElasticRun run, ElasticResult* result) {
     }
   }
   result->restart_time = sim.now() - t0;
-  result->restart_repo_bytes = dep.boot_repo_bytes();
-  result->restart_peer_bytes = dep.boot_peer_bytes();
-  result->restart_parity_bytes = dep.boot_parity_bytes();
+  result->restart = dep.source_bytes();
   for (const bool ok : shared->restore_ok) {
     result->verified = result->verified && ok;
   }
@@ -495,9 +491,7 @@ Task<> cm1_driver(Cloud* cloud, Cm1Run run, CkptMode mode,
       co_await dep.vm(i).join_guests();
     }
     result->restart_time = sim.now() - t0;
-    result->restart_repo_bytes = dep.boot_repo_bytes();
-    result->restart_peer_bytes = dep.boot_peer_bytes();
-    result->restart_parity_bytes = dep.boot_parity_bytes();
+    result->restart = dep.source_bytes();
     if (run.app.real_data) {
       for (const bool ok : shared->restore_ok) {
         result->verified = result->verified && ok;

@@ -68,13 +68,9 @@ struct RunResult {
   std::vector<std::uint64_t> repo_growth;
   /// Restart completion time: redeploy + reboot + state restore (Fig 3).
   sim::Duration restart_time = 0;
-  /// Restart transfer split (BlobCR): wire bytes pulled from the
-  /// repository vs decoded bytes copied between deployment peers vs bytes
-  /// reconstructed from peer parity groups (the redundancy tier) — the
-  /// content-addressed data plane's transfer classes.
-  std::uint64_t restart_repo_bytes = 0;
-  std::uint64_t restart_peer_bytes = 0;
-  std::uint64_t restart_parity_bytes = 0;
+  /// Restart bytes by ladder level (BlobCR; Deployment::source_bytes()
+  /// right after the restore).
+  core::SourceBytes restart;
   /// Digest verification outcome (real-data runs; true in phantom mode).
   bool verified = true;
 };
@@ -107,11 +103,9 @@ struct ElasticResult {
   /// Rescaled restart makespan: teardown + remap + boot + state restore
   /// and union verification reads.
   sim::Duration restart_time = 0;
-  /// Restart transfer split across the rescale (boot devices + attached
-  /// volumes; BlobCR backend).
-  std::uint64_t restart_repo_bytes = 0;
-  std::uint64_t restart_peer_bytes = 0;
-  std::uint64_t restart_parity_bytes = 0;
+  /// Restart bytes by ladder level across the rescale (boot devices +
+  /// attached volumes; BlobCR backend).
+  core::SourceBytes restart;
   /// Every shard digest-verified AND every source covered (real-data runs;
   /// size checks only in phantom mode).
   bool verified = true;

@@ -32,10 +32,6 @@ common::Buffer BlobClient::decode_stored(const ChunkLocation& loc,
 
 namespace {
 
-common::Buffer decode_chunk(const ChunkLocation& loc, common::Buffer stored) {
-  return BlobClient::decode_stored(loc, std::move(stored));
-}
-
 /// True iff any write index falls in [lo, hi).
 bool overlaps(const std::vector<std::pair<std::uint64_t, ChunkLocation>>& w,
               std::uint64_t lo, std::uint64_t hi) {
@@ -438,8 +434,6 @@ sim::Task<VersionId> BlobClient::write_extents_via(
 
   const std::uint64_t chunk_bytes =
       stored_payload * static_cast<std::uint64_t>(replication);
-  bytes_written_ += payload_bytes;
-  last_commit_raw_ = payload_bytes;
   last_commit_stored_ = stored_payload;
   if (opts.probe != nullptr) co_await (*opts.probe)(CommitStage::PrePublish);
   const VersionId v = co_await store_->version_manager().publish(
@@ -525,26 +519,27 @@ sim::Task<> BlobClient::descend(
   }
 }
 
-sim::Task<common::Buffer> BlobClient::fetch_chunk(const ChunkLocation& loc) {
+sim::Task<common::Buffer> BlobClient::fetch_stored(BlobStore& store,
+                                                   const ChunkLocation& loc,
+                                                   net::NodeId dst,
+                                                   qos::IoContext ctx) {
   const std::size_t n = loc.replicas.size();
   const std::size_t start = static_cast<std::size_t>(loc.id) % n;
   for (std::size_t attempt = 0; attempt < n; ++attempt) {
     const net::NodeId replica = loc.replicas[(start + attempt) % n];
-    DataProvider* provider = store_->provider_at(replica);
+    DataProvider* provider = store.provider_at(replica);
     if (provider == nullptr || !provider->has(loc.id)) continue;
-    co_return co_await provider->fetch(
-        node_, loc.id, qos::IoContext{tenant_, qos::GateClass::ProviderIo});
+    co_return co_await provider->fetch(dst, loc.id, ctx);
   }
   // The metadata lists where the replicas were at write time; after a node
   // loss the repair service may have re-homed the chunk. Ask the provider
   // manager where it lives now before declaring it lost.
   const std::vector<net::NodeId> current =
-      co_await store_->provider_manager().locate(node_, loc.id, tenant_);
+      co_await store.provider_manager().locate(dst, loc.id, ctx.tenant);
   for (const net::NodeId replica : current) {
-    DataProvider* provider = store_->provider_at(replica);
+    DataProvider* provider = store.provider_at(replica);
     if (provider == nullptr || !provider->has(loc.id)) continue;
-    co_return co_await provider->fetch(
-        node_, loc.id, qos::IoContext{tenant_, qos::GateClass::ProviderIo});
+    co_return co_await provider->fetch(dst, loc.id, ctx);
   }
   throw BlobError("all replicas of chunk lost");
 }
@@ -580,7 +575,9 @@ sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
         [](BlobClient* self, ChunkLocation l,
            std::shared_ptr<std::unordered_map<ChunkId, common::Buffer>> res)
             -> sim::Task<> {
-          (*res)[l.id] = co_await self->fetch_chunk(l);
+          (*res)[l.id] = co_await fetch_stored(
+              *self->store_, l, self->node_,
+              qos::IoContext{self->tenant_, qos::GateClass::ProviderIo});
         }(this, loc, fetched));
   }
   co_await sim::run_window(store_->simulation(), store_->config().read_window,
@@ -598,7 +595,7 @@ sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
     if (loc.encoding == ChunkEncoding::Zero || loc.id == 0) continue;
     common::Buffer& data = fetched->at(loc.id);
     if (decoded.insert(loc.id).second) {
-      data = decode_chunk(loc, std::move(data));
+      data = decode_stored(loc, std::move(data));
     }
     const std::uint64_t chunk_begin = index * chunk_size;
     const std::uint64_t copy_begin = std::max(chunk_begin, offset);
@@ -613,7 +610,6 @@ sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
   if (cursor < offset + len) {
     out.append(common::Buffer::zeros(offset + len - cursor));
   }
-  bytes_read_ += len;
   co_return out;
 }
 
@@ -663,15 +659,6 @@ sim::Task<std::vector<BlobClient::ChunkRef>> BlobClient::resolve_chunks(
     refs.push_back(ChunkRef{index, std::move(loc)});
   }
   co_return refs;
-}
-
-sim::Task<common::Buffer> BlobClient::fetch_decoded(const ChunkLocation& loc) {
-  if (loc.encoding == ChunkEncoding::Zero || loc.id == 0) {
-    co_return common::Buffer::zeros(loc.logical());
-  }
-  common::Buffer stored = co_await fetch_chunk(loc);
-  bytes_read_ += loc.logical();
-  co_return decode_chunk(loc, std::move(stored));
 }
 
 sim::Task<> BlobClient::prefetch_metadata(BlobId blob, VersionId version,

@@ -159,10 +159,15 @@ class BlobClient {
                                                   std::uint64_t offset,
                                                   std::uint64_t len);
 
-  /// Fetches one stored chunk from its replicas and decodes it back to
-  /// logical bytes (RLE expansion, phantom-ratio reversal). Zero-encoded
-  /// locations return a zero buffer without touching the network.
-  sim::Task<common::Buffer> fetch_decoded(const ChunkLocation& loc);
+  /// Fetches one chunk's stored payload for a reader on `dst` from its
+  /// replicas in `store`: the listed replicas in rotation from
+  /// `loc.id % n`, then wherever the provider manager's locate() says the
+  /// chunk lives now (a repair may have re-homed it). Throws BlobError when
+  /// no live replica holds it. `loc` must not be a Zero hole.
+  static sim::Task<common::Buffer> fetch_stored(BlobStore& store,
+                                                const ChunkLocation& loc,
+                                                net::NodeId dst,
+                                                qos::IoContext ctx);
 
   /// Maps a stored (possibly reduced) chunk payload back to logical bytes.
   static common::Buffer decode_stored(const ChunkLocation& loc,
@@ -173,12 +178,8 @@ class BlobClient {
   sim::Task<> prefetch_metadata(BlobId blob, VersionId version,
                                 std::uint64_t offset, std::uint64_t len);
 
-  std::uint64_t bytes_written() const { return bytes_written_; }
-  std::uint64_t bytes_read() const { return bytes_read_; }
-  std::size_t cached_nodes() const { return node_cache_.size(); }
-  /// Raw vs. actually-shipped payload of the most recent commit (equal when
-  /// no reducer ran; shipped excludes replication).
-  std::uint64_t last_commit_raw_bytes() const { return last_commit_raw_; }
+  /// Actually-shipped payload of the most recent commit (the raw payload
+  /// when no reducer ran; excludes replication).
   std::uint64_t last_commit_stored_bytes() const { return last_commit_stored_; }
   /// Chunk size of `blob` when this client has already resolved it (the
   /// create/commit/read paths all cache it); 0 for an unseen blob.
@@ -224,8 +225,6 @@ class BlobClient {
                     writes,
                 std::vector<std::pair<NodeRef, TreeNode>>& out);
 
-  sim::Task<common::Buffer> fetch_chunk(const ChunkLocation& loc);
-
   std::uint64_t capacity_chunks() const {
     return 1ULL << store_->config().tree_depth;
   }
@@ -236,9 +235,6 @@ class BlobClient {
   std::unordered_map<NodeRef, TreeNode> node_cache_;
   std::unordered_map<VersionKey, VersionEntry, VersionKeyHash> version_cache_;
   std::unordered_map<BlobId, std::uint64_t> chunk_size_cache_;
-  std::uint64_t bytes_written_ = 0;
-  std::uint64_t bytes_read_ = 0;
-  std::uint64_t last_commit_raw_ = 0;
   std::uint64_t last_commit_stored_ = 0;
 };
 

@@ -582,23 +582,14 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
   auto inst = std::make_unique<Instance>();
   inst->index = i;
   inst->node = node;
-  inst->last_snapshot = snap;
-  inst->snapshot_counter = 0;
   Cloud& cloud = *cloud_;
   const CloudConfig& cfg = cloud.config();
 
+  // The instance records the *resolved* tuple so later restarts and
+  // retention act on an adopted lineage.
+  co_await open_volume(*inst, node, snap, flush_cfg_);
+  inst->last_snapshot = snap;
   if (cfg.backend == Backend::BlobCR) {
-    // Federated restart: if the snapshot's home zone died, resolve the
-    // tuple to a survivor-zone adoption of the replicated manifest before
-    // the mirror binds a store (identity on a live zone or a 1-zone
-    // fabric). The instance records the *resolved* tuple so later restarts
-    // and retention act on the adopted lineage.
-    std::tie(snap.image, snap.version) =
-        co_await cloud.federation()->resolve_restart(snap.image, snap.version,
-                                                     node, tenant_);
-    inst->last_snapshot.image = snap.image;
-    inst->last_snapshot.version = snap.version;
-    inst->mirror = make_mirror(node, snap.image, snap.version, flush_cfg_);
     // Subsequent checkpoints land in the same checkpoint image — except for
     // an elastic clone (M > N), which shares its source tuple with another
     // instance and must derive a fresh image on its first commit instead.
@@ -606,20 +597,6 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
     inst->proxy = std::make_unique<CheckpointProxy>(
         cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
   } else {
-    // The snapshot file is opened straight through the PVFS mount.
-    auto backing = co_await pfs::PvfsFileStore::open(
-        *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
-    inst->qcow_backing = std::move(backing);
-    auto container = co_await pfs::PvfsFileStore::open(
-        *cloud.pvfs(), node, snap.pvfs_path, false);
-    inst->qcow_container = std::move(container);
-    img::QcowImage::Config qcfg;
-    qcfg.cluster_size = cfg.qcow_cluster_size;
-    qcfg.virtual_size = cloud.image_size();
-    inst->qcow = std::make_unique<img::QcowImage>(
-        *inst->qcow_container, inst->qcow_backing.get(), qcfg);
-    co_await inst->qcow->open_existing(snap.qcow_state);
-    inst->qcow_dev = std::make_unique<img::QcowDevice>(*inst->qcow);
     inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
         cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
     inst->qfull_proxy = std::make_unique<QcowFullProxy>(
@@ -717,36 +694,41 @@ sim::Task<> Deployment::build_instance_from_plan(std::size_t i,
   // Extra shards (elastic M < N) come up as attached data volumes on the
   // same node, served by the same restart data plane as the boot device.
   Instance& inst = *instances_.at(i);
-  Cloud& cloud = *cloud_;
-  const CloudConfig& cfg = cloud.config();
   for (const InstanceSnapshot& src : plan.attached) {
     auto vol = std::make_unique<AttachedVolume>();
     vol->source = src;
-    if (cfg.backend == Backend::BlobCR) {
-      std::tie(vol->source.image, vol->source.version) =
-          co_await cloud.federation()->resolve_restart(src.image, src.version,
-                                                       node, tenant_);
-      // Nothing commits through a data volume: no async drain, but the
-      // parity tier still protects chunks its fetches seed into the cache.
-      vol->mirror = make_mirror(node, vol->source.image, vol->source.version,
-                                flush::FlushConfig{});
-    } else {
-      auto backing = co_await pfs::PvfsFileStore::open(
-          *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
-      vol->qcow_backing = std::move(backing);
-      auto container = co_await pfs::PvfsFileStore::open(
-          *cloud.pvfs(), node, src.pvfs_path, false);
-      vol->qcow_container = std::move(container);
-      img::QcowImage::Config qcfg;
-      qcfg.cluster_size = cfg.qcow_cluster_size;
-      qcfg.virtual_size = cloud.image_size();
-      vol->qcow = std::make_unique<img::QcowImage>(
-          *vol->qcow_container, vol->qcow_backing.get(), qcfg);
-      co_await vol->qcow->open_existing(src.qcow_state);
-      vol->qcow_dev = std::make_unique<img::QcowDevice>(*vol->qcow);
-    }
+    // Nothing commits through a data volume: no async drain, but the
+    // parity tier still protects chunks its fetches seed into the cache.
+    co_await open_volume(*vol, node, vol->source, flush::FlushConfig{});
     inst.attached.push_back(std::move(vol));
   }
+}
+
+sim::Task<> Deployment::open_volume(Volume& vol, net::NodeId node,
+                                    InstanceSnapshot& snap,
+                                    const flush::FlushConfig& flush) {
+  Cloud& cloud = *cloud_;
+  if (cloud.config().backend == Backend::BlobCR) {
+    // Resolve before the mirror binds a store (identity on a live zone or a
+    // 1-zone fabric).
+    std::tie(snap.image, snap.version) =
+        co_await cloud.federation()->resolve_restart(snap.image, snap.version,
+                                                     node, tenant_);
+    vol.mirror = make_mirror(node, snap.image, snap.version, flush);
+    co_return;
+  }
+  // The snapshot file is opened straight through the PVFS mount.
+  vol.qcow_backing = co_await pfs::PvfsFileStore::open(
+      *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
+  vol.qcow_container = co_await pfs::PvfsFileStore::open(
+      *cloud.pvfs(), node, snap.pvfs_path, false);
+  img::QcowImage::Config qcfg;
+  qcfg.cluster_size = cloud.config().qcow_cluster_size;
+  qcfg.virtual_size = cloud.image_size();
+  vol.qcow = std::make_unique<img::QcowImage>(
+      *vol.qcow_container, vol.qcow_backing.get(), qcfg);
+  co_await vol.qcow->open_existing(snap.qcow_state);
+  vol.qcow_dev = std::make_unique<img::QcowDevice>(*vol.qcow);
 }
 
 sim::Task<sim::Duration> Deployment::migrate_instance(std::size_t i,
@@ -770,48 +752,40 @@ std::unique_ptr<MirrorDevice> Deployment::make_mirror(
   mcfg.flush = flush;
   mcfg.tenant = tenant_;
   mcfg.redundancy = cloud.redundancy();
-  mcfg.federation = cloud.federation();
-  blob::BlobStore& store = *cloud.store_of_blob(blob);
+  federation::Fabric& repo = *cloud.federation();
+  const std::uint32_t zone = repo.store_of_blob(blob)->config().zone;
   reduce::Reducer* reducer =
-      reducers_.empty() ? nullptr : reducers_[store.config().zone].get();
+      reducers_.empty() ? nullptr : reducers_[zone].get();
   return std::make_unique<MirrorDevice>(
-      store, node, cloud.disk(node), cloud.next_disk_stream(node), blob,
+      repo, node, cloud.disk(node), cloud.next_disk_stream(node), blob,
       version, mcfg, cloud.config().adaptive_prefetch ? bus_.get() : nullptr,
       reducer, cloud.chunk_cache(node));
 }
 
-std::uint64_t Deployment::sum_mirrors(
-    std::uint64_t (MirrorDevice::*counter)() const) const {
-  std::uint64_t total = 0;
+SourceBytes Deployment::source_bytes() const {
+  SourceBytes sum;
+  const auto add = [&sum](const Volume& vol) {
+    if (vol.mirror) sum += vol.mirror->source_bytes();
+  };
   for (const auto& inst : instances_) {
     if (!inst) continue;
-    if (inst->mirror) total += ((*inst->mirror).*counter)();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += ((*vol->mirror).*counter)();
-    }
+    add(*inst);
+    for (const auto& vol : inst->attached) add(*vol);
   }
-  return total;
+  return sum;
 }
 
-sim::Task<std::optional<Deployment::PeerPayload>>
+sim::Task<std::optional<PrefetchBus::PeerHit>>
 Deployment::recover_chunk_payload(const ChunkKey& key, net::NodeId dst) {
   // A surviving node's cached copy first: a real intra-deployment transfer
   // through the bus's fan-out accounting, like any restart peer copy.
-  if (auto peer = bus_->find_holder(key, dst)) {
-    struct CopyGuard {
-      PrefetchBus* bus;
-      ChunkKey key;
-      net::NodeId node;
-      ~CopyGuard() { bus->finish_peer_copy(key, node); }
-    } guard{bus_.get(), key, peer->node};
-    co_await cloud_->fabric().transfer(peer->node, dst, peer->data.size(),
-                                       bus_->peer_shape());
-    co_return PeerPayload{std::move(peer->data), peer->node};
+  if (auto peer = co_await bus_->copy_from_peer(key, dst, cloud_->fabric())) {
+    co_return std::move(peer);
   }
   // Parity-group rebuild second.
   if (redundancy::Manager* mgr = cloud_->redundancy()) {
     if (auto rebuilt = co_await mgr->rebuild(key, dst)) {
-      co_return PeerPayload{std::move(*rebuilt), dst};
+      co_return PrefetchBus::PeerHit{dst, std::move(*rebuilt)};
     }
   }
   // Last resort: scan the attached caches directly — content can be
@@ -825,7 +799,7 @@ Deployment::recover_chunk_payload(const ChunkKey& key, net::NodeId dst) {
       common::Buffer data = *hit;
       co_await cloud_->fabric().transfer(inst->node, dst, data.size(),
                                          bus_->peer_shape());
-      co_return PeerPayload{std::move(data), inst->node};
+      co_return PrefetchBus::PeerHit{inst->node, std::move(data)};
     }
   }
   co_return std::nullopt;

@@ -323,15 +323,10 @@ class Deployment {
     std::optional<flush::FlushConfig> flush;
   };
 
-  /// An extra source snapshot an instance adopted across an elastic shrink
-  /// (M < N): a full device image of one pre-rescale instance, attached as
-  /// a data volume next to the boot disk. Read-only in spirit — nothing
-  /// commits through it — but served by the same content-addressed restart
-  /// data plane (lazy fetch, peer copies, scheduled prefetch) as the boot
-  /// device.
-  struct AttachedVolume {
-    InstanceSnapshot source;
-    // Exactly one device family is populated, by backend.
+  /// One virtual disk of an instance. Exactly one device family is
+  /// populated, by backend: a BlobCR mirroring module, or a qcow2 image
+  /// over its PVFS backing.
+  struct Volume {
     std::unique_ptr<MirrorDevice> mirror;
     std::unique_ptr<pfs::PvfsFileStore> qcow_backing;
     std::unique_ptr<storage::ByteStore> qcow_container;
@@ -344,16 +339,21 @@ class Deployment {
     }
   };
 
-  struct Instance {
+  /// An extra source snapshot an instance adopted across an elastic shrink
+  /// (M < N): a full device image of one pre-rescale instance, attached as
+  /// a data volume next to the boot disk. Read-only in spirit — nothing
+  /// commits through it — but served by the same content-addressed restart
+  /// data plane (lazy fetch, peer copies, scheduled prefetch) as the boot
+  /// device.
+  struct AttachedVolume : Volume {
+    InstanceSnapshot source;
+  };
+
+  /// A VM instance; its Volume base is the boot disk.
+  struct Instance : Volume {
     std::size_t index = 0;
     net::NodeId node = 0;
     bool failed = false;
-    // Exactly one device family is populated, by backend.
-    std::unique_ptr<MirrorDevice> mirror;
-    std::unique_ptr<pfs::PvfsFileStore> qcow_backing;
-    std::unique_ptr<storage::ByteStore> qcow_container;
-    std::unique_ptr<img::QcowImage> qcow;
-    std::unique_ptr<img::QcowDevice> qcow_dev;
     std::unique_ptr<vm::VmInstance> vm;
     std::unique_ptr<CheckpointProxy> proxy;
     std::unique_ptr<QcowDiskProxy> qdisk_proxy;
@@ -362,11 +362,6 @@ class Deployment {
     InstanceSnapshot last_snapshot;
     /// Extra pre-rescale shards adopted by this instance (elastic M < N).
     std::vector<std::unique_ptr<AttachedVolume>> attached;
-
-    img::BlockDevice& device() {
-      if (mirror) return *mirror;
-      return *qcow_dev;
-    }
   };
 
   Deployment(Cloud& cloud, std::size_t instances,
@@ -479,38 +474,16 @@ class Deployment {
   /// (snapshot + teardown + redeploy + boot/resume).
   sim::Task<sim::Duration> migrate_instance(std::size_t i, net::NodeId target);
 
-  /// Lazy-fetch traffic observed, summed over boot devices and attached
-  /// volumes.
-  std::uint64_t boot_remote_bytes() const {
-    return sum_mirrors(&MirrorDevice::remote_bytes_fetched);
-  }
-  /// Repository wire bytes vs intra-deployment peer-copy bytes vs parity-
-  /// rebuilt bytes behind boot_remote_bytes() (the restart data plane's
-  /// transfer classes).
-  std::uint64_t boot_repo_bytes() const {
-    return sum_mirrors(&MirrorDevice::repo_bytes_fetched);
-  }
-  std::uint64_t boot_peer_bytes() const {
-    return sum_mirrors(&MirrorDevice::peer_bytes_fetched);
-  }
-  std::uint64_t boot_parity_bytes() const {
-    return sum_mirrors(&MirrorDevice::parity_bytes_rebuilt);
-  }
-  /// Bytes the restart data plane pulled from outside each reader's own
-  /// zone (subset of boot_repo_bytes; 0 on a 1-zone fabric).
-  std::uint64_t boot_wan_bytes() const {
-    return sum_mirrors(&MirrorDevice::wan_bytes_fetched);
-  }
+  /// Lazy-fetch bytes by restart ladder level, summed over every mirror:
+  /// boot devices and attached volumes. Mirrors are rebuilt per restart, so
+  /// right after one this covers exactly its traffic.
+  SourceBytes source_bytes() const;
 
   /// Scavenge support (cr::Session::scavenge): best-effort recovery of one
   /// chunk's decoded payload from the peer tier — a surviving node's cache
   /// copy first, a parity-group rebuild second. Returns the payload and the
   /// node it came from, or nullopt when the tier cannot produce it.
-  struct PeerPayload {
-    common::Buffer data;
-    net::NodeId node = 0;
-  };
-  sim::Task<std::optional<PeerPayload>> recover_chunk_payload(
+  sim::Task<std::optional<PrefetchBus::PeerHit>> recover_chunk_payload(
       const ChunkKey& key, net::NodeId dst);
 
  private:
@@ -532,6 +505,14 @@ class Deployment {
   sim::Task<> build_instance_from_plan(std::size_t i, net::NodeId node,
                                        const InstancePlan& plan);
   sim::Task<> boot_instance(std::size_t i);
+  /// Opens `vol` on `node` from a checkpointed snapshot. BlobCR: resolves
+  /// the tuple first (a dead home zone adopts it into a survivor, see
+  /// federation::Fabric::resolve_restart) and writes the resolved tuple
+  /// back into `snap`, then builds the mirror. qcow baselines: opens the
+  /// snapshot container over the base image on PVFS.
+  sim::Task<> open_volume(Volume& vol, net::NodeId node,
+                          InstanceSnapshot& snap,
+                          const flush::FlushConfig& flush);
   /// A mirroring module on `node` backed by (blob, version), bound to the
   /// zone store that owns `blob` and to that zone's reducer: commits
   /// through a zone-z store must reduce through the zone-z reducer, whose
@@ -540,10 +521,6 @@ class Deployment {
                                             blob::BlobId blob,
                                             blob::VersionId version,
                                             const flush::FlushConfig& flush);
-  /// Sums one MirrorDevice byte counter over every boot device and
-  /// attached volume.
-  std::uint64_t sum_mirrors(
-      std::uint64_t (MirrorDevice::*counter)() const) const;
 
   Cloud* cloud_;
   std::size_t count_;

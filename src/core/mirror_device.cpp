@@ -15,16 +15,19 @@ namespace {
 /// Byte budget of the private fallback cache for standalone devices (the
 /// Cloud sizes shared per-node caches from CloudConfig instead).
 constexpr std::uint64_t kFallbackCacheBytes = 512ULL * 1024 * 1024;
+/// Background prefetch fetches one device keeps in flight.
+constexpr std::int64_t kPrefetchStreams = 2;
 }  // namespace
 
-MirrorDevice::MirrorDevice(blob::BlobStore& store, net::NodeId host,
+MirrorDevice::MirrorDevice(federation::Fabric& repo, net::NodeId host,
                            storage::Disk& local_disk,
                            std::uint64_t disk_stream,
                            blob::BlobId backing_blob,
                            blob::VersionId backing_version, const Config& cfg,
                            PrefetchBus* bus, blob::CommitReducer* reducer,
                            DecodedChunkCache* node_cache)
-    : store_(&store),
+    : repo_(&repo),
+      store_(repo.store_of_blob(backing_blob)),
       host_(host),
       disk_(&local_disk),
       stream_(disk_stream),
@@ -33,20 +36,20 @@ MirrorDevice::MirrorDevice(blob::BlobStore& store, net::NodeId host,
       cfg_(cfg),
       bus_(bus),
       reducer_(reducer),
-      client_(store, host),
-      fetch_done_(store.simulation()),
+      client_(*store_, host),
+      fetch_done_(store_->simulation()),
       node_cache_(node_cache) {
   assert(cfg_.capacity > 0);
   client_.set_tenant(cfg_.tenant);
-  prefetch_slots_ = std::make_unique<sim::Semaphore>(
-      store.simulation(), static_cast<std::int64_t>(cfg_.prefetch_streams));
+  prefetch_slots_ =
+      std::make_unique<sim::Semaphore>(store_->simulation(), kPrefetchStreams);
   if (bus_ != nullptr) bus_->attach(this);
   if (cfg_.redundancy != nullptr)
     cfg_.redundancy->attach(host_, &this->node_cache());
   if (cfg_.flush.enabled) {
     flush_agent_ = std::make_unique<flush::FlushAgent>(
-        store, client_, local_disk, disk_stream, reducer_, cfg_.flush,
-        cfg_.redundancy, cfg_.federation);
+        *store_, repo, client_, local_disk, disk_stream, reducer_, cfg_.flush,
+        cfg_.redundancy);
   }
 }
 
@@ -84,19 +87,25 @@ sim::Task<> MirrorDevice::wait_drained() {
 
 namespace {
 
-/// Releases the deployment-wide repository-fetch claim even when the
-/// committing coroutine frame is destroyed mid-flight (fail-stop kill):
-/// a claim that outlives its fetch would wedge every other instance
-/// waiting to materialize the same content.
-struct RepoClaimGuard {
-  PrefetchBus* bus = nullptr;
+/// The deployment-wide repository-fetch claim on one content key. Released
+/// once the fetched chunk is published — and by the destructor when the
+/// fetching coroutine frame is destroyed mid-flight (fail-stop kill): a
+/// claim that outlives its fetch would wedge every other instance waiting
+/// to materialize the same content. Without a bus every claim succeeds.
+struct RepoClaim {
+  PrefetchBus* bus;
   ChunkKey key;
-  bool active = false;
-  void release() {
-    if (active && bus != nullptr) bus->release_repo_fetch(key);
-    active = false;
+  bool held = false;
+  bool acquire() {
+    if (bus == nullptr) return true;
+    held = bus->claim_repo_fetch(key);
+    return held;
   }
-  ~RepoClaimGuard() { release(); }
+  void release() {
+    if (held) bus->release_repo_fetch(key);
+    held = false;
+  }
+  ~RepoClaim() { release(); }
 };
 
 }  // namespace
@@ -128,35 +137,26 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
   const bool hole = loc == nullptr || loc->id == 0 ||
                     loc->encoding == blob::ChunkEncoding::Zero;
   if (hole) {
-    zero_bytes_ += len;
+    ledger_.zero += len;
   } else {
     const ChunkKey key = ChunkKey::of(*loc);
     if (announce && bus_ != nullptr) bus_->announce(this, key, clo, len);
-    bool peer_sourced = false;
+    RepoClaim claim{bus_, key};
+    bool cache_hit = false;
     for (;;) {
       // 1. Decoded once per node: any rank on this node already paid.
       if (const common::Buffer* hit = node_cache().get(key)) {
         data = *hit;
-        cache_hit_bytes_ += data.size();
+        ledger_.cache += data.size();
+        cache_hit = true;
         break;
       }
       // 2. Peer copy: intra-deployment transfer instead of the repo.
       if (bus_ != nullptr) {
-        if (auto peer = bus_->find_holder(key, host_)) {
-          // RAII: the holder's fan-out slot frees even if this copier is
-          // fail-stopped mid-transfer.
-          struct CopyGuard {
-            PrefetchBus* bus;
-            ChunkKey key;
-            net::NodeId node;
-            ~CopyGuard() { bus->finish_peer_copy(key, node); }
-          } copy_guard{bus_, key, peer->node};
-          co_await store_->fabric().transfer(peer->node, host_,
-                                             peer->data.size(),
-                                             bus_->peer_shape());
-          peer_bytes_fetched_ += peer->data.size();
+        if (auto peer = co_await bus_->copy_from_peer(key, host_,
+                                                      store_->fabric())) {
+          ledger_.peer += peer->data.size();
           data = std::move(peer->data);
-          peer_sourced = true;
           break;
         }
       }
@@ -169,69 +169,49 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
       if (cfg_.redundancy != nullptr) {
         if (auto resident = co_await cfg_.redundancy->fetch_resident(key,
                                                                      host_)) {
-          peer_bytes_fetched_ += resident->size();
+          ledger_.peer += resident->size();
           data = std::move(*resident);
-          peer_sourced = true;
           break;
         }
         if (auto rebuilt = co_await cfg_.redundancy->rebuild(key, host_)) {
-          parity_bytes_rebuilt_ += rebuilt->size();
+          ledger_.parity += rebuilt->size();
           data = std::move(*rebuilt);
-          peer_sourced = true;  // same cache-put + publish path as a peer copy
           break;
         }
       }
-      // 4. Repository fetch, single-flight per content key across the
-      //    deployment: the losers wait and take the peer copy instead.
-      if (bus_ == nullptr || bus_->claim_repo_fetch(key)) {
-        RepoClaimGuard claim{bus_, key, bus_ != nullptr};
+      // 4. Repository fetch through the fabric, single-flight per content
+      //    key across the deployment: the losers wait and take the peer
+      //    copy instead.
+      if (claim.acquire()) {
+        federation::Fabric::FetchResult fetched;
         bool fetch_failed = false;
-        // Federated routing: a chunk in a dead zone or a zone other than
-        // this node's resolves through nearest-zone order (local replica,
-        // peer zone over the WAN class, origin). An in-zone chunk whose
-        // store is alive keeps the plain client fetch — with its full
-        // provider-replica fallback — untouched.
-        federation::Fabric* fed = cfg_.federation;
-        const bool fed_route =
-            fed != nullptr && fed->enabled() &&
-            (!fed->alive(loc->zone) ||
-             fed->zone_of_node(host_) != loc->zone);
         try {
-          if (fed_route) {
-            auto fr = co_await fed->fetch_decoded(
-                *loc, host_,
-                qos::IoContext{cfg_.tenant, qos::GateClass::ProviderIo});
-            if (fr.wan) wan_bytes_fetched_ += fr.data.size();
-            data = std::move(fr.data);
-          } else {
-            data = co_await client_.fetch_decoded(*loc);
-          }
+          fetched = co_await repo_->fetch_decoded(
+              *loc, host_,
+              qos::IoContext{cfg_.tenant, qos::GateClass::ProviderIo});
         } catch (...) {
           fetch_failed = true;
         }
         if (fetch_failed) throw blob::BlobError("mirror fetch failed");
-        repo_wire_fetched_ += loc->size;
-        repo_logical_fetched_ += data.size();
-        if (data.size() < len) data.resize(len);  // version tail: zeros
-        node_cache().put(key, data);
-        if (bus_ != nullptr) bus_->publish(key, host_, &node_cache());
-        // Release only after publishing, so woken waiters find a holder.
-        claim.release();
+        ledger_.repo += loc->size;
+        ledger_.repo_logical += fetched.data.size();
+        if (fetched.wan) ledger_.wan += fetched.data.size();
+        data = std::move(fetched.data);
         break;
       }
       co_await bus_->wait_repo_fetch();
     }
-    // The repo branch registered inline (its publish must precede the
-    // claim release); a cache hit is already resident. Only a peer copy
-    // still needs to enter this node's cache and holder registry.
-    if (peer_sourced) {
-      if (data.size() < len) data.resize(len);
+    // Pad the version tail with zeros (a cache hit was padded by whoever
+    // produced it, but devices can differ in capacity clamp).
+    if (data.size() < len) data.resize(len);
+    // Every transferred chunk enters this node's cache and holder registry.
+    // The claim releases only after publishing, so woken waiters find a
+    // holder.
+    if (!cache_hit) {
       node_cache().put(key, data);
       if (bus_ != nullptr) bus_->publish(key, host_, &node_cache());
+      claim.release();
     }
-    // Cached copies were padded by whoever produced them, but devices can
-    // differ in capacity clamp — pad locally, without re-entering the cache.
-    if (data.size() < len) data.resize(len);
   }
   // Only fill bytes that are still missing — a concurrent guest write
   // must never be clobbered by stale backing content.
@@ -482,7 +462,7 @@ void MirrorDevice::start_scheduled_prefetch(
 sim::Task<> MirrorDevice::scheduled_prefetch_body(
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges) {
   // Each range worker gates on prefetch_slots_, so at most
-  // prefetch_streams chunks are in flight while the order is preserved.
+  // kPrefetchStreams chunks are in flight while the order is preserved.
   std::vector<sim::Task<>> jobs;
   jobs.reserve(ranges.size());
   for (const auto& [begin, end] : ranges) {
@@ -545,6 +525,22 @@ void PrefetchBus::drop_node(net::NodeId node) {
     std::erase_if(vec, [node](const Holder& h) { return h.node == node; });
     it = vec.empty() ? holders_.erase(it) : std::next(it);
   }
+}
+
+sim::Task<std::optional<PrefetchBus::PeerHit>> PrefetchBus::copy_from_peer(
+    const ChunkKey& key, net::NodeId dst, net::Fabric& net) {
+  std::optional<PeerHit> peer = find_holder(key, dst);
+  if (!peer) co_return std::nullopt;
+  // RAII: the holder's fan-out slot frees even if this copier is
+  // fail-stopped mid-transfer.
+  struct CopyGuard {
+    PrefetchBus* bus;
+    ChunkKey key;
+    net::NodeId node;
+    ~CopyGuard() { bus->finish_peer_copy(key, node); }
+  } copy_guard{this, key, peer->node};
+  co_await net.transfer(peer->node, dst, peer->data.size(), cfg_.peer_shape);
+  co_return std::move(peer);
 }
 
 std::optional<PrefetchBus::PeerHit> PrefetchBus::find_holder(

@@ -49,11 +49,49 @@ namespace blobcr::core {
 
 class PrefetchBus;
 
+/// Restart bytes by the ladder level that served them: one ledger per
+/// mirroring module, summed by Deployment::source_bytes() and carried by the
+/// app and FT results.
+struct SourceBytes {
+  /// Zero holes materialized locally (no transfer, no payload).
+  std::uint64_t zero = 0;
+  /// Decoded bytes served by the node's shared chunk cache (no transfer).
+  std::uint64_t cache = 0;
+  /// Decoded bytes copied from a deployment peer's cache, or from a node
+  /// cache registered with the parity tier (resident copies).
+  std::uint64_t peer = 0;
+  /// Decoded bytes reconstructed from peer parity groups.
+  std::uint64_t parity = 0;
+  /// Wire bytes pulled from repository data providers (post-reduction
+  /// stored size — what the repository actually shipped).
+  std::uint64_t repo = 0;
+  /// The same repository fetches in decoded (logical) bytes.
+  std::uint64_t repo_logical = 0;
+  /// Logical bytes whose repository fetch crossed a zone boundary (served
+  /// over the federation's WAN traffic class). Subset of repo_logical, not
+  /// an extra source.
+  std::uint64_t wan = 0;
+
+  /// Logical bytes materialized from any remote source (repository + peer
+  /// copies + parity rebuilds).
+  std::uint64_t remote() const { return repo_logical + peer + parity; }
+  SourceBytes& operator+=(const SourceBytes& o) {
+    zero += o.zero;
+    cache += o.cache;
+    peer += o.peer;
+    parity += o.parity;
+    repo += o.repo;
+    repo_logical += o.repo_logical;
+    wan += o.wan;
+    return *this;
+  }
+  bool operator==(const SourceBytes&) const = default;
+};
+
 class MirrorDevice : public img::BlockDevice {
  public:
   struct Config {
     std::uint64_t capacity = 0;
-    std::size_t prefetch_streams = 2;  // background fetches in flight
     /// Asynchronous commit pipeline (src/flush/): when enabled, COMMIT
     /// freezes the dirty set and returns a provisional version while a
     /// background agent drains it to the repository.
@@ -65,14 +103,12 @@ class MirrorDevice : public img::BlockDevice {
     /// fold into XOR groups across peers, and restart gains a parity-
     /// rebuild level between peer copy and repository fetch. nullptr = off.
     redundancy::Manager* redundancy = nullptr;
-    /// Multi-zone federation fabric: repository fetches whose chunk lives
-    /// in a dead or foreign zone route through nearest-zone resolution
-    /// (local replica, peer zone over the WAN class, origin). nullptr or a
-    /// single-zone fabric = plain in-zone fetches. nullptr = off.
-    federation::Fabric* federation = nullptr;
   };
 
-  MirrorDevice(blob::BlobStore& store, net::NodeId host,
+  /// `repo` is the checkpoint repository: the device commits to the zone
+  /// store owning `backing_blob` and fetches every chunk through
+  /// federation::Fabric::fetch_decoded.
+  MirrorDevice(federation::Fabric& repo, net::NodeId host,
                storage::Disk& local_disk, std::uint64_t disk_stream,
                blob::BlobId backing_blob, blob::VersionId backing_version,
                const Config& cfg, PrefetchBus* bus = nullptr,
@@ -111,36 +147,21 @@ class MirrorDevice : public img::BlockDevice {
   blob::BlobId checkpoint_blob() const { return ckpt_blob_; }
   /// Most recent snapshot of the checkpoint image (0 if none yet).
   blob::VersionId last_version() const { return last_version_; }
-  blob::BlobId backing_blob() const { return backing_blob_; }
-  blob::VersionId backing_version() const { return backing_version_; }
 
   std::uint64_t dirty_bytes() const { return dirty_.total_length(); }
   std::uint64_t locally_available_bytes() const {
     return available_.total_length();
   }
-  /// Logical bytes materialized from any remote source (repository + peer
-  /// copies + parity rebuilds). Zero holes and node-cache hits cost no
-  /// transfer and are not counted here.
-  std::uint64_t remote_bytes_fetched() const {
-    return repo_logical_fetched_ + peer_bytes_fetched_ +
-           parity_bytes_rebuilt_;
-  }
-  /// Wire bytes pulled from repository data providers (post-reduction
-  /// stored size — what the repository actually shipped).
-  std::uint64_t repo_bytes_fetched() const { return repo_wire_fetched_; }
-  /// Decoded bytes copied from deployment peers instead of the repository.
-  std::uint64_t peer_bytes_fetched() const { return peer_bytes_fetched_; }
-  /// Decoded bytes reconstructed from peer parity groups (the redundancy
-  /// tier) instead of fetched from the repository.
-  std::uint64_t parity_bytes_rebuilt() const { return parity_bytes_rebuilt_; }
-  /// Decoded bytes served by this node's shared chunk cache (no transfer).
-  std::uint64_t cache_hit_bytes() const { return cache_hit_bytes_; }
-  /// Logical bytes whose repository fetch crossed a zone boundary (served
-  /// over the federation's WAN traffic class). Subset of
-  /// repo-fetched logical bytes, not an extra source.
-  std::uint64_t wan_bytes_fetched() const { return wan_bytes_fetched_; }
-  /// Bytes of Zero holes materialized locally (no transfer, no payload).
-  std::uint64_t zero_bytes_materialized() const { return zero_bytes_; }
+  /// Bytes this device materialized, by the ladder level that served them.
+  const SourceBytes& source_bytes() const { return ledger_; }
+  // Per-level reads of source_bytes().
+  std::uint64_t zero_bytes_materialized() const { return ledger_.zero; }
+  std::uint64_t cache_hit_bytes() const { return ledger_.cache; }
+  std::uint64_t peer_bytes_fetched() const { return ledger_.peer; }
+  std::uint64_t parity_bytes_rebuilt() const { return ledger_.parity; }
+  std::uint64_t repo_bytes_fetched() const { return ledger_.repo; }
+  std::uint64_t wan_bytes_fetched() const { return ledger_.wan; }
+  std::uint64_t remote_bytes_fetched() const { return ledger_.remote(); }
   /// Raw (pre-reduction) payload of the last commit.
   std::uint64_t last_commit_payload() const { return last_commit_payload_; }
   /// Payload that actually shipped to the repository for the last commit
@@ -157,8 +178,8 @@ class MirrorDevice : public img::BlockDevice {
   sim::Task<std::vector<blob::BlobClient::ChunkRef>> resolve_backing_chunks();
 
   /// Kicks a background worker that materializes the given chunk-aligned
-  /// ranges in order, bounded by prefetch_streams (the restart scheduler
-  /// hands popularity-ordered ranges here).
+  /// ranges in order, a few chunks in flight at a time (the restart
+  /// scheduler hands popularity-ordered ranges here).
   void start_scheduled_prefetch(
       std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges);
 
@@ -173,14 +194,15 @@ class MirrorDevice : public img::BlockDevice {
 
   std::uint64_t chunk_size() const;
   /// Materializes the chunk-aligned gaps of [begin, end) into the local
-  /// cache, chunk by chunk: Zero holes locally, then the node's decoded
-  /// cache, then a peer copy, then a parity-group rebuild (redundancy
-  /// tier), then (last) a repository fetch. Announces on-demand chunks to
-  /// the bus.
+  /// cache, chunk by chunk (materialize_chunk). Announces on-demand chunks
+  /// to the bus.
   sim::Task<> ensure_available(std::uint64_t begin, std::uint64_t end,
                                bool announce);
   /// One chunk of ensure_available (the [clo, chi) range); `loc` is the
-  /// resolved leaf or nullptr for a never-written hole.
+  /// resolved leaf or nullptr for a never-written hole. Walks the restart
+  /// ladder: Zero hole (local), the node's decoded cache, a peer copy, the
+  /// parity tier (resident copy, then group rebuild), and last the
+  /// repository through the fabric.
   sim::Task<> materialize_chunk(std::uint64_t clo, std::uint64_t chi,
                                 const blob::ChunkLocation* loc,
                                 bool announce);
@@ -192,7 +214,8 @@ class MirrorDevice : public img::BlockDevice {
   void track_prefetcher(sim::ProcessPtr p);
   DecodedChunkCache& node_cache();
 
-  blob::BlobStore* store_;
+  federation::Fabric* repo_;
+  blob::BlobStore* store_;  // the zone store owning backing_blob_
   net::NodeId host_;
   storage::Disk* disk_;
   std::uint64_t stream_;
@@ -210,13 +233,7 @@ class MirrorDevice : public img::BlockDevice {
   sim::Event fetch_done_;         // pulsed whenever a fetch completes
   blob::BlobId ckpt_blob_ = 0;
   blob::VersionId last_version_ = 0;
-  std::uint64_t repo_wire_fetched_ = 0;
-  std::uint64_t repo_logical_fetched_ = 0;
-  std::uint64_t peer_bytes_fetched_ = 0;
-  std::uint64_t parity_bytes_rebuilt_ = 0;
-  std::uint64_t cache_hit_bytes_ = 0;
-  std::uint64_t wan_bytes_fetched_ = 0;
-  std::uint64_t zero_bytes_ = 0;
+  SourceBytes ledger_;
   std::uint64_t last_commit_payload_ = 0;
   std::uint64_t last_commit_shipped_ = 0;
   std::vector<sim::ProcessPtr> prefetchers_;  // read only by the destructor
@@ -292,15 +309,17 @@ class PrefetchBus {
     net::NodeId node;
     common::Buffer data;  // copied out so holder-side eviction cannot race
   };
-  /// A peer (different node) whose cache holds the decoded chunk — the
-  /// least-loaded one. Returns nullopt when no holder exists OR every
+  /// Copies the decoded chunk to `dst` over `net` (peer traffic class) from
+  /// the least-loaded peer (different node) whose cache holds it; returns
+  /// the payload and that holder. nullopt when no holder exists OR every
   /// holder is already serving kPeerFanout copies: an oversubscribed swarm
   /// falls through to another repository fetch (idle provider bandwidth)
-  /// instead of funneling the whole deployment through one NIC. The caller
-  /// must bracket the copy with begin/finish accounting (finish via RAII so
-  /// a killed copier never pins a holder's slot).
-  std::optional<PeerHit> find_holder(const ChunkKey& key, net::NodeId self);
-  void finish_peer_copy(const ChunkKey& key, net::NodeId node);
+  /// instead of funneling the whole deployment through one NIC. The
+  /// holder's fan-out slot frees when the copy ends, also when the copier
+  /// is killed mid-transfer.
+  sim::Task<std::optional<PeerHit>> copy_from_peer(const ChunkKey& key,
+                                                   net::NodeId dst,
+                                                   net::Fabric& net);
 
   /// Concurrent peer copies one holder serves before the swarm grows new
   /// replicas through the repository instead.
@@ -338,6 +357,12 @@ class PrefetchBus {
     DecodedChunkCache* cache;
     int active = 0;  // peer copies currently streaming from this holder
   };
+
+  /// The least-loaded holder of `key` off node `self`, its fan-out slot
+  /// taken; nullopt when none has a free slot. Evicted holders deregister.
+  std::optional<PeerHit> find_holder(const ChunkKey& key, net::NodeId self);
+  /// Frees the holder's fan-out slot and wakes repository waiters.
+  void finish_peer_copy(const ChunkKey& key, net::NodeId node);
 
   sim::Simulation* sim_;
   Config cfg_;

@@ -257,9 +257,6 @@ struct Candidate {
 
 sim::Task<std::optional<Fabric::FetchResult>> Fabric::try_fetch(
     qos::IoContext ctx, blob::ChunkLocation loc, net::NodeId dst) {
-  if (loc.id == 0 || loc.encoding == blob::ChunkEncoding::Zero) {
-    co_return FetchResult{common::Buffer::zeros(loc.logical()), false};
-  }
   const std::uint32_t my = zone_of_node(dst);
   std::vector<Candidate> order;
   const auto add_origin = [&] {
@@ -310,6 +307,18 @@ sim::Task<std::optional<Fabric::FetchResult>> Fabric::try_fetch(
 
 sim::Task<Fabric::FetchResult> Fabric::fetch_decoded(
     const blob::ChunkLocation& loc, net::NodeId dst, qos::IoContext ctx) {
+  if (loc.id == 0 || loc.encoding == blob::ChunkEncoding::Zero) {
+    co_return FetchResult{common::Buffer::zeros(loc.logical()), false};
+  }
+  // An in-zone chunk of a live zone stays inside its own store: the listed
+  // replicas, then the provider manager's locate() for chunks a repair
+  // re-homed. A failure there is final — no WAN detour.
+  if (alive(loc.zone) && zone_of_node(dst) == loc.zone) {
+    common::Buffer stored = co_await blob::BlobClient::fetch_stored(
+        *store(loc.zone), loc, dst, ctx);
+    co_return FetchResult{
+        blob::BlobClient::decode_stored(loc, std::move(stored)), false};
+  }
   std::optional<FetchResult> got = co_await try_fetch(ctx, loc, dst);
   if (got.has_value()) co_return std::move(*got);
   // Content-addressed last resort: the same bytes may live under another

@@ -6,8 +6,9 @@
 //  - Zone directory: which store owns which blob (the high bits of every
 //    BlobId encode its home zone), which compute nodes sit in which zone,
 //    and which zones are still alive.
-//  - Nearest-zone restart fetch: a chunk is served from the reader's own
-//    zone when any copy lives there, then from a sibling zone's replica
+//  - The repository's one restart fetch: an in-zone chunk of a live zone
+//    reads from its own store; any other chunk is served from the reader's
+//    own zone when any copy lives there, then from a sibling zone's replica
 //    over the shaped wide-area traffic class, then from the origin zone,
 //    and finally — content-addressed fallback — from any live same-content
 //    chunk the shared digest index knows about.
@@ -151,10 +152,14 @@ class Fabric {
     common::Buffer data;
     bool wan = false;  // served from outside the reader's zone
   };
-  /// Fetches and decodes one leaf for a reader on `dst`, resolving to the
-  /// nearest zone holding the content: local zone -> sibling-zone replica
-  /// (WAN) -> origin zone (WAN) -> digest-index content fallback. Throws
-  /// BlobError when no live zone holds it.
+  /// The repository's one chunk fetch: fetches and decodes one leaf for a
+  /// reader on `dst` (a Zero hole decodes to zeros with no transfer). A
+  /// chunk of the reader's own zone, while that zone lives, is read from
+  /// its store like any in-zone read (BlobClient::fetch_stored: listed
+  /// replicas, then locate()). Any other chunk resolves to the nearest zone
+  /// holding the content: local-zone copy -> sibling-zone replica (WAN) ->
+  /// origin zone (WAN) -> digest-index content fallback. Throws BlobError
+  /// when no live copy is reachable.
   /// `ctx` tags the pull with the restarting tenant; every provider touch
   /// (local or WAN) is admitted at that zone's provider-io gate under it.
   sim::Task<FetchResult> fetch_decoded(const blob::ChunkLocation& loc,

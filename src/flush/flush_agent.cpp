@@ -9,18 +9,18 @@
 
 namespace blobcr::flush {
 
-FlushAgent::FlushAgent(blob::BlobStore& store, blob::BlobClient& client,
-                       storage::Disk& disk, std::uint64_t disk_stream,
-                       blob::CommitReducer* reducer, const FlushConfig& cfg,
-                       redundancy::Manager* redundancy,
-                       federation::Fabric* federation)
+FlushAgent::FlushAgent(blob::BlobStore& store, federation::Fabric& federation,
+                       blob::BlobClient& client, storage::Disk& disk,
+                       std::uint64_t disk_stream, blob::CommitReducer* reducer,
+                       const FlushConfig& cfg,
+                       redundancy::Manager* redundancy)
     : store_(&store),
       client_(&client),
       disk_(&disk),
       stream_(disk_stream),
       reducer_(reducer),
       redundancy_(redundancy),
-      fed_(federation),
+      fed_(&federation),
       cfg_(cfg),
       work_wq_(store.simulation()),
       done_wq_(store.simulation()) {
@@ -200,7 +200,7 @@ sim::Task<> FlushAgent::drain_one(StagedCommit c) {
   // commit's chunks copy out floor-first, then popularity-ordered within
   // the hot budget. Also after publish: a kill here leaves a published-but-
   // unreplicated version, never a torn one.
-  if (fed_ != nullptr && fed_->enabled()) {
+  if (fed_->enabled()) {
     if (probe_) co_await probe_(blob::CommitStage::Replicate);
     co_await fed_->replicate_commit(*client_, c.blob, v, c.ranges);
   }

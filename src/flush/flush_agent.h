@@ -42,16 +42,17 @@ namespace blobcr::flush {
 
 class FlushAgent {
  public:
-  /// `redundancy` (optional): after each drain publishes, its committed
-  /// chunks fold into the deployment's peer parity tier — the
-  /// CommitStage::ParityEncode boundary. `federation` (optional): after
-  /// parity encode, the published version's manifest and hot chunks
-  /// replicate asynchronously to sibling zones — CommitStage::Replicate.
-  FlushAgent(blob::BlobStore& store, blob::BlobClient& client,
-             storage::Disk& disk, std::uint64_t disk_stream,
-             blob::CommitReducer* reducer, const FlushConfig& cfg,
-             redundancy::Manager* redundancy = nullptr,
-             federation::Fabric* federation = nullptr);
+  /// `federation`: the repository fabric `store` belongs to; on a
+  /// multi-zone fabric, after parity encode, the published version's
+  /// manifest and hot chunks replicate asynchronously to sibling zones —
+  /// CommitStage::Replicate. `redundancy` (optional): after each drain
+  /// publishes, its committed chunks fold into the deployment's peer parity
+  /// tier — the CommitStage::ParityEncode boundary.
+  FlushAgent(blob::BlobStore& store, federation::Fabric& federation,
+             blob::BlobClient& client, storage::Disk& disk,
+             std::uint64_t disk_stream, blob::CommitReducer* reducer,
+             const FlushConfig& cfg,
+             redundancy::Manager* redundancy = nullptr);
   ~FlushAgent();
 
   FlushAgent(const FlushAgent&) = delete;
@@ -102,7 +103,7 @@ class FlushAgent {
   std::uint64_t stream_;
   blob::CommitReducer* reducer_;
   redundancy::Manager* redundancy_;
-  federation::Fabric* fed_;
+  federation::Fabric* fed_;  // never null
   FlushConfig cfg_;
   blob::CommitProbe probe_;
 

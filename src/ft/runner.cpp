@@ -389,9 +389,7 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
         for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
         // Fresh mirrors per rollback: the counters cover this restart's
         // lazy-fetch traffic (sampled before the next epoch adds copy-ups).
-        report->restart_repo_bytes += dep.boot_repo_bytes();
-        report->restart_peer_bytes += dep.boot_peer_bytes();
-        report->parity_bytes_rebuilt += dep.boot_parity_bytes();
+        report->restart += dep.source_bytes();
       } else {
         // Failure during the initial checkpoint: no rollback target exists,
         // so resubmit from scratch — a fresh deployment from the base image.
@@ -453,9 +451,7 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
               });
         }
         for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
-        report->restart_repo_bytes += dep.boot_repo_bytes();
-        report->restart_peer_bytes += dep.boot_peer_bytes();
-        report->parity_bytes_rebuilt += dep.boot_parity_bytes();
+        report->restart += dep.source_bytes();
         ++report->rescales;
         report->rescale_overhead += sim.now() - t0;
         force_ckpt = true;

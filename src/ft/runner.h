@@ -110,12 +110,9 @@ struct FtReport {
   /// to the local staging cost while the drain overlaps other ranks.
   sim::Duration ckpt_blocked = 0;
   sim::Duration restart_overhead = 0;    // detection + redeploy + restore
-  /// Restart lazy-fetch transfer split, summed over all rollbacks
-  /// (BlobCR): repository wire bytes vs intra-deployment peer-copy bytes
-  /// vs bytes reconstructed from peer parity groups (redundancy tier).
-  std::uint64_t restart_repo_bytes = 0;
-  std::uint64_t restart_peer_bytes = 0;
-  std::uint64_t parity_bytes_rebuilt = 0;
+  /// Restart lazy-fetch bytes by ladder level, summed over all rollbacks
+  /// and rescales (BlobCR).
+  core::SourceBytes restart;
   std::size_t checkpoints = 0;   // committed global checkpoints
   std::size_t failures = 0;      // injected failures that hit the job
   std::size_t restarts = 0;      // rollbacks performed

@@ -8,6 +8,7 @@
 
 #include "blob/client.h"
 #include "core/mirror_device.h"
+#include "federation/federation.h"
 #include "core/proxy.h"
 #include "reduce/reducer.h"
 #include "sim/sim.h"
@@ -29,6 +30,8 @@ struct TestRig {
   std::unique_ptr<net::Fabric> fabric;
   std::vector<std::unique_ptr<storage::Disk>> disks;
   std::unique_ptr<blob::BlobStore> store;
+  /// 1-zone repository fabric over `store` (what mirrors fetch through).
+  std::unique_ptr<federation::Fabric> repo;
   blob::BlobId base = 0;
   // Host nodes for mirrors are the last two nodes.
   net::NodeId host_a = 0;
@@ -63,6 +66,9 @@ struct TestRig {
     cfg.default_chunk_size = kChunk;
     cfg.tree_depth = 10;
     store = std::make_unique<blob::BlobStore>(sim, *fabric, cfg);
+    repo = std::make_unique<federation::Fabric>(sim, *fabric,
+                                                federation::FederationConfig{});
+    repo->add_zone(store.get(), 0, static_cast<net::NodeId>(total));
     host_a = static_cast<net::NodeId>(total - 2);
     host_b = static_cast<net::NodeId>(total - 1);
   }
@@ -81,7 +87,7 @@ struct TestRig {
     MirrorDevice::Config cfg;
     cfg.capacity = kImage;
     return std::make_unique<MirrorDevice>(
-        *store, host, *disks[4 + (host == host_a ? 0 : 1)], 99, base, 1, cfg,
+        *repo, host, *disks[4 + (host == host_a ? 0 : 1)], 99, base, 1, cfg,
         bus);
   }
 
@@ -240,7 +246,7 @@ TEST(MirrorTest, RestartedMirrorCommitsIntoBackingImage) {
   // Restart: a new mirror backed by the snapshot, committing into it.
   MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
-  MirrorDevice restarted(*rig.store, rig.host_b, *rig.disks[5], 98, image,
+  MirrorDevice restarted(*rig.repo, rig.host_b, *rig.disks[5], 98, image,
                          snap, mcfg);
   restarted.set_checkpoint_blob(image, snap);
   blob::VersionId v2 = 0;
@@ -309,7 +315,7 @@ TEST(MirrorTest, ReducedCommitShipsLessAndRoundTrips) {
   auto m1 = rig.make_mirror(rig.host_a);
   MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
-  MirrorDevice m2(*rig.store, rig.host_b, *rig.disks[5], 97, rig.base, 1,
+  MirrorDevice m2(*rig.repo, rig.host_b, *rig.disks[5], 97, rig.base, 1,
                   mcfg, nullptr, &reducer);
 
   // Rank 1 (unreduced) establishes nothing in the index; rank 2 commits a

@@ -396,6 +396,21 @@ TEST(CrElasticTest, ShrinkRestartUnionBitExactColdCaches) {
                 (co_await attached_matches(&dep, 0, 0, 11)) &&
                 (co_await state_matches(&dep.vm(1), 12)) &&
                 (co_await attached_matches(&dep, 1, 0, 13));
+    // The restart ledger covers attached volumes: it is the field-wise sum
+    // over every boot mirror and every attached-volume mirror, and the
+    // attached shards' reads above moved bytes of their own.
+    core::SourceBytes boot;
+    core::SourceBytes attached;
+    for (std::size_t i = 0; i < dep.size(); ++i) {
+      boot += dep.instance(i).mirror->source_bytes();
+      for (std::size_t k = 0; k < dep.attached_count(i); ++k) {
+        attached += dep.attached_volume(i, k).mirror->source_bytes();
+      }
+    }
+    core::SourceBytes every_mirror = boot;
+    every_mirror += attached;
+    EXPECT_EQ(dep.source_bytes(), every_mirror);
+    EXPECT_GT(attached.remote(), 0u);
     // The rescale wrote no new catalog state and kept the lineage head.
     *rec_after = (co_await session.list()).size();
     EXPECT_EQ(session.lineage_head(), pre.id);

@@ -154,7 +154,7 @@ TEST(FederationTest, NearestZoneRestartPrefersLocalReplicas) {
       (void)co_await session2.restart(Selector::latest(), /*node_offset=*/4,
                                       /*cold_caches=*/true);
       EXPECT_TRUE(co_await state_matches(&dep2.vm(0), 21));
-      *wan = dep2.boot_wan_bytes();
+      *wan = dep2.source_bytes().wan;
     }(&cloud, &wan));
     return wan;
   };
@@ -319,7 +319,7 @@ TEST(FederationTest, SingleZoneIsADisabledFabric) {
     EXPECT_EQ(rec.state, RecordState::Complete);
     (void)co_await session.restart(Selector::latest(), /*node_offset=*/1);
     EXPECT_TRUE(co_await state_matches(&dep.vm(0), 3));
-    EXPECT_EQ(dep.boot_wan_bytes(), 0u);
+    EXPECT_EQ(dep.source_bytes().wan, 0u);
   }(&cloud));
   EXPECT_EQ(fed->cross_zone_bytes(), 0u);
   EXPECT_EQ(fed->replica_entries(), 0u);

@@ -20,6 +20,7 @@
 #include "apps/scenarios.h"
 #include "core/blobcr.h"
 #include "core/mirror_device.h"
+#include "federation/federation.h"
 #include "flush/flush_agent.h"
 #include "ft/failure.h"
 #include "ft/runner.h"
@@ -44,6 +45,8 @@ struct FlushRig {
   std::unique_ptr<net::Fabric> fabric;
   std::vector<std::unique_ptr<storage::Disk>> disks;
   std::unique_ptr<blob::BlobStore> store;
+  /// 1-zone repository fabric over `store` (what mirrors fetch through).
+  std::unique_ptr<federation::Fabric> repo;
   std::unique_ptr<reduce::Reducer> reducer;
   blob::BlobId base = 0;
   net::NodeId host = 0;
@@ -77,6 +80,9 @@ struct FlushRig {
     cfg.tree_depth = 10;
     cfg.replication = replication;
     store = std::make_unique<blob::BlobStore>(sim, *fabric, cfg);
+    repo = std::make_unique<federation::Fabric>(sim, *fabric,
+                                                federation::FederationConfig{});
+    repo->add_zone(store.get(), 0, static_cast<net::NodeId>(total));
     host = static_cast<net::NodeId>(total - 1);
     if (with_reduction) {
       reduce::ReductionConfig rcfg;
@@ -113,7 +119,7 @@ core::MirrorDevice::Config mirror_config(flush::QueuePolicy policy,
 
 TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
   FlushRig rig;
-  core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
+  core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
                        mirror_config(flush::QueuePolicy::Queue), nullptr);
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     co_await m->write(0, Buffer::pattern(3 * kChunk, 7));
@@ -138,7 +144,7 @@ TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
 
 TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
   FlushRig rig;
-  core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
+  core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
                        mirror_config(flush::QueuePolicy::Queue, 4), nullptr);
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
@@ -175,7 +181,7 @@ TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
 
 TEST(FlushAgentTest, MergePolicyCoalescesQueuedGenerations) {
   FlushRig rig;
-  core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
+  core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
                        mirror_config(flush::QueuePolicy::Merge, 8), nullptr);
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
@@ -202,7 +208,7 @@ TEST(FlushAgentTest, MergePolicyCoalescesQueuedGenerations) {
 
 TEST(FlushAgentTest, BackpressureBoundsStagedGenerations) {
   FlushRig rig;
-  core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
+  core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
                        mirror_config(flush::QueuePolicy::Queue, 1), nullptr);
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     (void)co_await m->ioctl_clone();
@@ -227,7 +233,7 @@ TEST(FlushAgentTest, DrainFailurePoisonsAgentAndDropsQueuedGenerations) {
   // the failed dirty ranges — the agent must go dead instead, dropping the
   // queue and reporting the failure to every waiter.
   FlushRig rig(/*with_reduction=*/false, /*replication=*/2);
-  core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
+  core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
                        mirror_config(flush::QueuePolicy::Queue, 4), nullptr);
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
@@ -328,7 +334,7 @@ void run_one_seed(int seed) {
   }
 
   auto mirror = std::make_unique<core::MirrorDevice>(
-      *rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
+      *rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
       mirror_config(policy, 2), nullptr, rig.reducer.get());
 
   // Phase 1: one or two fully-published baseline snapshots.
@@ -422,7 +428,7 @@ void run_one_seed(int seed) {
   // dead chunks). Re-write content overlapping the crashed commit's data as
   // dedup bait.
   auto restarted = std::make_unique<core::MirrorDevice>(
-      *rig.store, rig.host, *rig.disks[3], 100, st->ckpt, latest,
+      *rig.repo, rig.host, *rig.disks[3], 100, st->ckpt, latest,
       mirror_config(policy, 2), nullptr, rig.reducer.get());
   restarted->set_checkpoint_blob(st->ckpt, latest);
   st->ref = st->expected.at(latest);
@@ -686,10 +692,10 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   // attached nodes; with 2, each member seals into a width-1 group whose
   // parity block lives on the *other* node — a peer-held replica).
   auto m0 = std::make_unique<core::MirrorDevice>(
-      *rig.store, rig.host, *rig.disks[3], 99, rig.base, 1, mcfg, nullptr,
+      *rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1, mcfg, nullptr,
       nullptr);
   auto m1 = std::make_unique<core::MirrorDevice>(
-      *rig.store, static_cast<net::NodeId>(rig.host - 1), *rig.disks[3], 101,
+      *rig.repo, static_cast<net::NodeId>(rig.host - 1), *rig.disks[3], 101,
       rig.base, 1, mcfg, nullptr, nullptr);
 
   // Baseline: both nodes publish a snapshot; the drains encode parity.

@@ -239,7 +239,7 @@ TEST(DeploymentTest, BootFetchesOnlyHotContent) {
     co_await cl->provision_base_image();
     Deployment dep(*cl, 2);
     co_await dep.deploy_and_boot();
-    *f = dep.boot_remote_bytes();
+    *f = dep.source_bytes().remote();
     *img = cl->image_size();
   }(&cloud, &fetched, &image));
 

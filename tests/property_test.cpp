@@ -39,6 +39,8 @@ struct MirrorRig {
   std::unique_ptr<net::Fabric> fabric;
   std::vector<std::unique_ptr<storage::Disk>> disks;
   std::unique_ptr<blob::BlobStore> store;
+  /// 1-zone repository fabric over `store` (what mirrors fetch through).
+  std::unique_ptr<federation::Fabric> repo;
   blob::BlobId base = 0;
   net::NodeId host = 0;
 
@@ -68,6 +70,9 @@ struct MirrorRig {
     cfg.default_chunk_size = kChunk;
     cfg.tree_depth = 10;
     store = std::make_unique<blob::BlobStore>(sim, *fabric, cfg);
+    repo = std::make_unique<federation::Fabric>(sim, *fabric,
+                                                federation::FederationConfig{});
+    repo->add_zone(store.get(), 0, static_cast<net::NodeId>(total));
     host = static_cast<net::NodeId>(total - 1);
   }
 
@@ -90,7 +95,7 @@ TEST_P(MirrorSnapshotPropertyTest, EveryCommittedVersionStaysIntact) {
 
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
-  core::MirrorDevice mirror(*rig.store, rig.host, *rig.disks[4], 99,
+  core::MirrorDevice mirror(*rig.repo, rig.host, *rig.disks[4], 99,
                             rig.base, 1, mcfg, nullptr);
 
   struct Snapshot {
@@ -183,7 +188,7 @@ TEST_P(AsyncCommitPropertyTest, PublishedVersionNeverContainsLaterWrites) {
   mcfg.flush.enabled = true;
   mcfg.flush.policy = flush::QueuePolicy::Queue;
   mcfg.flush.max_pending = 3;
-  core::MirrorDevice mirror(*rig.store, rig.host, *rig.disks[4], 99,
+  core::MirrorDevice mirror(*rig.repo, rig.host, *rig.disks[4], 99,
                             rig.base, 1, mcfg, nullptr);
 
   struct Snapshot {

@@ -11,6 +11,7 @@
 #include "blob/client.h"
 #include "blob/repair.h"
 #include "blob/store.h"
+#include "federation/federation.h"
 #include "sim/sim.h"
 
 namespace blobcr::blob {
@@ -169,6 +170,34 @@ TEST(RepairTest, ReadersFindRehomedChunksThroughLocate) {
     c->store->fail_node(c->busiest_provider());
     const Buffer back = co_await client.read(blob, v, 0, payload.size());
     EXPECT_TRUE(back == payload);
+
+    // The restart data plane's reader: every leaf fetched one by one
+    // through the repository fabric (1 zone) finds its re-homed copy too.
+    federation::Fabric repo(c->sim, *c->fabric, federation::FederationConfig{});
+    repo.add_zone(c->store.get(), 0, c->client_node + 1);
+    const std::vector<BlobClient::ChunkRef> refs =
+        co_await client.resolve_chunks(blob, v, 0, payload.size());
+    EXPECT_EQ(refs.size(), 32u);
+    std::size_t unreachable = 0;
+    for (const BlobClient::ChunkRef& ref : refs) {
+      Buffer leaf;
+      bool failed = false;
+      try {
+        leaf = (co_await repo.fetch_decoded(ref.loc, c->client_node,
+                                            qos::IoContext{}))
+                   .data;
+      } catch (const BlobError&) {
+        failed = true;
+      }
+      if (failed) {
+        ++unreachable;
+        continue;
+      }
+      const std::uint64_t cs = c->store->config().default_chunk_size;
+      EXPECT_TRUE(leaf == payload.slice(ref.index * cs, leaf.size()))
+          << "leaf " << ref.index;
+    }
+    EXPECT_EQ(unreachable, 0u);
   }(&cluster));
 }
 

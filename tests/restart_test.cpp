@@ -16,6 +16,7 @@
 #include "core/chunk_cache.h"
 #include "core/cloud.h"
 #include "core/mirror_device.h"
+#include "federation/federation.h"
 #include "reduce/reducer.h"
 #include "sim/sim.h"
 
@@ -37,6 +38,8 @@ struct ReducedRig {
   std::unique_ptr<net::Fabric> fabric;
   std::vector<std::unique_ptr<storage::Disk>> disks;
   std::unique_ptr<blob::BlobStore> store;
+  /// 1-zone repository fabric over `store` (what mirrors fetch through).
+  std::unique_ptr<federation::Fabric> repo;
   std::unique_ptr<reduce::Reducer> reducer;
   blob::BlobId base = 0;
   Buffer content;           // ground-truth logical image
@@ -70,6 +73,9 @@ struct ReducedRig {
     cfg.default_chunk_size = kChunk;
     cfg.tree_depth = 10;
     store = std::make_unique<blob::BlobStore>(sim, *fabric, cfg);
+    repo = std::make_unique<federation::Fabric>(sim, *fabric,
+                                                federation::FederationConfig{});
+    repo->add_zone(store.get(), 0, static_cast<net::NodeId>(total));
     host_a = static_cast<net::NodeId>(total - 3);
     host_b = static_cast<net::NodeId>(total - 2);
     host_c = static_cast<net::NodeId>(total - 1);
@@ -111,7 +117,7 @@ struct ReducedRig {
     MirrorDevice::Config cfg;
     cfg.capacity = kImage;
     const std::size_t disk_idx = 4 + (host % 3);
-    return std::make_unique<MirrorDevice>(*store, host, *disks[disk_idx],
+    return std::make_unique<MirrorDevice>(*repo, host, *disks[disk_idx],
                                           90 + host, base, 1, cfg, bus,
                                           nullptr, cache);
   }
@@ -262,12 +268,12 @@ TEST(RestartDataPlaneTest, PerInstanceRepoBytesShrinkWithDeploymentSize) {
 
   ASSERT_TRUE(solo.verified);
   ASSERT_TRUE(trio.verified);
-  ASSERT_GT(solo.restart_repo_bytes, 0u);
+  ASSERT_GT(solo.restart.repo, 0u);
   // Peer copies replace repository traffic as the deployment grows.
-  EXPECT_GT(trio.restart_peer_bytes, 0u);
-  const double solo_per_inst = static_cast<double>(solo.restart_repo_bytes);
+  EXPECT_GT(trio.restart.peer, 0u);
+  const double solo_per_inst = static_cast<double>(solo.restart.repo);
   const double trio_per_inst =
-      static_cast<double>(trio.restart_repo_bytes) / 3.0;
+      static_cast<double>(trio.restart.repo) / 3.0;
   EXPECT_LT(trio_per_inst, solo_per_inst);
 }
 
