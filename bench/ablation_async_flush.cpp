@@ -17,6 +17,7 @@
 #include "bench_common.h"
 
 #include "blob/client.h"
+#include "cr/remap.h"
 
 namespace blobcr::bench {
 namespace {
@@ -65,7 +66,9 @@ SeriesResult run_series(bool async) {
     // must be the bit-exact final round.
     const core::GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 7);
+    const core::RestartPlan plan =
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+    co_await dep.restart_from(plan, 7);
     const common::Buffer back =
         co_await dep.vm(0).fs()->read_file("/data/buffer.bin");
     out->restored_digest = back.digest();

@@ -52,6 +52,27 @@ Task<> instance_round(Deployment* dep, const MultiJobRun* run,
   *downtime_out = snap.vm_downtime;
 }
 
+/// Tears the job down and cold-restarts it from its latest record onto
+/// nodes shifted by `node_offset`, then reads every instance's buffer back
+/// against `digests` (clearing `out->verified` on a mismatch). Returns the
+/// restart makespan: restart plus read-back.
+Task<sim::Duration> restart_and_read_back(
+    Deployment* dep, cr::Session* session, const TenantJobSpec* spec,
+    std::size_t node_offset, const std::vector<std::uint64_t>* digests,
+    JobResult* out) {
+  dep->destroy_all();
+  const sim::Time t0 = dep->cloud().now();
+  (void)co_await session->restart(cr::Selector::latest(), node_offset,
+                                  /*cold_caches=*/true);
+  for (std::size_t i = 0; i < spec->instances; ++i) {
+    const common::Buffer back =
+        co_await dep->vm(i).fs()->read_file("/data/buffer.bin");
+    out->verified = out->verified && back.size() == spec->buffer_bytes &&
+                    back.digest() == (*digests)[i];
+  }
+  co_return dep->cloud().now() - t0;
+}
+
 Task<> job_body(Cloud* cloud, const MultiJobRun* run, std::size_t job_index,
                 std::size_t node_offset, std::size_t restart_offset,
                 JobResult* out) {
@@ -100,33 +121,16 @@ Task<> job_body(Cloud* cloud, const MultiJobRun* run, std::size_t job_index,
     // storm the restart-prefetch gate admits against live commits.
     if (spec.restart_every > 0 && (round + 1) % spec.restart_every == 0 &&
         round + 1 < spec.rounds) {
-      dep.destroy_all();
-      const sim::Time r0 = sim.now();
-      (void)co_await session.restart(cr::Selector::latest(), node_offset,
-                                     /*cold_caches=*/true);
-      for (std::size_t i = 0; i < spec.instances; ++i) {
-        const common::Buffer back =
-            co_await dep.vm(i).fs()->read_file("/data/buffer.bin");
-        out->verified = out->verified && back.size() == spec.buffer_bytes &&
-                        back.digest() == digests[i];
-      }
-      out->restart_times.push_back(sim.now() - r0);
+      const sim::Duration took = co_await restart_and_read_back(
+          &dep, &session, &spec, node_offset, &digests, out);
+      out->restart_times.push_back(took);
     }
     if (spec.think_time > 0) co_await sim.delay(spec.think_time);
   }
 
   if (spec.do_restart) {
-    dep.destroy_all();
-    const sim::Time t0 = sim.now();
-    (void)co_await session.restart(cr::Selector::latest(), restart_offset,
-                                   /*cold_caches=*/true);
-    for (std::size_t i = 0; i < spec.instances; ++i) {
-      const common::Buffer back =
-          co_await dep.vm(i).fs()->read_file("/data/buffer.bin");
-      out->verified = out->verified && back.size() == spec.buffer_bytes &&
-                      back.digest() == digests[i];
-    }
-    out->restart_time = sim.now() - t0;
+    out->restart_time = co_await restart_and_read_back(
+        &dep, &session, &spec, restart_offset, &digests, out);
     out->restart_times.push_back(out->restart_time);
   }
 

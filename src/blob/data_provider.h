@@ -64,24 +64,12 @@ class DataProvider {
     --pending_stores_;
   }
 
-  /// Reads a chunk and ships it to `to`.
+  /// Reads a chunk and ships it to `to` over the `shape` traffic class
+  /// (federation: wide-area pulls ride the WAN shape; the default is the
+  /// fabric's unshaped class).
   sim::Task<common::Buffer> fetch(net::NodeId to, ChunkId id,
-                                  qos::IoContext ctx) {
-    if (!alive_ || !store_.has(id)) throw BlobError("chunk unavailable");
-    net::FairGate::Permit permit =
-        co_await admit(ctx, static_cast<double>(store_.size_of(id)));
-    (void)permit;
-    if (!alive_ || !store_.has(id)) throw BlobError("chunk unavailable");
-    common::Buffer data = co_await store_.get(id);
-    co_await fabric_->transfer(node_, to, data.size());
-    co_return data;
-  }
-
-  /// fetch() over a shaped traffic class (federation: wide-area pulls ride
-  /// the WAN shape instead of the intra-deployment default).
-  sim::Task<common::Buffer> fetch_shaped(net::NodeId to, ChunkId id,
-                                         net::Fabric::Shape shape,
-                                         qos::IoContext ctx) {
+                                  qos::IoContext ctx,
+                                  net::Fabric::Shape shape = {}) {
     if (!alive_ || !store_.has(id)) throw BlobError("chunk unavailable");
     net::FairGate::Permit permit =
         co_await admit(ctx, static_cast<double>(store_.size_of(id)));

@@ -16,6 +16,19 @@
 
 namespace blobcr::core {
 
+namespace {
+
+/// Traffic class of intra-deployment peer copies of decoded chunks (the
+/// restart peer exchange and parity rebuilds): typically same-rack, so a
+/// lower one-way latency than repository requests, and no rate cap beyond
+/// the fabric's NIC fair share.
+constexpr net::Fabric::Shape kPeerShape{50 * sim::kMicrosecond, 0};
+
+/// Capacity of each compute node's decoded-chunk cache (decimal MB).
+constexpr std::uint64_t kChunkCacheBytes = 512 * common::kMB;
+
+}  // namespace
+
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::BlobCR:
@@ -68,18 +81,13 @@ Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
 
   net::Fabric::Config fcfg;
   fcfg.node_count = total;
-  fcfg.nic_bandwidth_bps = cfg_.nic_bandwidth_bps;
-  fcfg.latency = cfg_.net_latency;
   fabric_ = std::make_unique<net::Fabric>(sim_, fcfg);
 
-  storage::Disk::Config dcfg;
-  dcfg.bandwidth_bps = cfg_.disk_bandwidth_bps;
-  dcfg.position_cost = cfg_.disk_position_cost;
   disks_.reserve(total);
   streams_.resize(total);
   for (std::size_t n = 0; n < total; ++n) {
     disks_.push_back(std::make_unique<storage::Disk>(
-        sim_, common::strf("disk%zu", n), dcfg));
+        sim_, common::strf("disk%zu", n), storage::Disk::Config{}));
   }
 
   federation_ =
@@ -127,7 +135,6 @@ Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
       pcfg.io_servers.push_back(
           {static_cast<net::NodeId>(n), disks_[n].get()});
     }
-    pcfg.stripe_size = cfg_.pvfs_stripe;
     pvfs_ = std::make_unique<pfs::PvfsCluster>(sim_, *fabric_, pcfg);
   }
 }
@@ -242,14 +249,17 @@ blob::BlobStore::TenantUsage Cloud::tenant_usage(net::TenantId t) const {
   return sum;
 }
 
+DecodedChunkCache* Cloud::chunk_cache(net::NodeId node) {
+  auto& slot = chunk_caches_[node];
+  if (!slot) slot = std::make_unique<DecodedChunkCache>(kChunkCacheBytes);
+  return slot.get();
+}
+
 reduce::ChunkDigestIndex* Cloud::shared_digest_index() {
   if (stores_.empty()) return nullptr;
   if (shared_index_ == nullptr) {
     shared_index_ = std::make_unique<reduce::ChunkDigestIndex>(
         cfg_.reduction.index_shards);
-    shared_index_->attach_service(
-        sim_, cfg_.reduction.index_lookup_cost,
-        cfg_.qos.enabled ? &stores_.front()->tenants() : nullptr);
     // Repository-lifetime hooks (one set, owned here): entries must drop
     // when the GC reclaims chunks, epoch logging must open/close with the
     // concurrent sweep, and logged hits must count as pinned — all even
@@ -285,8 +295,7 @@ redundancy::Manager* Cloud::redundancy() {
   if (stores_.empty() || !cfg_.redundancy.enabled) return nullptr;
   if (redundancy_ == nullptr) {
     redundancy_ = std::make_unique<redundancy::Manager>(
-        sim_, *fabric_, cfg_.redundancy,
-        net::Fabric::Shape{cfg_.peer_latency, cfg_.peer_bandwidth_bps});
+        sim_, *fabric_, cfg_.redundancy, kPeerShape);
     // One repository-lifetime reclaim hook: GC reclaim of a member chunk
     // invalidates its whole parity group (no orphaned parity blocks), even
     // while no deployment is alive — e.g. a retention sweep between jobs.
@@ -330,9 +339,7 @@ Deployment::Deployment(Cloud& cloud, std::size_t instances,
       flush_cfg_(opts.flush.has_value() ? *opts.flush : cloud.config().flush),
       seq_(cloud.next_deployment_seq()) {
   PrefetchBus::Config bcfg;
-  bcfg.hint_latency = cloud.config().hint_latency;
-  bcfg.peer_shape = net::Fabric::Shape{cloud.config().peer_latency,
-                                       cloud.config().peer_bandwidth_bps};
+  bcfg.peer_shape = kPeerShape;
   bus_ = std::make_unique<PrefetchBus>(cloud.simulation(), bcfg);
   if (cloud.config().backend == Backend::BlobCR &&
       cloud.config().reduction.enabled) {
@@ -385,14 +392,14 @@ void Deployment::build_instance_fresh(std::size_t i, net::NodeId node) {
     // so its commits land in the zone-local repository.
     inst->mirror = make_mirror(node, cloud.base_blob(cloud.zone_of_node(node)),
                                1, flush_cfg_);
-    inst->proxy = std::make_unique<CheckpointProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+    inst->proxy = std::make_unique<CheckpointProxy>(cloud.simulation(),
+                                                    cloud.fabric(), node);
   } else {
     // The qcow chain is opened inside boot_instance (needs a coroutine).
-    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
-    inst->qfull_proxy = std::make_unique<QcowFullProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(cloud.simulation(),
+                                                        cloud.fabric(), node);
+    inst->qfull_proxy = std::make_unique<QcowFullProxy>(cloud.simulation(),
+                                                        cloud.fabric(), node);
   }
   instances_.push_back(std::move(inst));
 }
@@ -574,10 +581,8 @@ sim::Task<> Deployment::wait_drained(std::size_t i) {
   if (inst.mirror) co_await inst.mirror->wait_drained();
 }
 
-sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
-                                                     net::NodeId node,
-                                                     InstanceSnapshot snap,
-                                                     bool adopt_image) {
+sim::Task<> Deployment::build_instance(std::size_t i, net::NodeId node,
+                                       const InstancePlan& plan) {
   if (restart_probe_) restart_probe_(i);
   auto inst = std::make_unique<Instance>();
   inst->index = i;
@@ -587,20 +592,23 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
 
   // The instance records the *resolved* tuple so later restarts and
   // retention act on an adopted lineage.
+  InstanceSnapshot& snap = inst->last_snapshot;
+  snap = plan.boot;
   co_await open_volume(*inst, node, snap, flush_cfg_);
-  inst->last_snapshot = snap;
   if (cfg.backend == Backend::BlobCR) {
     // Subsequent checkpoints land in the same checkpoint image — except for
     // an elastic clone (M > N), which shares its source tuple with another
     // instance and must derive a fresh image on its first commit instead.
-    if (adopt_image) inst->mirror->set_checkpoint_blob(snap.image, snap.version);
-    inst->proxy = std::make_unique<CheckpointProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+    if (!plan.fresh_image) {
+      inst->mirror->set_checkpoint_blob(snap.image, snap.version);
+    }
+    inst->proxy = std::make_unique<CheckpointProxy>(cloud.simulation(),
+                                                    cloud.fabric(), node);
   } else {
-    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
-    inst->qfull_proxy = std::make_unique<QcowFullProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(cloud.simulation(),
+                                                        cloud.fabric(), node);
+    inst->qfull_proxy = std::make_unique<QcowFullProxy>(cloud.simulation(),
+                                                        cloud.fabric(), node);
   }
 
   vm::VmConfig vmc = cfg.vm;
@@ -608,10 +616,10 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
   inst->vm = std::make_unique<vm::VmInstance>(cloud.simulation(), node,
                                               inst->device(), vmc);
   instances_[i] = std::move(inst);
+  Instance& ref = *instances_[i];
 
   if (cfg.backend == Backend::Qcow2Full) {
     // Resume from the full snapshot: load the VM state, no reboot.
-    Instance& ref = *instances_[i];
     (void)co_await ref.qcow->load_vm_state();
     co_await cloud.simulation().delay(500 * sim::kMillisecond);  // resume cpu
     // The resumed guest's file system, re-mounted from the virtual disk.
@@ -619,7 +627,18 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
     // snapshot, so unsynced dirty pages do not survive a full-VM resume.)
     ref.vm->adopt_fs(co_await guestfs::SimpleFs::mount(ref.device()));
   } else {
-    co_await vm::GuestOs::boot(*instances_[i]->vm, cfg.os);
+    co_await vm::GuestOs::boot(*ref.vm, cfg.os);
+  }
+
+  // Extra shards (elastic M < N) come up as attached data volumes on the
+  // same node, served by the same restart data plane as the boot device.
+  for (const InstanceSnapshot& src : plan.attached) {
+    auto vol = std::make_unique<AttachedVolume>();
+    vol->source = src;
+    // Nothing commits through a data volume: no async drain, but the
+    // parity tier still protects chunks its fetches seed into the cache.
+    co_await open_volume(*vol, node, vol->source, flush::FlushConfig{});
+    ref.attached.push_back(std::move(vol));
   }
 }
 
@@ -630,19 +649,25 @@ void Deployment::kill_restart_scheduler() {
   restart_scheduler_ = nullptr;
 }
 
-void Deployment::prepare_restart(std::size_t count, std::size_t node_offset) {
+sim::Task<> Deployment::restart_from(const RestartPlan& plan,
+                                     std::size_t node_offset) {
   kill_restart_scheduler();  // it references the mirrors cleared below
   destroy_all();
   // Fresh namespace for post-restart snapshot files.
   seq_ = cloud_->next_deployment_seq();
   node_offset_ = node_offset;
-  count_ = count;
+  count_ = plan.instances.size();
   validate_placement();
   instances_.clear();
   instances_.resize(count_);
-}
+  std::vector<sim::Task<>> boots;
+  boots.reserve(count_);
+  for (std::size_t i = 0; i < count_; ++i) {
+    boots.push_back(build_instance(i, cloud_->compute_node(node_offset + i),
+                                   plan.instances[i]));
+  }
+  co_await sim::when_all(cloud_->simulation(), std::move(boots));
 
-void Deployment::spawn_restart_scheduler() {
   // Restart scheduler: resolve every attached mirror's snapshot to chunk
   // identity tuples and start popularity-ordered background prefetch
   // (most-shared chunks first), so one repository fetch per distinct chunk
@@ -652,55 +677,10 @@ void Deployment::spawn_restart_scheduler() {
   // as a background process — control-plane resolution overlaps the
   // restore instead of serializing inside the restart window.
   const CloudConfig& cfg = cloud_->config();
-  if (cfg.backend == Backend::BlobCR && cfg.adaptive_prefetch &&
-      cfg.qos.restart_prefetch_budget > 0) {
+  if (cfg.backend == Backend::BlobCR && cfg.adaptive_prefetch) {
     restart_scheduler_ = cloud_->simulation().spawn(
         "restart-scheduler",
-        bus_->schedule_restart_prefetch(cfg.qos.restart_prefetch_budget));
-  }
-}
-
-sim::Task<> Deployment::restart_from(const GlobalCheckpoint& ckpt,
-                                     std::size_t node_offset) {
-  prepare_restart(ckpt.snapshots.size(), node_offset);
-  std::vector<sim::Task<>> boots;
-  boots.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    boots.push_back(build_instance_from_snapshot(
-        i, cloud_->compute_node(node_offset + i), ckpt.snapshots[i]));
-  }
-  co_await sim::when_all(cloud_->simulation(), std::move(boots));
-  spawn_restart_scheduler();
-}
-
-sim::Task<> Deployment::restart_from(const RestartPlan& plan,
-                                     std::size_t node_offset) {
-  prepare_restart(plan.instances.size(), node_offset);
-  std::vector<sim::Task<>> boots;
-  boots.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    boots.push_back(build_instance_from_plan(
-        i, cloud_->compute_node(node_offset + i), plan.instances[i]));
-  }
-  co_await sim::when_all(cloud_->simulation(), std::move(boots));
-  spawn_restart_scheduler();
-}
-
-sim::Task<> Deployment::build_instance_from_plan(std::size_t i,
-                                                 net::NodeId node,
-                                                 const InstancePlan& plan) {
-  co_await build_instance_from_snapshot(i, node, plan.boot,
-                                        /*adopt_image=*/!plan.fresh_image);
-  // Extra shards (elastic M < N) come up as attached data volumes on the
-  // same node, served by the same restart data plane as the boot device.
-  Instance& inst = *instances_.at(i);
-  for (const InstanceSnapshot& src : plan.attached) {
-    auto vol = std::make_unique<AttachedVolume>();
-    vol->source = src;
-    // Nothing commits through a data volume: no async drain, but the
-    // parity tier still protects chunks its fetches seed into the cache.
-    co_await open_volume(*vol, node, vol->source, flush::FlushConfig{});
-    inst.attached.push_back(std::move(vol));
+        bus_->schedule_restart_prefetch(qos::kRestartPrefetchBudget));
   }
 }
 
@@ -734,12 +714,13 @@ sim::Task<> Deployment::open_volume(Volume& vol, net::NodeId node,
 sim::Task<sim::Duration> Deployment::migrate_instance(std::size_t i,
                                                       net::NodeId target) {
   const sim::Time t0 = cloud_->simulation().now();
-  const InstanceSnapshot snap = co_await snapshot_instance(i);
+  InstancePlan plan;
+  plan.boot = co_await snapshot_instance(i);
   instances_.at(i)->vm->destroy();
   // Fresh namespace: the rebuilt instance's snapshot counter restarts at 0,
   // and its files must not overwrite the pre-migration checkpoint files.
   seq_ = cloud_->next_deployment_seq();
-  co_await build_instance_from_snapshot(i, target, snap);
+  co_await build_instance(i, target, plan);
   co_return cloud_->simulation().now() - t0;
 }
 

@@ -57,14 +57,8 @@ struct CloudConfig {
   std::size_t compute_nodes = 120;   // paper: 120 graphene nodes
   std::size_t metadata_nodes = 20;   // paper: 20 BlobSeer metadata providers
 
-  double nic_bandwidth_bps = 117.5e6;                 // measured GbE
-  sim::Duration net_latency = 100 * sim::kMicrosecond;
-  double disk_bandwidth_bps = 55e6;                   // SATA II
-  sim::Duration disk_position_cost = 6 * sim::kMillisecond;
-
   std::uint64_t chunk_size = 256 * 1024;  // BlobSeer stripe (paper-tuned)
   int replication = 1;
-  std::uint64_t pvfs_stripe = 256 * 1024;
   std::uint64_t qcow_cluster_size = 64 * 1024;
 
   Backend backend = Backend::BlobCR;
@@ -97,17 +91,6 @@ struct CloudConfig {
   /// flush.enabled. See src/federation/federation.h for the knobs.
   federation::FederationConfig federation;
   bool adaptive_prefetch = true;
-  sim::Duration hint_latency = 300 * sim::kMicrosecond;
-  /// Content-addressed restart data plane: intra-deployment peer copies of
-  /// decoded chunks run as their own traffic class — typically same-rack,
-  /// so lower latency than repository requests; bandwidth 0 = NIC-limited
-  /// (the fabric's fair share still applies either way).
-  sim::Duration peer_latency = 50 * sim::kMicrosecond;
-  double peer_bandwidth_bps = 0;
-  /// Per-compute-node decoded-chunk cache (shared by all mirroring modules
-  /// on the node; backs the peer exchange). 0 disables.
-  std::uint64_t chunk_cache_bytes = 512 * common::kMB;
-  sim::Duration proxy_auth_cost = 500 * sim::kMicrosecond;
 
   vm::GuestOsConfig os = vm::GuestOsConfig::debian_like();
   vm::VmConfig vm;
@@ -138,9 +121,9 @@ struct GlobalCheckpoint {
   }
 };
 
-/// One new instance's share of an elastic (N -> M) restart: the snapshot it
-/// boots from, plus any extra source tuples it adopts as attached data
-/// volumes (M < N shards). Built by cr::build_restart_plan (src/cr/remap.h).
+/// One new instance's share of an (N -> M) restart: the snapshot it boots
+/// from, plus any extra source tuples it adopts as attached data volumes
+/// (M < N shards). Built by cr::build_restart_plan (src/cr/remap.h).
 struct InstancePlan {
   InstanceSnapshot boot;
   /// M > N clones: the instance lazy-fetches the source snapshot but must
@@ -150,8 +133,8 @@ struct InstancePlan {
   std::vector<InstanceSnapshot> attached;
 };
 
-/// The instance-level payload of a rescaling restart: one InstancePlan per
-/// new instance, replacing the classic path's implied 1:1 tuple mapping.
+/// The instance-level payload of every restart: one InstancePlan per new
+/// instance (the identity plan when the instance count is unchanged).
 struct RestartPlan {
   std::vector<InstancePlan> instances;
 };
@@ -203,19 +186,9 @@ class Cloud {
   }
 
   /// The node's shared decoded-chunk cache (lazily created; one per compute
-  /// node, shared by every mirroring module that ever runs there). With
-  /// CloudConfig::chunk_cache_bytes == 0 this is a zero-capacity cache:
-  /// every insert is rejected, so nothing is cached and — since the peer
-  /// exchange serves out of these caches — no peer copies happen either.
-  /// (Returning nullptr instead would silently hand each device a private
-  /// fallback cache, un-disabling the ablation's "off" data point.)
-  DecodedChunkCache* chunk_cache(net::NodeId node) {
-    auto& slot = chunk_caches_[node];
-    if (!slot) {
-      slot = std::make_unique<DecodedChunkCache>(cfg_.chunk_cache_bytes);
-    }
-    return slot.get();
-  }
+  /// node, shared by every mirroring module that ever runs there; backs the
+  /// peer exchange).
+  DecodedChunkCache* chunk_cache(net::NodeId node);
 
   /// Empties every node's decoded-chunk cache (the machines were reclaimed
   /// / reimaged). Cache objects stay alive — mirroring modules hold
@@ -440,19 +413,13 @@ class Deployment {
   /// Fail-stop of one instance's node.
   void fail_instance(std::size_t i);
 
-  /// Tears down whatever is left and re-deploys every instance from its
-  /// snapshot in `ckpt`, shifted to fresh nodes, booting in parallel.
-  /// For BlobCR/qcow2-disk instances this reboots the guest OS; qcow2-full
-  /// resumes from the full VM snapshot without a reboot. `ckpt` must stay
-  /// alive until the task completes (each instance copies only its own
-  /// snapshot; the checkpoint is no longer deep-copied per rollback).
-  sim::Task<> restart_from(const GlobalCheckpoint& ckpt,
-                           std::size_t node_offset);
-
-  /// Elastic restart: rebuilds the deployment from a per-instance plan
-  /// (possibly a different instance count than before — see cr/remap.h for
-  /// the shard assignment). Each instance boots from its plan's boot
-  /// snapshot; extra shards come up as attached data volumes; fresh_image
+  /// Tears down whatever is left and rebuilds the deployment from a
+  /// per-instance plan (cr::build_restart_plan, src/cr/remap.h: the identity
+  /// plan for a 1:1 restart, a shard assignment when the instance count
+  /// changes) on nodes shifted by `node_offset`, booting in parallel. Each
+  /// instance boots from its plan's boot snapshot (BlobCR/qcow2-disk reboot
+  /// the guest OS; qcow2-full resumes from the full VM snapshot without a
+  /// reboot); extra shards come up as attached data volumes; fresh_image
   /// instances derive a new checkpoint image on their first commit. The
   /// plan must stay alive until the task completes.
   sim::Task<> restart_from(const RestartPlan& plan, std::size_t node_offset);
@@ -492,18 +459,13 @@ class Deployment {
   /// nodes (the redundancy tier's durability and the peer-vs-repo byte
   /// accounting both assume one instance per node).
   void validate_placement() const;
-  /// Shared restart prologue: kill the scheduler, tear down, re-namespace,
-  /// adopt the new count/offset (validated) and clear the instance table.
-  void prepare_restart(std::size_t count, std::size_t node_offset);
-  /// Spawns the popularity-ordered background prefetch over every mirror
-  /// attached to the bus (boot devices AND attached volumes).
-  void spawn_restart_scheduler();
   void build_instance_fresh(std::size_t i, net::NodeId node);
-  sim::Task<> build_instance_from_snapshot(std::size_t i, net::NodeId node,
-                                           InstanceSnapshot snap,
-                                           bool adopt_image = true);
-  sim::Task<> build_instance_from_plan(std::size_t i, net::NodeId node,
-                                       const InstancePlan& plan);
+  /// Rebuilds instance i on `node` from its share of a restart (or a
+  /// one-instance migration plan): boot volume, proxies, VM, guest boot or
+  /// qcow2-full resume, then the attached volumes. `plan` must stay alive
+  /// until the task completes.
+  sim::Task<> build_instance(std::size_t i, net::NodeId node,
+                             const InstancePlan& plan);
   sim::Task<> boot_instance(std::size_t i);
   /// Opens `vol` on `node` from a checkpointed snapshot. BlobCR: resolves
   /// the tuple first (a dead home zone adopts it into a survivor, see

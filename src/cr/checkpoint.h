@@ -70,13 +70,6 @@ struct CheckpointRecord {
     for (const auto& s : snapshots) sum += s.bytes;
     return sum;
   }
-
-  /// The restart payload Deployment::restart_from consumes.
-  core::GlobalCheckpoint to_global() const {
-    core::GlobalCheckpoint ckpt;
-    ckpt.snapshots = snapshots;
-    return ckpt;
-  }
 };
 
 /// How a restart (or a lookup) picks a record from the catalog.

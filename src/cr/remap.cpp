@@ -10,9 +10,9 @@ core::RestartPlan build_restart_plan(
     const std::vector<core::InstanceSnapshot>& tuples, std::size_t m) {
   const std::size_t n = tuples.size();
   if (n == 0)
-    throw CrError("elastic restart: checkpoint record has no snapshot tuples");
+    throw CrError("restart: checkpoint record has no snapshot tuples");
   if (m == 0)
-    throw CrError("elastic restart: target instance count must be > 0");
+    throw CrError("restart: target instance count must be > 0");
   if (m != n) {
     for (const core::InstanceSnapshot& s : tuples) {
       if (s.backend == core::Backend::Qcow2Full) {

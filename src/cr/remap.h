@@ -1,16 +1,16 @@
-// Elastic restart remap: the control-plane transform that lets an
-// N-instance checkpoint come back as M instances (ROADMAP "elastic
-// restart"; the related checkpointing-as-a-service work makes the
-// elasticity pitch explicit — jobs shrink on spot reclaim and grow on
-// queue drain).
+// Restart remap: the control-plane transform that maps an N-instance
+// checkpoint onto the M instances of a restart. Every restart runs it
+// (cr::Session::restart -> Deployment::restart_from), so elastic N -> M
+// restart is the same path as a 1:1 rollback (the related checkpointing-
+// as-a-service work makes the elasticity pitch explicit — jobs shrink on
+// spot reclaim and grow on queue drain).
 //
 // The content-addressed restart data plane already makes snapshot chunks
 // instance-agnostic, so rescaling is pure bookkeeping: the catalog's N
 // per-instance snapshot tuples are assigned to M fresh instances as
 // contiguous shards.
 //
-//   M == N  every instance gets exactly its own tuple — bit-identical to
-//           the classic restart path;
+//   M == N  the identity plan: every instance gets exactly its own tuple;
 //   M <  N  instance i boots from tuple i*N/M and adopts the rest of its
 //           shard [i*N/M, (i+1)*N/M) as attached data volumes, so the
 //           union of device images across the deployment is unchanged;
@@ -37,8 +37,8 @@ inline std::size_t remap_source(std::size_t i, std::size_t n, std::size_t m) {
   return i * n / m;
 }
 
-/// Builds the per-instance restart plan for rescaling the given snapshot
-/// line onto `m` instances (see file comment for the shard assignment).
+/// Builds the per-instance restart plan mapping the given snapshot line
+/// onto `m` instances (see file comment for the shard assignment).
 /// Throws CrError when the line is empty, `m` is 0, or any tuple is a
 /// qcow2-full checkpoint while m != n.
 core::RestartPlan build_restart_plan(

@@ -213,37 +213,16 @@ Task<CheckpointRecord> Session::restart(const Selector& sel,
     if (r.state == RecordState::Staged) co_await mark_incomplete(r.id);
   }
 
-  const std::size_t n = rec.snapshots.size();
-  const std::size_t m = opts.instances == 0 ? n : opts.instances;
-  if (m != n) {
-    // Elastic path: build the remap plan BEFORE touching the deployment, so
-    // a refused rescale (qcow2-full, m == 0) leaves it running.
-    core::RestartPlan plan = build_restart_plan(rec.snapshots, m);
-    if (dep_->cloud().pvfs() != nullptr) co_await clone_qcow_containers(plan);
-    dep_->destroy_all();
-    if (opts.cold_caches) dep_->forget_node_caches();
-    co_await dep_->restart_from(plan, opts.node_offset);
-    lineage_head_ = rec.id;
-    co_return std::move(rec);
-  }
-
+  // Build the plan (a copy of the tuples) BEFORE touching the deployment:
+  // a refused rescale (a qcow2-full record) leaves it running, and a failed
+  // restart leaves `rec` whole for a retry.
+  core::RestartPlan plan = build_restart_plan(
+      rec.snapshots,
+      opts.instances == 0 ? rec.snapshots.size() : opts.instances);
+  if (dep_->cloud().pvfs() != nullptr) co_await clone_qcow_containers(plan);
   dep_->destroy_all();
   if (opts.cold_caches) dep_->forget_node_caches();
-  // Lend the tuples to the restart payload instead of deep-copying every
-  // snapshot (incl. qcow table state) per rollback; restart_from takes the
-  // checkpoint by reference and only copies each instance's own snapshot.
-  core::GlobalCheckpoint ckpt;
-  ckpt.snapshots = std::move(rec.snapshots);
-  try {
-    co_await dep_->restart_from(ckpt, opts.node_offset);
-  } catch (...) {
-    // Give the tuples back: the returned-record path (and any retry from
-    // the same record object) must see the full snapshot line even though
-    // the deployment is half-built. lineage_head_ stays untouched.
-    rec.snapshots = std::move(ckpt.snapshots);
-    throw;
-  }
-  rec.snapshots = std::move(ckpt.snapshots);
+  co_await dep_->restart_from(plan, opts.node_offset);
   lineage_head_ = rec.id;
   co_return std::move(rec);
 }

@@ -103,12 +103,12 @@ class Session {
     /// on-different-nodes semantics); leave false for FT rollbacks where
     /// survivors keep serving peer copies.
     bool cold_caches = false;
-    /// Elastic restart: target instance count M. 0 (or the record's own
-    /// tuple count) restarts 1:1 like today; any other value remaps the N
-    /// recorded tuples onto M fresh instances through the content-addressed
-    /// plane (see cr/remap.h — contiguous shards, attached volumes for
-    /// M < N, fresh checkpoint images for M > N clones). Rescaling a
-    /// qcow2-full record throws CrError.
+    /// Target instance count M; 0 means the record's own tuple count N.
+    /// Every restart maps the N recorded tuples onto M fresh instances
+    /// through cr::build_restart_plan (see cr/remap.h): the identity plan
+    /// for M == N; contiguous shards, attached volumes for M < N and fresh
+    /// checkpoint images for M > N clones otherwise. Rescaling a qcow2-full
+    /// record throws CrError.
     std::size_t instances = 0;
   };
 
@@ -121,10 +121,10 @@ class Session {
                                       std::size_t node_offset,
                                       bool cold_caches = false);
 
-  /// Restart with explicit options — the elastic (N -> M) entry point. The
-  /// restart writes no new catalog state: the record restarted from stays
-  /// the lineage head, so the next checkpoint's `parent` still points at
-  /// the pre-rescale record (now with M tuples).
+  /// Restart with explicit options (the positional overload forwards here).
+  /// The restart writes no new catalog state: the record restarted from
+  /// stays the lineage head, so after a rescale the next checkpoint's
+  /// `parent` still points at the pre-rescale record (now with M tuples).
   sim::Task<CheckpointRecord> restart(const Selector& sel,
                                       const RestartOptions& opts);
 

@@ -131,7 +131,7 @@ sim::Task<bool> Fabric::replicate_chunk(blob::ChunkLocation loc,
   // provider-io gates like any other disk I/O, but no job is charged.
   const qos::IoContext ctx{net::kDefaultTenant, qos::GateClass::ProviderIo};
   common::Buffer data =
-      co_await src->fetch_shaped(target->node(), loc.id, wan_shape(), ctx);
+      co_await src->fetch(target->node(), loc.id, ctx, wan_shape());
   co_await target->put_local(loc.id, std::move(data), ctx);
   // Re-lookup after the awaits: the directory may have rehashed, and a
   // racing copy of the same chunk may have landed first.
@@ -287,13 +287,8 @@ sim::Task<std::optional<Fabric::FetchResult>> Fabric::try_fetch(
   for (const Candidate& c : order) {
     const bool wan = c.zone != my;
     try {
-      common::Buffer data;
-      if (wan) {
-        data = co_await c.provider->fetch_shaped(dst, loc.id, wan_shape(),
-                                                 ctx);
-      } else {
-        data = co_await c.provider->fetch(dst, loc.id, ctx);
-      }
+      common::Buffer data = co_await c.provider->fetch(
+          dst, loc.id, ctx, wan ? wan_shape() : net::Fabric::Shape{});
       if (wan) wan_fetch_bytes_ += loc.size;
       co_return FetchResult{
           blob::BlobClient::decode_stored(loc, std::move(data)), wan};

@@ -15,7 +15,6 @@ namespace blobcr::ft {
 
 using core::Cloud;
 using core::Deployment;
-using core::GlobalCheckpoint;
 using sim::Task;
 
 const char* dump_mode_name(DumpMode mode) {
@@ -222,6 +221,39 @@ Task<> restore_worker(Deployment* dep, EpochParams p,
   if (p.real_data) st->restore_ok[p.rank] = ok;
 }
 
+/// One restart wave: restarts the job from the latest complete record onto
+/// nodes shifted by `shift` at width `m`, restores every rank and joins
+/// them. Ranks check their state against the committed digests only when
+/// `verify` is set (`st` must already have width `m`).
+Task<> restart_and_restore(cr::Session* session, const FtJobConfig* cfg,
+                           std::shared_ptr<JobShared> st, std::size_t shift,
+                           std::size_t m, bool verify, FtReport* report) {
+  cr::Session::RestartOptions ropts;
+  ropts.node_offset = shift;
+  ropts.instances = m;
+  (void)co_await session->restart(cr::Selector::latest(), ropts);
+  Deployment& dep = session->deployment();
+  dep.mpi().reset_for_restart();
+  dep.mpi().resize_world(static_cast<int>(m));
+  for (std::size_t i = 0; i < m; ++i) {
+    EpochParams p;
+    p.rank = i;
+    p.epoch = st->epoch;
+    p.state_bytes = cfg->state_bytes;
+    p.real_data = cfg->real_data && verify;
+    p.mode = cfg->mode;
+    Deployment* dp = &dep;
+    dep.vm(i).start_guest(common::strf("ft-restore-r%zu", i),
+                          [dp, p, st](vm::GuestProcess& gp) -> Task<> {
+                            co_await restore_worker(dp, p, st, &gp);
+                          });
+  }
+  for (std::size_t i = 0; i < m; ++i) co_await dep.vm(i).join_guests();
+  // Fresh mirrors per restart: the counters cover this restart's lazy-fetch
+  // traffic (sampled before the next epoch adds copy-ups).
+  report->restart += dep.source_bytes();
+}
+
 /// Replays the failure schedule against the live deployment. Events landing
 /// outside an active epoch (during detection/rollback) are deferred to the
 /// next epoch start.
@@ -358,38 +390,19 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
           co_await session->catalog().find(cr::Selector::latest());
       if (target.has_value()) {
         // §3.2: roll back to the last *complete* global checkpoint — the
-        // catalog's selection, not a driver-held snapshot vector.
-        (void)co_await session->restart(cr::Selector::latest(), shift);
-        // A failure in the tiny window between a rescale and its forced
-        // checkpoint rolls back to the pre-rescale record: the deployment
-        // snapped back to the old width, whose digest line is gone after
-        // the lossy remap — adopt the width and skip verification for
-        // this one restore wave.
-        const bool width_kept = dep.size() == n;
+        // catalog's selection, not a driver-held snapshot vector. A failure
+        // in the tiny window between a rescale and its forced checkpoint
+        // rolls back to the pre-rescale record: the job snaps back to the
+        // old width, whose digest line is gone after the lossy remap —
+        // adopt the width and skip verification for this one restore wave.
+        const std::size_t m = target->snapshots.size();
+        const bool width_kept = m == n;
         if (!width_kept) {
-          st->resize_unverified(dep.size());
-          n = dep.size();
+          st->resize_unverified(m);
+          n = m;
         }
-        dep.mpi().reset_for_restart();
-        dep.mpi().resize_world(static_cast<int>(n));
-        for (std::size_t i = 0; i < n; ++i) {
-          EpochParams p;
-          p.rank = i;
-          p.epoch = st->epoch;
-          p.state_bytes = cfg->state_bytes;
-          p.real_data = cfg->real_data && width_kept;
-          p.mode = cfg->mode;
-          Deployment* dp = &dep;
-          dep.vm(i).start_guest(
-              common::strf("ft-restore-r%zu", i),
-              [dp, p, st](vm::GuestProcess& gp) -> Task<> {
-                co_await restore_worker(dp, p, st, &gp);
-              });
-        }
-        for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
-        // Fresh mirrors per rollback: the counters cover this restart's
-        // lazy-fetch traffic (sampled before the next epoch adds copy-ups).
-        report->restart += dep.source_bytes();
+        co_await restart_and_restore(session.get(), cfg, st, shift, n,
+                                     width_kept, report);
       } else {
         // Failure during the initial checkpoint: no rollback target exists,
         // so resubmit from scratch — a fresh deployment from the base image.
@@ -416,10 +429,9 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
 
     // Elastic rescale (shrink on spot reclaim / grow on queue drain): after
     // the scheduled number of committed checkpoints, restart the job from
-    // the latest record onto M fresh instances through the catalog's
-    // elastic path, restore every new rank from its remapped shard, then
-    // force a zero-work checkpoint so the new width has its own rollback
-    // target.
+    // the latest record onto M fresh instances, restore every new rank from
+    // its remapped shard, then force a zero-work checkpoint so the new width
+    // has its own rollback target.
     if (next_rescale < rescales.size() &&
         report->checkpoints >= rescales[next_rescale].after_checkpoints) {
       const std::size_t m = rescales[next_rescale].instances;
@@ -428,30 +440,10 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
         const sim::Time t0 = sim.now();
         dep.destroy_all();
         shift += n;  // fresh machines, like any restart
-        cr::Session::RestartOptions ropts;
-        ropts.node_offset = shift;
-        ropts.instances = m;
-        (void)co_await session->restart(cr::Selector::latest(), ropts);
-        dep.mpi().reset_for_restart();
-        dep.mpi().resize_world(static_cast<int>(m));
         st->rescale(m);
         n = m;
-        for (std::size_t i = 0; i < n; ++i) {
-          EpochParams p;
-          p.rank = i;
-          p.epoch = st->epoch;
-          p.state_bytes = cfg->state_bytes;
-          p.real_data = cfg->real_data;
-          p.mode = cfg->mode;
-          Deployment* dp = &dep;
-          dep.vm(i).start_guest(
-              common::strf("ft-rescale-r%zu", i),
-              [dp, p, st](vm::GuestProcess& gp) -> Task<> {
-                co_await restore_worker(dp, p, st, &gp);
-              });
-        }
-        for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
-        report->restart += dep.source_bytes();
+        co_await restart_and_restore(session.get(), cfg, st, shift, n,
+                                     /*verify=*/true, report);
         ++report->rescales;
         report->rescale_overhead += sim.now() - t0;
         force_ckpt = true;

@@ -23,8 +23,9 @@
 // RAII (net::FairGate::Permit) and kill-safe: a coroutine killed while
 // queued unlinks, one killed while holding releases as its frame unwinds.
 //
-// All knobs live in one validated qos::Config (per-gate slot counts plus
-// the restart-prefetch byte budget).
+// All knobs live in one validated qos::Config (the fairness switch and the
+// per-gate slot counts); the restart-prefetch byte budget is the constant
+// kRestartPrefetchBudget.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +76,6 @@ struct Config {
   /// Concurrent restart-prefetch workers admitted repository-wide.
   /// 0 = gate disabled (each device still bounds its own local streams).
   std::size_t prefetch_slots = 0;
-  /// Repository bytes the restart scheduler may prefetch per instance.
-  std::uint64_t restart_prefetch_budget = 64 * common::kMB;
 
   std::size_t slots(GateClass g) const {
     switch (g) {
@@ -99,6 +98,9 @@ struct Config {
     }
   }
 };
+
+/// Repository bytes the restart scheduler may prefetch per instance.
+inline constexpr std::uint64_t kRestartPrefetchBudget = 64 * common::kMB;
 
 /// Repository-scoped admission plane: owns the tenant table and one
 /// weighted-fair gate per admission class. Lives in BlobStore, declared

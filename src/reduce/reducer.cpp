@@ -18,12 +18,9 @@ Reducer::Reducer(blob::BlobStore& store, const ReductionConfig& cfg,
       index_(shared_index != nullptr ? shared_index : &own_index_) {
   if (!shares_index()) {
     // An isolated index is this reducer's own: hook GC reclaim and the
-    // concurrent sweep's epoch open/close ourselves, and attach the shard
-    // queues. A shared (repository-scoped) index outlives every deployment,
-    // so its owner — the Cloud — holds the one set of hooks for it.
-    own_index_.attach_service(
-        store_->simulation(), cfg_.index_lookup_cost,
-        store_->config().qos.enabled ? &store_->tenants() : nullptr);
+    // concurrent sweep's epoch open/close ourselves. A shared (repository-
+    // scoped) index outlives every deployment, so its owner — the Cloud —
+    // holds the one set of hooks for it.
     hook_id_ = store_->add_chunk_reclaim_hook(
         [this](const std::vector<blob::ChunkId>& ids) {
           index_->forget_chunks(ids);
@@ -118,10 +115,6 @@ sim::Task<blob::ReducedChunk> Reducer::reduce(net::NodeId node,
   //    payloads. Mixed chunks ship raw so real content survives bit-exactly.
   out.kind = blob::ReducedChunk::Kind::Store;
   if (cfg_.compression && payload.fully_real()) {
-    if (cfg_.compress_bps > 0) {
-      co_await store_->simulation().delay(
-          sim::transfer_time(raw_size, cfg_.compress_bps));
-    }
     std::vector<std::byte> encoded = rle_encode(payload.bytes());
     if (encoded.size() < raw_size) {
       ++stats_.compressed_chunks;
@@ -132,10 +125,6 @@ sim::Task<blob::ReducedChunk> Reducer::reduce(net::NodeId node,
     }
   } else if (cfg_.compression && payload.fully_phantom() &&
              cfg_.phantom_compression_ratio < 1.0) {
-    if (cfg_.compress_bps > 0) {
-      co_await store_->simulation().delay(
-          sim::transfer_time(raw_size, cfg_.compress_bps));
-    }
     const auto stored = static_cast<std::size_t>(std::max(
         1.0, std::ceil(raw_size * cfg_.phantom_compression_ratio)));
     if (stored < raw_size) {

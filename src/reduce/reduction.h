@@ -24,8 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "sim/time.h"
-
 namespace blobcr::reduce {
 
 struct ReductionConfig {
@@ -54,17 +52,12 @@ struct ReductionConfig {
   /// Simulated digest throughput in bytes/s (0 = free). Charged per raw
   /// chunk byte on the committing node before placement.
   double digest_bps = 0;
-  /// Simulated compression throughput in bytes/s (0 = free).
-  double compress_bps = 0;
   /// Digest-index shards: the key space is hash-partitioned into this many
-  /// independent slices, each with its own stats and (with a lookup cost)
-  /// its own fair request queue. Routing depends only on content identity,
-  /// so cross-tenant dedup is unaffected by the shard count.
+  /// independent slices, each with its own stats. Routing depends only on
+  /// content identity, so cross-tenant dedup is unaffected by the shard
+  /// count. Lookups are in-process and free; a per-shard service queue
+  /// exists only where ChunkDigestIndex::attach_service is called directly.
   std::size_t index_shards = 8;
-  /// Simulated service cost of one index lookup at its shard's queue
-  /// (0 = in-process, free — the pre-sharding timing model; the tenant-
-  /// scale ablation sets this nonzero to expose metadata-plane contention).
-  sim::Duration index_lookup_cost = 0;
 };
 
 struct ReductionStats {

@@ -505,7 +505,7 @@ TEST(CrElasticTest, EqualCountDegeneratesToClassicRestart) {
     Session::RestartOptions opts;
     opts.node_offset = 2;
     opts.cold_caches = true;
-    opts.instances = 2;  // M == N: today's 1:1 path
+    opts.instances = 2;  // M == N: the identity plan
     (void)co_await session.restart(Selector::latest(), opts);
     EXPECT_EQ(dep.size(), 2u);
     EXPECT_EQ(dep.attached_count(0), 0u);

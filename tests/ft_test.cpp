@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
+#include "cr/catalog.h"
 #include "ft/failure.h"
 #include "ft/interval.h"
 #include "ft/runner.h"
@@ -320,6 +322,48 @@ TEST(FtRunnerTest, GrowRescaleSurvivesLaterFailure) {
   EXPECT_EQ(rep.failures, 1u);
   EXPECT_EQ(rep.restarts, 1u);
   EXPECT_EQ(rep.useful_work, job.total_work);
+}
+
+/// Tuple count of the latest Complete record, read through a fresh catalog
+/// the way a new driver would find the repository.
+std::size_t latest_record_width(Cloud& cloud) {
+  std::size_t width = 0;
+  cloud.run([](Cloud* cl, std::size_t* out) -> sim::Task<> {
+    cr::Catalog catalog(*cl);
+    const std::optional<cr::CheckpointRecord> rec =
+        co_await catalog.find(cr::Selector::latest());
+    if (rec.has_value()) *out = rec->snapshots.size();
+  }(&cloud, &width));
+  return width;
+}
+
+TEST(FtRunnerTest, FailureBeforePostRescaleCheckpointRollsBackAtOldWidth) {
+  // Shrink 4 -> 2, then fail before the forced post-rescale checkpoint
+  // commits: the rollback target is the pre-rescale 4-tuple record, so the
+  // job snaps back to width 4 (that one restore wave skips verification,
+  // the old digest line being lost to the remap) and still completes.
+  FtJobConfig job = small_job();
+  job.instances = 4;
+  job.rescales = {{2, 2}};
+  Cloud calm_cloud(tiny_cfg(Backend::BlobCR));
+  const FtReport calm = run_ft_job(calm_cloud, job);
+  ASSERT_GE(calm.epochs.size(), 3u);
+  // The rescale runs between epoch 1's commit and epoch 2, the forced
+  // checkpoint; the injector defers a failure landing in that window to
+  // the start of epoch 2.
+  const sim::Time mid = (calm.epochs[1].end + calm.epochs[2].start) / 2;
+
+  Cloud cloud(tiny_cfg(Backend::BlobCR));
+  job.failures = FailureSchedule::fixed({{mid, 1}});
+  const FtReport rep = run_ft_job(cloud, job);
+  EXPECT_TRUE(rep.completed);
+  EXPECT_TRUE(rep.verified);
+  EXPECT_EQ(rep.rescales, 1u);
+  EXPECT_EQ(rep.restarts, 1u);
+  EXPECT_EQ(rep.failures, 1u);
+  EXPECT_EQ(rep.useful_work, job.total_work);
+  EXPECT_EQ(latest_record_width(calm_cloud), 2u);
+  EXPECT_EQ(latest_record_width(cloud), 4u);
 }
 
 TEST(FtRunnerTest, MidRunFailureRollsBackAndCompletes) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/blobcr.h"
+#include "cr/remap.h"
 #include "sim/sim.h"
 
 namespace blobcr::core {
@@ -91,7 +92,9 @@ TEST_P(CheckpointRestartTest, FullLifecycleRestoresStateAndRollsBackIo) {
 
     // Catastrophic failure; redeploy on different nodes (shift by 2).
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, /*node_offset=*/2);
+    const RestartPlan plan =
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+    co_await dep.restart_from(plan, /*node_offset=*/2);
 
     co_await verify_state(&dep.vm(0), 1000, &(*out)[0]);
     co_await verify_state(&dep.vm(1), 1001, &(*out)[1]);
@@ -124,7 +127,9 @@ TEST(QcowFullIntegrationTest, ResumeRollsDiskBackWithoutReboot) {
     dep.destroy_all();
 
     const sim::Time t0 = cl->simulation().now();
-    co_await dep.restart_from(ckpt, 2);
+    const RestartPlan plan =
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+    co_await dep.restart_from(plan, 2);
     *rt = cl->simulation().now() - t0;
 
     // qcow2-full resumes without reboot: no mounted fs on the new VM, but
@@ -194,7 +199,9 @@ TEST(FailureInjectionTest, ReplicatedRepositorySurvivesNodeLoss) {
     // Fail-stop the instance's node: VM dies AND the data provider on that
     // node loses all its chunks.
     dep.fail_instance(0);
-    co_await dep.restart_from(ckpt, 1);
+    const RestartPlan plan =
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+    co_await dep.restart_from(plan, 1);
     co_await verify_state(&dep.vm(0), 3000, out);
   }(&cloud, &result));
 
@@ -215,7 +222,9 @@ TEST(FailureInjectionTest, UnreplicatedRepositoryLosesData) {
     dep.fail_instance(0);
     bool threw = false;
     try {
-      co_await dep.restart_from(ckpt, 1);
+      const RestartPlan plan =
+          cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+      co_await dep.restart_from(plan, 1);
       VerifyResult r;
       co_await verify_state(&dep.vm(0), 4000, &r);
       threw = !r.state_ok;

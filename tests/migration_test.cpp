@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/blobcr.h"
+#include "cr/remap.h"
 #include "sim/sim.h"
 
 namespace blobcr::core {
@@ -97,7 +98,9 @@ TEST_P(MigrationTest, CheckpointChainContinuesAfterMigration) {
     // Restart from that snapshot elsewhere and verify both generations.
     GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 4);
+    const RestartPlan plan =
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+    co_await dep.restart_from(plan, 4);
     guestfs::SimpleFs* fs3 = dep.vm(0).fs();
     const Buffer a = co_await fs3->read_file("/data/a.bin");
     const Buffer b = co_await fs3->read_file("/data/b.bin");

@@ -11,6 +11,7 @@
 #include "common/strutil.h"
 #include "common/rng.h"
 #include "core/blobcr.h"
+#include "cr/remap.h"
 #include "ft/failure.h"
 #include "ft/runner.h"
 #include "img/qcow.h"
@@ -383,7 +384,9 @@ TEST_P(KillPointTest, AbortedSnapshotNeverCorruptsPreviousCheckpoint) {
     snap->kill();  // fail-stop at an arbitrary protocol point
 
     dep.destroy_all();
-    co_await dep.restart_from(good, 1);
+    const core::RestartPlan good_plan =
+        cr::build_restart_plan(good.snapshots, good.snapshots.size());
+    co_await dep.restart_from(good_plan, 1);
     guestfs::SimpleFs* fs2 = dep.vm(0).fs();
     const Buffer a = co_await fs2->read_file("/data/state.bin");
     out->state_a_intact = (a == Buffer::pattern(400'000, 1));
@@ -395,7 +398,9 @@ TEST_P(KillPointTest, AbortedSnapshotNeverCorruptsPreviousCheckpoint) {
     (void)co_await dep.snapshot_instance(0);
     const core::GlobalCheckpoint next = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(next, 2);
+    const core::RestartPlan next_plan =
+        cr::build_restart_plan(next.snapshots, next.snapshots.size());
+    co_await dep.restart_from(next_plan, 2);
     const Buffer c = co_await dep.vm(0).fs()->read_file("/data/state.bin");
     out->next_checkpoint_works = (c == Buffer::pattern(400'000, 3));
   }(&cloud, kill_after, &out));

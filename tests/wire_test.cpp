@@ -9,6 +9,7 @@
 #include "core/blobcr.h"
 #include "core/rest_proxy.h"
 #include "core/wire.h"
+#include "cr/remap.h"
 #include "sim/sim.h"
 
 namespace blobcr::core {
@@ -177,7 +178,9 @@ TEST(RestProxyTest, ChecksAuthPathMethodAndServesCheckpoints) {
         std::stoull(out->ok.fields.at("version")));
     GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 2);
+    const RestartPlan plan =
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+    co_await dep.restart_from(plan, 2);
     const Buffer back = co_await dep.vm(0).fs()->read_file("/data/state.bin");
     out->restored = (back == Buffer::pattern(200'000, 4));
   }(&cloud, &out));

@@ -9,6 +9,7 @@
 #include "apps/hep.h"
 #include "apps/kmer.h"
 #include "core/blobcr.h"
+#include "cr/remap.h"
 #include "sim/sim.h"
 
 namespace blobcr::apps {
@@ -130,7 +131,9 @@ Task<> hep_driver(Cloud* cl, HepConfig cfg, HepOut* out) {
 
   const GlobalCheckpoint ckpt = dep.collect_last_snapshots();
   dep.destroy_all();
-  co_await dep.restart_from(ckpt, 2);
+  const core::RestartPlan plan =
+      cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+  co_await dep.restart_from(plan, 2);
 
   sim::Event recovered(cl->simulation());
   dep.vm(0).start_guest("hep-recover",
@@ -203,7 +206,9 @@ TEST(HepCloudTest, HistogramSurvivesRoundTripByDigest) {
     co_await dep.vm(0).join_guests();
     const GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 1);
+    const core::RestartPlan plan =
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+    co_await dep.restart_from(plan, 1);
     sim::Event done2(cl->simulation());
     dep.vm(0).start_guest("hep2", [cfg, out,
                                    &done2](vm::GuestProcess& gp) -> Task<> {
@@ -349,7 +354,9 @@ TEST(KmerCloudTest, InterruptedScanResumesToSameResult) {
 
     const GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 2);
+    const core::RestartPlan plan =
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size());
+    co_await dep.restart_from(plan, 2);
 
     sim::Event done2(cl->simulation());
     dep.vm(0).start_guest("kmer2", [kcfg, out,
