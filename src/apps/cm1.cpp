@@ -198,9 +198,8 @@ sim::Task<> Cm1Rank::step() {
 
   if (cfg_.summary_interval > 0 && iteration_ % cfg_.summary_interval == 0) {
     guestfs::SimpleFs* fs = proc_->vm().fs();
-    const std::string path = common::strf("%s/summary_r%03d_i%05d.bin",
-                                          cfg_.data_dir.c_str(), rank_,
-                                          iteration_);
+    const std::string path =
+        common::strf("/data/summary_r%03d_i%05d.bin", rank_, iteration_);
     common::Buffer summary =
         cfg_.real_data
             ? common::Buffer::pattern(cfg_.summary_bytes,
@@ -216,8 +215,7 @@ sim::Task<> Cm1Rank::run(int iterations) {
 }
 
 std::string Cm1Rank::checkpoint_path() const {
-  return common::strf("%s/cm1_restart_r%03d.bin", cfg_.data_dir.c_str(),
-                      rank_);
+  return common::strf("/data/cm1_restart_r%03d.bin", rank_);
 }
 
 sim::Task<std::uint64_t> Cm1Rank::write_checkpoint() {

@@ -38,7 +38,6 @@ struct Cm1Config {
   /// Every `diag_interval` iterations all ranks allreduce a stability
   /// diagnostic (CM1 computes global CFL maxima the same way). 0 disables.
   int diag_interval = 5;
-  std::string data_dir = "/data";
 
   std::uint64_t field_bytes() const {
     return static_cast<std::uint64_t>(nx) * static_cast<std::uint64_t>(ny) *

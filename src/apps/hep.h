@@ -38,7 +38,6 @@ struct HepConfig {
   int sync_every_hits = 32;
   /// Real histogram bytes + digest checks (tests) vs phantom (benchmarks).
   bool real_data = false;
-  std::string data_dir = "/data";
 };
 
 class HepRank {
@@ -75,9 +74,9 @@ class HepRank {
   /// is the file size over the record size).
   sim::Task<std::uint64_t> count_log_records();
 
-  std::string log_path() const { return cfg_.data_dir + "/hep_hits.log"; }
-  std::string cursor_path() const { return cfg_.data_dir + "/hep_cursor.txt"; }
-  std::string state_path() const { return cfg_.data_dir + "/hep_hist.bin"; }
+  std::string log_path() const { return "/data/hep_hits.log"; }
+  std::string cursor_path() const { return "/data/hep_cursor.txt"; }
+  std::string state_path() const { return "/data/hep_hist.bin"; }
 
  private:
   void bump_histogram(std::uint64_t e);

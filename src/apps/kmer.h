@@ -37,7 +37,6 @@ struct KmerConfig {
   /// Real windows folded into a real table with digest checks (tests) vs
   /// phantom sizes/timing only (benchmarks).
   bool real_data = false;
-  std::string data_dir = "/data";
 
   /// Registers the reference file in the base-image recipe. Call on the
   /// CloudConfig's GuestOsConfig before constructing the Cloud.
@@ -83,10 +82,8 @@ class KmerRank {
   /// Restores offset + table; false on digest mismatch.
   sim::Task<bool> restore_checkpoint();
 
-  std::string cursor_path() const {
-    return cfg_.data_dir + "/kmer_cursor.txt";
-  }
-  std::string state_path() const { return cfg_.data_dir + "/kmer_table.bin"; }
+  std::string cursor_path() const { return "/data/kmer_cursor.txt"; }
+  std::string state_path() const { return "/data/kmer_table.bin"; }
 
  private:
   void fold_window(const common::Buffer& window);

@@ -365,7 +365,6 @@ Task<> cm1_rank_body(Deployment* dep, cr::Session* session, Cm1Run run,
   mpi::CoordinatedHooks hooks;
   hooks.vm_leader = (rank % run.ranks_per_vm == 0);
   hooks.fs = gp->vm().fs();
-  hooks.reducer = dep->reducer();
   hooks.epoch_leader = (rank == 0);
   Cm1Rank* cm1p = &cm1;
   if (mode == CkptMode::AppLevel) {

@@ -299,8 +299,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
             }
           }(this, pieces[i], locs[i], reader));
     }
-    co_await sim::run_window(store_->simulation(),
-                             store_->config().write_window,
+    co_await sim::run_window(store_->simulation(), BlobStore::kWriteWindow,
                              std::move(stores));
   } else {
     // --- Reduced commit path ------------------------------------------
@@ -319,8 +318,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
                                          std::move(data));
           }(this, pieces[i], reader, reducer, &plans[i]));
     }
-    co_await sim::run_window(store_->simulation(),
-                             store_->config().write_window,
+    co_await sim::run_window(store_->simulation(), BlobStore::kWriteWindow,
                              std::move(reduces));
 
     // Phase 2: intra-commit dedup (identical chunks of one commit collapse
@@ -409,8 +407,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
             }
           }(this, &plans[i], locs[i], reducer, &guard.indexed));
     }
-    co_await sim::run_window(store_->simulation(),
-                             store_->config().write_window,
+    co_await sim::run_window(store_->simulation(), BlobStore::kWriteWindow,
                              std::move(stores));
   }
 
@@ -429,7 +426,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
   const NodeRef new_root = build(base.root, 0, capacity_chunks(), writes,
                                  new_nodes);
   const std::uint64_t meta_bytes =
-      new_nodes.size() * store_->metadata().record_bytes();
+      new_nodes.size() * MetadataCluster::kNodeRecordBytes;
   co_await store_->metadata().put_nodes(node_, std::move(new_nodes));
 
   const std::uint64_t chunk_bytes =
@@ -580,7 +577,7 @@ sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
               qos::IoContext{self->tenant_, qos::GateClass::ProviderIo});
         }(this, loc, fetched));
   }
-  co_await sim::run_window(store_->simulation(), store_->config().read_window,
+  co_await sim::run_window(store_->simulation(), BlobStore::kReadWindow,
                            std::move(fetches));
 
   // Decode once per distinct chunk, in place (an RLE chunk aliased by many
@@ -629,7 +626,7 @@ sim::Task<VersionId> BlobClient::adopt_leaves(
   std::vector<std::pair<NodeRef, TreeNode>> new_nodes;
   const NodeRef new_root = build(0, 0, capacity_chunks(), writes, new_nodes);
   const std::uint64_t meta_bytes =
-      new_nodes.size() * store_->metadata().record_bytes();
+      new_nodes.size() * MetadataCluster::kNodeRecordBytes;
   co_await store_->metadata().put_nodes(node_, std::move(new_nodes));
   const VersionId v = co_await store_->version_manager().publish(
       node_, blob, new_root, logical_size, 0, meta_bytes, 0, tenant_);

@@ -33,10 +33,7 @@ class DataProvider {
   bool alive() const { return alive_; }
 
   /// Fail-stop: all stored chunks are lost.
-  void fail() {
-    alive_ = false;
-    lost_bytes_ = store_.stored_bytes();
-  }
+  void fail() { alive_ = false; }
 
   /// Brings a failed provider back into service with an *empty* store (its
   /// disk content died with the node). The scavenge path repopulates it
@@ -54,14 +51,9 @@ class DataProvider {
     net::FairGate::Permit permit =
         co_await admit(ctx, static_cast<double>(data.size()));
     (void)permit;
-    ++pending_stores_;
     co_await fabric_->transfer(from, node_, data.size());
-    if (!alive_) {
-      --pending_stores_;
-      throw BlobError("provider died during store");
-    }
+    if (!alive_) throw BlobError("provider died during store");
     co_await store_.put(id, std::move(data));
-    --pending_stores_;
   }
 
   /// Reads a chunk and ships it to `to` over the `shape` traffic class
@@ -89,9 +81,7 @@ class DataProvider {
         co_await admit(ctx, static_cast<double>(data.size()));
     (void)permit;
     if (!alive_) throw BlobError("provider down");
-    ++pending_stores_;
     co_await store_.put(id, std::move(data));
-    --pending_stores_;
   }
 
   bool has(ChunkId id) const { return alive_ && store_.has(id); }
@@ -99,8 +89,6 @@ class DataProvider {
 
   std::uint64_t stored_bytes() const { return alive_ ? store_.stored_bytes() : 0; }
   std::size_t chunk_count() const { return alive_ ? store_.chunk_count() : 0; }
-  std::size_t pending_stores() const { return pending_stores_; }
-  std::uint64_t lost_bytes() const { return lost_bytes_; }
 
  private:
   /// Provider I/O always admits at the provider-io gate regardless of the
@@ -121,8 +109,6 @@ class DataProvider {
   storage::ChunkStore store_;
   qos::AdmissionPlane* plane_;
   bool alive_ = true;
-  std::size_t pending_stores_ = 0;
-  std::uint64_t lost_bytes_ = 0;
 };
 
 }  // namespace blobcr::blob

@@ -24,8 +24,8 @@ class MetadataCluster {
   struct Config {
     std::vector<net::NodeId> nodes;
     sim::Duration per_request_cost = 30 * sim::kMicrosecond;
-    std::uint64_t node_record_bytes = 64;  // serialized TreeNode size
   };
+  static constexpr std::uint64_t kNodeRecordBytes = 64;  // serialized TreeNode
 
   MetadataCluster(sim::Simulation& sim, net::Fabric& fabric, const Config& cfg)
       : sim_(&sim), fabric_(&fabric), cfg_(cfg) {
@@ -43,10 +43,6 @@ class MetadataCluster {
   sim::Task<> get_nodes(net::NodeId client, const std::vector<NodeRef>& refs,
                         std::unordered_map<NodeRef, TreeNode>& out);
 
-  bool has_node(NodeRef ref) const {
-    return records_.find(ref) != records_.end();
-  }
-
   /// In-process inspection (garbage collector, tests); no simulated cost.
   const TreeNode* peek_node(NodeRef ref) const {
     const auto it = records_.find(ref);
@@ -54,10 +50,9 @@ class MetadataCluster {
   }
 
   std::uint64_t stored_meta_bytes() const {
-    return records_.size() * cfg_.node_record_bytes;
+    return records_.size() * kNodeRecordBytes;
   }
   std::size_t node_count() const { return records_.size(); }
-  std::uint64_t record_bytes() const { return cfg_.node_record_bytes; }
 
  private:
   std::size_t provider_of(NodeRef ref) const {
@@ -96,7 +91,7 @@ inline sim::Task<> MetadataCluster::put_nodes(
     net::NodeId client, std::vector<std::pair<NodeRef, TreeNode>> nodes) {
   std::vector<std::uint64_t> batch_bytes(cfg_.nodes.size(), 0);
   for (auto& [ref, node] : nodes) {
-    batch_bytes[provider_of(ref)] += cfg_.node_record_bytes;
+    batch_bytes[provider_of(ref)] += kNodeRecordBytes;
     records_[ref] = std::move(node);
   }
   std::vector<sim::Task<>> transfers;
@@ -113,7 +108,7 @@ inline sim::Task<> MetadataCluster::get_nodes(
   for (const NodeRef ref : refs) {
     const auto it = records_.find(ref);
     if (it == records_.end()) throw BlobError("metadata node missing");
-    batch_bytes[provider_of(ref)] += cfg_.node_record_bytes;
+    batch_bytes[provider_of(ref)] += kNodeRecordBytes;
     out[ref] = it->second;
   }
   std::vector<sim::Task<>> transfers;

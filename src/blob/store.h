@@ -27,6 +27,10 @@ namespace blobcr::blob {
 
 class BlobStore {
  public:
+  /// Outstanding chunk stores (commit) and chunk fetches (read) per client.
+  static constexpr std::size_t kWriteWindow = 8;
+  static constexpr std::size_t kReadWindow = 8;
+
   struct Config {
     net::NodeId version_manager_node = 0;
     net::NodeId provider_manager_node = 0;
@@ -42,11 +46,8 @@ class BlobStore {
     std::uint64_t default_chunk_size = 256 * 1024;  // paper: 256 KB stripes
     std::uint32_t tree_depth = 16;  // leaves = 2^depth chunks per blob
     int replication = 1;
-    std::size_t write_window = 8;  // outstanding chunk stores per client
-    std::size_t read_window = 8;
     sim::Duration meta_request_cost = 30 * sim::kMicrosecond;
     sim::Duration manager_request_cost = 50 * sim::kMicrosecond;
-    std::uint64_t meta_record_bytes = 64;
     /// Version-manager shards: the blob version-slot table partitions by
     /// blob-id hash, the named-blob registry by name hash, one request
     /// queue per shard. 1 (default) is the single-daemon pre-sharding
@@ -76,7 +77,6 @@ class BlobStore {
     MetadataCluster::Config mcfg;
     mcfg.nodes = cfg.metadata_nodes;
     mcfg.per_request_cost = cfg.meta_request_cost;
-    mcfg.node_record_bytes = cfg.meta_record_bytes;
     metadata_ = std::make_unique<MetadataCluster>(sim, fabric, mcfg);
 
     provider_manager_ = std::make_unique<ProviderManager>(

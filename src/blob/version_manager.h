@@ -60,10 +60,6 @@ class VersionManager {
     for (const auto& s : shards_) total += s->service.tenant_wait(tenant);
     return total;
   }
-  /// One shard's request queue (tests; per-shard load assertions).
-  net::ServiceQueue& shard_service(std::size_t shard) {
-    return shards_[shard]->service;
-  }
   std::uint64_t shard_requests(std::size_t shard) const {
     return shards_[shard]->service.requests_served();
   }

@@ -79,8 +79,6 @@ class Buffer {
 
   friend bool operator==(const Buffer& a, const Buffer& b);
 
-  std::size_t segment_count() const { return segs_.size(); }
-
  private:
   struct Segment {
     bool phantom = false;

@@ -7,18 +7,15 @@ namespace blobcr::common {
 
 inline constexpr std::uint64_t kKiB = 1024ULL;
 inline constexpr std::uint64_t kMiB = 1024ULL * kKiB;
-inline constexpr std::uint64_t kGiB = 1024ULL * kMiB;
 
 /// The paper reports sizes in decimal megabytes (e.g. "50 MB data buffer").
 inline constexpr std::uint64_t kMB = 1000ULL * 1000ULL;
 
 constexpr std::uint64_t kib(std::uint64_t n) { return n * kKiB; }
 constexpr std::uint64_t mib(std::uint64_t n) { return n * kMiB; }
-constexpr std::uint64_t gib(std::uint64_t n) { return n * kGiB; }
 constexpr std::uint64_t mb(std::uint64_t n) { return n * kMB; }
 
 /// Bandwidths are expressed in bytes per (virtual) second.
 constexpr double mb_per_s(double n) { return n * 1e6; }
-constexpr double mib_per_s(double n) { return n * static_cast<double>(kMiB); }
 
 }  // namespace blobcr::common

@@ -87,7 +87,6 @@ class DecodedChunkCache {
       bytes_ -= victim.data.size();
       map_.erase(victim.key);
       lru_.pop_back();
-      ++evictions_;
     }
   }
 
@@ -113,7 +112,6 @@ class DecodedChunkCache {
   std::size_t entries() const { return map_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  std::uint64_t evictions() const { return evictions_; }
 
  private:
   struct Entry {
@@ -125,7 +123,6 @@ class DecodedChunkCache {
   std::uint64_t bytes_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
   std::list<Entry> lru_;
   std::unordered_map<ChunkKey, std::list<Entry>::iterator, ChunkKeyHash> map_;
 };

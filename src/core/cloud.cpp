@@ -338,9 +338,7 @@ Deployment::Deployment(Cloud& cloud, std::size_t instances,
       tenant_(opts.tenant),
       flush_cfg_(opts.flush.has_value() ? *opts.flush : cloud.config().flush),
       seq_(cloud.next_deployment_seq()) {
-  PrefetchBus::Config bcfg;
-  bcfg.peer_shape = kPeerShape;
-  bus_ = std::make_unique<PrefetchBus>(cloud.simulation(), bcfg);
+  bus_ = std::make_unique<PrefetchBus>(cloud.simulation(), kPeerShape);
   if (cloud.config().backend == Backend::BlobCR &&
       cloud.config().reduction.enabled) {
     // The digest index is repository-scoped by default — concurrent jobs
@@ -417,7 +415,6 @@ sim::Task<> Deployment::boot_instance(std::size_t i) {
     inst.qcow_container = std::make_unique<storage::LocalFile>(
         cloud.disk(inst.node), cloud.next_disk_stream(inst.node));
     img::QcowImage::Config qcfg;
-    qcfg.cluster_size = cfg.qcow_cluster_size;
     qcfg.virtual_size = cloud.image_size();
     inst.qcow = std::make_unique<img::QcowImage>(
         *inst.qcow_container, inst.qcow_backing.get(), qcfg);
@@ -703,7 +700,6 @@ sim::Task<> Deployment::open_volume(Volume& vol, net::NodeId node,
   vol.qcow_container = co_await pfs::PvfsFileStore::open(
       *cloud.pvfs(), node, snap.pvfs_path, false);
   img::QcowImage::Config qcfg;
-  qcfg.cluster_size = cloud.config().qcow_cluster_size;
   qcfg.virtual_size = cloud.image_size();
   vol.qcow = std::make_unique<img::QcowImage>(
       *vol.qcow_container, vol.qcow_backing.get(), qcfg);

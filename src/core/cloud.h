@@ -59,7 +59,6 @@ struct CloudConfig {
 
   std::uint64_t chunk_size = 256 * 1024;  // BlobSeer stripe (paper-tuned)
   int replication = 1;
-  std::uint64_t qcow_cluster_size = 64 * 1024;
 
   Backend backend = Backend::BlobCR;
   /// Snapshot data-reduction pipeline on the commit path (BlobCR backend
@@ -354,9 +353,6 @@ class Deployment {
   }
   /// The repository tenant this deployment's instances commit as.
   net::TenantId tenant() const { return tenant_; }
-  /// The flush configuration this deployment's mirrors actually run
-  /// (Options::flush override, else CloudConfig::flush).
-  const flush::FlushConfig& flush_config() const { return flush_cfg_; }
   Instance& instance(std::size_t i) { return *instances_.at(i); }
   vm::VmInstance& vm(std::size_t i) { return *instances_.at(i)->vm; }
   mpi::MpiWorld& mpi() { return *mpi_; }

@@ -17,6 +17,8 @@ namespace {
 constexpr std::uint64_t kFallbackCacheBytes = 512ULL * 1024 * 1024;
 /// Background prefetch fetches one device keeps in flight.
 constexpr std::int64_t kPrefetchStreams = 2;
+/// Delay before a peer acts on a prefetch hint.
+constexpr sim::Duration kHintLatency = 300 * sim::kMicrosecond;
 }  // namespace
 
 MirrorDevice::MirrorDevice(federation::Fabric& repo, net::NodeId host,
@@ -290,7 +292,7 @@ sim::Task<> MirrorDevice::ensure_available(std::uint64_t begin,
     }
     try {
       co_await sim::run_window(store_->simulation(),
-                               store_->config().read_window, std::move(jobs));
+                               blob::BlobStore::kReadWindow, std::move(jobs));
     } catch (...) {
       failed = true;
     }
@@ -500,7 +502,7 @@ void PrefetchBus::announce(MirrorDevice* self, const ChunkKey& key,
     // attach list gates both — bus gone drops the hint, device gone means
     // it is no longer listed.
     std::weak_ptr<std::vector<MirrorDevice*>> alive = mirrors_;
-    sim_->call_in(cfg_.hint_latency, [alive, m, offset, len] {
+    sim_->call_in(kHintLatency, [alive, m, offset, len] {
       const auto mirrors = alive.lock();
       if (!mirrors) return;
       if (std::find(mirrors->begin(), mirrors->end(), m) == mirrors->end())
@@ -539,7 +541,7 @@ sim::Task<std::optional<PrefetchBus::PeerHit>> PrefetchBus::copy_from_peer(
     net::NodeId node;
     ~CopyGuard() { bus->finish_peer_copy(key, node); }
   } copy_guard{this, key, peer->node};
-  co_await net.transfer(peer->node, dst, peer->data.size(), cfg_.peer_shape);
+  co_await net.transfer(peer->node, dst, peer->data.size(), peer_shape_);
   co_return std::move(peer);
 }
 

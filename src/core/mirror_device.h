@@ -268,20 +268,14 @@ class MirrorDevice : public img::BlockDevice {
 ///    distinct popular chunks.
 class PrefetchBus {
  public:
-  struct Config {
-    sim::Duration hint_latency = 300 * sim::kMicrosecond;
-    /// Shaping of peer-to-peer chunk copies (intra-deployment traffic
-    /// class; distinct from repository transfers which run unshaped).
-    net::Fabric::Shape peer_shape{};
-  };
-
-  PrefetchBus(sim::Simulation& sim, const Config& cfg)
+  /// `peer_shape`: shaping of peer-to-peer chunk copies (intra-deployment
+  /// traffic class; distinct from repository transfers which run unshaped).
+  explicit PrefetchBus(sim::Simulation& sim,
+                       net::Fabric::Shape peer_shape = {})
       : sim_(&sim),
-        cfg_(cfg),
+        peer_shape_(peer_shape),
         mirrors_(std::make_shared<std::vector<MirrorDevice*>>()),
         repo_waiters_(sim) {}
-  PrefetchBus(sim::Simulation& sim, sim::Duration hint_latency)
-      : PrefetchBus(sim, Config{hint_latency, {}}) {}
 
   void attach(MirrorDevice* m) { mirrors_->push_back(m); }
   void detach(MirrorDevice* m);
@@ -342,7 +336,7 @@ class PrefetchBus {
   /// chunks first, up to `per_instance_budget` logical bytes.
   sim::Task<> schedule_restart_prefetch(std::uint64_t per_instance_budget);
 
-  const net::Fabric::Shape& peer_shape() const { return cfg_.peer_shape; }
+  const net::Fabric::Shape& peer_shape() const { return peer_shape_; }
 
   std::size_t attached() const { return mirrors_->size(); }
   /// Hint broadcasts (each content key counted once per deployment).
@@ -365,7 +359,7 @@ class PrefetchBus {
   void finish_peer_copy(const ChunkKey& key, net::NodeId node);
 
   sim::Simulation* sim_;
-  Config cfg_;
+  net::Fabric::Shape peer_shape_;
   /// Held behind a shared_ptr so scheduled hint timers can hold a weak
   /// reference: a timer firing after the bus (or a device) is gone checks
   /// liveness instead of dereferencing freed memory.

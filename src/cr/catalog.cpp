@@ -16,6 +16,9 @@ using sim::Task;
 namespace {
 
 constexpr std::uint32_t kFrameMagic = 0x4b524342;  // "BCRK"
+/// Frame padding; doubles as the catalog blob's chunk size, so every
+/// in-place frame rewrite is chunk-aligned.
+constexpr std::uint64_t kRecordAlign = 4096;
 
 void encode_u64_map(ByteWriter& w,
                     const std::map<std::uint64_t, std::uint64_t>& m) {
@@ -176,8 +179,7 @@ Buffer Catalog::encode_frame(const CheckpointRecord& rec,
   Buffer body = payload.take();
 
   const std::uint64_t raw = 12 + body.size();  // magic + frame_len + payload_len
-  std::uint64_t padded =
-      (raw + cfg_.record_align - 1) / cfg_.record_align * cfg_.record_align;
+  std::uint64_t padded = (raw + kRecordAlign - 1) / kRecordAlign * kRecordAlign;
   if (pad_to != 0) {
     if (raw > pad_to)
       throw CrError("checkpoint record " + std::to_string(rec.id) +
@@ -256,7 +258,7 @@ Task<> Catalog::open() {
       // First catalog on this repository: create the log blob (its own,
       // small chunk size — frames are chunk-aligned for in-place rewrites)
       // and publish its name so any later driver can discover it.
-      blob_id_ = co_await blob_client_->create(cfg_.record_align);
+      blob_id_ = co_await blob_client_->create(kRecordAlign);
       co_await blob_client_->bind_name(cfg_.name, blob_id_);
     }
   } else {
@@ -377,7 +379,7 @@ Task<> Catalog::rebuild() {
   // tuples reference reclaimed chunks, and a partial in-place rewrite would
   // leave a log that half-reads. Rebinding the name makes the swap atomic
   // from a discovering driver's point of view.
-  blob_id_ = co_await blob_client_->create(cfg_.record_align);
+  blob_id_ = co_await blob_client_->create(kRecordAlign);
   blob_version_ = 0;
   Buffer log;
   frames_.clear();

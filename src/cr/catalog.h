@@ -40,9 +40,6 @@ class Catalog {
     /// drivers namespace this per job (cr::Session::Config::job), so each
     /// tenant lists and restarts only its own lineage.
     std::string name = "/blobcr/checkpoint-catalog";
-    /// Frame padding; doubles as the catalog blob's chunk size, so every
-    /// in-place frame rewrite is chunk-aligned.
-    std::uint64_t record_align = 4096;
     /// Node the catalog client issues its repository requests from.
     net::NodeId client_node = 0;
     /// Tenant the catalog's repository requests run as.
@@ -102,10 +99,6 @@ class Catalog {
   /// still list and restart every checkpoint. No-op when the home zone is
   /// alive.
   sim::Task<> rehome_if_dead();
-
-  blob::BlobId catalog_blob() const { return blob_id_; }
-  /// Store the durable log currently lives on (rehomes after zone loss).
-  blob::BlobStore* home_store() const { return home_store_; }
 
  private:
   struct Frame {

@@ -103,11 +103,10 @@ struct Selector {
 /// What the catalog keeps when a session applies retention. Reclaimed
 /// records become Retired and their snapshot versions are handed to the
 /// garbage collector (BlobCR) / removed from PVFS (qcow2-disk copies).
+/// Tagged Complete records never retire.
 struct RetentionPolicy {
   /// Keep the newest N Complete records; 0 keeps everything (no retention).
   std::size_t keep_last = 0;
-  /// Tagged Complete records never retire under keep_last.
-  bool keep_tagged = true;
 };
 
 }  // namespace blobcr::cr

@@ -369,7 +369,7 @@ Task<std::uint64_t> Session::apply_retention() {
   std::vector<CheckpointRecord> retire;
   for (const CheckpointRecord& r : catalog_.records()) {
     if (r.state != RecordState::Complete || kept.count(r.id) != 0) continue;
-    if (pol.keep_tagged && !r.tag.empty()) continue;
+    if (!r.tag.empty()) continue;
     retire.push_back(r);
   }
   if (retire.empty()) co_return 0;

@@ -141,11 +141,10 @@ class Session {
   /// restartable again. BlobCR backend only.
   sim::Task<ScavengeReport> scavenge();
 
-  /// Applies the retention policy now: Complete records beyond keep-last-N
-  /// (minus tagged ones when keep_tagged) retire, their snapshot versions
-  /// are garbage-collected (BlobCR) or their snapshot files removed
-  /// (qcow2-disk), and the catalog log itself is compacted. Returns the
-  /// bytes reclaimed by this pass.
+  /// Applies the retention policy now: untagged Complete records beyond
+  /// keep-last-N retire, their snapshot versions are garbage-collected
+  /// (BlobCR) or their snapshot files removed (qcow2-disk), and the catalog
+  /// log itself is compacted. Returns the bytes reclaimed by this pass.
   sim::Task<std::uint64_t> apply_retention();
 
   /// The checkpoint the deployment currently descends from (restart target

@@ -10,6 +10,14 @@
 
 namespace blobcr::federation {
 
+namespace {
+
+/// Wire size of one replicated manifest leaf tuple (control-plane cost of
+/// shipping the per-commit manifest delta to sibling zones).
+constexpr std::uint64_t kManifestRecordBytes = 48;
+
+}  // namespace
+
 Fabric::~Fabric() {
   for (Zone& z : zones_) {
     if (z.store != nullptr && z.reclaim_hook != 0) {
@@ -202,7 +210,7 @@ sim::Task<> Fabric::replicate_commit(blob::BlobClient& client,
   // Ship the manifest delta to every sibling (small control-plane frames
   // over the WAN class).
   const std::uint64_t manifest_wire =
-      std::max<std::uint64_t>(dirty_leaves, 1) * cfg_.manifest_record_bytes;
+      std::max<std::uint64_t>(dirty_leaves, 1) * kManifestRecordBytes;
   for (std::uint32_t z = 0; z < zones_.size(); ++z) {
     if (z == origin || !alive(z)) continue;
     co_await net_->transfer(client.node(),

@@ -74,9 +74,6 @@ struct FederationConfig {
   /// (pushed popularity-first to every remaining sibling zone). 0 = floor
   /// only. Only meaningful with 3+ zones.
   std::uint64_t hot_budget_bytes = 0;
-  /// Wire size of one replicated manifest leaf tuple (control-plane cost of
-  /// shipping the per-commit manifest delta to sibling zones).
-  std::uint64_t manifest_record_bytes = 48;
 };
 
 class Fabric {
@@ -102,7 +99,6 @@ class Fabric {
   std::size_t zones() const { return zones_.size(); }
   bool enabled() const { return zones_.size() > 1; }
   const FederationConfig& config() const { return cfg_; }
-  bool replication_on() const { return enabled() && cfg_.replicate; }
 
   static std::uint32_t zone_of_blob(blob::BlobId id) {
     return static_cast<std::uint32_t>(id >> kBlobZoneShift);

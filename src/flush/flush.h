@@ -27,23 +27,11 @@
 
 namespace blobcr::flush {
 
-/// What happens to a commit submitted while earlier drains are in flight.
-enum class QueuePolicy {
-  /// Each commit becomes its own staged generation and publishes its own
-  /// version, in submission order (bounded by max_pending; backpressure
-  /// blocks the submitter once the bound is hit).
-  Queue,
-  /// A commit arriving while a *queued* (not yet draining) generation
-  /// exists is coalesced into it: the frozen content is overwritten with
-  /// the newer capture and both submitters share one published version
-  /// (group commit). Falls back to Queue when nothing is queued.
-  Merge,
-};
-
+/// Each commit becomes its own staged generation and publishes its own
+/// version, in submission order.
 struct FlushConfig {
   /// Master switch: when false, COMMIT is the fully synchronous path.
   bool enabled = false;
-  QueuePolicy policy = QueuePolicy::Queue;
   /// Staged-but-undrained generations the agent holds before submit()
   /// blocks the caller (the VM is still paused during submit, so this is
   /// the backpressure knob bounding local staging memory).
@@ -52,7 +40,6 @@ struct FlushConfig {
 
 struct FlushStats {
   std::uint64_t commits_staged = 0;    // generations frozen
-  std::uint64_t commits_merged = 0;    // submits coalesced (Merge policy)
   std::uint64_t drains_completed = 0;  // versions published
   std::uint64_t drains_failed = 0;
   std::uint64_t staged_bytes = 0;      // payload frozen at submit

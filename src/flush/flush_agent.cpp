@@ -40,28 +40,6 @@ sim::Task<blob::VersionId> FlushAgent::submit(blob::BlobId blob,
   std::uint64_t payload = 0;
   for (const common::Range& r : ranges.to_vector()) payload += r.length();
 
-  // Group commit: coalesce into a queued (not yet draining) generation.
-  // The newer capture overwrites overlapping content — the merged version
-  // reflects the image as of this (latest) capture over the union of both
-  // dirty sets, which is exactly the image state right now.
-  if (cfg_.policy == QueuePolicy::Merge && !queue_.empty() &&
-      queue_.back().blob == blob) {
-    StagedCommit& tail = queue_.back();
-    for (auto& [off, piece] : frozen.read_extents(0, frozen.size())) {
-      tail.data.write(off, std::move(piece));
-    }
-    for (const common::Range& r : ranges.to_vector()) {
-      tail.ranges.insert(r.begin, r.end);
-    }
-    tail.payload_bytes = 0;
-    for (const common::Range& r : tail.ranges.to_vector()) {
-      tail.payload_bytes += r.length();
-    }
-    ++stats_.commits_merged;
-    stats_.blocked_time += store_->simulation().now() - t0;
-    co_return tail.reserved;
-  }
-
   // Backpressure: bound the staged generations held on this node.
   while (pending() >= cfg_.max_pending) {
     ++stats_.backpressure_waits;
@@ -73,7 +51,6 @@ sim::Task<blob::VersionId> FlushAgent::submit(blob::BlobId blob,
   c.blob = blob;
   c.data = std::move(frozen);
   c.ranges = std::move(ranges);
-  c.payload_bytes = payload;
   c.staged_at = store_->simulation().now();
   // Reserve the version slot now: the provisional id handed back is the id
   // the drain will publish, and numbering reflects capture order.
@@ -168,7 +145,6 @@ sim::Task<> FlushAgent::drain_one(StagedCommit c) {
   opts.probe = probe_ ? &probe_ : nullptr;
   const blob::VersionId v = co_await client_->write_extents_via(
       c.blob, std::move(specs), spool.reader(), std::move(opts));
-  last_published_ = v;
   last_drain_stored_ = client_->last_commit_stored_bytes();
 
   // Peer parity tier: the drained chunks fold into XOR groups across the

@@ -11,10 +11,8 @@
 //
 // Backpressure: at most max_pending generations are held; further submits
 // block (the VM is still paused inside submit, so the pause absorbs the
-// overload instead of unbounded staging memory). Under QueuePolicy::Merge a
-// submit arriving while a generation is queued-but-not-draining coalesces
-// into it (group commit): the newer capture overwrites, both submitters
-// share one published version.
+// overload instead of unbounded staging memory). Every submit is its own
+// generation and publishes its own version.
 //
 // Fail-stop: fail_stop() (node death) kills the drain mid-flight. The
 // commit guard in BlobClient::write_extents_via unwinds with the coroutine
@@ -74,7 +72,6 @@ class FlushAgent {
   const FlushStats& stats() const { return stats_; }
   /// Post-reduction payload the most recent completed drain shipped.
   std::uint64_t last_drain_stored_bytes() const { return last_drain_stored_; }
-  blob::VersionId last_published() const { return last_published_; }
 
   /// Test hook, awaited at every stage boundary of every drain.
   void set_stage_probe(blob::CommitProbe probe) { probe_ = std::move(probe); }
@@ -90,7 +87,6 @@ class FlushAgent {
     blob::VersionId reserved = 0;
     common::SparseFile data;   // frozen payload (the difference log)
     common::RangeSet ranges;   // chunk-rounded dirty extents
-    std::uint64_t payload_bytes = 0;
     sim::Time staged_at = 0;
   };
 
@@ -113,7 +109,6 @@ class FlushAgent {
   std::exception_ptr error_;
   FlushStats stats_;
   std::uint64_t last_drain_stored_ = 0;
-  blob::VersionId last_published_ = 0;
   sim::WaitQueue work_wq_;  // submit -> drain loop
   sim::WaitQueue done_wq_;  // drain loop -> wait_drained / backpressure
   sim::ProcessPtr loop_;

@@ -154,7 +154,6 @@ Task<> epoch_worker(Deployment* dep, cr::Session* session, EpochParams p,
     mpi::CoordinatedHooks hooks;
     hooks.vm_leader = true;  // one rank per VM
     hooks.fs = gp->vm().fs();
-    hooks.reducer = dep->reducer();
     hooks.epoch_leader = (p.rank == 0);
     if (p.mode == DumpMode::AppLevel) {
       hooks.dump = [gp]() -> Task<> {
@@ -414,13 +413,16 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
         session->attach(*holder->dep);
       }
       // Heal the repository: re-replicate what the dead node's provider
-      // held, so the next failure is just as survivable as this one was.
-      if (cfg->repair_after_restart && cloud->blob_store() != nullptr) {
-        blob::RepairService repair(*cloud->blob_store());
-        const blob::RepairService::Report r =
-            co_await repair.repair(cloud->config().replication);
-        report->repair_copies += r.copies_made;
-        report->repair_bytes += r.bytes_copied;
+      // held, in whichever zone it served, so the next failure is just as
+      // survivable as this one was.
+      if (cfg->repair_after_restart) {
+        for (std::uint32_t z = 0; z < cloud->zones(); ++z) {
+          blob::RepairService repair(*cloud->blob_store(z));
+          const blob::RepairService::Report r =
+              co_await repair.repair(cloud->config().replication);
+          report->repair_copies += r.copies_made;
+          report->repair_bytes += r.bytes_copied;
+        }
       }
       report->restart_overhead += sim.now() - t0 + cfg->detect_latency;
       if (rec.success) ++st->epoch;  // the failure hit after the commit

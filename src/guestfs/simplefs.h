@@ -96,7 +96,6 @@ class SimpleFs {
   bool dirty() const { return !dirty_blocks_.empty() || meta_dirty_; }
   const FsConfig& config() const { return cfg_; }
   std::uint64_t data_start_block() const { return data_start_; }
-  std::uint64_t total_blocks() const { return total_blocks_; }
 
  private:
   struct Inode {

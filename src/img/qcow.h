@@ -49,7 +49,6 @@ class QcowImage {
   /// back to that snapshot.
   sim::Task<common::Buffer> load_vm_state();
 
-  bool has_vm_state() const { return !snapshots_.empty(); }
   std::size_t snapshot_count() const { return snapshots_.size(); }
 
   struct Snapshot {

@@ -14,7 +14,6 @@
 
 #include "guestfs/simplefs.h"
 #include "mpi/mpi.h"
-#include "reduce/reducer.h"
 #include "sim/sim.h"
 
 namespace blobcr::mpi {
@@ -28,11 +27,6 @@ struct CoordinatedHooks {
   bool vm_leader = false;
   /// The rank's guest file system (synced in step 3 by the leader).
   guestfs::SimpleFs* fs = nullptr;
-  /// Deployment-wide snapshot reduction pipeline (optional). The epoch
-  /// leader opens one dedup-index epoch covering every rank's disk
-  /// snapshot, so the whole coordinated checkpoint shares per-epoch stats
-  /// and cross-rank dedup is attributed to this checkpoint.
-  reduce::Reducer* reducer = nullptr;
   /// True for exactly one rank of the whole communicator (e.g. rank 0).
   bool epoch_leader = false;
   /// Asynchronous commit pipeline: awaited by the VM leader after the
@@ -59,11 +53,6 @@ inline sim::Task<> coordinated_checkpoint(MpiWorld::Comm comm,
                                           CoordinatedHooks hooks) {
   // 1. Drain: marker messages stop senders; in-flight traffic completes.
   co_await comm.barrier();
-  // The drain barrier doubles as the epoch edge: every rank's snapshot
-  // below belongs to the epoch opened here.
-  if (hooks.epoch_leader && hooks.reducer != nullptr) {
-    hooks.reducer->begin_epoch();
-  }
   // 2. Dump process state into the guest file system.
   if (hooks.dump) co_await hooks.dump();
   // All ranks co-located on a VM must have finished dumping before the

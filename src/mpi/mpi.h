@@ -129,7 +129,6 @@ class MpiWorld {
   Comm comm(int rank) { return Comm(this, rank); }
 
   std::uint64_t messages_sent() const { return messages_sent_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
   friend class Comm;
@@ -170,7 +169,6 @@ class MpiWorld {
   std::vector<std::uint64_t> coll_gens_;
   sim::WaitQueue bind_wq_;
   std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
 };
 
 inline sim::Task<> MpiWorld::Comm::send(int to, int tag,
@@ -180,7 +178,6 @@ inline sim::Task<> MpiWorld::Comm::send(int to, int tag,
   vm::VmInstance& dst_vm = *co_await w.vm_of_async(to);
   co_await src_vm.gate();
   ++w.messages_sent_;
-  w.bytes_sent_ += data.size();
   co_await w.fabric_->transfer(src_vm.host(), dst_vm.host(),
                                data.size() + w.header_bytes_);
   w.chan(to, rank_, tag).push(std::move(data));

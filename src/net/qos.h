@@ -148,7 +148,6 @@ class FairGate {
   }
 
   bool enabled() const { return slots_ > 0; }
-  bool fair() const { return fair_; }
   std::size_t pending() const { return pending_.size(); }
   std::size_t in_use() const { return in_use_; }
 

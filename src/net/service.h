@@ -40,7 +40,6 @@ class ServiceQueue {
           /*fair=*/true);
     }
   }
-  bool fair_enabled() const { return fair_ != nullptr; }
 
   /// Occupies a worker for the request cost.
   sim::Task<> process() { return process(kDefaultTenant, per_request_cost_); }
@@ -70,9 +69,6 @@ class ServiceQueue {
   }
 
   std::uint64_t requests_served() const { return requests_; }
-  std::size_t queue_depth() const {
-    return fair_ != nullptr ? fair_->pending() : workers_.waiting();
-  }
   /// Per-tenant cumulative admission wait (zero unless fair mode is on).
   sim::Duration tenant_wait(TenantId tenant) const {
     return fair_ != nullptr ? fair_->wait_time(tenant) : 0;

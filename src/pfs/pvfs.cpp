@@ -74,6 +74,9 @@ PvfsClient::StripeTarget PvfsClient::target_of(
 
 namespace {
 
+/// Outstanding stripe requests per client operation.
+constexpr std::size_t kClientWindow = 8;
+
 /// One server's share of a striped operation: contiguous segments in that
 /// server's per-file bstream.
 struct ServerOp {
@@ -137,8 +140,7 @@ sim::Task<> PvfsClient::write(FileId file, std::uint64_t offset,
           }
         }(this, io, file, server, op, cluster_->cfg_.stripe_size));
   }
-  co_await sim::run_window(*cluster_->sim_, cluster_->cfg_.client_window,
-                           std::move(tasks));
+  co_await sim::run_window(*cluster_->sim_, kClientWindow, std::move(tasks));
 
   cluster_->stored_bytes_ -= rec.content.allocated_bytes();
   rec.content.write(offset, std::move(data));
@@ -182,8 +184,7 @@ sim::Task<common::Buffer> PvfsClient::read(FileId file, std::uint64_t offset,
                                                      server_op.bytes);
         }(this, io, file, server, op, cluster_->cfg_.stripe_size));
   }
-  co_await sim::run_window(*cluster_->sim_, cluster_->cfg_.client_window,
-                           std::move(tasks));
+  co_await sim::run_window(*cluster_->sim_, kClientWindow, std::move(tasks));
   co_return rec.content.read(offset, len);
 }
 

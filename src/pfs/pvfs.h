@@ -45,7 +45,6 @@ class PvfsCluster {
     std::vector<IoServer> io_servers;
     std::uint64_t stripe_size = 256 * 1024;  // paper: 256 KB
     sim::Duration meta_request_cost = 300 * sim::kMicrosecond;
-    std::size_t client_window = 8;  // outstanding stripe requests per op
   };
 
   PvfsCluster(sim::Simulation& sim, net::Fabric& fabric, const Config& cfg)

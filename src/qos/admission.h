@@ -118,7 +118,6 @@ class AdmissionPlane {
   AdmissionPlane& operator=(const AdmissionPlane&) = delete;
 
   const Config& config() const { return cfg_; }
-  bool fair() const { return cfg_.enabled; }
 
   net::TenantRegistry& tenants() { return tenants_; }
   const net::TenantRegistry& tenants() const { return tenants_; }

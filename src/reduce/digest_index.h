@@ -106,9 +106,6 @@ class ChunkDigestIndex {
     }
   }
   bool service_attached() const { return !queues_.empty(); }
-  const net::ServiceQueue& shard_queue(std::size_t shard) const {
-    return *queues_[shard];
-  }
 
   /// Location of an already-stored chunk with this content, or nullptr.
   /// Serving is proximity-ordered: among the same-content copies on record,
@@ -217,7 +214,6 @@ class ChunkDigestIndex {
     epoch_open_ = false;
     epoch_hits_.clear();
   }
-  bool gc_epoch_open() const { return epoch_open_; }
   void collect_epoch_hits(std::unordered_set<blob::ChunkId>& out) const {
     for (const blob::ChunkId id : epoch_hits_) out.insert(id);
   }

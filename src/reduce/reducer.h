@@ -52,9 +52,9 @@ class Reducer final : public blob::CommitReducer {
   void release_refs(const std::vector<blob::ChunkId>& ids) override;
   void forget_indexed(const std::vector<blob::ChunkId>& ids) override;
 
-  /// Opens a fresh stats epoch (one per coordinated global checkpoint; the
-  /// epoch leader rank calls this through mpi::coordinated_checkpoint), so
-  /// epoch_stats() covers exactly one global checkpoint.
+  /// Opens a fresh stats epoch: epoch_stats() then covers only what was
+  /// reduced since this call. Callers that want per-checkpoint stats open
+  /// one before each checkpoint.
   void begin_epoch();
 
   const ReductionConfig& config() const { return cfg_; }

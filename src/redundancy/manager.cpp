@@ -35,17 +35,12 @@ void Manager::drop_node(net::NodeId node) {
   for (std::uint64_t gid : open_) {
     if (group_has_node(groups_.at(gid), node)) doomed.push_back(gid);
   }
-  // A sealed group whose parity *holder* died lost its parity blocks with
+  // A sealed group whose parity *holder* died lost its parity block with
   // the node's cache: nothing is rebuildable through it anymore, so it must
-  // stop counting as durable (and its surviving blocks on other holders
-  // must not linger as orphans). Sealed groups where the node is only a
-  // member stay — rebuilding those is what the tier is for.
+  // stop counting as durable. Sealed groups where the node is only a member
+  // stay — rebuilding those is what the tier is for.
   for (const auto& [gid, g] : groups_) {
-    if (!g.sealed) continue;
-    if (std::find(g.holders.begin(), g.holders.end(), node) !=
-        g.holders.end()) {
-      doomed.push_back(gid);
-    }
+    if (g.sealed && g.holder == node) doomed.push_back(gid);
   }
   std::sort(doomed.begin(), doomed.end());
   doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
@@ -73,8 +68,7 @@ core::DecodedChunkCache* Manager::cache_for(net::NodeId node) const {
 }
 
 bool Manager::group_has_node(const Group& g, net::NodeId node) const {
-  if (std::find(g.holders.begin(), g.holders.end(), node) != g.holders.end())
-    return true;
+  if (g.holder == node) return true;
   for (const Member& m : g.members) {
     if (m.node == node) return true;
   }
@@ -86,23 +80,17 @@ Manager::Group* Manager::pick_group(net::NodeId node) {
     Group& g = groups_.at(gid);
     if (g.members.size() < g.target && !group_has_node(g, node)) return &g;
   }
-  // Open a new group: m parity holders round-robin over the other attached
+  // Open a new group: the parity holder round-robin over the other attached
   // nodes, then as many distinct member nodes as remain (capped at the
   // configured width).
-  const std::size_t m = std::max<std::size_t>(1, cfg_.parity_blocks);
-  if (nodes_.size() < 2 || nodes_.size() <= m) return nullptr;
+  if (nodes_.size() < 2) return nullptr;
   Group g;
   g.gid = next_gid_++;
-  while (g.holders.size() < m) {
-    const net::NodeId cand = nodes_[holder_rr_++ % nodes_.size()];
-    if (cand == node) continue;
-    if (std::find(g.holders.begin(), g.holders.end(), cand) !=
-        g.holders.end())
-      continue;
-    g.holders.push_back(cand);
-  }
+  do {
+    g.holder = nodes_[holder_rr_++ % nodes_.size()];
+  } while (g.holder == node);
   g.target = std::min(cfg_.group_size < 1 ? 1 : cfg_.group_size,
-                      nodes_.size() - g.holders.size());
+                      nodes_.size() - 1);
   const auto [it, ok] = groups_.emplace(g.gid, std::move(g));
   (void)ok;
   open_.push_back(it->first);
@@ -122,13 +110,11 @@ sim::Task<> Manager::encode_commit(net::NodeId node,
     Group* g = pick_group(node);
     if (g == nullptr) continue;
     const std::uint64_t gid = g->gid;
-    // Ship the payload to every parity holder BEFORE touching group state:
+    // Ship the payload to the parity holder BEFORE touching group state:
     // a fail-stop that unwinds this frame mid-transfer must leave no
     // half-registered member.
-    for (net::NodeId holder : g->holders) {
-      co_await fabric_->transfer(node, holder, cp.data.size(), shape_);
-      stats_.encode_bytes += cp.data.size();
-    }
+    co_await fabric_->transfer(node, g->holder, cp.data.size(), shape_);
+    stats_.encode_bytes += cp.data.size();
     // The group may have sealed, dropped, or gained a same-node member
     // while this coroutine was suspended — re-validate, re-pick if needed.
     const auto git = groups_.find(gid);
@@ -142,8 +128,7 @@ sim::Task<> Manager::encode_commit(net::NodeId node,
     if (g == nullptr) continue;
     if (member_gid_.find(cp.key) != member_gid_.end()) continue;
     Member member{cp.key, cp.id, node,
-                  static_cast<std::uint32_t>(cp.data.size()),
-                  cp.data.is_phantom(), {}};
+                  static_cast<std::uint32_t>(cp.data.size()), {}};
     if (!cp.data.fully_phantom()) member.truth = cp.data;
     g->members.push_back(std::move(member));
     member_gid_[cp.key] = g->gid;
@@ -162,19 +147,13 @@ void Manager::seal(Group& g) {
   for (const Member& m : g.members)
     max_size = std::max<std::uint64_t>(max_size, m.size);
   g.parity_block_size = max_size;
-  for (std::size_t pi = 0; pi < g.holders.size(); ++pi) {
-    // Block 0 is the XOR; extra blocks are modeled Reed-Solomon Q blocks
-    // (size-only — bitwise recovery stays the XOR single-erasure case).
-    common::Buffer block = pi == 0 ? g.accum : common::Buffer::phantom(
-                                                   max_size);
-    if (block.size() < max_size) block.resize(max_size);
-    const std::uint64_t sz = block.size();
-    if (core::DecodedChunkCache* c = cache_for(g.holders[pi]))
-      c->put(parity_key(g.gid, pi), std::move(block));
-    ++stats_.parity_blocks;
-    stats_.parity_bytes += sz;
-  }
-  g.accum = common::Buffer();  // resident copy now lives in the holder cache
+  // The resident copy of the running XOR now lives in the holder cache.
+  common::Buffer block = std::exchange(g.accum, common::Buffer());
+  if (block.size() < max_size) block.resize(max_size);
+  ++stats_.parity_blocks;
+  stats_.parity_bytes += block.size();
+  if (core::DecodedChunkCache* c = cache_for(g.holder))
+    c->put(parity_key(g.gid), std::move(block));
   ++stats_.groups_sealed;
 }
 
@@ -212,15 +191,15 @@ sim::Task<std::optional<common::Buffer>> Manager::rebuild(core::ChunkKey key,
   }
   if (target == nullptr) co_return std::nullopt;
 
-  // Snapshot every needed payload BEFORE the first suspension point —
-  // caches mutate freely while transfers run.
+  // Snapshot every needed payload, and reconstruct, BEFORE the first
+  // suspension point — caches mutate freely while transfers run, and the
+  // group itself may be dropped.
   struct Part {
     net::NodeId node;
     common::Buffer data;
   };
   std::vector<Part> parts;
-  std::size_t lost = 1;  // the target itself
-  bool lost_real = !target->phantom;
+  bool others_resident = true;
   for (const Member& m : g.members) {
     if (m.key == key) continue;
     const common::Buffer* hit = nullptr;
@@ -228,58 +207,37 @@ sim::Task<std::optional<common::Buffer>> Manager::rebuild(core::ChunkKey key,
     if (hit != nullptr) {
       parts.push_back(Part{m.node, *hit});
     } else {
-      ++lost;
-      lost_real = lost_real || !m.phantom;
+      others_resident = false;
     }
   }
-  std::vector<Part> parity;
-  for (std::size_t pi = 0; pi < g.holders.size(); ++pi) {
-    if (core::DecodedChunkCache* c = cache_for(g.holders[pi])) {
-      if (const common::Buffer* hit = c->get(parity_key(g.gid, pi)))
-        parity.push_back(Part{g.holders[pi], *hit});
-    }
-  }
+  const common::Buffer* block = nullptr;
+  if (core::DecodedChunkCache* c = cache_for(g.holder))
+    block = c->get(parity_key(g.gid));
 
-  // Exact XOR needs every other member plus block 0; the modeled RS path
-  // tolerates up to |resident parity| lost members when all are size-only.
-  const bool exact = lost == 1 && !parity.empty() &&
-                     parity.front().node == g.holders.front();
-  const bool modeled = !lost_real && lost <= parity.size();
-  if (!exact && !modeled) {
+  // XOR recovers exactly one lost member, from every other member plus the
+  // block.
+  if (!others_resident || block == nullptr) {
     ++stats_.rebuild_failures;
     co_return std::nullopt;
   }
-
-  std::uint64_t moved = 0;
-  for (const Part& p : parts) {
-    co_await fabric_->transfer(p.node, dst, p.data.size(), shape_);
-    moved += p.data.size();
-  }
-  const std::size_t blocks_needed = exact ? 1 : lost;
-  for (std::size_t i = 0; i < blocks_needed && i < parity.size(); ++i) {
-    co_await fabric_->transfer(parity[i].node, dst, parity[i].data.size(),
-                               shape_);
-    moved += parity[i].data.size();
-  }
-
-  common::Buffer out;
-  if (exact) {
-    out = parity.front().data;
-    for (const Part& p : parts) out = xor_combine(out, p.data);
+  const net::NodeId holder = g.holder;
+  const std::uint64_t block_size = block->size();
+  common::Buffer out = *block;
+  for (const Part& p : parts) out = xor_combine(out, p.data);
+  out.resize(target->size);
+  // xor_combine degrades to phantom wherever ANY co-member byte is
+  // phantom — a modeling artifact (the real parity block holds exact
+  // bits). Restore the member's retained ground truth in that case.
+  if (!out.fully_real() && !target->truth.empty()) {
+    out = target->truth;
     out.resize(target->size);
-    // xor_combine degrades to phantom wherever ANY co-member byte is
-    // phantom — a modeling artifact (the real parity block holds exact
-    // bits). Restore the member's retained ground truth in that case.
-    if (!out.fully_real() && !target->truth.empty()) {
-      out = target->truth;
-      out.resize(target->size);
-    }
-  } else {
-    out = common::Buffer::phantom(target->size);
   }
+
+  for (const Part& p : parts)
+    co_await fabric_->transfer(p.node, dst, p.data.size(), shape_);
+  co_await fabric_->transfer(holder, dst, block_size, shape_);
   ++stats_.rebuilds;
   stats_.rebuild_bytes += out.size();
-  (void)moved;
   co_return out;
 }
 
@@ -307,17 +265,14 @@ void Manager::drop_group(std::uint64_t gid) {
   if (it == groups_.end()) return;
   Group& g = it->second;
   if (g.sealed) {
-    for (std::size_t pi = 0; pi < g.holders.size(); ++pi) {
-      if (core::DecodedChunkCache* c = cache_for(g.holders[pi])) {
-        c->erase(parity_key(gid, pi));
-      }
-      // Account every sealed block, resident or not: a block that died with
-      // its holder (or was evicted) must not keep counting as durable
-      // parity bytes forever.
-      stats_.parity_bytes -=
-          std::min<std::uint64_t>(stats_.parity_bytes, g.parity_block_size);
-      if (stats_.parity_blocks > 0) --stats_.parity_blocks;
-    }
+    if (core::DecodedChunkCache* c = cache_for(g.holder))
+      c->erase(parity_key(gid));
+    // Account the sealed block, resident or not: a block that died with its
+    // holder (or was evicted) must not keep counting as durable parity bytes
+    // forever.
+    stats_.parity_bytes -=
+        std::min<std::uint64_t>(stats_.parity_bytes, g.parity_block_size);
+    if (stats_.parity_blocks > 0) --stats_.parity_blocks;
   }
   for (const Member& m : g.members) {
     member_gid_.erase(m.key);
@@ -343,10 +298,8 @@ std::size_t Manager::resident_parity_blocks() const {
   std::size_t n = 0;
   for (const auto& [gid, g] : groups_) {
     if (!g.sealed) continue;
-    for (std::size_t pi = 0; pi < g.holders.size(); ++pi) {
-      if (core::DecodedChunkCache* c = cache_for(g.holders[pi])) {
-        if (c->get(parity_key(gid, pi)) != nullptr) ++n;
-      }
+    if (core::DecodedChunkCache* c = cache_for(g.holder)) {
+      if (c->get(parity_key(gid)) != nullptr) ++n;
     }
   }
   return n;

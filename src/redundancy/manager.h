@@ -12,17 +12,15 @@
 // compute nodes — a single node failure therefore costs at most one member
 // per group, the single-erasure case XOR reconstructs exactly. The payload
 // ships over the fabric's peer traffic class to the group's parity holder
-// node(s); when a group reaches its width the parity block(s) seal into the
-// holder nodes' decoded-chunk caches under reserved content keys (the b
-// field tagged 2 — disjoint from both digest keys (odd b) and ChunkId keys
-// (b == 0)).
+// node; when a group reaches its width the parity block seals into the
+// holder node's decoded-chunk cache under a reserved content key (b == 2 —
+// disjoint from both digest keys (odd b) and ChunkId keys (b == 0)).
 //
 // Restart path: MirrorDevice::materialize_chunk consults rebuild() between
 // the peer-copy and repository-fetch levels. A lost member is recomputed as
 // the XOR of the surviving members' cached payloads and the parity block,
 // everything moving node->node over the peer class — the repository is not
-// touched. With parity_blocks > 1, up to m lost size-only (phantom) members
-// per group are still recoverable (modeled Reed-Solomon).
+// touched. A group that lost two members, or its block, rebuilds nothing.
 //
 // Scavenge: cr::Session::scavenge() re-seeds a lost repository from this
 // tier — survivors' cached copies first, parity rebuild second.
@@ -33,7 +31,7 @@
 // leaves no half-registered member; a registered member whose group never
 // filled is closed by seal_open_groups() at the next checkpoint boundary.
 // GC reclaim of any member chunk invalidates the whole group and erases its
-// parity blocks from the holder caches (no orphaned parity).
+// parity block from the holder cache (no orphaned parity).
 #pragma once
 
 #include <cstdint>
@@ -83,9 +81,9 @@ class Manager {
   const RedundancyConfig& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
 
-  /// The reserved content key of group `gid`'s parity block `pi`.
-  static core::ChunkKey parity_key(std::uint64_t gid, std::size_t pi) {
-    return core::ChunkKey{gid, (static_cast<std::uint64_t>(pi) << 2) | 2};
+  /// The reserved content key of group `gid`'s parity block.
+  static core::ChunkKey parity_key(std::uint64_t gid) {
+    return core::ChunkKey{gid, 2};
   }
 
   // --- membership -----------------------------------------------------------
@@ -101,8 +99,8 @@ class Manager {
   /// Fail-stop: the node's cache contents are gone (cleared by the caller).
   /// Open groups touching the node are dropped. Sealed groups where the
   /// node is a *member* are kept — rebuilding the dead node's members is
-  /// exactly what the tier is for. Sealed groups where the node is a parity
-  /// *holder* lost their parity blocks with the cache and are invalidated
+  /// exactly what the tier is for. Sealed groups where the node is the parity
+  /// *holder* lost their parity block with the cache and are invalidated
   /// (they can no longer rebuild anything; counting their parity bytes as
   /// durable would be a lie). The node itself leaves the tier until a
   /// replacement instance re-attaches.
@@ -127,7 +125,7 @@ class Manager {
   // --- restart path ---------------------------------------------------------
 
   /// True iff `key` is a member of a *sealed* group (rebuild may still fail
-  /// if survivor payloads or parity blocks were evicted).
+  /// if survivor payloads or the parity block were evicted).
   bool protects(const core::ChunkKey& key) const;
 
   /// Reconstructs the payload of member `key`, delivering to `dst` over the
@@ -148,13 +146,9 @@ class Manager {
   // --- GC -------------------------------------------------------------------
 
   /// Chunk-reclaim hook body: any group holding a reclaimed member is
-  /// invalidated and its parity blocks are erased from the holder caches.
+  /// invalidated and its parity block is erased from the holder cache.
   void forget_chunks(const std::vector<blob::ChunkId>& ids);
 
-  std::size_t open_groups() const { return open_.size(); }
-  std::size_t sealed_groups() const {
-    return groups_.size() - open_.size();
-  }
   /// Parity blocks still resident in attached holder caches (orphan check).
   std::size_t resident_parity_blocks() const;
   /// The group id protecting `key`, if any (tests probe parity residency).
@@ -163,11 +157,11 @@ class Manager {
     if (it == member_gid_.end()) return std::nullopt;
     return it->second;
   }
-  /// Parity holder nodes of group `gid` (empty when unknown).
-  std::vector<net::NodeId> holders_of(std::uint64_t gid) const {
+  /// Parity holder node of group `gid` (nullopt when unknown).
+  std::optional<net::NodeId> holder_of(std::uint64_t gid) const {
     const auto it = groups_.find(gid);
-    return it == groups_.end() ? std::vector<net::NodeId>{}
-                               : it->second.holders;
+    if (it == groups_.end()) return std::nullopt;
+    return it->second.holder;
   }
 
  private:
@@ -176,7 +170,6 @@ class Manager {
     blob::ChunkId id = 0;
     net::NodeId node = 0;
     std::uint32_t size = 0;  // logical payload length
-    bool phantom = false;
     /// Simulation ground truth for payloads with real content. The real
     /// parity block's bits reconstruct a lost member exactly, but the
     /// simulator cannot XOR phantom bytes — a co-member's phantom segment
@@ -190,8 +183,8 @@ class Manager {
     bool sealed = false;
     std::size_t target = 0;  // member count that seals the group
     std::vector<Member> members;
-    std::vector<net::NodeId> holders;  // parity holder nodes (size m)
-    common::Buffer accum;              // running XOR (block 0)
+    net::NodeId holder = 0;  // parity holder node
+    common::Buffer accum;    // running XOR
     /// Sealed-block size (stats_ accounting stays honest when a block is
     /// evicted or dies with its holder before the group is dropped).
     std::uint64_t parity_block_size = 0;

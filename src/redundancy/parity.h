@@ -19,11 +19,6 @@ struct RedundancyConfig {
   /// costs at most one member per group — the single-erasure case XOR
   /// reconstructs exactly.
   std::size_t group_size = 4;
-  /// Parity blocks per group (SCR's m). 1 = plain XOR. m > 1 models
-  /// Reed-Solomon style extra blocks: they add encode traffic and let
-  /// size-only (phantom) payloads survive up to m lost members; bitwise
-  /// reconstruction of real payloads remains the XOR single-erasure case.
-  std::size_t parity_blocks = 1;
 };
 
 /// Bytewise XOR of two payloads, zero-padded to the longer one. Honesty

@@ -28,7 +28,6 @@ class WaitQueue {
   class Awaiter;
 
   Awaiter wait();
-  std::size_t waiting() const { return list_.size(); }
   bool empty() const { return list_.empty(); }
 
   /// Wakes the oldest waiter; returns false if none.
@@ -105,7 +104,6 @@ class Event {
  public:
   explicit Event(Simulation& sim) : q_(sim) {}
 
-  bool is_set() const { return set_; }
   void set() {
     if (!set_) {
       set_ = true;
@@ -135,9 +133,6 @@ class Semaphore {
   Semaphore(Simulation& sim, std::int64_t count) : sim_(&sim), count_(count) {}
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
-
-  std::int64_t available() const { return count_; }
-  std::size_t waiting() const { return list_.size(); }
 
   class Awaiter : public Blocker {
    public:
@@ -250,8 +245,6 @@ class Mutex {
 
   /// Usage: `auto guard = co_await mutex.lock();`
   Awaiter lock() { return Awaiter{this, sem_.acquire()}; }
-
-  bool locked() const { return sem_.available() == 0; }
 
  private:
   Semaphore sem_;

@@ -15,7 +15,6 @@ inline constexpr Duration kMicrosecond = 1000;
 inline constexpr Duration kMillisecond = 1000 * 1000;
 inline constexpr Duration kSecond = 1000 * 1000 * 1000;
 
-constexpr Duration microseconds(std::int64_t n) { return n * kMicrosecond; }
 constexpr Duration milliseconds(std::int64_t n) { return n * kMillisecond; }
 constexpr Duration seconds(std::int64_t n) { return n * kSecond; }
 

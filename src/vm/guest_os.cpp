@@ -6,6 +6,13 @@ namespace blobcr::vm {
 
 using common::kMB;
 
+namespace {
+
+/// Guest-side cost of opening one hot-set file during boot.
+constexpr sim::Duration kPerFileOpenCost = 200 * sim::kMicrosecond;
+
+}  // namespace
+
 GuestOsConfig GuestOsConfig::debian_like() {
   GuestOsConfig cfg;
   cfg.fs.block_size = 4096;
@@ -88,7 +95,7 @@ sim::Task<> GuestOs::boot(VmInstance& vm, const GuestOsConfig& cfg) {
   for (const auto& spec : cfg.files) {
     if (!spec.hot) continue;
     co_await vm.gate();
-    co_await vm.simulation().delay(cfg.per_file_open_cost);
+    co_await vm.simulation().delay(kPerFileOpenCost);
     (void)co_await ref.read_file(spec.path);
   }
 

@@ -33,7 +33,6 @@ struct GuestOsConfig {
   std::uint64_t boot_noise_bytes = 7 * common::kMB;
   std::uint32_t boot_noise_files = 48;
   sim::Duration boot_cpu_time = 5 * sim::kSecond;
-  sim::Duration per_file_open_cost = 200 * sim::kMicrosecond;
 
   /// When true, install phantom payloads (benchmark scale); tests use real.
   bool phantom_content = true;

@@ -25,7 +25,6 @@ namespace blobcr::vm {
 
 struct VmConfig {
   std::string name = "vm";
-  int vcpus = 4;
   /// RAM used by the guest OS itself (kernel, daemons, page cache, device
   /// state) — the paper measures ~118 MB of full-snapshot overhead.
   std::uint64_t os_ram_bytes = 118 * common::kMB;

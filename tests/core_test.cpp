@@ -266,7 +266,7 @@ TEST(MirrorTest, RestartedMirrorCommitsIntoBackingImage) {
 TEST(MirrorTest, PrefetchBusPushesToPeers) {
   TestRig rig;
   rig.make_base();
-  PrefetchBus bus(rig.sim, 200 * sim::kMicrosecond);
+  PrefetchBus bus(rig.sim);
   auto m1 = rig.make_mirror(rig.host_a, &bus);
   auto m2 = rig.make_mirror(rig.host_b, &bus);
   EXPECT_EQ(bus.attached(), 2u);
@@ -283,7 +283,7 @@ TEST(MirrorTest, PrefetchBusPushesToPeers) {
 TEST(MirrorTest, PrefetchBusAnnouncesOnlyUncoveredGaps) {
   TestRig rig;
   rig.make_base();
-  PrefetchBus bus(rig.sim, 200 * sim::kMicrosecond);
+  PrefetchBus bus(rig.sim);
   auto m1 = rig.make_mirror(rig.host_a, &bus);
   auto m2 = rig.make_mirror(rig.host_b, &bus);
   rig.run([](TestRig* r, MirrorDevice* a) -> Task<> {
@@ -347,7 +347,7 @@ TEST(MirrorTest, ReducedCommitShipsLessAndRoundTrips) {
 TEST(MirrorTest, PrefetchedReadIsFasterThanCold) {
   TestRig rig;
   rig.make_base();
-  PrefetchBus bus(rig.sim, 200 * sim::kMicrosecond);
+  PrefetchBus bus(rig.sim);
   auto m1 = rig.make_mirror(rig.host_a, &bus);
   auto m2 = rig.make_mirror(rig.host_b, &bus);
   sim::Duration cold = 0;

@@ -310,7 +310,6 @@ TEST(CrRetentionTest, KeepLastReclaimsUntaggedAndPreservesTagged) {
     Deployment dep(*cl, 1);
     Session::Config scfg;
     scfg.retention.keep_last = 1;
-    scfg.retention.keep_tagged = true;
     Session session(dep, scfg);
     co_await dep.deploy_and_boot();
 

@@ -1,5 +1,5 @@
 // Asynchronous commit pipeline tests: the FlushAgent's provisional-version
-// contract, queue/merge/backpressure policies, and a randomized
+// contract, publish order and backpressure, and a randomized
 // crash-consistency harness — seeded fail-stop injection at every pipeline
 // stage boundary (staged / reducing / putting / pre-publish / post-publish /
 // parity-encode) followed by a bit-exact restore of the last published
@@ -103,24 +103,22 @@ struct FlushRig {
   }
 };
 
-core::MirrorDevice::Config mirror_config(flush::QueuePolicy policy,
-                                         std::size_t max_pending = 2) {
+core::MirrorDevice::Config mirror_config(std::size_t max_pending = 2) {
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   mcfg.flush.enabled = true;
-  mcfg.flush.policy = policy;
   mcfg.flush.max_pending = max_pending;
   return mcfg;
 }
 
 // ---------------------------------------------------------------------------
-// Contract basics: provisional id, publish order, wait_drained, merge.
+// Contract basics: provisional id, publish order, wait_drained.
 // ---------------------------------------------------------------------------
 
 TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
   FlushRig rig;
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue), nullptr);
+                       mirror_config(), nullptr);
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     co_await m->write(0, Buffer::pattern(3 * kChunk, 7));
     const blob::BlobId ckpt = co_await m->ioctl_clone();
@@ -145,7 +143,7 @@ TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
 TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
   FlushRig rig;
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue, 4), nullptr);
+                       mirror_config(4), nullptr);
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
     std::vector<blob::VersionId> ids;
@@ -179,37 +177,10 @@ TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
   }(&rig, &m));
 }
 
-TEST(FlushAgentTest, MergePolicyCoalescesQueuedGenerations) {
-  FlushRig rig;
-  core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Merge, 8), nullptr);
-  rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
-    const blob::BlobId ckpt = co_await m->ioctl_clone();
-    // First commit occupies the drain; the next two land while it runs and
-    // coalesce into one queued generation sharing one version id.
-    co_await m->write(0, Buffer::pattern(kChunk, 1));
-    const blob::VersionId v1 = co_await m->ioctl_commit();
-    co_await m->write(kChunk, Buffer::pattern(kChunk, 2));
-    const blob::VersionId v2 = co_await m->ioctl_commit();
-    co_await m->write(2 * kChunk, Buffer::pattern(kChunk, 3));
-    const blob::VersionId v3 = co_await m->ioctl_commit();
-    EXPECT_NE(v1, v2);
-    EXPECT_EQ(v2, v3);  // merged
-    co_await m->wait_drained();
-    EXPECT_EQ(m->flush_agent()->stats().commits_merged, 1u);
-    blob::BlobClient probe(*rig->store, rig->host);
-    const Buffer got = co_await probe.read(ckpt, v3, 0, 3 * kChunk);
-    Buffer expect = Buffer::pattern(kChunk, 1);
-    expect.append(Buffer::pattern(kChunk, 2));
-    expect.append(Buffer::pattern(kChunk, 3));
-    EXPECT_TRUE(got == expect);
-  }(&rig, &m));
-}
-
 TEST(FlushAgentTest, BackpressureBoundsStagedGenerations) {
   FlushRig rig;
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue, 1), nullptr);
+                       mirror_config(1), nullptr);
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     (void)co_await m->ioctl_clone();
     for (int i = 0; i < 4; ++i) {
@@ -234,7 +205,7 @@ TEST(FlushAgentTest, DrainFailurePoisonsAgentAndDropsQueuedGenerations) {
   // queue and reporting the failure to every waiter.
   FlushRig rig(/*with_reduction=*/false, /*replication=*/2);
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue, 4), nullptr);
+                       mirror_config(4), nullptr);
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
     co_await m->write(0, Buffer::pattern(kImage, 77));
@@ -320,9 +291,9 @@ Task<> do_random_writes(Rng* rng, core::MirrorDevice* m, HarnessState* st) {
 void run_one_seed(int seed) {
   Rng rng(0xf1a5'0000 + static_cast<std::uint64_t>(seed));
   const bool with_reduction = rng.uniform(2) == 0;
-  const flush::QueuePolicy policy = rng.uniform(2) == 0
-                                        ? flush::QueuePolicy::Queue
-                                        : flush::QueuePolicy::Merge;
+  // Formerly the queue-policy draw; kept so every seed keeps its reduction,
+  // kill-stage and doomed-commit draws.
+  (void)rng.uniform(2);
   const blob::CommitStage kill_stage = kStages[rng.uniform(6)];
   const int doomed_commits = 1 + static_cast<int>(rng.uniform(2));
 
@@ -335,7 +306,7 @@ void run_one_seed(int seed) {
 
   auto mirror = std::make_unique<core::MirrorDevice>(
       *rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-      mirror_config(policy, 2), nullptr, rig.reducer.get());
+      mirror_config(), nullptr, rig.reducer.get());
 
   // Phase 1: one or two fully-published baseline snapshots.
   rig.run([](FlushRig* rig, Rng* rng, core::MirrorDevice* m,
@@ -370,7 +341,7 @@ void run_one_seed(int seed) {
       co_await do_random_writes(rng, m, st);
       try {
         const blob::VersionId v = co_await m->ioctl_commit();
-        st->expected[v] = st->ref;  // overwritten on merge: latest capture
+        st->expected[v] = st->ref;
       } catch (const blob::BlobError&) {
         break;  // agent already fail-stopped (kill during submit window)
       }
@@ -429,7 +400,7 @@ void run_one_seed(int seed) {
   // dedup bait.
   auto restarted = std::make_unique<core::MirrorDevice>(
       *rig.repo, rig.host, *rig.disks[3], 100, st->ckpt, latest,
-      mirror_config(policy, 2), nullptr, rig.reducer.get());
+      mirror_config(), nullptr, rig.reducer.get());
   restarted->set_checkpoint_blob(st->ckpt, latest);
   st->ref = st->expected.at(latest);
   rig.run([](FlushRig* rig, Rng* rng, core::MirrorDevice* m,
@@ -532,7 +503,6 @@ TEST(RedundancyManagerTest, XorRebuildReconstructsLostMemberBitExact) {
   redundancy::RedundancyConfig rcfg;
   rcfg.enabled = true;
   rcfg.group_size = 3;
-  rcfg.parity_blocks = 1;
   redundancy::Manager mgr(s, fabric, rcfg, {});
   core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22), c3(1 << 22);
   mgr.attach(0, &c0);
@@ -589,6 +559,66 @@ TEST(RedundancyManagerTest, XorRebuildReconstructsLostMemberBitExact) {
   EXPECT_GE(mgr.stats().groups_dropped, 1u);
 }
 
+// One XOR block recovers one lost member. With two members of a group gone,
+// rebuild must fall through to the repository (nullopt, counted as a
+// failure) for real and size-only (phantom) payloads alike.
+TEST(RedundancyManagerTest, TwoLostMembersFallThroughToRepository) {
+  for (const bool phantom : {false, true}) {
+    SCOPED_TRACE(phantom ? "phantom payloads" : "real payloads");
+    Simulation s;
+    net::Fabric::Config fcfg;
+    fcfg.node_count = 4;
+    fcfg.nic_bandwidth_bps = 1e9;
+    fcfg.latency = 50 * sim::kMicrosecond;
+    net::Fabric fabric(s, fcfg);
+    redundancy::RedundancyConfig rcfg;
+    rcfg.enabled = true;
+    rcfg.group_size = 3;
+    redundancy::Manager mgr(s, fabric, rcfg, {});
+    core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22),
+        c3(1 << 22);
+    mgr.attach(0, &c0);
+    mgr.attach(1, &c1);
+    mgr.attach(2, &c2);
+    mgr.attach(3, &c3);
+
+    const auto key = [](blob::ChunkId id) { return core::ChunkKey{id, 0}; };
+    const auto one = [&key, phantom](blob::ChunkId id) {
+      std::vector<redundancy::Manager::ChunkPayload> v;
+      v.push_back(redundancy::Manager::ChunkPayload{
+          key(id), id,
+          phantom ? Buffer::phantom(kChunk) : Buffer::pattern(kChunk, id)});
+      return v;
+    };
+    const auto run = [&s](Task<> t) {
+      auto p = s.spawn("t", std::move(t));
+      s.run();
+      if (p->error()) std::rethrow_exception(p->error());
+    };
+    // Members on nodes 0, 2 and 3; the round-robin skips the committing
+    // node 0 and makes node 1 the holder.
+    run([&]() -> Task<> {
+      co_await mgr.encode_commit(0, one(301));
+      co_await mgr.encode_commit(2, one(302));
+      co_await mgr.encode_commit(3, one(303));
+    }());
+    ASSERT_EQ(mgr.stats().groups_sealed, 1u);
+
+    c2.clear();
+    c3.clear();
+    mgr.drop_node(2);
+    mgr.drop_node(3);
+    ASSERT_TRUE(mgr.protects(key(302)));  // the holder survived
+
+    std::optional<Buffer> rebuilt;
+    run([&]() -> Task<> { rebuilt = co_await mgr.rebuild(key(302), 1); }());
+    EXPECT_FALSE(rebuilt.has_value());
+    EXPECT_EQ(mgr.stats().rebuild_failures, 1u);
+    EXPECT_EQ(mgr.stats().rebuilds, 0u);
+    EXPECT_EQ(mgr.stats().rebuild_bytes, 0u);
+  }
+}
+
 // Regression: a sealed group whose parity *holder* fail-stops used to keep
 // counting as durable — protects() said yes, stats_ kept the parity bytes,
 // and a member rebuild would try to read parity from a dead node's cache.
@@ -604,7 +634,6 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
   redundancy::RedundancyConfig rcfg;
   rcfg.enabled = true;
   rcfg.group_size = 3;
-  rcfg.parity_blocks = 1;
   redundancy::Manager mgr(s, fabric, rcfg, {});
   core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22), c3(1 << 22);
   mgr.attach(0, &c0);
@@ -634,9 +663,9 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
   ASSERT_EQ(mgr.stats().groups_sealed, 1u);
   const auto gid = mgr.group_of(key(202));
   ASSERT_TRUE(gid.has_value());
-  const std::vector<net::NodeId> holders = mgr.holders_of(*gid);
-  ASSERT_EQ(holders.size(), 1u);
-  const net::NodeId holder = holders[0];
+  const std::optional<net::NodeId> holder_id = mgr.holder_of(*gid);
+  ASSERT_TRUE(holder_id.has_value());
+  const net::NodeId holder = *holder_id;
   ASSERT_GT(mgr.stats().parity_bytes, 0u);
 
   // The holder fail-stops: cache contents gone, node leaves the tier.
@@ -679,14 +708,13 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   redundancy::RedundancyConfig rcfg;
   rcfg.enabled = true;
   rcfg.group_size = 4;
-  rcfg.parity_blocks = 1;
   redundancy::Manager mgr(rig.sim, *rig.fabric, rcfg, {});
   const std::uint64_t hook = rig.store->add_chunk_reclaim_hook(
       [&mgr](const std::vector<blob::ChunkId>& ids) {
         mgr.forget_chunks(ids);
       });
 
-  core::MirrorDevice::Config mcfg = mirror_config(flush::QueuePolicy::Queue, 2);
+  core::MirrorDevice::Config mcfg = mirror_config(2);
   mcfg.redundancy = &mgr;
   // Two committing nodes so parity groups can form (the tier needs >= 2
   // attached nodes; with 2, each member seals into a width-1 group whose

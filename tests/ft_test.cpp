@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "blob/repair.h"
 #include "cr/catalog.h"
 #include "ft/failure.h"
 #include "ft/interval.h"
@@ -471,6 +472,25 @@ TEST(FtRunnerTest, RepairKeepsRepeatedFailuresSurvivable) {
   EXPECT_TRUE(rep.completed);
   EXPECT_TRUE(rep.verified);
   EXPECT_GE(rep.restarts, 2u);
+}
+
+TEST(FtRunnerTest, RepairReachesTheFailedNodesZone) {
+  // Two zones over 16 nodes: zone 1 is nodes 8-15, so instance 8's node
+  // co-hosts one of zone 1's providers. Its death leaves zone 1's chunks
+  // short of a replica, and the repair pass must heal that zone too.
+  CloudConfig cfg = tiny_cfg(Backend::BlobCR, /*replication=*/2);
+  cfg.federation.zones = 2;
+  Cloud cloud(cfg);
+  FtJobConfig job = small_job();
+  job.instances = 10;
+  job.repair_after_restart = true;
+  job.failures = FailureSchedule::fixed({{50 * sim::kSecond, 8}});
+  const FtReport rep = run_ft_job(cloud, job);
+  EXPECT_TRUE(rep.completed);
+  EXPECT_TRUE(rep.verified);
+  EXPECT_EQ(rep.restarts, 1u);
+  EXPECT_GT(rep.repair_copies, 0u);
+  EXPECT_EQ(blob::RepairService(*cloud.blob_store(1)).under_replicated(2), 0u);
 }
 
 TEST(FtRunnerTest, QcowBaselineAlsoRecovers) {

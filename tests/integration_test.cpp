@@ -28,7 +28,6 @@ CloudConfig tiny_cfg(Backend backend, int replication = 1) {
   cfg.os = vm::GuestOsConfig::test_tiny();
   cfg.vm.os_ram_bytes = 20 * common::kMB;
   cfg.chunk_size = 256 * 1024;
-  cfg.qcow_cluster_size = 64 * 1024;
   return cfg;
 }
 

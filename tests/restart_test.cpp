@@ -131,7 +131,7 @@ struct ReducedRig {
 
 TEST(RestartDataPlaneTest, PeerCopyIsBitExactForZeroRleRawAndRefChunks) {
   ReducedRig rig;
-  PrefetchBus bus(rig.sim, 200 * sim::kMicrosecond);
+  PrefetchBus bus(rig.sim);
   auto m1 = rig.make_mirror(rig.host_a, &bus);
   auto m2 = rig.make_mirror(rig.host_b, &bus);
 
@@ -166,7 +166,7 @@ TEST(RestartDataPlaneTest, PeerCopyIsBitExactForZeroRleRawAndRefChunks) {
 
 TEST(RestartDataPlaneTest, RankJoiningMidRestartIsBitExact) {
   ReducedRig rig;
-  PrefetchBus bus(rig.sim, 200 * sim::kMicrosecond);
+  PrefetchBus bus(rig.sim);
   auto m1 = rig.make_mirror(rig.host_a, &bus);
   auto m2 = rig.make_mirror(rig.host_b, &bus);
 
@@ -194,7 +194,7 @@ TEST(RestartDataPlaneTest, RankJoiningMidRestartIsBitExact) {
 
 TEST(RestartDataPlaneTest, NodeCacheDecodesOncePerNode) {
   ReducedRig rig;
-  PrefetchBus bus(rig.sim, 200 * sim::kMicrosecond);
+  PrefetchBus bus(rig.sim);
   DecodedChunkCache node_cache(64 * common::kMB);
   // Two ranks on the SAME node sharing the node's decoded-chunk cache.
   auto m1 = rig.make_mirror(rig.host_a, &bus, &node_cache);
