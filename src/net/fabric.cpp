@@ -44,10 +44,9 @@ void Fabric::settle_and_retime(FlowAwaiter* f) {
   }
   f->last_update_ = now;
   f->rate_ = f->fair_rate();
-  f->done_ev_.cancel();
   const sim::Duration eta = sim::transfer_time(
       static_cast<std::uint64_t>(f->remaining_ + 0.5), f->rate_);
-  f->done_ev_ = sim_->call_in(eta, [f] { f->complete(); });
+  sim_->reschedule_in(f->done_ev_, eta, [f] { f->complete(); });
 }
 
 void Fabric::on_ports_changed(Port& a, Port& b) {

@@ -131,11 +131,10 @@ inline void SharedResource::reschedule_all() {
   rate_per_flow_ =
       flows_.empty() ? 0.0 : cap_ / static_cast<double>(flows_.size());
   for (UseAwaiter* f : flows_) {
-    f->done_ev_.cancel();
     const Duration eta =
         transfer_time(static_cast<std::uint64_t>(f->remaining_ + 0.5),
                       rate_per_flow_);
-    f->done_ev_ = sim_->call_in(eta, [f] { f->complete(); });
+    sim_->reschedule_in(f->done_ev_, eta, [f] { f->complete(); });
   }
 }
 

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -16,20 +15,28 @@
 namespace blobcr::sim {
 
 class Process;
+class Simulation;
 using ProcessPtr = std::shared_ptr<Process>;
 
-/// Cancellable handle to a scheduled callback.
+/// Cancellable handle to a scheduled callback: a plain value that names a
+/// pooled timer record by slot and generation. A record's generation moves
+/// on whenever its timer fires, is cancelled or is dropped by shutdown(), so
+/// a stale handle never reaches the slot's next occupant. A handle must not
+/// be used after its Simulation is destroyed.
 class TimerHandle {
  public:
   TimerHandle() = default;
-  bool valid() const { return static_cast<bool>(rec_); }
+  /// Removes the timer from the event queue. A no-op on a default handle
+  /// and on one whose timer already fired or was cancelled or dropped.
   void cancel();
 
  private:
   friend class Simulation;
-  struct Rec;
-  explicit TimerHandle(std::shared_ptr<Rec> rec) : rec_(std::move(rec)) {}
-  std::shared_ptr<Rec> rec_;
+  TimerHandle(Simulation* sim, std::uint32_t slot, std::uint64_t gen)
+      : sim_(sim), slot_(slot), gen_(gen) {}
+  Simulation* sim_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint64_t gen_ = 0;
 };
 
 class Simulation {
@@ -45,6 +52,12 @@ class Simulation {
   TimerHandle call_in(Duration d, std::function<void()> fn) {
     return call_at(now_ + d, std::move(fn));
   }
+  /// Moves `h`'s pending timer to now() + d and gives it callback `fn`, in
+  /// place. Same order as `h.cancel(); h = call_in(d, fn);`: the timer takes
+  /// a fresh sequence number, so it runs after every event already queued
+  /// for its new time. A handle with no pending timer schedules through
+  /// call_in().
+  void reschedule_in(TimerHandle& h, Duration d, std::function<void()> fn);
 
   /// Runs until the event queue is empty.
   void run();
@@ -62,15 +75,12 @@ class Simulation {
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t live_process_count() const;
 
-  /// All spawned processes (finished ones included until reaped) — for
-  /// stall diagnostics: dump the unfinished ones to see who deadlocked.
+  /// Spawned processes, finished ones included until spawn() reaps them —
+  /// for stall diagnostics: dump the unfinished ones to see who deadlocked.
   const std::vector<ProcessPtr>& debug_processes() const { return processes_; }
 
-  /// Drops bookkeeping references to finished processes.
-  void reap_finished();
-
-  /// Kills every live process (reverse spawn order) and clears the event
-  /// queue. Owners whose members (channels, stores...) are destroyed before
+  /// Kills every live process (reverse spawn order) and drops every pending
+  /// timer. Owners whose members (channels, stores...) are destroyed before
   /// the Simulation must call this first so coroutine frames unwind while
   /// the structures they reference are still alive.
   void shutdown();
@@ -87,24 +97,52 @@ class Simulation {
   friend class Process;
   friend class TimerHandle;
 
-  struct Cmp;
+  // Pending timers form a binary min-heap of (t, seq) keys held by value.
+  // Each entry names the pooled record that holds its callback, and each
+  // record knows its heap position, so cancel and re-time are O(log n) and
+  // the heap holds only live timers. (t, seq) is a strict total order, so
+  // events fire in the same sequence whatever the heap's shape.
+  struct Entry {
+    Time t;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct Rec {
+    std::function<void()> fn;
+    std::uint64_t gen = 0;  // bumped each time the slot is released
+    std::size_t pos = 0;    // heap index while pending
+  };
+  // spawn() reaps finished processes once processes_ has doubled since the
+  // last reap, and never below this size.
+  static constexpr std::size_t kReapFloor = 1024;
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  std::vector<std::shared_ptr<TimerHandle::Rec>> heap_;
+  std::vector<Entry> heap_;
+  std::vector<Rec> recs_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<ProcessPtr> processes_;
+  std::size_t reap_at_ = kReapFloor;
   Process* current_ = nullptr;
 
-  void push_event(std::shared_ptr<TimerHandle::Rec> rec);
+  bool pending(const TimerHandle& h) const {
+    return h.sim_ == this && recs_[h.slot_].gen == h.gen_;
+  }
+  void cancel(const TimerHandle& h);
+  /// Bumps the slot's generation, frees it and hands back its callback.
+  std::function<void()> release(std::uint32_t slot);
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    recs_[e.slot].pos = i;
+  }
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  void erase_at(std::size_t i);
   bool step();  // executes one event; false if queue empty
-};
-
-struct TimerHandle::Rec {
-  Time t = 0;
-  std::uint64_t seq = 0;
-  std::function<void()> fn;
-  bool cancelled = false;
+  /// Drops bookkeeping references to finished processes and prunes expired
+  /// child links.
+  void reap_finished();
 };
 
 }  // namespace blobcr::sim

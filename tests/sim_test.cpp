@@ -2,6 +2,11 @@
 // synchronization primitives, fair-share resources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <queue>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,6 +58,234 @@ TEST(SimulationTest, RunUntilStopsAtTime) {
   EXPECT_EQ(s.now(), 15);
   s.run();
   EXPECT_EQ(count, 2);
+}
+
+TEST(SimulationTest, StaleHandleCannotCancelSlotReuser) {
+  Simulation s;
+  std::vector<int> fired;
+  TimerHandle first = s.call_at(5, [&] { fired.push_back(1); });
+  s.run();
+  // The fired timer's record is free; the next timer reuses it.
+  TimerHandle second = s.call_at(10, [&] { fired.push_back(2); });
+  first.cancel();
+  s.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  second.cancel();  // already fired: a no-op
+  EXPECT_EQ(s.events_processed(), 2u);
+}
+
+TEST(SimulationTest, DoubleCancelIsNoop) {
+  Simulation s;
+  std::vector<int> fired;
+  TimerHandle h = s.call_at(5, [&] { fired.push_back(1); });
+  TimerHandle copy = h;
+  h.cancel();
+  s.call_at(6, [&] { fired.push_back(2); });
+  h.cancel();
+  copy.cancel();
+  s.run();
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_EQ(s.events_processed(), 1u);
+}
+
+TEST(SimulationTest, CancelAfterShutdownIsNoop) {
+  Simulation s;
+  std::vector<int> fired;
+  TimerHandle h = s.call_at(5, [&] { fired.push_back(1); });
+  s.shutdown();
+  h.cancel();
+  s.call_at(7, [&] { fired.push_back(2); });
+  h.cancel();  // must not reach the timer that reused h's record
+  s.run();
+  EXPECT_EQ(fired, (std::vector<int>{2}));
+  EXPECT_EQ(s.now(), 7);
+}
+
+TEST(SimulationTest, RescheduleMovesPendingTimerBehindEqualTimes) {
+  Simulation s;
+  std::vector<int> order;
+  TimerHandle h = s.call_at(10, [&] { order.push_back(1); });
+  s.call_at(10, [&] { order.push_back(2); });
+  s.call_at(20, [&] { order.push_back(3); });
+  s.reschedule_in(h, 10, [&] { order.push_back(4); });  // same time, new seq
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 4, 3}));
+  EXPECT_EQ(s.events_processed(), 3u);
+}
+
+TEST(SimulationTest, RescheduleOfFiredHandleSchedulesNewTimer) {
+  Simulation s;
+  std::vector<Time> fired;
+  TimerHandle h = s.call_at(5, [&] { fired.push_back(s.now()); });
+  s.run();
+  s.reschedule_in(h, 3, [&] { fired.push_back(s.now()); });
+  s.run();
+  EXPECT_EQ(fired, (std::vector<Time>{5, 8}));
+  TimerHandle fresh;
+  s.reschedule_in(fresh, 2, [&] { fired.push_back(s.now()); });
+  s.run();
+  EXPECT_EQ(fired, (std::vector<Time>{5, 8, 10}));
+}
+
+// Reference event queue: a lazy-deletion heap of shared records. Cancelled
+// records stay queued and are skipped when they reach the top. The
+// differential test below replays random scripts on it and on Simulation.
+class LazyQueue {
+ public:
+  struct Rec {
+    Time t = 0;
+    std::uint64_t seq = 0;
+    std::function<void()> fn;
+    bool cancelled = false;
+  };
+  struct Handle {
+    std::shared_ptr<Rec> rec;
+    void cancel() {
+      if (rec) rec->cancelled = true;
+      rec.reset();
+    }
+  };
+
+  Time now() const { return now_; }
+  std::uint64_t events_processed() const { return events_; }
+
+  Handle call_at(Time t, std::function<void()> fn) {
+    auto rec = std::make_shared<Rec>();
+    rec->t = t;
+    rec->seq = next_seq_++;
+    rec->fn = std::move(fn);
+    heap_.push(rec);
+    return Handle{rec};
+  }
+  void reschedule_in(Handle& h, Duration d, std::function<void()> fn) {
+    h.cancel();
+    h = call_at(now_ + d, std::move(fn));
+  }
+  bool run_until(Time t) {
+    while (!heap_.empty()) {
+      if (heap_.top()->cancelled) {
+        heap_.pop();
+        continue;
+      }
+      if (heap_.top()->t > t) {
+        now_ = t;
+        return true;
+      }
+      auto rec = heap_.top();
+      heap_.pop();
+      now_ = rec->t;
+      ++events_;
+      auto fn = std::move(rec->fn);
+      fn();
+    }
+    now_ = std::max(now_, t);
+    return false;
+  }
+
+ private:
+  struct Later {
+    bool operator()(const std::shared_ptr<Rec>& a,
+                    const std::shared_ptr<Rec>& b) const {
+      return a->t != b->t ? a->t > b->t : a->seq > b->seq;
+    }
+  };
+  std::priority_queue<std::shared_ptr<Rec>, std::vector<std::shared_ptr<Rec>>,
+                      Later>
+      heap_;
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t events_ = 0;
+};
+
+struct SimQueue {
+  using Handle = TimerHandle;
+  Simulation sim;
+  Time now() const { return sim.now(); }
+  std::uint64_t events_processed() const { return sim.events_processed(); }
+  Handle call_at(Time t, std::function<void()> fn) {
+    return sim.call_at(t, std::move(fn));
+  }
+  void reschedule_in(Handle& h, Duration d, std::function<void()> fn) {
+    sim.reschedule_in(h, d, std::move(fn));
+  }
+  bool run_until(Time t) { return sim.run_until(t); }
+};
+
+// Replays one seeded script and returns its log: every firing (id and
+// time), every run_until result, and the final event count. Timestamps come
+// from a narrow range so that many timers tie; callbacks cancel, re-time
+// and schedule timers themselves, and cancels hit fired handles as often as
+// pending ones.
+template <class Q>
+std::vector<std::int64_t> replay_script(std::uint64_t seed) {
+  Q q;
+  std::mt19937_64 rng(seed);
+  std::vector<typename Q::Handle> handles;
+  std::vector<std::int64_t> log;
+  int next_id = 0;
+  auto pick = [&]() -> typename Q::Handle& {
+    return handles[rng() % handles.size()];
+  };
+  std::function<std::function<void()>()> make_callback = [&] {
+    const int id = next_id++;
+    return [&, id] {
+      log.push_back(id);
+      log.push_back(q.now());
+      switch (rng() % 4) {
+        case 0:
+          if (!handles.empty()) pick().cancel();
+          break;
+        case 1:
+          if (!handles.empty()) {
+            q.reschedule_in(pick(), static_cast<Duration>(rng() % 4),
+                            make_callback());
+          }
+          break;
+        case 2:
+          handles.push_back(q.call_at(q.now() + static_cast<Time>(rng() % 3),
+                                      make_callback()));
+          break;
+        default:
+          break;
+      }
+    };
+  };
+  for (int op = 0; op < 600; ++op) {
+    switch (rng() % 6) {
+      case 0:
+      case 1:
+        handles.push_back(q.call_at(q.now() + static_cast<Time>(rng() % 5),
+                                    make_callback()));
+        break;
+      case 2:
+        if (!handles.empty()) pick().cancel();
+        break;
+      case 3:
+        if (!handles.empty()) {
+          q.reschedule_in(pick(), static_cast<Duration>(rng() % 5),
+                          make_callback());
+        }
+        break;
+      default: {
+        const bool more = q.run_until(q.now() + static_cast<Time>(rng() % 3));
+        log.push_back(more ? -1 : -2);
+        log.push_back(q.now());
+        break;
+      }
+    }
+  }
+  log.push_back(q.run_until(q.now() + 1000) ? -1 : -2);
+  log.push_back(static_cast<std::int64_t>(q.events_processed()));
+  return log;
+}
+
+TEST(SimulationTest, MatchesLazyDeletionReferenceOnRandomScripts) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    const auto expected = replay_script<LazyQueue>(seed);
+    const auto actual = replay_script<SimQueue>(seed);
+    EXPECT_GT(expected.size(), 600u) << "seed " << seed;
+    EXPECT_EQ(actual, expected) << "seed " << seed;
+  }
 }
 
 // --- coroutine processes ---------------------------------------------------
@@ -220,6 +453,35 @@ TEST(KillTest, KillPropagatesToChildren) {
   s.run();
   EXPECT_FALSE(parent_done);
   EXPECT_EQ(s.live_process_count(), 0u);
+}
+
+// --- reaping finished processes ---------------------------------------------
+
+Task<> finish_holding(Simulation& s, DtorFlag param) {
+  co_await s.yield();
+  EXPECT_NE(param.flag, nullptr);
+}
+
+Task<> spawn_many(Simulation& s, int n, std::size_t& peak) {
+  for (int i = 0; i < n; ++i) {
+    s.spawn("short", sleep_for(s, 1));
+    co_await s.delay(2);
+    peak = std::max(peak, s.debug_processes().size());
+  }
+}
+
+TEST(ReapTest, FinishedProcessesDoNotAccumulate) {
+  Simulation s;
+  bool param_destroyed = false;
+  s.spawn("first", finish_holding(s, DtorFlag(&param_destroyed)));
+  std::size_t peak = 0;
+  auto spawner = s.spawn("spawner", spawn_many(s, 10000, peak));
+  s.run();
+  EXPECT_EQ(spawner->state(), Process::State::Done);
+  EXPECT_LE(peak, 2048u);
+  // Reaping dropped the last reference to "first" long before shutdown, and
+  // with it the coroutine frame that held the by-value parameter.
+  EXPECT_TRUE(param_destroyed);
 }
 
 Task<> lock_and_sleep(Simulation& s, Mutex& m, std::vector<Time>& acquired) {
