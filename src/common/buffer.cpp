@@ -116,20 +116,21 @@ std::span<std::byte> Buffer::mutable_bytes() {
 }
 
 std::uint64_t Buffer::digest() const {
-  if (segs_.empty()) return fnv1a(std::span<const std::byte>{});
+  if (segs_.empty()) return xxh64({});
   if (segs_.size() == 1 && segs_[0].phantom) {
     // Keep the historical pure-phantom formula.
     return mix64(kPhantomSalt ^ size_);
   }
-  std::uint64_t h = kFnvOffset;
+  // Each segment's hash seeds the next, so segment order counts.
+  std::uint64_t h = 0;
   for (const Segment& s : segs_) {
     if (s.phantom) {
       const std::uint64_t marker = mix64(kPhantomSalt ^ s.length);
-      for (int i = 0; i < 8; ++i) {
-        h = fnv1a_step(h, static_cast<std::uint8_t>(marker >> (i * 8)));
-      }
+      std::byte bytes[sizeof marker];
+      std::memcpy(bytes, &marker, sizeof marker);
+      h = xxh64(bytes, h);
     } else {
-      h = fnv1a({s.data.data(), s.data.size()}, h);
+      h = xxh64({s.data.data(), s.data.size()}, h);
     }
   }
   return h;

@@ -1,5 +1,5 @@
 // ChunkDigestIndex: content-addressed index over stored chunks (keyed on
-// the FNV-1a content digest from common/digest.h via Buffer::digest,
+// the XXH64 content digest from common/digest.h via Buffer::digest,
 // qualified by the raw chunk length). Repository-scoped by default
 // (ReductionConfig::shared_index, Cloud-owned) so a chunk one tenant
 // committed is a dedup hit for every rank of every job and for every later
@@ -27,10 +27,10 @@
 // sources, so the epoch log is what keeps the concurrent sweep from
 // reclaiming content referenced by a commit that raced the mark.
 //
-// Collision caveat: a cross-commit hit is trusted on (64-bit FNV-1a digest,
+// Collision caveat: a cross-commit hit is trusted on (64-bit XXH64 digest,
 // raw length) equality alone — the indexed payload lives on remote
 // providers, so byte verification would cost the very transfer dedup
-// exists to avoid. FNV-1a is not collision-resistant; a colliding pair of
+// exists to avoid. XXH64 is not collision-resistant; a colliding pair of
 // same-length chunks would silently alias, corrupting one on read-back.
 // That is accepted for this simulator (synthetic checkpoint content); a
 // production store would key on a cryptographic digest. Intra-commit

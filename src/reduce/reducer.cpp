@@ -77,7 +77,9 @@ sim::Task<blob::ReducedChunk> Reducer::reduce(net::NodeId node,
 
   // 2. Content-addressed dedup (fully-real payloads only: phantom digests
   //    are length-derived, so matching them would fabricate savings). The
-  //    digest is only computed here — it has no other consumer.
+  //    digest is computed only here, but it outlives dedup: it is stamped
+  //    into the leaf (ChunkLocation::digest) and keys core::ChunkKey for the
+  //    node cache and the peer exchange, and federation's fallback lookup.
   const bool dedupable = cfg_.dedup && payload.fully_real();
   if (dedupable) {
     out.digest = payload.digest();

@@ -1,7 +1,11 @@
 // Unit + property tests for common: Buffer, RangeSet, Rng, digests, strutil.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/buffer.h"
@@ -253,6 +257,140 @@ TEST(DigestTest, KnownFnvVector) {
 
 TEST(DigestTest, OrderSensitive) {
   EXPECT_NE(fnv1a(std::string_view("ab")), fnv1a(std::string_view("ba")));
+}
+
+std::uint64_t xxh64_of(std::string_view text, std::uint64_t seed = 0) {
+  return xxh64(std::as_bytes(std::span(text.data(), text.size())), seed);
+}
+
+/// xxhsum's sanity buffer: byte i is the top byte of 2654435761 * P^i,
+/// P = 11400714785074694797 (mod 2^64).
+constexpr std::uint64_t kSanitySeed = 2654435761ULL;
+
+std::vector<std::byte> sanity_buffer(std::size_t n) {
+  std::vector<std::byte> out(n);
+  std::uint64_t gen = kSanitySeed;
+  for (std::byte& b : out) {
+    b = static_cast<std::byte>(gen >> 56);
+    gen *= 11400714785074694797ULL;
+  }
+  return out;
+}
+
+/// XXH64 as the specification states it, one input byte at a time: lanes
+/// are assembled from little-endian bytes, and the stripe loop runs while a
+/// whole stripe remains. The word-at-a-time xxh64 must match it.
+std::uint64_t xxh64_reference(std::span<const std::byte> in,
+                              std::uint64_t seed) {
+  const auto lane = [&in](std::size_t at, std::size_t width) {
+    std::uint64_t v = 0;
+    for (std::size_t k = width; k-- > 0;) {
+      v = (v << 8) | std::to_integer<std::uint64_t>(in[at + k]);
+    }
+    return v;
+  };
+  const auto round = [](std::uint64_t acc, std::uint64_t w) {
+    return std::rotl(acc + w * kXxhPrime2, 31) * kXxhPrime1;
+  };
+  std::size_t at = 0;
+  std::uint64_t h = seed + kXxhPrime5;
+  if (in.size() >= 32) {
+    std::uint64_t acc[4] = {seed + kXxhPrime1 + kXxhPrime2,
+                            seed + kXxhPrime2, seed, seed - kXxhPrime1};
+    while (in.size() - at >= 32) {
+      for (int k = 0; k < 4; ++k) acc[k] = round(acc[k], lane(at + 8 * k, 8));
+      at += 32;
+    }
+    h = std::rotl(acc[0], 1) + std::rotl(acc[1], 7) + std::rotl(acc[2], 12) +
+        std::rotl(acc[3], 18);
+    for (const std::uint64_t a : acc) {
+      h = (h ^ round(0, a)) * kXxhPrime1 + kXxhPrime4;
+    }
+  }
+  h += in.size();
+  while (in.size() - at >= 8) {
+    h = std::rotl(h ^ round(0, lane(at, 8)), 27) * kXxhPrime1 + kXxhPrime4;
+    at += 8;
+  }
+  if (in.size() - at >= 4) {
+    h = std::rotl(h ^ (lane(at, 4) * kXxhPrime1), 23) * kXxhPrime2 +
+        kXxhPrime3;
+    at += 4;
+  }
+  while (at < in.size()) {
+    h = std::rotl(h ^ (lane(at, 1) * kXxhPrime5), 11) * kXxhPrime1;
+    ++at;
+  }
+  h = (h ^ (h >> 33)) * kXxhPrime2;
+  h = (h ^ (h >> 29)) * kXxhPrime3;
+  return h ^ (h >> 32);
+}
+
+// Published XXH64 vectors. The lengths reach every branch: the 32-byte
+// stripe loop (62, 80 and 222 bytes), the 8-byte, 4-byte and 1-byte tails,
+// and a nonzero seed.
+TEST(DigestTest, Xxh64MatchesPublishedVectors) {
+  EXPECT_EQ(xxh64_of(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64_of("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(xxh64_of("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(xxh64_of("message digest"), 0x066ED728FCEEB3BEULL);
+  EXPECT_EQ(xxh64_of("abcdefghijklmnopqrstuvwxyz"), 0xCFE1F278FA89835CULL);
+  EXPECT_EQ(xxh64_of("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                     "0123456789"),
+            0xAAA46907D3047814ULL);
+  EXPECT_EQ(xxh64_of("1234567890123456789012345678901234567890"
+                     "1234567890123456789012345678901234567890"),
+            0xE04A477F19EE145DULL);
+  const std::vector<std::byte> sanity = sanity_buffer(222);
+  EXPECT_EQ(xxh64(sanity), 0xB641AE8CB691C174ULL);
+  EXPECT_EQ(xxh64(sanity, kSanitySeed), 0x20CB8AB7AE10C14AULL);
+  EXPECT_EQ(xxh64(std::span(sanity).first(14), kSanitySeed),
+            0xC3BD6BF63DEB6DF0ULL);
+  EXPECT_EQ(xxh64_reference(sanity, kSanitySeed), 0x20CB8AB7AE10C14AULL);
+}
+
+TEST(DigestTest, Xxh64MatchesByteSerialReferenceAtEveryLength) {
+  const std::vector<std::byte> sanity = sanity_buffer(300);
+  for (std::size_t n = 0; n <= sanity.size(); ++n) {
+    const auto in = std::span(sanity).first(n);
+    for (const std::uint64_t seed : {std::uint64_t{0}, kSanitySeed}) {
+      ASSERT_EQ(xxh64(in, seed), xxh64_reference(in, seed))
+          << "length " << n << " seed " << seed;
+    }
+  }
+}
+
+TEST(BufferDigestTest, EveryShortLengthDigestsDeterministicallyAndDistinctly) {
+  const Buffer source = Buffer::pattern(100, 42);
+  std::set<std::uint64_t> seen;
+  for (std::size_t n = 0; n <= 100; ++n) {
+    const std::uint64_t d = source.slice(0, n).digest();
+    EXPECT_EQ(d, source.slice(0, n).digest()) << "length " << n;
+    seen.insert(d);
+  }
+  EXPECT_EQ(seen.size(), 101u);
+}
+
+TEST(BufferDigestTest, PurePhantomKeepsLengthFormula) {
+  EXPECT_EQ(Buffer::phantom(500).digest(), mix64(0x941707011ULL ^ 500));
+  EXPECT_NE(Buffer::phantom(500).digest(), Buffer::phantom(501).digest());
+}
+
+TEST(BufferDigestTest, MovingThePhantomPartChangesTheDigest) {
+  const Buffer head = Buffer::pattern(64, 1);
+  const Buffer tail = Buffer::pattern(64, 2);
+  Buffer middle = head;
+  middle.append(Buffer::phantom(32));
+  middle.append(tail);
+  Buffer last = head;
+  last.append(tail);
+  last.append(Buffer::phantom(32));
+  Buffer first = Buffer::phantom(32);
+  first.append(head);
+  first.append(tail);
+  EXPECT_NE(middle.digest(), last.digest());
+  EXPECT_NE(middle.digest(), first.digest());
+  EXPECT_NE(last.digest(), first.digest());
 }
 
 TEST(StrutilTest, Strf) {

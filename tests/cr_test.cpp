@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -722,6 +723,103 @@ TEST(CrRetentionTest, QcowDiskRetentionRemovesRetiredSnapshotCopies) {
   EXPECT_GT(reclaimed, 0u);
   EXPECT_EQ(files_after + 2, files_before);  // two retired copies removed
   EXPECT_TRUE(ok);
+}
+
+// ---------------------------------------------------------------------------
+// Scavenge with reduction and parity: after a full provider outage,
+// scavenge() re-encodes each recovered RLE chunk, and the re-encoding must
+// reproduce the stored payload exactly — its size is the leaf's recorded
+// ChunkLocation::size, and a cold restart decodes every rank state
+// bit-exactly from the scavenged repository.
+// ---------------------------------------------------------------------------
+
+/// Rank state that RLE shrinks: 40-byte runs of nonzero, seed-dependent
+/// byte values.
+Buffer run_state(std::uint64_t seed) {
+  std::vector<std::byte> bytes(300'000);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::byte>(1 + (i / 40 + seed * 7) % 255);
+  }
+  return Buffer::real(std::move(bytes));
+}
+
+struct ScavengeOutcome {
+  ScavengeReport report;
+  std::size_t payload_chunks = 0;
+  std::size_t rle_chunks = 0;
+  std::uint64_t payload_bytes = 0;  // sum of ChunkLocation::size
+  bool restored_ok = false;
+};
+
+TEST(CrScavengeTest, RleChunksScavengeToTheirRecordedSize) {
+  constexpr std::size_t kVms = 3;
+  CloudConfig cfg = tiny_cfg(Backend::BlobCR, /*flush=*/true);
+  cfg.replication = 1;
+  cfg.reduction.enabled = true;
+  cfg.reduction.compression = true;
+  cfg.redundancy.enabled = true;
+  Cloud cloud(cfg);
+  ScavengeOutcome out;
+
+  cloud.run([](Cloud* cl, ScavengeOutcome* out) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, kVms);
+    Session session(dep);
+    co_await dep.deploy_and_boot();
+    for (std::size_t i = 0; i < kVms; ++i) {
+      // Reading the whole disk caches every base-image chunk on a compute
+      // node, so the outage leaves no chunk without a surviving copy.
+      (void)co_await dep.vm(i).disk().read(0, cl->config().os.image_size);
+      co_await dep.vm(i).fs()->write_file("/data/state.bin", run_state(i));
+      co_await dep.vm(i).fs()->sync();
+    }
+    const CheckpointRecord rec = co_await session.checkpoint("runs");
+    EXPECT_EQ(rec.state, RecordState::Complete);
+
+    // The chunks scavenge must re-create: every payload-bearing leaf of the
+    // record, once per ChunkId.
+    blob::BlobClient client(*cl->blob_store(), cl->compute_node(0));
+    std::map<blob::ChunkId, blob::ChunkLocation> payload;
+    for (const core::InstanceSnapshot& s : rec.snapshots) {
+      const blob::BlobMeta meta = co_await client.stat(s.image);
+      const auto refs = co_await client.resolve_chunks(
+          s.image, s.version, 0, meta.version(s.version).size);
+      for (const blob::BlobClient::ChunkRef& ref : refs) {
+        if (ref.loc.id == 0 || ref.loc.encoding == blob::ChunkEncoding::Zero)
+          continue;
+        payload.emplace(ref.loc.id, ref.loc);
+      }
+    }
+    for (const auto& [id, loc] : payload) {
+      out->payload_bytes += loc.size;
+      if (loc.encoding == blob::ChunkEncoding::Rle) ++out->rle_chunks;
+    }
+    out->payload_chunks = payload.size();
+
+    for (const auto& provider : cl->blob_store()->providers())
+      provider->fail();
+    out->report = co_await session.scavenge();
+
+    // Cold restart on fresh nodes: every read comes out of the scavenged
+    // repository.
+    cl->reset_chunk_caches();
+    Session::RestartOptions opts;
+    opts.node_offset = kVms;
+    opts.cold_caches = true;
+    (void)co_await session.restart(Selector::latest(), opts);
+    bool ok = true;
+    for (std::size_t i = 0; i < kVms; ++i) {
+      ok = ok && (co_await dep.vm(i).fs()->read_file("/data/state.bin")) ==
+                     run_state(i);
+    }
+    out->restored_ok = ok;
+  }(&cloud, &out));
+
+  EXPECT_TRUE(out.report.complete());
+  EXPECT_GT(out.rle_chunks, 0u);
+  EXPECT_EQ(out.report.chunks_restored, out.payload_chunks);
+  EXPECT_EQ(out.report.bytes_restored, out.payload_bytes);
+  EXPECT_TRUE(out.restored_ok);
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 // version.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strutil.h"
@@ -492,6 +494,42 @@ TEST(FlushFtIntegrationTest, SyntheticScenarioReportsBlockedTimeAndSizes) {
 // kill must leave no half-registered group state, and a GC pass over the
 // crashed lineage must leave no orphaned parity blocks in holder caches.
 // ---------------------------------------------------------------------------
+
+/// The byte loop xor_combine replaced, kept as its reference: XOR into a
+/// zero-filled result as long as the longer operand.
+Buffer xor_reference(const Buffer& a, const Buffer& b) {
+  std::vector<std::byte> out(std::max(a.size(), b.size()), std::byte{0});
+  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a.bytes()[i];
+  for (std::size_t i = 0; i < b.size(); ++i) out[i] ^= b.bytes()[i];
+  return Buffer::real(std::move(out));
+}
+
+TEST(RedundancyXorTest, XorCombineMatchesByteLoop) {
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {8, 8},   {16, 16}, {13, 13}, {1, 1},     {7, 7},     {9, 9},
+      {16, 9},  {9, 16},  {3, 100}, {100, 3},   {64, 57},   {57, 64},
+      {0, 5},   {5, 0},   {0, 16},  {kChunk, kChunk / 2 + 3},
+      {kChunk - 1, kChunk}};
+  std::uint64_t seed = 1;
+  for (const auto& [na, nb] : sizes) {
+    const Buffer a = Buffer::pattern(na, seed++);
+    const Buffer b = Buffer::pattern(nb, seed++);
+    EXPECT_EQ(redundancy::xor_combine(a, b), xor_reference(a, b))
+        << na << " ^ " << nb;
+  }
+  EXPECT_TRUE(redundancy::xor_combine(Buffer(), Buffer()).empty());
+
+  // Phantom poisoning: any phantom byte in either operand makes the whole
+  // result a phantom of the longer length.
+  Buffer mixed = Buffer::pattern(10, 3);
+  mixed.append(Buffer::phantom(6));
+  EXPECT_EQ(redundancy::xor_combine(Buffer::pattern(40, 1), mixed),
+            Buffer::phantom(40));
+  EXPECT_EQ(redundancy::xor_combine(mixed, Buffer::pattern(4, 2)),
+            Buffer::phantom(16));
+  EXPECT_EQ(redundancy::xor_combine(Buffer(), Buffer::phantom(7)),
+            Buffer::phantom(7));
+}
 
 TEST(RedundancyManagerTest, XorRebuildReconstructsLostMemberBitExact) {
   Simulation s;

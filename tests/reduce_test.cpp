@@ -4,7 +4,10 @@
 // shared chunks and digest-index invalidation after reclaim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/strutil.h"
@@ -505,6 +508,122 @@ TEST(ReduceTest, RleCodecProperty) {
     const std::vector<std::byte> enc = rle_encode(in);
     const std::vector<std::byte> dec = rle_decode(enc, in.size());
     ASSERT_EQ(dec, in);
+  }
+}
+
+/// The byte-serial encoder rle_encode replaced, kept as its reference: the
+/// tokens must match byte for byte, not merely decode, because scavenge
+/// re-encodes recovered chunks and stores them under their recorded size.
+std::vector<std::byte> rle_encode_reference(std::span<const std::byte> in) {
+  std::vector<std::byte> out;
+  std::size_t i = 0;
+  std::size_t literal_start = 0;
+  const auto flush_literals = [&](std::size_t end) {
+    std::size_t at = literal_start;
+    while (at < end) {
+      const std::size_t n = std::min(kRleMaxLiteral, end - at);
+      out.push_back(static_cast<std::byte>(n - 1));
+      out.insert(out.end(), in.begin() + static_cast<std::ptrdiff_t>(at),
+                 in.begin() + static_cast<std::ptrdiff_t>(at + n));
+      at += n;
+    }
+  };
+  while (i < in.size()) {
+    std::size_t run = 1;
+    while (i + run < in.size() && in[i + run] == in[i] && run < kRleMaxRun) {
+      ++run;
+    }
+    if (run >= kRleMinRun) {
+      flush_literals(i);
+      out.push_back(static_cast<std::byte>(0x80 + (run - kRleMinRun)));
+      out.push_back(in[i]);
+      i += run;
+      literal_start = i;
+    } else {
+      i += run;
+    }
+  }
+  flush_literals(in.size());
+  return out;
+}
+
+/// Builds encoder inputs piece by piece. Adjacent pieces never share a byte
+/// value at their seam, so each piece keeps exactly its intended shape.
+struct RleInput {
+  common::Rng rng;
+  std::vector<std::byte> bytes;
+
+  explicit RleInput(std::uint64_t seed) : rng(seed) {}
+
+  std::byte fresh() {
+    auto b = static_cast<std::byte>(rng.next_u64() & 0xff);
+    if (!bytes.empty() && b == bytes.back()) b ^= std::byte{0x5a};
+    return b;
+  }
+  /// `n` bytes with no two equal neighbours: one literal token stream.
+  RleInput& literal(std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) bytes.push_back(fresh());
+    return *this;
+  }
+  RleInput& run(std::size_t n) {
+    bytes.insert(bytes.end(), n, fresh());
+    return *this;
+  }
+};
+
+TEST(ReduceTest, RleEncoderMatchesByteSerialReference) {
+  std::vector<std::vector<std::byte>> inputs;
+  std::uint64_t seed = 1;
+  // Literal lengths around the 128-byte token limit, each followed by runs
+  // around the 3-byte minimum and the 130-byte cap.
+  for (const std::size_t lit : {1, 2, 127, 128, 129, 256, 257}) {
+    for (const std::size_t run : {2, 3, 4, 129, 130, 131, 132, 260, 261}) {
+      inputs.push_back(RleInput(seed++).literal(lit).run(run).literal(lit).bytes);
+      inputs.push_back(RleInput(seed++).run(run).literal(lit).run(run).bytes);
+    }
+  }
+  // Tails of 0-10 bytes after a run and after a literal stretch, ending in
+  // a literal or in a short run.
+  for (std::size_t tail = 0; tail <= 10; ++tail) {
+    inputs.push_back(RleInput(seed++).run(40).literal(tail).bytes);
+    inputs.push_back(RleInput(seed++).literal(40).run(tail).bytes);
+    inputs.push_back(RleInput(seed++).literal(37).run(5).literal(tail).bytes);
+    inputs.push_back(RleInput(seed++).literal(tail).bytes);
+    inputs.push_back(RleInput(seed++).run(tail).bytes);
+  }
+  // Runs starting and ending at every offset around 8-byte boundaries, and
+  // inputs ending in a 2-byte repeat at every offset.
+  for (std::size_t lead = 0; lead <= 17; ++lead) {
+    for (std::size_t run = 2; run <= 20; ++run) {
+      inputs.push_back(RleInput(seed++).literal(lead).run(run).literal(11).bytes);
+    }
+    inputs.push_back(RleInput(seed++).literal(lead + 8).run(2).bytes);
+  }
+  // Seeded mixes of runs and noise.
+  common::Rng rng(4321);
+  for (int trial = 0; trial < 200; ++trial) {
+    RleInput in(seed++);
+    const std::size_t n = 1 + rng.next_u64() % 2048;
+    while (in.bytes.size() < n) {
+      const std::size_t len = 1 + rng.next_u64() % 300;
+      if (rng.next_u64() % 2 == 0) {
+        in.run(len);
+      } else {
+        in.literal(len);
+      }
+    }
+    inputs.push_back(std::move(in.bytes));
+  }
+  // Each input is encoded as the prefix of a buffer whose next 16 bytes
+  // repeat its last byte, so a load past the end would find a run there.
+  for (const std::vector<std::byte>& in : inputs) {
+    std::vector<std::byte> padded = in;
+    padded.insert(padded.end(), 16, in.empty() ? std::byte{0} : in.back());
+    const std::vector<std::byte> enc =
+        rle_encode(std::span(padded).first(in.size()));
+    ASSERT_EQ(enc, rle_encode_reference(in))
+        << "input of " << in.size() << " bytes";
+    ASSERT_EQ(rle_decode(enc, in.size()), in);
   }
 }
 
