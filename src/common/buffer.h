@@ -11,6 +11,20 @@
 // phantom content — e.g. a 256 KiB repository chunk holding a real BLCR
 // header next to phantom memory pages.
 //
+// Real bytes live in shared, reference-counted storage: a real segment is a
+// view (offset, length) into one storage, so copying, slicing, shrinking and
+// appending a buffer cost O(segments) and share bytes instead of copying
+// them. Storage is copy-on-write, and only two things still copy bytes:
+//   - merging two real pieces that are not contiguous in one storage (both
+//     are copied into fresh storage; only the right one when the left piece
+//     alone holds its storage and ends at its end, so it grows in place);
+//   - the first write (mutable_bytes(), an in-place overwrite()) to storage
+//     another Buffer also holds.
+//
+// A span from bytes() or mutable_bytes() stays valid only until that Buffer
+// is next modified or destroyed; mutable_bytes() may copy, so take it again
+// after any change instead of keeping an older span.
+//
 // Canonical form invariant: segments are contiguous from offset 0, adjacent
 // segments of the same kind are merged; a fully-real buffer therefore has
 // exactly one segment and exposes a flat byte view.
@@ -18,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -55,6 +70,8 @@ class Buffer {
 
   /// Flat view of the payload; requires fully_real() (empty span otherwise).
   std::span<const std::byte> bytes() const;
+  /// Writable flat view; requires fully_real(). Copies the bytes first when
+  /// another Buffer shares their storage.
   std::span<std::byte> mutable_bytes();
 
   /// Order-sensitive digest over content; phantom segments contribute a
@@ -62,7 +79,8 @@ class Buffer {
   /// buffer's digest depends only on its length.
   std::uint64_t digest() const;
 
-  /// Copy of [off, off+len). Requires off+len <= size().
+  /// The bytes [off, off+len), sharing this buffer's storage. Requires
+  /// off+len <= size().
   Buffer slice(std::size_t off, std::size_t len) const;
 
   /// Overwrites [off, off+src.size()) with `src`, growing if needed (a gap
@@ -80,16 +98,22 @@ class Buffer {
   friend bool operator==(const Buffer& a, const Buffer& b);
 
  private:
-  struct Segment {
-    bool phantom = false;
-    std::uint64_t length = 0;      // phantom only
-    std::vector<std::byte> data;   // real only
+  using Storage = std::vector<std::byte>;
 
-    std::uint64_t size() const {
-      return phantom ? length : data.size();
+  /// A phantom run (null `data`) or a view of [offset, offset+length) of
+  /// shared storage.
+  struct Segment {
+    std::shared_ptr<Storage> data;
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+
+    bool phantom() const { return data == nullptr; }
+    std::span<const std::byte> view() const {
+      return {data->data() + offset, length};
     }
   };
 
+  static Buffer of(Segment seg);
   void push_segment(Segment seg);          // appends + merges
   Buffer slice_segments(std::size_t off, std::size_t len) const;
 

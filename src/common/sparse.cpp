@@ -89,7 +89,7 @@ std::vector<std::pair<std::uint64_t, Buffer>> SparseFile::read_extents(
       if (prev_off + prev_buf.size() == lo &&
           prev_buf.is_phantom() == piece.is_phantom() &&
           prev_buf.size() + piece.size() <= max_piece) {
-        prev_buf.overwrite(prev_buf.size(), piece);
+        prev_buf.append(piece);
         continue;
       }
     }

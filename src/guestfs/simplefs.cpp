@@ -336,7 +336,8 @@ SimpleFs::Placement SimpleFs::locate(const Inode& ino,
 void SimpleFs::cache_read(std::uint64_t block, std::uint64_t count,
                           const common::Buffer& data) {
   const std::uint64_t bytes = count * cfg_.block_size;
-  // A copy, not `data` itself: the device's buffer may carry spare capacity.
+  // Only the first `bytes` of the device's buffer, which may be longer; the
+  // slice shares `data`'s storage instead of copying it.
   common::Buffer page =
       data.slice(0, std::min<std::uint64_t>(bytes, data.size()));
   page.resize(bytes);

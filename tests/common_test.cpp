@@ -1,6 +1,7 @@
 // Unit + property tests for common: Buffer, RangeSet, Rng, digests, strutil.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <set>
@@ -108,6 +109,223 @@ TEST(BufferTest, ResizeZeroExtends) {
   b.resize(1);
   EXPECT_EQ(b.to_string(), "a");
 }
+
+// Differential test of Buffer's shared copy-on-write storage: seeded random
+// sequences of slice, copy, append, overwrite (in place and growing), resize
+// and mutable_bytes() writes over mixed real/phantom buffers, checked after
+// every step against a flat model (the bytes plus a per-byte phantom flag).
+// Every live buffer is re-checked after every step, so a write that leaks
+// into another buffer viewing the same storage shows up there.
+struct FlatModel {
+  std::vector<std::byte> bytes;  // zero under phantom bytes
+  std::vector<bool> phantom;
+
+  std::size_t size() const { return bytes.size(); }
+
+  FlatModel slice(std::size_t off, std::size_t len) const {
+    return {{bytes.begin() + static_cast<std::ptrdiff_t>(off),
+             bytes.begin() + static_cast<std::ptrdiff_t>(off + len)},
+            {phantom.begin() + static_cast<std::ptrdiff_t>(off),
+             phantom.begin() + static_cast<std::ptrdiff_t>(off + len)}};
+  }
+  void resize(std::size_t n) {
+    bytes.resize(n, std::byte{0});
+    phantom.resize(n, false);
+  }
+  void overwrite(std::size_t off, const FlatModel& src) {
+    if (src.size() == 0) return;  // Buffer::overwrite never grows for it
+    if (off + src.size() > size()) resize(off + src.size());
+    std::copy(src.bytes.begin(), src.bytes.end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(off));
+    std::copy(src.phantom.begin(), src.phantom.end(),
+              phantom.begin() + static_cast<std::ptrdiff_t>(off));
+  }
+  void append(const FlatModel& src) { overwrite(size(), src); }
+
+  /// A buffer built from scratch, one fresh storage per real run.
+  Buffer build() const {
+    Buffer out;
+    for (std::size_t i = 0; i < size();) {
+      std::size_t j = i;
+      while (j < size() && phantom[j] == phantom[i]) ++j;
+      const auto from = bytes.begin() + static_cast<std::ptrdiff_t>(i);
+      const auto to = bytes.begin() + static_cast<std::ptrdiff_t>(j);
+      out.append(phantom[i] ? Buffer::phantom(j - i)
+                            : Buffer::real({from, to}));
+      i = j;
+    }
+    return out;
+  }
+
+  friend bool operator==(const FlatModel&, const FlatModel&) = default;
+};
+
+FlatModel model_of(const Buffer& b) {  // b is fully real
+  const auto view = b.bytes();
+  return {{view.begin(), view.end()}, std::vector<bool>(view.size(), false)};
+}
+
+::testing::AssertionResult Matches(const Buffer& b, const FlatModel& m) {
+  const bool any_phantom =
+      std::find(m.phantom.begin(), m.phantom.end(), true) != m.phantom.end();
+  const bool all_phantom =
+      std::find(m.phantom.begin(), m.phantom.end(), false) == m.phantom.end();
+  const bool zero = std::all_of(m.bytes.begin(), m.bytes.end(),
+                                [](std::byte x) { return x == std::byte{0}; });
+  const Buffer fresh = m.build();
+  const auto view = b.bytes();
+  const std::vector<std::byte> flat(view.begin(), view.end());
+  if (b.size() != m.size())
+    return ::testing::AssertionFailure() << "size " << b.size() << " vs "
+                                         << m.size();
+  if (b.is_phantom() != any_phantom)
+    return ::testing::AssertionFailure() << "is_phantom";
+  if (b.fully_real() != !any_phantom)
+    return ::testing::AssertionFailure() << "fully_real";
+  if (b.fully_phantom() != (m.size() > 0 && all_phantom))
+    return ::testing::AssertionFailure() << "fully_phantom";
+  if (b.all_zero() != (m.size() > 0 && !any_phantom && zero))
+    return ::testing::AssertionFailure() << "all_zero";
+  if (flat != (any_phantom ? std::vector<std::byte>{} : m.bytes))
+    return ::testing::AssertionFailure() << "bytes() differ";
+  if (!(b == fresh)) return ::testing::AssertionFailure() << "operator==";
+  if (b.digest() != fresh.digest())
+    return ::testing::AssertionFailure() << "digest";
+  return ::testing::AssertionSuccess();
+}
+
+class BufferSharingTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BufferSharingTest, MatchesFlatModel) {
+  Rng rng(GetParam());
+  struct Entry {
+    Buffer buf;
+    FlatModel model;
+  };
+  constexpr std::size_t kPoolCap = 16;
+  std::vector<Entry> pool;
+  pool.reserve(kPoolCap);  // `e` below stays valid across add()
+  auto fresh_real = [&](std::size_t n) {
+    const Buffer b = Buffer::pattern(n, rng.next_u64());
+    return Entry{b, model_of(b)};
+  };
+  auto add = [&](Entry e) {
+    if (pool.size() < kPoolCap) {
+      pool.push_back(std::move(e));
+    } else {
+      pool[rng.uniform(kPoolCap)] = std::move(e);
+    }
+  };
+  auto pick = [&] { return rng.uniform(pool.size()); };
+  pool.push_back(fresh_real(64));
+  pool.push_back({Buffer::zeros(40), FlatModel{}});
+  pool.back().model.resize(40);
+  pool.push_back({Buffer::phantom(24), FlatModel{}});
+  pool.back().model.phantom.assign(24, true);
+  pool.back().model.bytes.resize(24);
+  {
+    Entry mixed = fresh_real(32);
+    mixed.buf.append(pool[2].buf);
+    mixed.model.append(pool[2].model);
+    const Entry tail = fresh_real(16);
+    mixed.buf.append(tail.buf);
+    mixed.model.append(tail.model);
+    pool.push_back(std::move(mixed));
+  }
+
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t op = rng.uniform(8);
+    Entry& e = pool[pick()];
+    const std::size_t n = e.buf.size();
+    switch (op) {
+      case 0: {  // two slices of one length at two offsets
+        const std::size_t len = rng.uniform(n + 1);
+        const std::size_t a = rng.uniform(n - len + 1);
+        const std::size_t b = rng.uniform(n - len + 1);
+        Entry first{e.buf.slice(a, len), e.model.slice(a, len)};
+        Entry second{e.buf.slice(b, len), e.model.slice(b, len)};
+        add(std::move(first));
+        add(std::move(second));
+        break;
+      }
+      case 1:  // copy
+        add(e);
+        break;
+      case 2: {  // append another buffer (possibly this one's copy)
+        const Entry src = rng.chance(0.3) ? fresh_real(rng.uniform(48))
+                                          : pool[pick()];
+        e.buf.append(src.buf);
+        e.model.append(src.model);
+        break;
+      }
+      case 3: {  // overwrite in place, often from a slice of itself
+        if (n == 0) break;
+        const std::size_t len = 1 + rng.uniform(n);
+        const std::size_t from = rng.uniform(n - len + 1);
+        const Entry src = rng.chance(0.5)
+                              ? Entry{e.buf.slice(from, len),
+                                      e.model.slice(from, len)}
+                              : fresh_real(len);
+        const std::size_t off = rng.uniform(n - len + 1);
+        e.buf.overwrite(off, src.buf);
+        e.model.overwrite(off, src.model);
+        break;
+      }
+      case 4: {  // overwrite that may run past the end or leave a gap
+        const Entry src = pool[pick()];
+        const std::size_t off = rng.uniform(n + 16);
+        e.buf.overwrite(off, src.buf);
+        e.model.overwrite(off, src.model);
+        break;
+      }
+      case 5: {  // shrink or zero-extend
+        const std::size_t to = rng.uniform(n + 48);
+        e.buf.resize(to);
+        e.model.resize(to);
+        break;
+      }
+      case 6: {  // write through mutable_bytes()
+        if (n == 0 || !e.buf.fully_real()) break;
+        const auto writable = e.buf.mutable_bytes();
+        ASSERT_EQ(writable.size(), n);
+        for (int k = 0; k < 4; ++k) {
+          const std::size_t at = rng.uniform(n);
+          const auto value = static_cast<std::byte>(rng.uniform(256));
+          writable[at] = value;
+          e.model.bytes[at] = value;
+        }
+        break;
+      }
+      case 7: {  // a span from one copy survives an append to the other
+        if (n == 0 || !e.buf.fully_real()) break;
+        Entry twin = e;
+        const auto pinned = e.buf.bytes();
+        const std::vector<std::byte> before(pinned.begin(), pinned.end());
+        const Entry tail = fresh_real(1 + rng.uniform(48));
+        twin.buf.append(tail.buf);
+        twin.model.append(tail.model);
+        ASSERT_EQ(e.buf.bytes().data(), pinned.data()) << "step " << step;
+        ASSERT_TRUE(std::equal(pinned.begin(), pinned.end(), before.begin(),
+                               before.end()))
+            << "step " << step;
+        add(std::move(twin));
+        break;
+      }
+    }
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      ASSERT_TRUE(Matches(pool[i].buf, pool[i].model))
+          << "step " << step << " op " << op << " buffer " << i;
+      for (std::size_t j = 0; j < i; ++j) {
+        ASSERT_EQ(pool[i].buf == pool[j].buf, pool[i].model == pool[j].model)
+            << "step " << step << " op " << op << " buffers " << i << ", "
+            << j;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BufferSharingTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 99, 1234));
 
 TEST(RangeSetTest, InsertCoalescesAdjacent) {
   RangeSet rs;
