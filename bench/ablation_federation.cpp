@@ -105,8 +105,7 @@ Outcome run_drill(const Drill& d) {
     const sim::Time t0 = cl->simulation().now();
     (void)co_await session2.restart(
         cr::Selector::latest(),
-        /*node_offset=*/target_zone * d->nodes_per_zone,
-        /*cold_caches=*/true);
+        {.node_offset = target_zone * d->nodes_per_zone, .cold_caches = true});
     bool ok = true;
     for (std::size_t i = 0; i < d->instances; ++i) {
       const Buffer state =

@@ -124,7 +124,7 @@ ScavengeOutcome run_scavenge_drill(std::size_t vms,
     cl->reset_chunk_caches();
     const sim::Time t1 = cl->simulation().now();
     (void)co_await session.restart(cr::Selector::latest(),
-                                   /*node_offset=*/vms);
+                                   {.node_offset = vms});
     out->restart = cl->simulation().now() - t1;
     bool ok = true;
     for (std::size_t i = 0; i < vms; ++i) {

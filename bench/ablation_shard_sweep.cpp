@@ -194,7 +194,8 @@ Row run_config(std::size_t tenants, std::size_t shards) {
   rcfg.compression = false;
   rcfg.index_shards = shards;
   reduce::ChunkDigestIndex index(shards);
-  index.attach_service(sim, 100 * sim::kMicrosecond, &store.tenants());
+  index.attach_service(sim, 100 * sim::kMicrosecond,
+                       store.admission().fair_over());
 
   SweepState st;
   st.sim = &sim;

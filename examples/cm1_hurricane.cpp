@@ -123,7 +123,7 @@ int main() {
     dep.destroy_all();
 
     (void)co_await session.restart(cr::Selector::latest(),
-                                   /*node_offset=*/kVms + 1);
+                                   {.node_offset = kVms + 1});
     std::printf("[t=%8.3fs] restarted from checkpoint on fresh nodes\n",
                 sim::to_seconds(cl->simulation().now()));
 

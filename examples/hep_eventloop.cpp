@@ -96,7 +96,7 @@ int main() {
     banner(*cl, "fail-stop: all instances and their disks are gone");
 
     (void)co_await session.restart(cr::Selector::latest(),
-                                   /*node_offset=*/kVms);
+                                   {.node_offset = kVms});
     banner(*cl, "restarted from disk snapshots on fresh nodes");
 
     sim::Barrier phase2(cl->simulation(), kVms + 1);

@@ -90,7 +90,7 @@ int main() {
     (void)co_await session.commit_last("half-scan");
     dep.destroy_all();
     banner(*cl, "fail-stop");
-    (void)co_await session.restart(cr::Selector::latest(), /*node_offset=*/2);
+    (void)co_await session.restart(cr::Selector::latest(), {.node_offset = 2});
     banner(*cl, "restarted on fresh nodes (lazy fetch, no full image copy)");
 
     sim::Barrier phase2(cl->simulation(), 3);

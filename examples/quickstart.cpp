@@ -79,7 +79,7 @@ int main() {
 
     // The catalog — repository state, not driver memory — names the last
     // complete global checkpoint; restart selects it.
-    (void)co_await session.restart(cr::Selector::latest(), /*node_offset=*/2);
+    (void)co_await session.restart(cr::Selector::latest(), {.node_offset = 2});
     banner(*cl, "restarted from the cataloged checkpoint on different nodes");
 
     const Buffer state = co_await dep.vm(0).fs()->read_file("/data/state.bin");

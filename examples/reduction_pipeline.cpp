@@ -86,7 +86,7 @@ int main() {
         // Full restart from the reduced snapshots: every byte must be back.
         dep.destroy_all();
         (void)co_await session.restart(cr::Selector::latest(),
-                                       /*node_offset=*/2);
+                                       {.node_offset = 2});
         const Buffer back =
             co_await dep.vm(1).fs()->read_file("/data/shared.bin");
         const Buffer zero_back =

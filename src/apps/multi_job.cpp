@@ -62,8 +62,9 @@ Task<sim::Duration> restart_and_read_back(
     JobResult* out) {
   dep->destroy_all();
   const sim::Time t0 = dep->cloud().now();
-  (void)co_await session->restart(cr::Selector::latest(), node_offset,
-                                  /*cold_caches=*/true);
+  (void)co_await session->restart(
+      cr::Selector::latest(),
+      {.node_offset = node_offset, .cold_caches = true});
   for (std::size_t i = 0; i < spec->instances; ++i) {
     const common::Buffer back =
         co_await dep->vm(i).fs()->read_file("/data/buffer.bin");

@@ -77,8 +77,10 @@ struct JobResult {
   std::vector<sim::Duration> restart_times;
   bool verified = true;
   /// The job's repository accounting summed over every zone
-  /// (Cloud::tenant_usage; commit_wait is the full shared-queue wait). A
-  /// fresh per-job tenant has no pre-job usage, so this is the job's own.
+  /// (Cloud::tenant_usage; commit_wait is the full shared-queue wait: the
+  /// commit gate plus the version- and provider-manager queues, in either
+  /// QoS mode). A fresh per-job tenant has no pre-job usage, so this is the
+  /// job's own.
   blob::BlobStore::TenantUsage usage;
   std::uint64_t gc_reclaimed_bytes = 0;
   /// The job's own catalog lineage as its session lists it.

@@ -164,8 +164,9 @@ Task<> synthetic_driver(Cloud* cloud, SyntheticRun run, CkptMode mode,
     // cold caches (every byte comes from the repository or from peers
     // restarting alongside), and the restart target is whatever the
     // catalog says was the last complete global checkpoint.
-    (void)co_await session.restart(cr::Selector::latest(), run.restart_shift,
-                                   /*cold_caches=*/true);
+    (void)co_await session.restart(
+        cr::Selector::latest(),
+        {.node_offset = run.restart_shift, .cold_caches = true});
     if (mode != CkptMode::FullVm) {
       for (std::size_t i = 0; i < run.instances; ++i) {
         dep.vm(i).start_guest(
@@ -473,8 +474,9 @@ Task<> cm1_driver(Cloud* cloud, Cm1Run run, CkptMode mode,
     dep.destroy_all();
     t0 = sim.now();
     // Cold restart on different nodes (§4.4), selected from the catalog.
-    (void)co_await session.restart(cr::Selector::latest(), run.restart_shift,
-                                   /*cold_caches=*/true);
+    (void)co_await session.restart(
+        cr::Selector::latest(),
+        {.node_offset = run.restart_shift, .cold_caches = true});
     for (std::size_t i = 0; i < run.vms; ++i) {
       for (int k = 0; k < run.ranks_per_vm; ++k) {
         const int rank = static_cast<int>(i) * run.ranks_per_vm + k;

@@ -231,13 +231,10 @@ sim::Task<VersionId> BlobClient::write_extents_via(
   // commit; with the gate unbounded (single-tenant default) this is a
   // no-op. The permit releases as this frame unwinds — including on drain
   // kill.
-  const sim::Time admit_start = store_->simulation().now();
-  net::FairGate::Permit admission = co_await store_->admission().admit(
+  qos::FairGate::Permit admission = co_await store_->admission().admit(
       qos::IoContext{tenant_, qos::GateClass::Commit},
       static_cast<double>(payload_bytes));
   (void)admission;
-  store_->account_commit_wait(tenant_,
-                              store_->simulation().now() - admit_start);
 
   // Reduced-path commit state, function-scoped so the guard's destructor
   // runs only after the version published (or on unwind): dedup Ref pins

@@ -23,11 +23,10 @@ namespace blobcr::blob {
 
 class DataProvider {
  public:
-  DataProvider(sim::Simulation& /*sim*/, net::Fabric& fabric, net::NodeId node,
-               storage::Disk& disk, std::uint64_t disk_stream,
-               qos::AdmissionPlane* plane)
+  DataProvider(net::Fabric& fabric, net::NodeId node, storage::Disk& disk,
+               std::uint64_t disk_stream, qos::AdmissionPlane& plane)
       : fabric_(&fabric), node_(node), store_(disk, disk_stream),
-        plane_(plane) {}
+        plane_(&plane) {}
 
   net::NodeId node() const { return node_; }
   bool alive() const { return alive_; }
@@ -48,7 +47,7 @@ class DataProvider {
   sim::Task<> store(net::NodeId from, ChunkId id, common::Buffer data,
                     qos::IoContext ctx) {
     if (!alive_) throw BlobError("provider down");
-    net::FairGate::Permit permit =
+    qos::FairGate::Permit permit =
         co_await admit(ctx, static_cast<double>(data.size()));
     (void)permit;
     co_await fabric_->transfer(from, node_, data.size());
@@ -63,7 +62,7 @@ class DataProvider {
                                   qos::IoContext ctx,
                                   net::Fabric::Shape shape = {}) {
     if (!alive_ || !store_.has(id)) throw BlobError("chunk unavailable");
-    net::FairGate::Permit permit =
+    qos::FairGate::Permit permit =
         co_await admit(ctx, static_cast<double>(store_.size_of(id)));
     (void)permit;
     if (!alive_ || !store_.has(id)) throw BlobError("chunk unavailable");
@@ -77,7 +76,7 @@ class DataProvider {
   /// class, before handing them over).
   sim::Task<> put_local(ChunkId id, common::Buffer data, qos::IoContext ctx) {
     if (!alive_) throw BlobError("provider down");
-    net::FairGate::Permit permit =
+    qos::FairGate::Permit permit =
         co_await admit(ctx, static_cast<double>(data.size()));
     (void)permit;
     if (!alive_) throw BlobError("provider down");
@@ -95,13 +94,9 @@ class DataProvider {
   /// caller's class: a commit already holding a commit slot must not
   /// re-enter the commit gate (self-deadlock under bounded slots), and the
   /// permit order commit→provider / prefetch→provider stays acyclic.
-  sim::Task<net::FairGate::Permit> admit(qos::IoContext ctx, double cost) {
-    if (plane_ == nullptr) return empty_permit();
+  sim::Task<qos::FairGate::Permit> admit(qos::IoContext ctx, double cost) {
     ctx.gate = qos::GateClass::ProviderIo;
     return plane_->admit(ctx, cost);
-  }
-  static sim::Task<net::FairGate::Permit> empty_permit() {
-    co_return net::FairGate::Permit();
   }
 
   net::Fabric* fabric_;

@@ -31,19 +31,21 @@ struct ChunkPlacement {
 
 class ProviderManager {
  public:
+  /// `fair_over` orders the request queue (see
+  /// qos::AdmissionPlane::fair_over).
   ProviderManager(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
                   std::vector<DataProvider*> providers,
-                  sim::Duration per_request_cost = 50 * sim::kMicrosecond)
+                  sim::Duration per_request_cost,
+                  const qos::TenantRegistry* fair_over)
       : fabric_(&fabric),
         node_(node),
         providers_(std::move(providers)),
         assigned_bytes_(providers_.size(), 0),
-        service_(sim, "provider-manager", per_request_cost) {}
+        service_(sim, "provider-manager", per_request_cost, fair_over) {}
 
   net::NodeId node() const { return node_; }
-  /// The manager's request queue (BlobStore flips it to weighted-fair
-  /// dispatch when multi-tenant QoS is on).
-  net::ServiceQueue& service() { return service_; }
+  /// The manager's request queue: weighted-fair per tenant with QoS on,
+  /// arrival order with it off; it reports per-tenant waits either way.
   const net::ServiceQueue& service() const { return service_; }
 
   /// Allocates `chunk_sizes.size()` chunk placements with `replication`

@@ -18,7 +18,7 @@
 #include "blob/types.h"
 #include "blob/version_manager.h"
 #include "net/fabric.h"
-#include "net/qos.h"
+#include "net/tenant.h"
 #include "qos/admission.h"
 #include "sim/sim.h"
 #include "storage/disk.h"
@@ -55,8 +55,9 @@ class BlobStore {
     std::size_t version_shards = 1;
     /// Multi-tenant admission control (see qos/admission.h). qos.enabled
     /// turns on weighted-fair ordering at the version/provider manager
-    /// queues and every admission-plane gate; the per-class slot counts
-    /// bound concurrently admitted commits, provider I/Os and prefetches.
+    /// queues and every admission-plane gate (arrival order otherwise); the
+    /// per-class slot counts bound concurrently admitted commits, provider
+    /// I/Os and prefetches.
     qos::Config qos;
     /// Availability zone this store belongs to (federation::Fabric). Stamped
     /// into every ChunkLocation the store's clients commit.
@@ -67,7 +68,7 @@ class BlobStore {
       : sim_(&sim), fabric_(&fabric), cfg_(cfg), plane_(sim, cfg.qos) {
     for (const auto& slot : cfg.data_providers) {
       providers_.push_back(std::make_unique<DataProvider>(
-          sim, fabric, slot.node, *slot.disk, slot.disk_stream, &plane_));
+          fabric, slot.node, *slot.disk, slot.disk_stream, plane_));
       by_node_[slot.node] = providers_.back().get();
     }
     std::vector<DataProvider*> raw;
@@ -81,14 +82,10 @@ class BlobStore {
 
     provider_manager_ = std::make_unique<ProviderManager>(
         sim, fabric, cfg.provider_manager_node, std::move(raw),
-        cfg.manager_request_cost);
+        cfg.manager_request_cost, plane_.fair_over());
     version_manager_ = std::make_unique<VersionManager>(
         sim, fabric, cfg.version_manager_node, cfg.manager_request_cost,
-        cfg.version_shards);
-    if (cfg.qos.enabled) {
-      version_manager_->enable_fair(&plane_.tenants());
-      provider_manager_->service().enable_fair(&plane_.tenants());
-    }
+        cfg.version_shards, plane_.fair_over());
   }
 
   const Config& config() const { return cfg_; }
@@ -126,26 +123,28 @@ class BlobStore {
 
   // --- multi-tenant control plane -------------------------------------------
 
-  /// The repository's admission plane: the tenant table plus one
-  /// weighted-fair gate per admission class (commit, provider-io,
-  /// restart-prefetch). Every path that touches this repository is
-  /// admitted here with a tenant-tagged qos::IoContext.
+  /// The repository's admission plane: the tenant table plus one gate per
+  /// admission class (commit, provider-io, restart-prefetch). Every path
+  /// that touches this repository is admitted here with a tenant-tagged
+  /// qos::IoContext.
   qos::AdmissionPlane& admission() { return plane_; }
   const qos::AdmissionPlane& admission() const { return plane_; }
 
   /// The repository-wide tenant table (identities + QoS weights). Tenant 0
   /// is the implicit default for single-job deployments.
-  net::TenantRegistry& tenants() { return plane_.tenants(); }
-  const net::TenantRegistry& tenants() const { return plane_.tenants(); }
+  qos::TenantRegistry& tenants() { return plane_.tenants(); }
+  const qos::TenantRegistry& tenants() const { return plane_.tenants(); }
 
   /// Per-tenant repository usage, updated by BlobClient on the commit path.
   struct TenantUsage {
     std::uint64_t commits = 0;        // published commits
     std::uint64_t raw_bytes = 0;      // pre-reduction commit payload
     std::uint64_t shipped_bytes = 0;  // post-reduction payload stored
-    sim::Duration commit_wait = 0;    // admission wait at shared queues
-    /// Queueing at the admission plane's data-path gates (filled by
-    /// tenant_usage_snapshot from the gates' per-tenant clocks).
+    /// Queueing, read from the gates' and queues' per-tenant clocks by
+    /// tenant_usage_snapshot (zero in tenant_usage). commit_wait is the
+    /// commit gate plus the version- and provider-manager queues, in either
+    /// QoS mode.
+    sim::Duration commit_wait = 0;
     sim::Duration provider_wait = 0;  // provider-io gate
     sim::Duration prefetch_wait = 0;  // restart-prefetch gate
     /// Re-replication done on this tenant's behalf (RepairService scrubs
@@ -170,26 +169,19 @@ class BlobStore {
     const auto it = usage_.find(t);
     return it == usage_.end() ? kEmpty : it->second;
   }
-  /// Total time `t`'s requests spent queued at the shared admission points:
-  /// the commit gate plus the (fair-mode) version/provider manager queues.
-  sim::Duration tenant_queue_wait(net::TenantId t) const {
-    return tenant_usage(t).commit_wait +
-           version_manager_->tenant_wait(t) +
-           provider_manager_->service().tenant_wait(t);
-  }
-  /// tenant_usage with commit_wait widened to the full queue wait above and
-  /// the data-path gate waits filled from the admission plane — the
-  /// snapshot drivers capture after provisioning and diff at job end, so
-  /// reported per-job counters cover exactly that job's commits.
+  /// tenant_usage with the waits filled from the gates and queues that
+  /// recorded them: commit_wait is the commit gate's wait plus the version-
+  /// and provider-manager queues' waits. Drivers capture the snapshot after
+  /// provisioning and diff it at job end, so reported per-job counters
+  /// cover exactly that job's commits.
   TenantUsage tenant_usage_snapshot(net::TenantId t) const {
     TenantUsage u = tenant_usage(t);
-    u.commit_wait = tenant_queue_wait(t);
+    u.commit_wait = plane_.wait(qos::GateClass::Commit, t) +
+                    version_manager_->tenant_wait(t) +
+                    provider_manager_->service().tenant_wait(t);
     u.provider_wait = plane_.wait(qos::GateClass::ProviderIo, t);
     u.prefetch_wait = plane_.wait(qos::GateClass::RestartPrefetch, t);
     return u;
-  }
-  void account_commit_wait(net::TenantId t, sim::Duration wait) {
-    usage_[t].commit_wait += wait;
   }
   void account_commit(net::TenantId t, std::uint64_t raw_bytes,
                       std::uint64_t shipped_bytes) {
@@ -280,7 +272,7 @@ class BlobStore {
   net::Fabric* fabric_;
   Config cfg_;
   /// Declared before the providers and managers: the providers hold a
-  /// plane pointer and the managers' fair queues hold registry pointers.
+  /// plane reference and the managers' queues may hold a registry pointer.
   qos::AdmissionPlane plane_;
   std::unordered_map<net::TenantId, TenantUsage> usage_;
   std::unordered_map<net::TenantId, TenantQuota> quotas_;

@@ -29,15 +29,18 @@ namespace blobcr::blob {
 
 class VersionManager {
  public:
+  /// `fair_over` orders every shard's request queue (see
+  /// qos::AdmissionPlane::fair_over).
   VersionManager(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
-                 sim::Duration per_request_cost = 100 * sim::kMicrosecond,
-                 std::size_t shards = 1)
+                 sim::Duration per_request_cost, std::size_t shards,
+                 const qos::TenantRegistry* fair_over)
       : sim_(&sim), fabric_(&fabric), node_(node) {
     const std::size_t count = shards < 1 ? 1 : shards;
     shards_.reserve(count);
     for (std::size_t s = 0; s < count; ++s) {
       shards_.push_back(std::make_unique<Shard>(
-          sim, "version-manager-" + std::to_string(s), per_request_cost));
+          sim, "version-manager-" + std::to_string(s), per_request_cost,
+          fair_over));
     }
   }
 
@@ -49,11 +52,6 @@ class VersionManager {
   /// decode). Call before the first create().
   void seed_blob_ids(BlobId base) { next_blob_id_ = base; }
 
-  /// Flips every shard's request queue to weighted-fair dispatch
-  /// (BlobStore calls this when multi-tenant QoS is on).
-  void enable_fair(const net::TenantRegistry* registry) {
-    for (auto& s : shards_) s->service.enable_fair(registry);
-  }
   /// Total time `tenant`'s requests spent queued across all shard queues.
   sim::Duration tenant_wait(net::TenantId tenant) const {
     sim::Duration total = 0;
@@ -232,8 +230,9 @@ class VersionManager {
 
  private:
   struct Shard {
-    Shard(sim::Simulation& sim, std::string name, sim::Duration cost)
-        : service(sim, std::move(name), cost) {}
+    Shard(sim::Simulation& sim, std::string name, sim::Duration cost,
+          const qos::TenantRegistry* fair_over)
+        : service(sim, std::move(name), cost, fair_over) {}
     net::ServiceQueue service;
     std::unordered_map<BlobId, BlobMeta> blobs;
     std::unordered_map<std::string, BlobId> names;

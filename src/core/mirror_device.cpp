@@ -429,13 +429,13 @@ sim::Task<> MirrorDevice::prefetch_worker(std::uint64_t begin,
   // commits. The permit is RAII-held across the fetch — the destructor
   // kills prefetchers_ at teardown, and a leaked permit would wedge the
   // next deployment's restart against this store.
-  net::FairGate::Permit admission = co_await store_->admission().admit(
+  qos::FairGate::Permit admission = co_await store_->admission().admit(
       qos::IoContext{cfg_.tenant, qos::GateClass::RestartPrefetch},
       static_cast<double>(end - begin));
   (void)admission;
-  // Local stream bound, released through the same RAII pattern as
-  // ServiceQueue::process — a plain release() after the co_await would
-  // leak the slot whenever the worker is killed mid-fetch.
+  // Local stream bound, released by an RAII guard like the admission permit
+  // above — a plain release() after the co_await would leak the slot
+  // whenever the worker is killed mid-fetch.
   co_await prefetch_slots_->acquire();
   struct Slot {
     sim::Semaphore* slots;

@@ -166,13 +166,6 @@ Task<CheckpointRecord> Session::checkpoint(std::string tag) {
   co_return co_await commit_last(std::move(tag));
 }
 
-Task<CheckpointRecord> Session::restart(const Selector& sel,
-                                        std::size_t node_offset,
-                                        bool cold_caches) {
-  co_return co_await restart(sel,
-                             RestartOptions{node_offset, cold_caches, 0});
-}
-
 Task<> Session::clone_qcow_containers(core::RestartPlan& plan) {
   pfs::PvfsClient client(*dep_->cloud().pvfs(), cfg_.catalog.client_node);
   for (std::size_t i = 0; i < plan.instances.size(); ++i) {

@@ -113,15 +113,7 @@ class Session {
   };
 
   /// Tears the deployment down and restarts it from the selected Complete
-  /// checkpoint on nodes shifted by `node_offset`. `cold_caches` drops the
-  /// deployment's decoded-chunk caches first (§4.3.1's restart-on-different-
-  /// nodes semantics); leave false for FT rollbacks where survivors keep
-  /// serving peer copies. Returns the record restarted from.
-  sim::Task<CheckpointRecord> restart(const Selector& sel,
-                                      std::size_t node_offset,
-                                      bool cold_caches = false);
-
-  /// Restart with explicit options (the positional overload forwards here).
+  /// checkpoint as `opts` says. Returns the record restarted from.
   /// The restart writes no new catalog state: the record restarted from
   /// stays the lineage head, so after a rescale the next checkpoint's
   /// `parent` still points at the pre-rescale record (now with M tuples).

@@ -20,8 +20,10 @@
 //
 // The gates share one TenantRegistry, so a tenant's weight means the same
 // thing on the commit path, the disk path and the restart path. Permits are
-// RAII (net::FairGate::Permit) and kill-safe: a coroutine killed while
+// RAII (qos::FairGate::Permit) and kill-safe: a coroutine killed while
 // queued unlinks, one killed while holding releases as its frame unwinds.
+// The repository's version- and provider-manager queues admit in the same
+// order: fair_over() is the one place that maps Config::enabled to it.
 //
 // All knobs live in one validated qos::Config (the fairness switch and the
 // per-gate slot counts); the restart-prefetch byte budget is the constant
@@ -32,7 +34,8 @@
 #include <stdexcept>
 
 #include "common/units.h"
-#include "net/qos.h"
+#include "net/tenant.h"
+#include "qos/fair_gate.h"
 #include "sim/sim.h"
 
 namespace blobcr::qos {
@@ -77,15 +80,6 @@ struct Config {
   /// 0 = gate disabled (each device still bounds its own local streams).
   std::size_t prefetch_slots = 0;
 
-  std::size_t slots(GateClass g) const {
-    switch (g) {
-      case GateClass::Commit: return commit_slots;
-      case GateClass::ProviderIo: return provider_slots;
-      case GateClass::RestartPrefetch: return prefetch_slots;
-    }
-    return 0;
-  }
-
   /// Rejects incoherent setups: QoS "enabled" with every gate unbounded
   /// arbitrates nothing — the fair ordering would silently never engage.
   void validate() const {
@@ -102,16 +96,16 @@ struct Config {
 /// Repository bytes the restart scheduler may prefetch per instance.
 inline constexpr std::uint64_t kRestartPrefetchBudget = 64 * common::kMB;
 
-/// Repository-scoped admission plane: owns the tenant table and one
-/// weighted-fair gate per admission class. Lives in BlobStore, declared
-/// before the providers/managers whose requests it arbitrates.
+/// Repository-scoped admission plane: owns the tenant table and one gate
+/// per admission class. Lives in BlobStore, declared before the
+/// providers/managers whose requests it arbitrates.
 class AdmissionPlane {
  public:
   AdmissionPlane(sim::Simulation& sim, const Config& cfg)
       : cfg_(cfg),
-        commit_(sim, cfg.commit_slots, &tenants_, cfg.enabled),
-        provider_(sim, cfg.provider_slots, &tenants_, cfg.enabled),
-        prefetch_(sim, cfg.prefetch_slots, &tenants_, cfg.enabled) {
+        commit_(sim, cfg.commit_slots, fair_over()),
+        provider_(sim, cfg.provider_slots, fair_over()),
+        prefetch_(sim, cfg.prefetch_slots, fair_over()) {
     cfg.validate();
   }
   AdmissionPlane(const AdmissionPlane&) = delete;
@@ -119,10 +113,17 @@ class AdmissionPlane {
 
   const Config& config() const { return cfg_; }
 
-  net::TenantRegistry& tenants() { return tenants_; }
-  const net::TenantRegistry& tenants() const { return tenants_; }
+  TenantRegistry& tenants() { return tenants_; }
+  const TenantRegistry& tenants() const { return tenants_; }
 
-  net::FairGate& gate(GateClass g) {
+  /// The order of every gate and shared server queue of this repository:
+  /// weighted-fair over the tenant table with QoS on, arrival order
+  /// (nullptr) with it off.
+  const TenantRegistry* fair_over() const {
+    return cfg_.enabled ? &tenants_ : nullptr;
+  }
+
+  FairGate& gate(GateClass g) {
     switch (g) {
       case GateClass::Commit: return commit_;
       case GateClass::ProviderIo: return provider_;
@@ -130,13 +131,13 @@ class AdmissionPlane {
     }
     return provider_;
   }
-  const net::FairGate& gate(GateClass g) const {
+  const FairGate& gate(GateClass g) const {
     return const_cast<AdmissionPlane*>(this)->gate(g);
   }
 
   /// Admits `ctx` at its class's gate; `cost` is the request's service
   /// demand (bytes). The returned permit is the RAII slot.
-  sim::Task<net::FairGate::Permit> admit(IoContext ctx, double cost) {
+  sim::Task<FairGate::Permit> admit(IoContext ctx, double cost) {
     return gate(ctx.gate).enter(ctx.tenant, cost);
   }
 
@@ -148,10 +149,10 @@ class AdmissionPlane {
  private:
   Config cfg_;
   /// Declared before the gates: they hold a registry pointer.
-  net::TenantRegistry tenants_;
-  net::FairGate commit_;
-  net::FairGate provider_;
-  net::FairGate prefetch_;
+  TenantRegistry tenants_;
+  FairGate commit_;
+  FairGate provider_;
+  FairGate prefetch_;
 };
 
 }  // namespace blobcr::qos

@@ -90,19 +90,18 @@ class ChunkDigestIndex {
     return shards_[shard].stats;
   }
 
-  /// Attaches one simulated request queue per shard (1 worker each:
-  /// a shard's lock). lookup_queued then charges `lookup_cost` per lookup
-  /// at the owning shard's queue; with a registry the queues dispatch
-  /// weighted-fair per tenant. Without attach (the default, cost 0) lookups
-  /// stay free in-process — the pre-sharding timing model.
+  /// Attaches one simulated request queue per shard (one worker each: a
+  /// shard's lock). lookup_queued then charges `lookup_cost` per lookup at
+  /// the owning shard's queue, in the order `fair_over` sets (see
+  /// qos::AdmissionPlane::fair_over). Without attach (the default, cost 0)
+  /// lookups stay free in-process — the pre-sharding timing model.
   void attach_service(sim::Simulation& sim, sim::Duration lookup_cost,
-                      const net::TenantRegistry* fair_registry = nullptr) {
+                      const qos::TenantRegistry* fair_over) {
     if (!queues_.empty() || lookup_cost <= 0) return;
     queues_.reserve(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       queues_.push_back(std::make_unique<net::ServiceQueue>(
-          sim, "digest-shard-" + std::to_string(s), lookup_cost));
-      if (fair_registry != nullptr) queues_.back()->enable_fair(fair_registry);
+          sim, "digest-shard-" + std::to_string(s), lookup_cost, fair_over));
     }
   }
   bool service_attached() const { return !queues_.empty(); }

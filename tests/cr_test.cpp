@@ -88,7 +88,7 @@ TEST(CrCatalogTest, FreshDeploymentRestartsFromCatalogAfterDriverLoss) {
     if (records.empty()) co_return;
     EXPECT_EQ(records[0].tag, "gen1");
     const CheckpointRecord rec =
-        co_await session2.restart(Selector::latest(), /*node_offset=*/2);
+        co_await session2.restart(Selector::latest(), {.node_offset = 2});
     EXPECT_EQ(rec.tag, "gen1");
     *ok0 = co_await state_matches(&dep2.vm(0), 10);
     *ok1 = co_await state_matches(&dep2.vm(1), 11);
@@ -118,7 +118,7 @@ TEST(CrCatalogTest, QcowCatalogOnPvfsSurvivesDriverLoss) {
     }
     Deployment dep2(*cl, 1);
     Session session2(dep2);
-    (void)co_await session2.restart(Selector::latest(), /*node_offset=*/2);
+    (void)co_await session2.restart(Selector::latest(), {.node_offset = 2});
     *ok = co_await state_matches(&dep2.vm(0), 77);
   }(&cloud, &ok));
 
@@ -157,7 +157,7 @@ TEST(CrCatalogTest, RestartFromOlderCheckpointIsBitExact) {
     // Roll back past the latest line to the OLDER checkpoint, by tag.
     dep.destroy_all();
     const CheckpointRecord back =
-        co_await session.restart(Selector::by_tag("one"), 2);
+        co_await session.restart(Selector::by_tag("one"), {.node_offset = 2});
     EXPECT_EQ(back.id, one.id);
     *old_ok = (co_await state_matches(&dep.vm(0), 100)) &&
               (co_await state_matches(&dep.vm(1), 101));
@@ -169,7 +169,7 @@ TEST(CrCatalogTest, RestartFromOlderCheckpointIsBitExact) {
 
     // The newer line is still selectable — forward again, by id.
     dep.destroy_all();
-    (void)co_await session.restart(Selector::by_id(two.id), 4);
+    (void)co_await session.restart(Selector::by_id(two.id), {.node_offset = 4});
     *latest_ok = (co_await state_matches(&dep.vm(0), 200)) &&
                  (co_await state_matches(&dep.vm(1), 201));
   }(&cloud, &old_ok, &latest_ok, &first_id, &second_id, &third_parent));
@@ -247,7 +247,7 @@ TEST(CrCatalogTest, DrainKilledMidPublishLeavesUnselectableIncompleteRecord) {
     dep = std::make_unique<Deployment>(*cl, 1);
     Session fresh(*dep);
     const CheckpointRecord rec =
-        co_await fresh.restart(Selector::latest(), /*node_offset=*/3);
+        co_await fresh.restart(Selector::latest(), {.node_offset = 3});
     EXPECT_EQ(rec.id, good.id);
     *restored_ok = co_await state_matches(&dep->vm(0), 500);
   }(&cloud, &restored_ok, &ckpt_threw, &select_threw, &dead_state));
@@ -282,7 +282,7 @@ TEST(CrCatalogTest, DanglingStagedRecordIsSweptOnRestart) {
 
     Deployment dep2(*cl, 1);
     Session fresh(dep2);
-    (void)co_await fresh.restart(Selector::latest(), 2);
+    (void)co_await fresh.restart(Selector::latest(), {.node_offset = 2});
     *ok = co_await state_matches(&dep2.vm(0), 41);
     for (const CheckpointRecord& rec : co_await fresh.list()) {
       if (rec.tag == "never-published") *swept = rec.state;
@@ -328,7 +328,8 @@ TEST(CrRetentionTest, KeepLastReclaimsUntaggedAndPreservesTagged) {
 
     // The tagged line survived retention AND the GC around it: restart it.
     dep.destroy_all();
-    (void)co_await session.restart(Selector::by_tag("golden"), 2);
+    (void)co_await session.restart(Selector::by_tag("golden"),
+                                   {.node_offset = 2});
     *golden_ok = co_await state_matches(&dep.vm(0), 1);
   }(&cloud, &reclaimed, &complete_count, &retired_count, &golden_ok));
 
@@ -669,7 +670,7 @@ TEST(CrElasticTest, RestartBootFailureLeavesRecordRetryable) {
       }
     });
     try {
-      (void)co_await session.restart(Selector::latest(), 2);
+      (void)co_await session.restart(Selector::latest(), {.node_offset = 2});
     } catch (const std::runtime_error&) {
       *threw = true;
     }
@@ -680,7 +681,7 @@ TEST(CrElasticTest, RestartBootFailureLeavesRecordRetryable) {
     }
 
     // Retry from the same record (probe now disarmed): bit-exact restore.
-    (void)co_await session.restart(Selector::latest(), 4);
+    (void)co_await session.restart(Selector::latest(), {.node_offset = 4});
     *retried_ok = (co_await state_matches(&dep.vm(0), 90)) &&
                   (co_await state_matches(&dep.vm(1), 91));
     EXPECT_EQ(session.lineage_head(), pre.id);
@@ -716,7 +717,7 @@ TEST(CrRetentionTest, QcowDiskRetentionRemovesRetiredSnapshotCopies) {
     *after = cl->pvfs()->file_count();
 
     dep.destroy_all();
-    (void)co_await session.restart(Selector::latest(), 2);
+    (void)co_await session.restart(Selector::latest(), {.node_offset = 2});
     *ok = co_await state_matches(&dep.vm(0), 3);
   }(&cloud, &reclaimed, &files_before, &files_after, &ok));
 

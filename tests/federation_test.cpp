@@ -151,8 +151,8 @@ TEST(FederationTest, NearestZoneRestartPrefersLocalReplicas) {
       // (and with replication off, every chunk) lives in zone 0.
       Deployment dep2(*cl, 1);
       Session session2(dep2);
-      (void)co_await session2.restart(Selector::latest(), /*node_offset=*/4,
-                                      /*cold_caches=*/true);
+      (void)co_await session2.restart(Selector::latest(),
+                                      {.node_offset = 4, .cold_caches = true});
       EXPECT_TRUE(co_await state_matches(&dep2.vm(0), 21));
       *wan = dep2.source_bytes().wan;
     }(&cloud, &wan));
@@ -200,7 +200,7 @@ TEST(FederationTest, ZoneLossRestartIsBitExactFromSurvivor) {
     Deployment dep2(*cl, 2);
     Session session2(dep2);
     const CheckpointRecord rec = co_await session2.restart(
-        Selector::latest(), /*node_offset=*/4, /*cold_caches=*/true);
+        Selector::latest(), {.node_offset = 4, .cold_caches = true});
     EXPECT_EQ(rec.tag, "pre-loss");
     *ok0 = co_await state_matches(&dep2.vm(0), 100);
     *ok1 = co_await state_matches(&dep2.vm(1), 101);
@@ -246,8 +246,8 @@ TEST(FederationTest, ZoneLossWithoutManifestRefusesRestart) {
     Session session2(dep2);
     bool threw = false;
     try {
-      (void)co_await session2.restart(Selector::latest(), /*node_offset=*/4,
-                                      /*cold_caches=*/true);
+      (void)co_await session2.restart(Selector::latest(),
+                                      {.node_offset = 4, .cold_caches = true});
     } catch (const blob::BlobError&) {
       threw = true;
     }
@@ -290,8 +290,8 @@ TEST(FederationTest, HotBudgetPushesCopiesBeyondBuddyZone) {
     cl->federation()->fail_zone(0);
     Deployment dep2(*cl, 1);
     Session session2(dep2);
-    (void)co_await session2.restart(Selector::latest(), /*node_offset=*/6,
-                                    /*cold_caches=*/true);
+    (void)co_await session2.restart(Selector::latest(),
+                                    {.node_offset = 6, .cold_caches = true});
     EXPECT_TRUE(co_await state_matches(&dep2.vm(0), 9));
   }(&cloud));
 }
@@ -317,7 +317,7 @@ TEST(FederationTest, SingleZoneIsADisabledFabric) {
     co_await write_state(&dep.vm(0), 3);
     const CheckpointRecord rec = co_await session.checkpoint();
     EXPECT_EQ(rec.state, RecordState::Complete);
-    (void)co_await session.restart(Selector::latest(), /*node_offset=*/1);
+    (void)co_await session.restart(Selector::latest(), {.node_offset = 1});
     EXPECT_TRUE(co_await state_matches(&dep.vm(0), 3));
     EXPECT_EQ(dep.source_bytes().wan, 0u);
   }(&cloud));

@@ -3,8 +3,7 @@
 // BlobStore; the repository-scoped digest index dedups cross-job content;
 // one tenant's retention/GC never reclaims chunks another tenant's versions
 // reference (including with a drain killed at a commit stage boundary); each
-// tenant's catalog lists only its own lineage; and the weighted-fair gate
-// admits a small tenant past a bulk tenant's backlog.
+// tenant's catalog lists only its own lineage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include "core/blobcr.h"
 #include "cr/session.h"
 #include "flush/flush_agent.h"
-#include "net/qos.h"
 #include "sim/sim.h"
 
 namespace blobcr {
@@ -255,14 +253,14 @@ TEST(MultiTenantTest, RetentionSweepNeverReclaimsAnotherTenantsChunks) {
     // B and C restart cold on fresh nodes from their own catalogs: the
     // shared dataset both published must still be there, bit for bit.
     dep_b.destroy_all();
-    (void)co_await ses_b.restart(cr::Selector::latest(), /*node_offset=*/10,
-                                 /*cold_caches=*/true);
+    (void)co_await ses_b.restart(cr::Selector::latest(),
+                                 {.node_offset = 10, .cold_caches = true});
     const Buffer b_back = co_await dep_b.vm(0).fs()->read_file("/data/d.bin");
     *b_restored = b_back == dataset;
 
     dep_c.destroy_all();
-    (void)co_await ses_c.restart(cr::Selector::latest(), /*node_offset=*/12,
-                                 /*cold_caches=*/true);
+    (void)co_await ses_c.restart(cr::Selector::latest(),
+                                 {.node_offset = 12, .cold_caches = true});
     const Buffer c_back = co_await dep_c.vm(0).fs()->read_file("/data/d.bin");
     *c_restored = c_back == dataset;
   }(&cloud, &b_restored, &c_restored, &c_ckpt_threw, &a_reclaimed, &b_shipped,
@@ -369,91 +367,6 @@ TEST(MultiTenantTest, CapacityQuotasRefuseCommitAndCatalogOverage) {
   EXPECT_EQ(rcap_records, 2u)
       << "a refused stage must leave the catalog untouched";
   EXPECT_TRUE(free_tenant_ok);
-}
-
-// ---------------------------------------------------------------------------
-// Weighted-fair admission: a small tenant's single request overtakes a bulk
-// tenant's backlog at a fair gate; at a FIFO gate it waits out the backlog.
-// ---------------------------------------------------------------------------
-
-Task<> hold_slot(sim::Simulation* sim, net::FairGate* gate, net::TenantId t,
-                 sim::Duration pre_delay, sim::Duration hold_time,
-                 sim::Time* admitted) {
-  if (pre_delay > 0) co_await sim->delay(pre_delay);
-  net::FairGate::Permit permit = co_await gate->enter(t, 1.0);
-  (void)permit;
-  if (admitted != nullptr) *admitted = sim->now();
-  if (hold_time > 0) co_await sim->delay(hold_time);
-}
-
-Task<> kill_after(sim::Simulation* sim, sim::Duration d, sim::ProcessPtr a,
-                  sim::ProcessPtr b) {
-  co_await sim->delay(d);
-  a->kill();
-  b->kill();
-}
-
-TEST(FairGateTest, SmallTenantOvertakesBulkBacklogUnderFairness) {
-  for (const bool fair : {true, false}) {
-    sim::Simulation sim;
-    net::TenantRegistry reg;
-    const net::TenantId bulk = reg.register_tenant("bulk");
-    const net::TenantId small = reg.register_tenant("small");
-    net::FairGate gate(sim, /*slots=*/1, &reg, fair);
-
-    sim::Time small_admitted = 0;
-    for (int i = 0; i < 4; ++i) {
-      sim.spawn("bulk",
-                hold_slot(&sim, &gate, bulk, 0, 1 * sim::kSecond, nullptr));
-    }
-    sim.spawn("small", hold_slot(&sim, &gate, small, 100 * sim::kMillisecond,
-                                 1 * sim::kSecond, &small_admitted));
-    sim.run();
-
-    if (fair) {
-      // Admitted as soon as the first bulk hold releases (1s), ahead of the
-      // remaining backlog: the small tenant's normalized usage is zero.
-      EXPECT_EQ(small_admitted, 1 * sim::kSecond);
-      EXPECT_LT(gate.wait_time(small), gate.wait_time(bulk));
-    } else {
-      // FIFO: behind all four bulk holds.
-      EXPECT_EQ(small_admitted, 4 * sim::kSecond);
-    }
-    EXPECT_EQ(gate.admitted(small), 1u);
-    EXPECT_EQ(gate.admitted(bulk), 4u);
-  }
-}
-
-// A killed waiter unlinks; a killed holder's permit releases; the gate keeps
-// dispatching afterwards (the crash-consistency property the commit path
-// relies on when a drain dies while queued at the gate).
-TEST(FairGateTest, KilledWaiterAndHolderReleaseTheirSlots) {
-  sim::Simulation sim;
-  net::TenantRegistry reg;
-  const net::TenantId t1 = reg.register_tenant("t1");
-  const net::TenantId t2 = reg.register_tenant("t2");
-  net::FairGate gate(sim, /*slots=*/1, &reg, /*fair=*/true);
-
-  sim::Time survivor_admitted = 0;
-  // Holder admits immediately and would hold for 10s; the waiter queues
-  // behind it; the survivor queues last. At t=1s the killer kills the
-  // queued waiter (must unlink) and the holder (its permit must release),
-  // which must hand the slot to the survivor.
-  auto holder =
-      sim.spawn("holder", hold_slot(&sim, &gate, t1, 0, 10 * sim::kSecond,
-                                    nullptr));
-  auto waiter =
-      sim.spawn("waiter", hold_slot(&sim, &gate, t1, 100 * sim::kMillisecond,
-                                    10 * sim::kSecond, nullptr));
-  sim.spawn("survivor",
-            hold_slot(&sim, &gate, t2, 200 * sim::kMillisecond, 0,
-                      &survivor_admitted));
-  sim.spawn("killer", kill_after(&sim, 1 * sim::kSecond, waiter, holder));
-  sim.run();
-
-  EXPECT_EQ(survivor_admitted, 1 * sim::kSecond);
-  EXPECT_EQ(gate.in_use(), 0u);
-  EXPECT_EQ(gate.pending(), 0u);
 }
 
 }  // namespace

@@ -264,17 +264,5 @@ TEST(ServiceQueueTest, SerializesRequests) {
   EXPECT_EQ(svc.requests_served(), 2u);
 }
 
-TEST(ServiceQueueTest, MultipleWorkersOverlap) {
-  Simulation s;
-  Fabric f(s, test_cfg(3, 1e9, 0));
-  ServiceQueue svc(s, "meta", sim::milliseconds(10), /*workers=*/2);
-  std::vector<Time> done;
-  s.spawn("c1", one_rpc(s, f, svc, 1, done));
-  s.spawn("c2", one_rpc(s, f, svc, 2, done));
-  s.run();
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(to_seconds(done[1]), 0.010, 1e-3);
-}
-
 }  // namespace
 }  // namespace blobcr::net
