@@ -215,14 +215,15 @@ sim::Task<VersionId> BlobClient::write_extents_via(
   // is the admission-time upper bound of what this commit could make
   // resident (reduction only shrinks it).
   const BlobStore::TenantQuota& quota = store_->tenant_quota(tenant_);
-  if (quota.max_resident_bytes != 0 &&
-      store_->tenant_usage(tenant_).shipped_bytes + payload_bytes >
-          quota.max_resident_bytes) {
-    throw QuotaExceededError(
-        "tenant over resident-bytes quota: " +
-        std::to_string(store_->tenant_usage(tenant_).shipped_bytes) + " + " +
-        std::to_string(payload_bytes) + " > " +
-        std::to_string(quota.max_resident_bytes));
+  if (quota.max_resident_bytes != 0) {
+    const std::uint64_t resident =
+        store_->tenant_usage_snapshot(tenant_).shipped_bytes;
+    if (resident + payload_bytes > quota.max_resident_bytes) {
+      throw QuotaExceededError("tenant over resident-bytes quota: " +
+                               std::to_string(resident) + " + " +
+                               std::to_string(payload_bytes) + " > " +
+                               std::to_string(quota.max_resident_bytes));
+    }
   }
 
   // Commit admission: one slot per in-flight commit/drain, held from here

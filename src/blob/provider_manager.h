@@ -25,7 +25,8 @@ struct ChunkPlacement {
   std::uint32_t size = 0;
   std::vector<net::NodeId> replicas;
   /// Tenant whose commit allocated the chunk — repair traffic is charged
-  /// back to the owner (BlobStore::tenant_usage), not smeared repository-wide.
+  /// back to the owner (BlobStore::tenant_usage_snapshot), not smeared
+  /// repository-wide.
   net::TenantId tenant = net::kDefaultTenant;
 };
 

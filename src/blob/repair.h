@@ -37,7 +37,7 @@ class RepairService {
     std::uint64_t bytes_copied = 0;
     sim::Duration duration = 0;
     /// Repair traffic attributed to the tenant whose commit allocated each
-    /// chunk (mirrored into BlobStore::tenant_usage by the pass).
+    /// chunk (mirrored into BlobStore::tenant_usage_snapshot by the pass).
     struct TenantRepair {
       std::size_t copies = 0;
       std::uint64_t bytes = 0;

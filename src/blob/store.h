@@ -135,15 +135,16 @@ class BlobStore {
   qos::TenantRegistry& tenants() { return plane_.tenants(); }
   const qos::TenantRegistry& tenants() const { return plane_.tenants(); }
 
-  /// Per-tenant repository usage, updated by BlobClient on the commit path.
+  /// Per-tenant repository usage, read through tenant_usage_snapshot. The
+  /// commit path (BlobClient) and repair passes count commits, bytes and
+  /// repair copies as they happen.
   struct TenantUsage {
     std::uint64_t commits = 0;        // published commits
     std::uint64_t raw_bytes = 0;      // pre-reduction commit payload
     std::uint64_t shipped_bytes = 0;  // post-reduction payload stored
-    /// Queueing, read from the gates' and queues' per-tenant clocks by
-    /// tenant_usage_snapshot (zero in tenant_usage). commit_wait is the
-    /// commit gate plus the version- and provider-manager queues, in either
-    /// QoS mode.
+    /// Queueing, read from the gates' and queues' per-tenant clocks when the
+    /// snapshot is taken. commit_wait is the commit gate plus the version-
+    /// and provider-manager queues, in either QoS mode.
     sim::Duration commit_wait = 0;
     sim::Duration provider_wait = 0;  // provider-io gate
     sim::Duration prefetch_wait = 0;  // restart-prefetch gate
@@ -164,18 +165,13 @@ class BlobStore {
       return *this;
     }
   };
-  const TenantUsage& tenant_usage(net::TenantId t) const {
-    static const TenantUsage kEmpty;
-    const auto it = usage_.find(t);
-    return it == usage_.end() ? kEmpty : it->second;
-  }
-  /// tenant_usage with the waits filled from the gates and queues that
-  /// recorded them: commit_wait is the commit gate's wait plus the version-
-  /// and provider-manager queues' waits. Drivers capture the snapshot after
+  /// Tenant t's usage so far, with the waits filled from the gates and
+  /// queues that recorded them. Drivers capture the snapshot after
   /// provisioning and diff it at job end, so reported per-job counters
   /// cover exactly that job's commits.
   TenantUsage tenant_usage_snapshot(net::TenantId t) const {
-    TenantUsage u = tenant_usage(t);
+    const auto it = usage_.find(t);
+    TenantUsage u = it == usage_.end() ? TenantUsage{} : it->second;
     u.commit_wait = plane_.wait(qos::GateClass::Commit, t) +
                     version_manager_->tenant_wait(t) +
                     provider_manager_->service().tenant_wait(t);
@@ -198,8 +194,8 @@ class BlobStore {
   }
 
   /// Per-tenant capacity ceilings, enforced at commit admission
-  /// (BlobClient::write_extents_via) against the tenant_usage numbers and at
-  /// catalog staging (cr::Catalog). 0 = unlimited.
+  /// (BlobClient::write_extents_via) against tenant_usage_snapshot's
+  /// shipped_bytes and at catalog staging (cr::Catalog). 0 = unlimited.
   struct TenantQuota {
     std::uint64_t max_resident_bytes = 0;   // shipped (post-reduction) bytes
     std::uint64_t max_catalog_records = 0;  // staged checkpoint records

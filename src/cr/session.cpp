@@ -249,20 +249,21 @@ common::Buffer encode_for_store(const blob::ChunkLocation& loc,
 
 Task<ScavengeReport> Session::scavenge() {
   co_await init_lineage();
-  blob::BlobStore* store = dep_->cloud().blob_store();
-  if (store == nullptr)
+  core::Cloud& cloud = dep_->cloud();
+  if (cloud.blob_store() == nullptr)
     throw CrError("scavenge requires the BlobCR backend");
   ScavengeReport rep;
 
-  // 1. Bring the failed providers back into service with empty stores (the
-  //    outage wiped their disks; the repository skeleton restarts empty).
-  for (const auto& p : store->providers()) p->rejoin();
+  // 1. Bring every zone's failed providers back into service with empty
+  //    stores (the outage wiped their disks).
+  for (std::uint32_t z = 0; z < cloud.zones(); ++z)
+    for (const auto& p : cloud.blob_store(z)->providers()) p->rejoin();
 
   // 2. The working set: every payload-bearing leaf referenced by a record
   //    that must stay restartable, deduplicated by ChunkId. An ordered map
-  //    keeps the restore sequence deterministic.
-  blob::BlobClient client(*store, cfg_.catalog.client_node);
-  client.set_tenant(cfg_.catalog.tenant);
+  //    keeps the restore sequence deterministic. Each image resolves
+  //    through a client of the store that owns it.
+  std::map<blob::BlobStore*, blob::BlobClient> clients;
   std::map<blob::ChunkId, blob::ChunkLocation> want;
   for (const CheckpointRecord& r : catalog_.records()) {
     if (r.state != RecordState::Complete && r.state != RecordState::Staged)
@@ -270,10 +271,15 @@ Task<ScavengeReport> Session::scavenge() {
     for (const core::InstanceSnapshot& s : r.snapshots) {
       if (s.backend != core::Backend::BlobCR || s.image == 0 || s.version == 0)
         continue;
+      blob::BlobStore* store = cloud.store_of_blob(s.image);
       const blob::BlobMeta& meta = store->version_manager().peek(s.image);
       if (s.version > meta.versions.size()) continue;
       const std::uint64_t size = meta.version(s.version).size;
       if (size == 0) continue;
+      blob::BlobClient& client =
+          clients.try_emplace(store, *store, cfg_.catalog.client_node)
+              .first->second;
+      client.set_tenant(cfg_.catalog.tenant);
       const auto refs =
           co_await client.resolve_chunks(s.image, s.version, 0, size);
       for (const blob::BlobClient::ChunkRef& ref : refs) {
@@ -285,12 +291,14 @@ Task<ScavengeReport> Session::scavenge() {
   }
   rep.chunks_checked = want.size();
 
-  // 3. Re-create every chunk with no surviving replica from the peer tier
-  //    and point the placement registry at the new homes.
-  blob::ProviderManager& pm = store->provider_manager();
+  // 3. Re-create every chunk with no surviving replica from the peer tier,
+  //    in the store of the chunk's zone, and point that store's placement
+  //    registry at the new homes.
   redundancy::Manager* mgr = dep_->redundancy();
   const std::uint64_t parity_before = mgr ? mgr->stats().rebuild_bytes : 0;
   for (const auto& [id, loc] : want) {
+    blob::BlobStore* store = cloud.blob_store(loc.zone);
+    blob::ProviderManager& pm = store->provider_manager();
     std::vector<net::NodeId> live;
     const auto place = pm.placements().find(id);
     if (place != pm.placements().end()) {

@@ -15,10 +15,10 @@
 //    admits at once), the single-tenant default. A hand-off looks only at
 //    the head waiter of each tenant that has one.
 //
-// Kill-safety follows the simulator's fail-stop rules: a waiter killed in
-// the queue unlinks itself; a waiter killed between hand-off and resume
-// refunds its charge and hands its slot onward; an admitted holder releases
-// through the RAII Permit as its frame unwinds.
+// Kill-safety lives in the queued request, a sim::Parked Waiter: one killed
+// in its tenant's FIFO unlinks itself; one killed between hand-off and
+// resume refunds its charge and hands its slot onward. An admitted holder
+// releases through the RAII Permit as its frame unwinds.
 #pragma once
 
 #include <algorithm>
@@ -115,29 +115,7 @@ class FairGate {
       active_.push_back(&t);
     }
     const sim::Time enqueued = sim_->now();
-    Waiter w(*sim_, cost, next_seq_++);
-    t.queue.push_back(&w);
-    ++pending_;
-    // Kill-safety: unlink on frame destruction; a granted-but-killed waiter
-    // refunds the service it was charged at hand-off (it never ran) and
-    // hands its slot onward instead of leaking it. The map never erases,
-    // so `t` stays valid while other tenants join it.
-    struct Unlink {
-      FairGate* gate;
-      Tenant* t;
-      Waiter* w;
-      ~Unlink() {
-        if (w->consumed) return;
-        if (w->granted) {
-          t->service -= w->charged;
-          gate->release_slot();
-        } else {
-          gate->unlink(*t, w);
-        }
-      }
-    } unlink{this, &t, &w};
-    while (!w.granted) co_await w.wq.wait();
-    w.consumed = true;
+    co_await Waiter(*this, t, cost, next_seq_++);
     t.wait += sim_->now() - enqueued;
     ++t.admitted;
     co_return Permit(this);
@@ -157,15 +135,41 @@ class FairGate {
   }
 
  private:
-  struct Waiter {
-    Waiter(sim::Simulation& sim, double cost, std::uint64_t seq)
-        : cost(cost), seq(seq), wq(sim) {}
+  struct Tenant;
+
+  /// A queued request, parked in its tenant's FIFO until release_slot()
+  /// hands it a slot. The tenant map never erases, so `t` stays valid while
+  /// other tenants join it.
+  struct Waiter : sim::Parked {
+    Waiter(FairGate& gate, Tenant& t, double cost, std::uint64_t seq)
+        : gate(&gate), t(&t), cost(cost), seq(seq) {}
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      park(*gate->sim_, h);
+      t->queue.push_back(this);
+      ++gate->pending_;
+    }
+    void await_resume() const noexcept {}
+
+    FairGate* gate;
+    Tenant* t;
     double cost;
     std::uint64_t seq;   // arrival order across all tenants
     double charged = 0;  // normalized service charged at hand-off
-    bool granted = false;
-    bool consumed = false;
-    sim::WaitQueue wq;
+
+   private:
+    void unlink() noexcept override {
+      t->queue.erase(std::find(t->queue.begin(), t->queue.end(), this));
+      --gate->pending_;
+      if (t->queue.empty()) std::erase(gate->active_, t);
+    }
+    /// Killed between hand-off and resume: the request never ran, so refund
+    /// its charge and hand the slot onward instead of leaking it.
+    void abandon() noexcept override {
+      t->service -= charged;
+      gate->release_slot();
+    }
   };
 
   struct Tenant {
@@ -197,12 +201,6 @@ class FairGate {
     return a.queue.front()->seq < b.queue.front()->seq;
   }
 
-  void unlink(Tenant& t, Waiter* w) {
-    t.queue.erase(std::find(t.queue.begin(), t.queue.end(), w));
-    --pending_;
-    if (t.queue.empty()) std::erase(active_, &t);
-  }
-
   void release_slot() {
     if (pending_ == 0) {
       --in_use_;
@@ -224,8 +222,7 @@ class FairGate {
       active_.pop_back();
     }
     w->charged = charge(t, w->cost);
-    w->granted = true;
-    w->wq.notify_one();
+    w->wake();
   }
 
   sim::Simulation* sim_;

@@ -44,7 +44,7 @@ void Process::finish(State s) {
   state_ = s;
   auto joiners = std::move(joiners_);
   joiners_.clear();
-  for (Joiner* j : joiners) j->notify();
+  for (JoinAwaiter* j : joiners) j->wake();
 }
 
 }  // namespace blobcr::sim

@@ -3,10 +3,15 @@
 // Fail-stop semantics: a simulated machine failure destroys, at an arbitrary
 // virtual time, every process running on it. `Process::kill()` implements
 // this: it recursively kills child processes, cancels the process's single
-// outstanding Blocker (a suspended timer / wait-queue node / resource flow),
-// and destroys the root coroutine frame. Frame destruction runs destructors
-// of everything in flight, so RAII guards (locks, resource flows) release
-// cleanly and the rest of the simulation observes a consistent world.
+// outstanding Blocker (a suspended timer, a wait-list node or a resource
+// flow), and destroys the root coroutine frame. Frame destruction runs
+// destructors of everything in flight, so RAII guards (permits, resource
+// flows) release cleanly and the rest of the simulation observes a
+// consistent world.
+//
+// Every wait list (sim/sync.h, join(), qos::FairGate) parks its waiters on
+// one kill-safe node, Parked: a kill detaches it whether it is still listed
+// or already woken, and a woken node hands on what the wake-up gave it.
 #pragma once
 
 #include <cassert>
@@ -22,7 +27,8 @@ namespace blobcr::sim {
 
 /// One suspended wait of a process. At most one Blocker is outstanding per
 /// process (a process is a single thread of execution); concurrency within a
-/// process is expressed by spawning child processes.
+/// process is expressed by spawning child processes. Timers and resource
+/// flows implement it directly; wait-list nodes derive from Parked.
 class Blocker {
  public:
   /// Deregisters this blocker from whatever structure holds it (event queue,
@@ -84,52 +90,71 @@ class Process : public std::enable_shared_from_this<Process> {
   std::exception_ptr error_;
   Blocker* blocker_ = nullptr;
   std::vector<std::weak_ptr<Process>> children_;
-  // Joiners are woken via scheduled events; see JoinAwaiter.
-  struct Joiner;
-  std::vector<Joiner*> joiners_;
+  std::vector<JoinAwaiter*> joiners_;
 };
 
-/// Wait node used by join(). Lives inside the joining coroutine's frame.
-struct Process::Joiner : Blocker {
-  Process* target = nullptr;
-  Process* waiter = nullptr;
-  std::coroutine_handle<> h{};
-  TimerHandle resume_ev;
-  bool notified = false;
-
-  void notify() {
-    notified = true;
-    resume_ev = target->sim_->call_at(target->sim_->now(), [this] {
-      waiter->clear_blocker(this);
-      waiter->resume_leaf(h);
+/// A wait-list node, inside the waiting coroutine's frame. It is *listed*
+/// from park() until the structure takes it off its list and calls wake(),
+/// then *woken* until the process resumes.
+class Parked : public Blocker {
+ public:
+  /// Blocks the current process on this node; the caller then lists it.
+  void park(Simulation& sim, std::coroutine_handle<> h) {
+    proc_ = sim.current_process();
+    assert(proc_ != nullptr && "wait outside a process");
+    h_ = h;
+    proc_->set_blocker(this);
+  }
+  /// Schedules the process's resume at the current instant.
+  void wake() {
+    woken_ = true;
+    Simulation& sim = proc_->simulation();
+    resume_ev_ = sim.call_at(sim.now(), [this] {
+      proc_->clear_blocker(this);
+      proc_->resume_leaf(h_);
     });
   }
-  void cancel() noexcept override {
-    if (notified) {
-      resume_ev.cancel();
+  void cancel() noexcept final {
+    if (woken_) {
+      resume_ev_.cancel();
+      abandon();
     } else {
-      std::erase(target->joiners_, this);
+      unlink();
     }
   }
+
+ protected:
+  ~Parked() = default;
+  /// Takes the node off its list: the process died while still listed.
+  virtual void unlink() noexcept = 0;
+  /// The process died after wake() but before it resumed: hand on what the
+  /// wake-up gave it. Does nothing by default.
+  virtual void abandon() noexcept {}
+
+ private:
+  Process* proc_ = nullptr;
+  std::coroutine_handle<> h_{};
+  TimerHandle resume_ev_;
+  bool woken_ = false;
 };
 
-struct Process::JoinAwaiter {
-  Process* target;
-  Joiner node{};
+struct Process::JoinAwaiter : Parked {
+  explicit JoinAwaiter(Process* target) : target(target) {}
 
   bool await_ready() const noexcept { return target->finished(); }
   void await_suspend(std::coroutine_handle<> h) {
-    node.target = target;
-    node.waiter = target->sim_->current_process();
-    assert(node.waiter != nullptr && "join() outside a process");
-    node.h = h;
-    node.waiter->set_blocker(&node);
-    target->joiners_.push_back(&node);
+    park(*target->sim_, h);
+    target->joiners_.push_back(this);
   }
   void await_resume() const noexcept {}
+
+  Process* target;
+
+ private:
+  void unlink() noexcept override { std::erase(target->joiners_, this); }
 };
 
-inline Process::JoinAwaiter Process::join() { return JoinAwaiter{this}; }
+inline Process::JoinAwaiter Process::join() { return JoinAwaiter(this); }
 
 /// Awaiter for Simulation::delay()/yield().
 struct Simulation::DelayAwaiter : Blocker {

@@ -1,14 +1,14 @@
 // Virtual-time synchronization primitives: WaitQueue, Event, Semaphore,
-// Mutex, Barrier, Channel<T>.
+// Barrier, Channel<T>.
 //
 // All wakeups are *scheduled* (events at the current virtual time), never
 // inline resumes, so no process ever runs re-entrantly inside another
-// process's stack. Every wait node implements Blocker so a killed process
-// detaches cleanly; nodes that were already handed a semaphore permit return
-// it on cancellation.
+// process's stack. Every waiter parks on a sim::Parked node
+// (sim/process.h), so a killed process detaches cleanly whether it was
+// still listed or already woken; a woken semaphore waiter hands its permit
+// on.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -34,53 +34,28 @@ class WaitQueue {
   bool notify_one();
   std::size_t notify_all();
 
-  Simulation& simulation() const { return *sim_; }
-
  private:
   friend class Awaiter;
   Simulation* sim_;
   std::list<Awaiter*> list_;
 };
 
-class WaitQueue::Awaiter : public Blocker {
+class WaitQueue::Awaiter : public Parked {
  public:
   explicit Awaiter(WaitQueue& q) : q_(&q) {}
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    proc_ = q_->sim_->current_process();
-    assert(proc_ != nullptr && "wait() outside a process");
-    h_ = h;
-    proc_->set_blocker(this);
+    park(*q_->sim_, h);
     it_ = q_->list_.insert(q_->list_.end(), this);
   }
   void await_resume() const noexcept {}
 
-  void cancel() noexcept override {
-    if (notified_) {
-      resume_ev_.cancel();
-    } else {
-      q_->list_.erase(it_);
-    }
-  }
-
  private:
-  friend class WaitQueue;
-
-  void notify() {
-    notified_ = true;
-    resume_ev_ = q_->sim_->call_at(q_->sim_->now(), [this] {
-      proc_->clear_blocker(this);
-      proc_->resume_leaf(h_);
-    });
-  }
+  void unlink() noexcept override { q_->list_.erase(it_); }
 
   WaitQueue* q_;
-  Process* proc_ = nullptr;
-  std::coroutine_handle<> h_{};
   std::list<Awaiter*>::iterator it_{};
-  bool notified_ = false;
-  TimerHandle resume_ev_;
 };
 
 inline WaitQueue::Awaiter WaitQueue::wait() { return Awaiter(*this); }
@@ -89,7 +64,7 @@ inline bool WaitQueue::notify_one() {
   if (list_.empty()) return false;
   Awaiter* a = list_.front();
   list_.pop_front();
-  a->notify();
+  a->wake();
   return true;
 }
 
@@ -134,7 +109,7 @@ class Semaphore {
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
 
-  class Awaiter : public Blocker {
+  class Awaiter : public Parked {
    public:
     explicit Awaiter(Semaphore& s) : sem_(&s) {}
 
@@ -146,39 +121,18 @@ class Semaphore {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      proc_ = sem_->sim_->current_process();
-      assert(proc_ != nullptr && "acquire() outside a process");
-      h_ = h;
-      proc_->set_blocker(this);
+      park(*sem_->sim_, h);
       it_ = sem_->list_.insert(sem_->list_.end(), this);
     }
     void await_resume() const noexcept {}
 
-    void cancel() noexcept override {
-      if (notified_) {
-        // A permit was handed to us but we died before using it: return it.
-        resume_ev_.cancel();
-        sem_->release();
-      } else {
-        sem_->list_.erase(it_);
-      }
-    }
-
    private:
-    friend class Semaphore;
-    void notify() {
-      notified_ = true;
-      resume_ev_ = sem_->sim_->call_at(sem_->sim_->now(), [this] {
-        proc_->clear_blocker(this);
-        proc_->resume_leaf(h_);
-      });
-    }
+    void unlink() noexcept override { sem_->list_.erase(it_); }
+    /// A permit was handed to us but we died before using it: pass it on.
+    void abandon() noexcept override { sem_->release(); }
+
     Semaphore* sem_;
-    Process* proc_ = nullptr;
-    std::coroutine_handle<> h_{};
     std::list<Awaiter*>::iterator it_{};
-    bool notified_ = false;
-    TimerHandle resume_ev_;
   };
 
   Awaiter acquire() { return Awaiter(*this); }
@@ -191,7 +145,7 @@ class Semaphore {
       }
       Awaiter* a = list_.front();
       list_.pop_front();
-      a->notify();  // hand-off: count unchanged
+      a->wake();  // hand-off: count unchanged
       --n;
     }
   }
@@ -201,53 +155,6 @@ class Semaphore {
   Simulation* sim_;
   std::int64_t count_;
   std::list<Awaiter*> list_;
-};
-
-/// FIFO mutex whose guard releases on destruction — including during
-/// kill-unwind of the owning process.
-class Mutex {
- public:
-  explicit Mutex(Simulation& sim) : sem_(sim, 1) {}
-
-  class Guard {
-   public:
-    Guard() = default;
-    explicit Guard(Mutex* m) : m_(m) {}
-    Guard(Guard&& o) noexcept : m_(std::exchange(o.m_, nullptr)) {}
-    Guard& operator=(Guard&& o) noexcept {
-      if (this != &o) {
-        release();
-        m_ = std::exchange(o.m_, nullptr);
-      }
-      return *this;
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-    ~Guard() { release(); }
-    void release() {
-      if (m_ != nullptr) {
-        m_->sem_.release();
-        m_ = nullptr;
-      }
-    }
-
-   private:
-    Mutex* m_ = nullptr;
-  };
-
-  struct Awaiter {
-    Mutex* m;
-    Semaphore::Awaiter inner;
-    bool await_ready() noexcept { return inner.await_ready(); }
-    void await_suspend(std::coroutine_handle<> h) { inner.await_suspend(h); }
-    Guard await_resume() noexcept { return Guard(m); }
-  };
-
-  /// Usage: `auto guard = co_await mutex.lock();`
-  Awaiter lock() { return Awaiter{this, sem_.acquire()}; }
-
- private:
-  Semaphore sem_;
 };
 
 /// Cyclic barrier for a fixed number of parties.
@@ -287,9 +194,11 @@ class Barrier {
 template <class T>
 class Channel {
  public:
-  explicit Channel(Simulation& sim) : q_(sim) {}
+  explicit Channel(Simulation& sim) : sim_(&sim) {}
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
-  class RecvAwaiter : public Blocker {
+  class RecvAwaiter : public Parked {
    public:
     explicit RecvAwaiter(Channel& c) : ch_(&c) {}
 
@@ -302,47 +211,28 @@ class Channel {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      proc_ = ch_->q_.simulation().current_process();
-      assert(proc_ != nullptr && "recv() outside a process");
-      h_ = h;
-      proc_->set_blocker(this);
+      park(*ch_->sim_, h);
       it_ = ch_->waiters_.insert(ch_->waiters_.end(), this);
     }
     T await_resume() { return std::move(*payload_); }
 
-    void cancel() noexcept override {
-      if (notified_) {
-        resume_ev_.cancel();  // the delivered payload dies with the process
-      } else {
-        ch_->waiters_.erase(it_);
-      }
-    }
-
    private:
     friend class Channel;
-    void deliver(T v) {
-      payload_.emplace(std::move(v));
-      notified_ = true;
-      Simulation& sim = ch_->q_.simulation();
-      resume_ev_ = sim.call_at(sim.now(), [this] {
-        proc_->clear_blocker(this);
-        proc_->resume_leaf(h_);
-      });
-    }
+    // abandon() keeps its default: a delivered payload dies with the
+    // killed receiver.
+    void unlink() noexcept override { ch_->waiters_.erase(it_); }
+
     Channel* ch_;
-    Process* proc_ = nullptr;
-    std::coroutine_handle<> h_{};
     typename std::list<RecvAwaiter*>::iterator it_{};
     std::optional<T> payload_;
-    bool notified_ = false;
-    TimerHandle resume_ev_;
   };
 
   void push(T v) {
     if (!waiters_.empty()) {
       RecvAwaiter* w = waiters_.front();
       waiters_.pop_front();
-      w->deliver(std::move(v));
+      w->payload_.emplace(std::move(v));
+      w->wake();
       return;
     }
     buf_.push_back(std::move(v));
@@ -354,9 +244,9 @@ class Channel {
 
  private:
   friend class RecvAwaiter;
+  Simulation* sim_;
   std::deque<T> buf_;
   std::list<RecvAwaiter*> waiters_;
-  WaitQueue q_;  // supplies the Simulation reference
 };
 
 }  // namespace blobcr::sim

@@ -823,5 +823,77 @@ TEST(CrScavengeTest, RleChunksScavengeToTheirRecordedSize) {
   EXPECT_TRUE(out.restored_ok);
 }
 
+// ---------------------------------------------------------------------------
+// Scavenge on a two-zone cloud: the job runs in zone 1, so its images and
+// their chunks live in zone 1's store. After zone 1's providers die,
+// scavenge() resolves every image through the store that owns it and
+// restores every chunk into the store of its zone, and a cold restart reads
+// every state back bit-exactly.
+// ---------------------------------------------------------------------------
+
+TEST(CrScavengeTest, RebuildsTheZoneThatOwnsEachImage) {
+  constexpr std::size_t kVms = 3;
+  constexpr std::size_t kZone1 = 6;  // first compute node of zone 1
+  CloudConfig cfg = tiny_cfg(Backend::BlobCR, /*flush=*/true);
+  cfg.compute_nodes = 12;
+  cfg.federation.zones = 2;
+  cfg.redundancy.enabled = true;
+  Cloud cloud(cfg);
+  ScavengeOutcome out;
+
+  cloud.run([](Cloud* cl, ScavengeOutcome* out) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, kVms, kZone1);
+    Session session(dep);
+    co_await dep.deploy_and_boot();
+    for (std::size_t i = 0; i < kVms; ++i) {
+      // Cache every base-image chunk on a compute node, as above.
+      (void)co_await dep.vm(i).disk().read(0, cl->config().os.image_size);
+      co_await write_state(&dep.vm(i), 30 + i);
+    }
+    const CheckpointRecord rec = co_await session.checkpoint("zone1");
+    EXPECT_EQ(rec.state, RecordState::Complete);
+
+    std::map<blob::ChunkId, blob::ChunkLocation> payload;
+    for (const core::InstanceSnapshot& s : rec.snapshots) {
+      blob::BlobStore* owner = cl->store_of_blob(s.image);
+      EXPECT_EQ(owner, cl->blob_store(1));
+      blob::BlobClient client(*owner, cl->compute_node(kZone1));
+      const blob::BlobMeta meta = co_await client.stat(s.image);
+      const auto refs = co_await client.resolve_chunks(
+          s.image, s.version, 0, meta.version(s.version).size);
+      for (const blob::BlobClient::ChunkRef& ref : refs) {
+        if (ref.loc.id == 0 || ref.loc.encoding == blob::ChunkEncoding::Zero)
+          continue;
+        EXPECT_EQ(ref.loc.zone, 1u);
+        payload.emplace(ref.loc.id, ref.loc);
+      }
+    }
+    for (const auto& [id, loc] : payload) out->payload_bytes += loc.size;
+    out->payload_chunks = payload.size();
+
+    for (const auto& provider : cl->blob_store(1)->providers())
+      provider->fail();
+    out->report = co_await session.scavenge();
+
+    cl->reset_chunk_caches();
+    Session::RestartOptions opts;
+    opts.node_offset = kZone1 + kVms;
+    opts.cold_caches = true;
+    (void)co_await session.restart(Selector::latest(), opts);
+    bool ok = true;
+    for (std::size_t i = 0; i < kVms; ++i) {
+      ok = ok && co_await state_matches(&dep.vm(i), 30 + i);
+    }
+    out->restored_ok = ok;
+  }(&cloud, &out));
+
+  EXPECT_TRUE(out.report.complete());
+  EXPECT_GT(out.payload_chunks, 0u);
+  EXPECT_EQ(out.report.chunks_restored, out.payload_chunks);
+  EXPECT_EQ(out.report.bytes_restored, out.payload_bytes);
+  EXPECT_TRUE(out.restored_ok);
+}
+
 }  // namespace
 }  // namespace blobcr::cr

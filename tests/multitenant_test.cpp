@@ -206,8 +206,8 @@ TEST(MultiTenantTest, RetentionSweepNeverReclaimsAnotherTenantsChunks) {
     co_await dep_b.vm(0).fs()->sync();
     (void)co_await ses_b.checkpoint("b1");
     {
-      const blob::BlobStore::TenantUsage& u =
-          cl->blob_store()->tenant_usage(dep_b.tenant());
+      const blob::BlobStore::TenantUsage u =
+          cl->blob_store()->tenant_usage_snapshot(dep_b.tenant());
       *b_shipped = u.shipped_bytes;
       *b_raw = u.raw_bytes;
     }

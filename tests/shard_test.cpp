@@ -1,7 +1,8 @@
 // Tests for the sharded metadata plane: content-hash routing in the digest
 // index (cross-tenant dedup without cross-shard traffic), withdrawal
 // confinement on failed commits, the epoch-based concurrent GC against a
-// commit parked mid-flight holding dedup pins, and the blob/name-hash
+// commit parked mid-flight holding dedup pins, the per-shard lookup queues
+// (serialization, tenant order, kill-safety), and the blob/name-hash
 // sharded version manager across shard counts.
 #include <gtest/gtest.h>
 
@@ -391,6 +392,152 @@ TEST(ShardTest, EpochGcKeepsChunksPinnedByParkedCommit) {
   EXPECT_EQ(gc2.chunks_deleted, 0u);
   EXPECT_EQ(gc2.reclaimed_bytes, 0u);
   EXPECT_TRUE(b_ok);
+}
+
+// --- per-shard lookup queues --------------------------------------------------
+
+// attach_service gives every shard one request queue with a single worker
+// (the shard's lock): lookups routed to one shard serialize, other shards
+// keep serving in the same instant, the order inside a shard follows the
+// registry's weights when there is one, and a lookup killed in the queue
+// leaves no trace.
+
+constexpr std::uint32_t kRaw = 4096;
+constexpr sim::Duration kLookupCost = sim::kMillisecond;
+
+/// A four-shard index holding digests 1..64 (chunk id == digest), with the
+/// recorded digests grouped by owning shard.
+struct QueuedIndex {
+  ChunkDigestIndex idx{4};
+  std::vector<std::vector<std::uint64_t>> by_shard;
+
+  QueuedIndex() : by_shard(4) {
+    for (std::uint64_t d = 1; d <= 64; ++d) {
+      blob::ChunkLocation loc;
+      loc.id = d;
+      loc.size = kRaw;
+      idx.record(d, kRaw, loc);
+      by_shard[idx.shard_of(d, kRaw)].push_back(d);
+    }
+  }
+};
+
+struct Finished {
+  std::uint64_t digest;
+  sim::Time at;
+  const blob::ChunkLocation* loc;
+};
+
+Task<> queued_lookup(Simulation* sim, ChunkDigestIndex* idx,
+                     net::TenantId tenant, std::uint64_t digest,
+                     std::vector<Finished>* log) {
+  const blob::ChunkLocation* loc =
+      co_await idx->lookup_queued(tenant, digest, kRaw);
+  log->push_back({digest, sim->now(), loc});
+}
+
+TEST(ShardQueueTest, LookupsSerializePerShardAndReturnWhatLookupReturns) {
+  QueuedIndex q;
+  Simulation sim;
+  q.idx.attach_service(sim, kLookupCost, nullptr);
+  ASSERT_TRUE(q.idx.service_attached());
+  const std::vector<std::uint64_t>& a = q.by_shard[0];
+  const std::vector<std::uint64_t>& b = q.by_shard[1];
+  ASSERT_GE(a.size(), 4u);
+  ASSERT_FALSE(b.empty());
+
+  std::vector<Finished> on_a, on_b;
+  for (std::size_t i = 0; i < 4; ++i) {
+    sim.spawn("lookup-a", queued_lookup(&sim, &q.idx, net::kDefaultTenant,
+                                        a[i], &on_a));
+  }
+  sim.spawn("lookup-b",
+            queued_lookup(&sim, &q.idx, net::kDefaultTenant, b[0], &on_b));
+  sim.run();
+
+  ASSERT_EQ(on_a.size(), 4u);
+  for (std::size_t i = 0; i < on_a.size(); ++i) {
+    EXPECT_EQ(on_a[i].digest, a[i]);
+    EXPECT_EQ(on_a[i].at, static_cast<sim::Time>(i + 1) * kLookupCost);
+  }
+  ASSERT_EQ(on_b.size(), 1u);
+  EXPECT_EQ(on_b[0].at, kLookupCost);  // shard 1 never waited for shard 0
+  for (const Finished& f : on_a) {
+    ASSERT_NE(f.loc, nullptr);
+    EXPECT_EQ(f.loc, q.idx.lookup(f.digest, kRaw));
+    EXPECT_EQ(f.loc->id, f.digest);
+  }
+  EXPECT_EQ(on_b[0].loc, q.idx.lookup(b[0], kRaw));
+  EXPECT_EQ(q.idx.shard_stats(0).lookups, 4u + 4u);  // queued + direct
+  EXPECT_EQ(q.idx.shard_stats(0).hits, 4u + 4u);
+
+  // A miss comes back as a miss.
+  std::vector<Finished> miss;
+  sim.spawn("lookup-miss",
+            queued_lookup(&sim, &q.idx, net::kDefaultTenant, 1000, &miss));
+  sim.run();
+  ASSERT_EQ(miss.size(), 1u);
+  EXPECT_EQ(miss[0].loc, nullptr);
+  EXPECT_EQ(q.idx.lookup(1000, kRaw), nullptr);
+}
+
+TEST(ShardQueueTest, WeightedTenantOvertakesBacklogOnlyOverARegistry) {
+  for (const bool fair : {true, false}) {
+    QueuedIndex q;
+    Simulation sim;
+    qos::TenantRegistry registry;
+    const net::TenantId bulk = registry.register_tenant("bulk", 1);
+    const net::TenantId small = registry.register_tenant("small", 4);
+    q.idx.attach_service(sim, kLookupCost, fair ? &registry : nullptr);
+    const std::uint64_t d = q.by_shard[2].at(0);
+
+    std::vector<Finished> bulk_log, small_log;
+    for (int i = 0; i < 5; ++i) {
+      sim.spawn("bulk", queued_lookup(&sim, &q.idx, bulk, d, &bulk_log));
+    }
+    sim.spawn("small", queued_lookup(&sim, &q.idx, small, d, &small_log));
+    sim.run();
+
+    ASSERT_EQ(bulk_log.size(), 5u);
+    ASSERT_EQ(small_log.size(), 1u);
+    std::vector<sim::Time> bulk_at;
+    for (const Finished& f : bulk_log) bulk_at.push_back(f.at / kLookupCost);
+    if (fair) {
+      // The weight-4 tenant's one lookup goes right after the lookup in
+      // service, ahead of the weight-1 backlog.
+      EXPECT_EQ(small_log[0].at, 2 * kLookupCost);
+      EXPECT_EQ(bulk_at, (std::vector<sim::Time>{1, 3, 4, 5, 6}));
+    } else {
+      EXPECT_EQ(small_log[0].at, 6 * kLookupCost);  // arrival order
+      EXPECT_EQ(bulk_at, (std::vector<sim::Time>{1, 2, 3, 4, 5}));
+    }
+  }
+}
+
+TEST(ShardQueueTest, LookupKilledWhileQueuedIsNotCountedAndFreesItsTurn) {
+  for (const bool fair : {true, false}) {
+    QueuedIndex q;
+    Simulation sim;
+    qos::TenantRegistry registry;
+    const net::TenantId tenant = registry.register_tenant("job", 1);
+    q.idx.attach_service(sim, kLookupCost, fair ? &registry : nullptr);
+    const std::uint64_t d = q.by_shard[3].at(0);
+    const std::size_t shard = q.idx.shard_of(d, kRaw);
+
+    std::vector<Finished> log;
+    sim.spawn("first", queued_lookup(&sim, &q.idx, tenant, d, &log));
+    auto victim =
+        sim.spawn("victim", queued_lookup(&sim, &q.idx, tenant, d, &log));
+    sim.spawn("next", queued_lookup(&sim, &q.idx, tenant, d, &log));
+    sim.call_at(kLookupCost / 2, [&] { victim->kill(); });
+    sim.run();
+
+    EXPECT_EQ(victim->state(), sim::Process::State::Killed);
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_EQ(log[0].at, kLookupCost);
+    EXPECT_EQ(log[1].at, 2 * kLookupCost);  // not held up by the victim
+    EXPECT_EQ(q.idx.shard_stats(shard).lookups, 2u);
+  }
 }
 
 // --- version-manager sharding ------------------------------------------------

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <ostream>
 #include <queue>
 #include <random>
 #include <stdexcept>
@@ -484,25 +486,6 @@ TEST(ReapTest, FinishedProcessesDoNotAccumulate) {
   EXPECT_TRUE(param_destroyed);
 }
 
-Task<> lock_and_sleep(Simulation& s, Mutex& m, std::vector<Time>& acquired) {
-  auto guard = co_await m.lock();
-  acquired.push_back(s.now());
-  co_await s.delay(100);
-}
-
-TEST(KillTest, KillReleasesHeldMutex) {
-  Simulation s;
-  Mutex m(s);
-  std::vector<Time> acquired;
-  auto a = s.spawn("a", lock_and_sleep(s, m, acquired));
-  s.spawn("b", lock_and_sleep(s, m, acquired));
-  s.call_at(30, [&] { a->kill(); });  // a holds the lock at t=30
-  s.run();
-  ASSERT_EQ(acquired.size(), 2u);
-  EXPECT_EQ(acquired[0], 0);
-  EXPECT_EQ(acquired[1], 30);  // b acquires the moment a dies
-}
-
 Task<> wait_on_event(Event& e, std::vector<int>& out, int id) {
   co_await e.wait();
   out.push_back(id);
@@ -518,6 +501,138 @@ TEST(KillTest, KillWhileWaitingOnEventDetaches) {
   s.call_at(20, [&] { e.set(); });
   s.run();
   EXPECT_EQ(out, (std::vector<int>{2}));
+}
+
+// --- kills in both states of every wait list -------------------------------
+//
+// Each structure parks several processes. One is killed while it is still
+// listed. Another is killed in the instant it is woken: the wake-up runs
+// first, and the kill runs in a callback queued behind it but ahead of the
+// resume the wake-up scheduled.
+
+/// A process that resumed: its id, when, and what it received.
+struct Resumed {
+  int id;
+  Time at;
+  int value = 0;
+  bool operator==(const Resumed&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Resumed& r) {
+  return os << "{id " << r.id << " at " << r.at << " value " << r.value << "}";
+}
+
+Task<> resume_on_event(Simulation& s, Event& e, int id,
+                       std::vector<Resumed>& log) {
+  co_await e.wait();
+  log.push_back({id, s.now()});
+}
+
+Task<> hold_permit(Simulation& s, Semaphore& sem, int id,
+                   std::vector<Resumed>& log) {
+  co_await sem.acquire();
+  log.push_back({id, s.now()});
+  co_await s.delay(10);
+  sem.release();
+}
+
+Task<> receive(Simulation& s, Channel<int>& ch, int id,
+               std::vector<Resumed>& log) {
+  const int v = co_await ch.recv();
+  log.push_back({id, s.now(), v});
+}
+
+Task<> resume_on_join(Simulation& s, ProcessPtr target, int id,
+                      std::vector<Resumed>& log) {
+  co_await target->join();
+  log.push_back({id, s.now()});
+}
+
+void expect_killed(const std::vector<ProcessPtr>& procs,
+                   std::initializer_list<int> ids) {
+  for (const int id : ids) {
+    EXPECT_EQ(procs[id]->state(), Process::State::Killed) << "process " << id;
+  }
+}
+
+TEST(KillTest, ListedAndWokenWaitersDetachFromEveryWaitList) {
+  {
+    // Event (a WaitQueue): 1 dies listed at t=10; set() at t=20 wakes 0, 2
+    // and 3, and 2 dies before it resumes.
+    Simulation s;
+    Event e(s);
+    std::vector<Resumed> log;
+    std::vector<ProcessPtr> p;
+    for (int id = 0; id < 4; ++id) {
+      p.push_back(s.spawn("waiter", resume_on_event(s, e, id, log)));
+    }
+    s.run_until(0);
+    s.call_at(10, [&] { p[1]->kill(); });
+    s.call_at(20, [&] { e.set(); });
+    s.call_at(20, [&] { p[2]->kill(); });
+    s.run();
+    EXPECT_EQ(log, (std::vector<Resumed>{{0, 20}, {3, 20}}));
+    expect_killed(p, {1, 2});
+  }
+  {
+    // One-permit Semaphore: 0 holds the permit until t=10, 2 dies listed at
+    // t=5, and 1 dies in the instant 0's release hands it the permit. The
+    // permit passes on to 3 in that instant, then to 4.
+    Simulation s;
+    Semaphore sem(s, 1);
+    std::vector<Resumed> log;
+    std::vector<ProcessPtr> p;
+    for (int id = 0; id < 5; ++id) {
+      p.push_back(s.spawn("acquirer", hold_permit(s, sem, id, log)));
+    }
+    s.run_until(0);  // 0's release timer is queued ahead of the kills
+    s.call_at(5, [&] { p[2]->kill(); });
+    s.call_at(10, [&] { p[1]->kill(); });
+    s.run();
+    EXPECT_EQ(log, (std::vector<Resumed>{{0, 0}, {3, 10}, {4, 20}}));
+    expect_killed(p, {1, 2});
+  }
+  {
+    // Channel receive: 1 dies listed at t=10; the value pushed at t=20 goes
+    // to 0, which dies with it. The pushes at t=30 reach 2 and 3.
+    Simulation s;
+    Channel<int> ch(s);
+    std::vector<Resumed> log;
+    std::vector<ProcessPtr> p;
+    for (int id = 0; id < 4; ++id) {
+      p.push_back(s.spawn("receiver", receive(s, ch, id, log)));
+    }
+    s.run_until(0);
+    s.call_at(10, [&] { p[1]->kill(); });
+    s.call_at(20, [&] { ch.push(100); });
+    s.call_at(20, [&] { p[0]->kill(); });
+    s.call_at(30, [&] {
+      ch.push(200);
+      ch.push(300);
+    });
+    s.run();
+    EXPECT_EQ(log, (std::vector<Resumed>{{2, 30, 200}, {3, 30, 300}}));
+    EXPECT_EQ(ch.queued(), 0u);
+    expect_killed(p, {0, 1});
+  }
+  {
+    // join: 1 dies listed at t=10, before its target finishes at t=20; 2
+    // dies in the instant the finish wakes it.
+    Simulation s;
+    std::vector<Resumed> log;
+    auto target = s.spawn("target", sleep_for(s, 20));
+    std::vector<ProcessPtr> p;
+    for (int id = 0; id < 4; ++id) {
+      p.push_back(s.spawn("joiner", resume_on_join(s, target, id, log)));
+    }
+    s.run_until(0);  // the target's timer is queued ahead of the kills
+    s.call_at(10, [&] { p[1]->kill(); });
+    s.call_at(20, [&] { p[2]->kill(); });
+    s.run();
+    EXPECT_EQ(log, (std::vector<Resumed>{{0, 20}, {3, 20}}));
+    EXPECT_EQ(target->state(), Process::State::Done);
+    expect_killed(p, {1, 2});
+  }
 }
 
 // --- synchronization primitives ---------------------------------------------
