@@ -429,7 +429,6 @@ sim::Task<VersionId> BlobClient::write_extents_via(
 
   const std::uint64_t chunk_bytes =
       stored_payload * static_cast<std::uint64_t>(replication);
-  last_commit_stored_ = stored_payload;
   if (opts.probe != nullptr) co_await (*opts.probe)(CommitStage::PrePublish);
   const VersionId v = co_await store_->version_manager().publish(
       node_, blob, new_root, new_size, chunk_bytes, meta_bytes,

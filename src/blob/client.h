@@ -178,9 +178,6 @@ class BlobClient {
   sim::Task<> prefetch_metadata(BlobId blob, VersionId version,
                                 std::uint64_t offset, std::uint64_t len);
 
-  /// Actually-shipped payload of the most recent commit (the raw payload
-  /// when no reducer ran; excludes replication).
-  std::uint64_t last_commit_stored_bytes() const { return last_commit_stored_; }
   /// Chunk size of `blob` when this client has already resolved it (the
   /// create/commit/read paths all cache it); 0 for an unseen blob.
   std::uint64_t known_chunk_size(BlobId blob) const {
@@ -235,7 +232,6 @@ class BlobClient {
   std::unordered_map<NodeRef, TreeNode> node_cache_;
   std::unordered_map<VersionKey, VersionEntry, VersionKeyHash> version_cache_;
   std::unordered_map<BlobId, std::uint64_t> chunk_size_cache_;
-  std::uint64_t last_commit_stored_ = 0;
 };
 
 }  // namespace blobcr::blob

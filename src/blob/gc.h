@@ -28,7 +28,8 @@
 //     BEFORE the first erase yield — after this no lookup can hand out a
 //     new Ref to a doomed chunk, which is what makes the yielding erase
 //     phase safe.
-//  4. Sweep: erase replicas batch by batch.
+//  4. Sweep: erase replicas batch by batch, wherever the provider manager's
+//     placement registry says each chunk lives now, and drop its entry.
 //
 // Why each racing reference is covered: a Ref taken before the epoch opened
 // is either still pinned at open/finalize (pin sources) or its commit
@@ -200,8 +201,17 @@ class GarbageCollector {
   void erase_range(Epoch& e, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const ChunkLocation& loc = e.swept[i];
+      // Repair and scavenge record a chunk's new homes only in the
+      // placement registry, so erase it wherever the registry says it lives
+      // now. Another zone's chunk (an adopted leaf) has an id from that
+      // zone's counter, which this registry may hold for a different chunk.
+      std::vector<net::NodeId> homes;
+      if (loc.zone == store_->config().zone) {
+        homes = store_->provider_manager().forget(loc.id);
+      }
+      if (homes.empty()) homes = loc.replicas;
       bool erased_any = false;
-      for (const net::NodeId node : loc.replicas) {
+      for (const net::NodeId node : homes) {
         if (DataProvider* p = store_->provider_at(node)) {
           erased_any = p->erase(loc.id) || erased_any;
         }

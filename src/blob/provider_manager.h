@@ -96,6 +96,13 @@ class ProviderManager {
   void update_placement(ChunkId id, std::vector<net::NodeId> replicas) {
     placements_.at(id).replicas = std::move(replicas);
   }
+  /// Drops a reclaimed chunk from the registry and returns where it lived
+  /// (empty for an id the registry does not know).
+  std::vector<net::NodeId> forget(ChunkId id) {
+    auto node = placements_.extract(id);
+    if (!node) return {};
+    return std::move(node.mapped().replicas);
+  }
 
   const std::vector<DataProvider*>& providers() const { return providers_; }
   std::uint64_t requests_served() const { return service_.requests_served(); }

@@ -86,8 +86,8 @@ Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
   disks_.reserve(total);
   streams_.resize(total);
   for (std::size_t n = 0; n < total; ++n) {
-    disks_.push_back(std::make_unique<storage::Disk>(
-        sim_, common::strf("disk%zu", n), storage::Disk::Config{}));
+    disks_.push_back(
+        std::make_unique<storage::Disk>(sim_, storage::Disk::Config{}));
   }
 
   federation_ =

@@ -78,11 +78,6 @@ std::uint64_t MirrorDevice::chunk_size() const {
   return store_->config().default_chunk_size;
 }
 
-std::uint64_t MirrorDevice::last_commit_shipped() const {
-  if (flush_agent_ != nullptr) return flush_agent_->last_drain_stored_bytes();
-  return last_commit_shipped_;
-}
-
 sim::Task<> MirrorDevice::wait_drained() {
   if (flush_agent_ != nullptr) co_await flush_agent_->wait_drained();
 }
@@ -349,7 +344,6 @@ sim::Task<blob::VersionId> MirrorDevice::ioctl_commit() {
   if (rounded.empty()) {
     // Unchanged disk: the previous snapshot already captures this state.
     last_commit_payload_ = 0;
-    last_commit_shipped_ = 0;
     co_return last_version_;
   }
 
@@ -400,7 +394,6 @@ sim::Task<blob::VersionId> MirrorDevice::ioctl_commit() {
                                          spool.reader(), reducer_);
   dirty_.clear();
   last_commit_payload_ = payload;
-  last_commit_shipped_ = client_.last_commit_stored_bytes();
   last_version_ = v;
   co_return v;
 }

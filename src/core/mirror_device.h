@@ -164,10 +164,6 @@ class MirrorDevice : public img::BlockDevice {
   std::uint64_t remote_bytes_fetched() const { return ledger_.remote(); }
   /// Raw (pre-reduction) payload of the last commit.
   std::uint64_t last_commit_payload() const { return last_commit_payload_; }
-  /// Payload that actually shipped to the repository for the last commit
-  /// (== last_commit_payload() when no reduction pipeline is attached).
-  /// Async mode: reflects the most recent *completed* drain.
-  std::uint64_t last_commit_shipped() const;
 
   /// Prefetch hint from the bus: fetch [offset, offset+len) in the
   /// background if missing.
@@ -235,7 +231,6 @@ class MirrorDevice : public img::BlockDevice {
   blob::VersionId last_version_ = 0;
   SourceBytes ledger_;
   std::uint64_t last_commit_payload_ = 0;
-  std::uint64_t last_commit_shipped_ = 0;
   std::vector<sim::ProcessPtr> prefetchers_;  // read only by the destructor
   std::size_t prune_at_ = 64;
   std::unique_ptr<sim::Semaphore> prefetch_slots_;

@@ -145,7 +145,6 @@ sim::Task<> FlushAgent::drain_one(StagedCommit c) {
   opts.probe = probe_ ? &probe_ : nullptr;
   const blob::VersionId v = co_await client_->write_extents_via(
       c.blob, std::move(specs), spool.reader(), std::move(opts));
-  last_drain_stored_ = client_->last_commit_stored_bytes();
 
   // Peer parity tier: the drained chunks fold into XOR groups across the
   // deployment (redundancy::Manager). Fired after publish — a kill at this

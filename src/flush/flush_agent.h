@@ -70,8 +70,6 @@ class FlushAgent {
   std::size_t pending() const { return queue_.size() + (draining_ ? 1u : 0u); }
   bool idle() const { return pending() == 0; }
   const FlushStats& stats() const { return stats_; }
-  /// Post-reduction payload the most recent completed drain shipped.
-  std::uint64_t last_drain_stored_bytes() const { return last_drain_stored_; }
 
   /// Test hook, awaited at every stage boundary of every drain.
   void set_stage_probe(blob::CommitProbe probe) { probe_ = std::move(probe); }
@@ -108,7 +106,6 @@ class FlushAgent {
   bool dead_ = false;
   std::exception_ptr error_;
   FlushStats stats_;
-  std::uint64_t last_drain_stored_ = 0;
   sim::WaitQueue work_wq_;  // submit -> drain loop
   sim::WaitQueue done_wq_;  // drain loop -> wait_drained / backpressure
   sim::ProcessPtr loop_;

@@ -1,19 +1,13 @@
 // Fabric: the cluster interconnect. Star topology of nodes behind an ideal
 // switch; each node has full-duplex NIC ports (tx and rx) of equal capacity.
 //
-// Flow model: a transfer src->dst is a fluid flow crossing src's tx port and
-// dst's rx port; its instantaneous rate is min(tx_cap / tx_flows,
-// rx_cap / rx_flows). Rates are recomputed only for flows touching a port
-// whose flow count changed. This count-based fair share reproduces the
-// first-order contention behaviour of TCP on a non-blocking GbE switch (the
-// paper's testbed) at event-queue cost O(flows per port) per flow change.
+// A transfer src->dst is a sim::Flow crossing src's tx port and dst's rx
+// port (sim/flow.h): its instantaneous rate is min(tx_cap / tx_flows,
+// rx_cap / rx_flows), under the transfer's optional rate cap.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <list>
-#include <string>
-#include <vector>
+#include <deque>
 
 #include "sim/sim.h"
 
@@ -58,66 +52,21 @@ class Fabric {
   sim::Task<> message(NodeId src, NodeId dst);
 
   sim::Duration latency() const { return cfg_.latency; }
-  std::size_t node_count() const { return ports_tx_.size(); }
+  std::size_t node_count() const { return tx_.size(); }
   std::uint64_t total_bytes() const { return total_bytes_; }
-  std::size_t active_flows() const { return active_flows_; }
+  std::size_t active_flows() const {
+    std::size_t n = 0;
+    for (const sim::FlowPort& p : tx_) n += p.active_flows();
+    return n;
+  }
 
  private:
-  class FlowAwaiter;
-  friend class FlowAwaiter;
-
-  struct Port {
-    std::list<FlowAwaiter*> flows;
-  };
-
-  void on_ports_changed(Port& a, Port& b);
-  void settle_and_retime(FlowAwaiter* f);
-
   sim::Simulation* sim_;
   Config cfg_;
-  std::vector<Port> ports_tx_;
-  std::vector<Port> ports_rx_;
+  // Deques: a port never moves, because its flows point to it.
+  std::deque<sim::FlowPort> tx_;
+  std::deque<sim::FlowPort> rx_;
   std::uint64_t total_bytes_ = 0;
-  std::size_t active_flows_ = 0;
-  std::uint64_t retime_gen_ = 0;
-};
-
-class Fabric::FlowAwaiter : public sim::Blocker {
- public:
-  FlowAwaiter(Fabric& f, NodeId src, NodeId dst, std::uint64_t bytes,
-              double rate_cap_bps = 0)
-      : fab_(&f),
-        src_(src),
-        dst_(dst),
-        remaining_(static_cast<double>(bytes)),
-        bytes_(bytes),
-        rate_cap_(rate_cap_bps) {}
-
-  bool await_ready() const noexcept { return bytes_ == 0; }
-  void await_suspend(std::coroutine_handle<> h);
-  void await_resume() const noexcept {}
-  void cancel() noexcept override;
-
- private:
-  friend class Fabric;
-
-  void complete();
-  double fair_rate() const;
-
-  Fabric* fab_;
-  NodeId src_;
-  NodeId dst_;
-  double remaining_;
-  std::uint64_t bytes_;
-  double rate_cap_ = 0;  // 0 = uncapped
-  double rate_ = 0;
-  std::uint64_t retime_gen_ = 0;
-  sim::Time last_update_ = 0;
-  sim::Process* proc_ = nullptr;
-  std::coroutine_handle<> h_{};
-  std::list<FlowAwaiter*>::iterator tx_it_{};
-  std::list<FlowAwaiter*>::iterator rx_it_{};
-  sim::TimerHandle done_ev_;
 };
 
 }  // namespace blobcr::net

@@ -35,7 +35,7 @@ void Process::kill() {
     blocker_ = nullptr;
   }
   // Destroying the root frame cascades through nested Task members and
-  // releases held RAII guards (locks, resource flows).
+  // releases held RAII guards (permits).
   root_.reset();
   finish(State::Killed);
 }

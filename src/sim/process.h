@@ -3,11 +3,10 @@
 // Fail-stop semantics: a simulated machine failure destroys, at an arbitrary
 // virtual time, every process running on it. `Process::kill()` implements
 // this: it recursively kills child processes, cancels the process's single
-// outstanding Blocker (a suspended timer, a wait-list node or a resource
+// outstanding Blocker (a suspended timer, a wait-list node or a bandwidth
 // flow), and destroys the root coroutine frame. Frame destruction runs
-// destructors of everything in flight, so RAII guards (permits, resource
-// flows) release cleanly and the rest of the simulation observes a
-// consistent world.
+// destructors of everything in flight, so RAII guards (permits) release
+// cleanly and the rest of the simulation observes a consistent world.
 //
 // Every wait list (sim/sync.h, join(), qos::FairGate) parks its waiters on
 // one kill-safe node, Parked: a kill detaches it whether it is still listed
@@ -27,12 +26,13 @@ namespace blobcr::sim {
 
 /// One suspended wait of a process. At most one Blocker is outstanding per
 /// process (a process is a single thread of execution); concurrency within a
-/// process is expressed by spawning child processes. Timers and resource
-/// flows implement it directly; wait-list nodes derive from Parked.
+/// process is expressed by spawning child processes. Timers (DelayAwaiter)
+/// and bandwidth flows (sim::Flow) implement it directly; wait-list nodes
+/// derive from Parked.
 class Blocker {
  public:
   /// Deregisters this blocker from whatever structure holds it (event queue,
-  /// wait queue, resource flow list). Called exactly once, and only while the
+  /// wait list, flow ports). Called exactly once, and only while the
   /// owning process is being killed. Must not resume the coroutine.
   virtual void cancel() noexcept = 0;
 

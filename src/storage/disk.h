@@ -1,9 +1,9 @@
 // Disk: a seek-aware local disk model.
 //
-// Bandwidth is a fair-share fluid resource (the paper's nodes: SATA II,
-// ~55 MB/s streaming). On top of that, every operation that is not strictly
-// sequential with the previously issued operation charges a positioning
-// cost, expressed as extra bytes (position_cost * bandwidth).
+// Bandwidth is one fair-share sim::FlowPort (sim/flow.h; the paper's
+// nodes: SATA II, ~55 MB/s streaming). On top of that, every operation that
+// is not strictly sequential with the previously issued operation charges a
+// positioning cost, expressed as extra bytes (position_cost * bandwidth).
 //
 // This single knob is the mechanistic root of a key result in the paper:
 // BlobSeer data providers append immutable chunks to a log (one stream, so
@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 
 #include "sim/sim.h"
@@ -26,8 +25,8 @@ class Disk {
     sim::Duration position_cost = 6 * sim::kMillisecond;  // one head move
   };
 
-  Disk(sim::Simulation& sim, std::string name, const Config& cfg)
-      : cfg_(cfg), res_(sim, std::move(name), cfg.bandwidth_bps) {}
+  Disk(sim::Simulation& sim, const Config& cfg)
+      : sim_(&sim), cfg_(cfg), port_(cfg.bandwidth_bps) {}
 
   /// `stream` identifies a logically contiguous byte sequence (a local file,
   /// an append log). Offsets are within the stream.
@@ -50,7 +49,6 @@ class Disk {
   std::uint64_t bytes_read() const { return bytes_read_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
   std::uint64_t seeks() const { return seeks_; }
-  sim::Duration busy_time() const { return res_.busy_time(); }
   const Config& config() const { return cfg_; }
 
  private:
@@ -72,7 +70,7 @@ class Disk {
     } else {
       bytes_read_ += bytes;
     }
-    co_await res_.use(charged);
+    co_await sim::Flow(*sim_, port_, charged);
   }
 
   std::uint64_t position_bytes() const {
@@ -80,8 +78,9 @@ class Disk {
         sim::to_seconds(cfg_.position_cost) * cfg_.bandwidth_bps);
   }
 
+  sim::Simulation* sim_;
   Config cfg_;
-  sim::SharedResource res_;
+  sim::FlowPort port_;
   std::unordered_map<std::uint64_t, std::uint64_t> stream_end_;
   std::uint64_t last_stream_ = ~0ULL;
   std::uint64_t last_end_offset_ = ~0ULL;

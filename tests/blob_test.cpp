@@ -8,7 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/strutil.h"
 #include "blob/client.h"
 #include "blob/gc.h"
 #include "blob/store.h"
@@ -53,8 +52,7 @@ struct TestCluster {
     dcfg.position_cost = sim::kMillisecond;
     for (std::size_t i = 0; i < n_data; ++i) {
       const net::NodeId node = static_cast<net::NodeId>(2 + n_meta + i);
-      disks.push_back(std::make_unique<storage::Disk>(
-          sim, common::strf("disk%u", node), dcfg));
+      disks.push_back(std::make_unique<storage::Disk>(sim, dcfg));
       cfg.data_providers.push_back({node, disks.back().get(), 1});
     }
     cfg.default_chunk_size = chunk_size;

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/strutil.h"
 #include "blob/client.h"
 #include "blob/gc.h"
 #include "blob/store.h"
@@ -71,8 +70,7 @@ struct FlushRig {
     dcfg.bandwidth_bps = 1e9;
     dcfg.position_cost = 100 * sim::kMicrosecond;
     for (std::size_t i = 0; i < n_data + 1; ++i) {
-      disks.push_back(
-          std::make_unique<storage::Disk>(sim, common::strf("d%zu", i), dcfg));
+      disks.push_back(std::make_unique<storage::Disk>(sim, dcfg));
     }
     for (std::size_t i = 0; i < n_data; ++i) {
       cfg.data_providers.push_back(

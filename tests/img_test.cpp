@@ -30,7 +30,7 @@ struct TestImg {
     storage::Disk::Config dcfg;
     dcfg.bandwidth_bps = 1e9;
     dcfg.position_cost = 0;
-    disk = std::make_unique<storage::Disk>(sim, "d", dcfg);
+    disk = std::make_unique<storage::Disk>(sim, dcfg);
     container = std::make_unique<storage::LocalFile>(*disk, 1);
     QcowImage::Config cfg;
     cfg.cluster_size = kCluster;

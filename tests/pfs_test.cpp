@@ -39,8 +39,7 @@ struct TestPvfs {
     dcfg.bandwidth_bps = disk_bps;
     dcfg.position_cost = sim::kMillisecond;
     for (std::size_t i = 0; i < n_io; ++i) {
-      disks.push_back(std::make_unique<storage::Disk>(
-          sim, "io" + std::to_string(i), dcfg));
+      disks.push_back(std::make_unique<storage::Disk>(sim, dcfg));
       cfg.io_servers.push_back(
           {static_cast<net::NodeId>(1 + i), disks.back().get()});
     }

@@ -8,7 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/strutil.h"
 #include "common/rng.h"
 #include "core/blobcr.h"
 #include "cr/remap.h"
@@ -61,8 +60,7 @@ struct MirrorRig {
     dcfg.bandwidth_bps = 1e9;
     dcfg.position_cost = 100 * sim::kMicrosecond;
     for (std::size_t i = 0; i < n_data + 1; ++i) {
-      disks.push_back(std::make_unique<storage::Disk>(
-          sim, common::strf("d%zu", i), dcfg));
+      disks.push_back(std::make_unique<storage::Disk>(sim, dcfg));
     }
     for (std::size_t i = 0; i < n_data; ++i) {
       cfg.data_providers.push_back(
@@ -268,7 +266,7 @@ TEST_P(QcowPropertyTest, RandomHistoryMatchesReference) {
   storage::Disk::Config dcfg;
   dcfg.bandwidth_bps = 1e9;
   dcfg.position_cost = 0;
-  storage::Disk disk(sim, "d", dcfg);
+  storage::Disk disk(sim, dcfg);
   storage::LocalFile backing(disk, 1);
   storage::LocalFile container(disk, 2);
   img::QcowImage::Config cfg;

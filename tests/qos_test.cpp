@@ -661,7 +661,7 @@ struct ProviderCluster {
     storage::Disk::Config dcfg;
     dcfg.bandwidth_bps = 2e7;  // 20 MB/s: the disk is the bottleneck
     dcfg.position_cost = sim::kMillisecond;
-    disks.push_back(std::make_unique<storage::Disk>(sim, "disk4", dcfg));
+    disks.push_back(std::make_unique<storage::Disk>(sim, dcfg));
     cfg.data_providers.push_back({4, disks.back().get(), 1});
     cfg.qos.enabled = fair;
     cfg.qos.provider_slots = 1;  // identical capacity in both modes

@@ -1,14 +1,15 @@
 // RepairService tests: re-replication after provider loss restores the
 // replication factor, readers find re-homed chunks through the provider
 // manager's locate() fail-over, and a repaired repository survives a second
-// failure that an unrepaired one would not.
+// failure that an unrepaired one would not. Garbage collection reclaims a
+// chunk from its repaired homes too.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "common/strutil.h"
 #include "blob/client.h"
+#include "blob/gc.h"
 #include "blob/repair.h"
 #include "blob/store.h"
 #include "federation/federation.h"
@@ -52,8 +53,7 @@ struct TestCluster {
     first_data_node = static_cast<net::NodeId>(2 + n_meta);
     for (std::size_t i = 0; i < n_data; ++i) {
       const net::NodeId node = static_cast<net::NodeId>(2 + n_meta + i);
-      disks.push_back(std::make_unique<storage::Disk>(
-          sim, common::strf("disk%u", node), dcfg));
+      disks.push_back(std::make_unique<storage::Disk>(sim, dcfg));
       cfg.data_providers.push_back({node, disks.back().get(), 1});
     }
     cfg.default_chunk_size = chunk_size;
@@ -198,6 +198,35 @@ TEST(RepairTest, ReadersFindRehomedChunksThroughLocate) {
           << "leaf " << ref.index;
     }
     EXPECT_EQ(unreachable, 0u);
+  }(&cluster));
+}
+
+TEST(RepairTest, CollectedChunksLeaveTheirRepairedHomes) {
+  TestCluster cluster(5, /*replication=*/2);
+  cluster.run([](TestCluster* c) -> Task<> {
+    BlobClient client(*c->store, c->client_node);
+    const BlobId blob = co_await client.create();
+    (void)co_await client.write(blob, 0, Buffer::pattern(64 * 1024, 5));
+    c->store->fail_node(c->busiest_provider());
+    RepairService repair(*c->store);
+    const RepairService::Report first = co_await repair.repair(2);
+    EXPECT_GT(first.copies_made, 0u);
+
+    // Overwrite every chunk, then reclaim the first version: each of its
+    // chunks goes from wherever the repair put it.
+    const VersionId v2 =
+        co_await client.write(blob, 0, Buffer::pattern(64 * 1024, 6));
+    GarbageCollector gc(*c->store);
+    const GarbageCollector::Result reclaimed = gc.collect(blob, v2);
+    EXPECT_EQ(reclaimed.chunks_deleted, 64u);
+    EXPECT_EQ(c->store->total_stored_bytes(), 2u * 64 * 1024);
+    EXPECT_EQ(c->store->provider_manager().placements().size(), 64u);
+
+    // Nothing is left to re-replicate, and no reclaimed chunk reads as lost.
+    const RepairService::Report second = co_await repair.repair(2);
+    EXPECT_EQ(second.chunks_scanned, 64u);
+    EXPECT_EQ(second.copies_made, 0u);
+    EXPECT_EQ(second.lost, 0u);
   }(&cluster));
 }
 

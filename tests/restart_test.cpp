@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/strutil.h"
 #include "apps/scenarios.h"
 #include "blob/client.h"
 #include "core/chunk_cache.h"
@@ -63,8 +62,7 @@ struct ReducedRig {
     dcfg.bandwidth_bps = 1e9;
     dcfg.position_cost = sim::kMillisecond;
     for (std::size_t i = 0; i < n_data + 3; ++i) {
-      disks.push_back(std::make_unique<storage::Disk>(
-          sim, common::strf("d%zu", i), dcfg));
+      disks.push_back(std::make_unique<storage::Disk>(sim, dcfg));
     }
     for (std::size_t i = 0; i < n_data; ++i) {
       cfg.data_providers.push_back(

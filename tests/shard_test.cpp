@@ -61,8 +61,7 @@ struct TestCluster {
     dcfg.position_cost = sim::kMillisecond;
     for (std::size_t i = 0; i < n_data; ++i) {
       const net::NodeId node = static_cast<net::NodeId>(2 + n_meta + i);
-      disks.push_back(std::make_unique<storage::Disk>(
-          sim, common::strf("disk%u", node), dcfg));
+      disks.push_back(std::make_unique<storage::Disk>(sim, dcfg));
       cfg.data_providers.push_back({node, disks.back().get(), 1});
     }
     cfg.default_chunk_size = kChunk;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <initializer_list>
+#include <list>
 #include <memory>
 #include <ostream>
 #include <queue>
@@ -756,31 +757,30 @@ TEST(ChannelTest, BufferedBeforeReceiverArrives) {
   EXPECT_EQ(out, (std::vector<int>{41, 42}));
 }
 
-// --- shared resource ----------------------------------------------------------
+// --- fluid flows ---------------------------------------------------------------
 
-Task<> use_resource(Simulation& s, SharedResource& r, std::uint64_t bytes,
-                    std::vector<Time>& done) {
-  co_await r.use(bytes);
+Task<> use_port(Simulation& s, FlowPort& p, std::uint64_t bytes,
+                std::vector<Time>& done) {
+  co_await Flow(s, p, bytes);
   done.push_back(s.now());
-  (void)s;
 }
 
-TEST(SharedResourceTest, SingleFlowFullRate) {
+TEST(FlowTest, SingleFlowFullRate) {
   Simulation s;
-  SharedResource r(s, "disk", 100.0);  // 100 bytes/sec
+  FlowPort p(100.0);  // 100 bytes/sec
   std::vector<Time> done;
-  s.spawn("a", use_resource(s, r, 200, done));
+  s.spawn("a", use_port(s, p, 200, done));
   s.run();
   ASSERT_EQ(done.size(), 1u);
   EXPECT_NEAR(to_seconds(done[0]), 2.0, 1e-6);
 }
 
-TEST(SharedResourceTest, TwoFlowsShareFairly) {
+TEST(FlowTest, TwoFlowsShareFairly) {
   Simulation s;
-  SharedResource r(s, "disk", 100.0);
+  FlowPort p(100.0);
   std::vector<Time> done;
-  s.spawn("a", use_resource(s, r, 100, done));
-  s.spawn("b", use_resource(s, r, 100, done));
+  s.spawn("a", use_port(s, p, 100, done));
+  s.spawn("b", use_port(s, p, 100, done));
   s.run();
   ASSERT_EQ(done.size(), 2u);
   // Both share 100 B/s: each runs at 50 B/s -> 2 s.
@@ -788,19 +788,19 @@ TEST(SharedResourceTest, TwoFlowsShareFairly) {
   EXPECT_NEAR(to_seconds(done[1]), 2.0, 1e-6);
 }
 
-Task<> use_after(Simulation& s, SharedResource& r, Duration start,
+Task<> use_after(Simulation& s, FlowPort& p, Duration start,
                  std::uint64_t bytes, std::vector<Time>& done) {
   co_await s.delay(start);
-  co_await r.use(bytes);
+  co_await Flow(s, p, bytes);
   done.push_back(s.now());
 }
 
-TEST(SharedResourceTest, LateArrivalSlowsExisting) {
+TEST(FlowTest, LateArrivalSlowsExisting) {
   Simulation s;
-  SharedResource r(s, "disk", 100.0);
+  FlowPort p(100.0);
   std::vector<Time> done;
-  s.spawn("a", use_resource(s, r, 200, done));          // alone until t=1
-  s.spawn("b", use_after(s, r, seconds(1), 100, done));  // joins at t=1
+  s.spawn("a", use_port(s, p, 200, done));               // alone until t=1
+  s.spawn("b", use_after(s, p, seconds(1), 100, done));  // joins at t=1
   s.run();
   ASSERT_EQ(done.size(), 2u);
   // a: 100 bytes in first second (alone), then 50 B/s -> finishes t=3.
@@ -810,12 +810,12 @@ TEST(SharedResourceTest, LateArrivalSlowsExisting) {
   EXPECT_NEAR(to_seconds(done[1]), 3.0, 1e-3);
 }
 
-TEST(SharedResourceTest, CancelledFlowFreesBandwidth) {
+TEST(FlowTest, CancelledFlowFreesBandwidth) {
   Simulation s;
-  SharedResource r(s, "disk", 100.0);
+  FlowPort p(100.0);
   std::vector<Time> done;
-  auto a = s.spawn("a", use_resource(s, r, 1000, done));
-  s.spawn("b", use_resource(s, r, 100, done));
+  auto a = s.spawn("a", use_port(s, p, 1000, done));
+  s.spawn("b", use_port(s, p, 100, done));
   s.call_at(seconds(1), [&] { a->kill(); });
   s.run();
   ASSERT_EQ(done.size(), 1u);
@@ -824,42 +824,222 @@ TEST(SharedResourceTest, CancelledFlowFreesBandwidth) {
   EXPECT_NEAR(to_seconds(done[0]), 1.5, 1e-3);
 }
 
-TEST(SharedResourceTest, ZeroByteUseCompletesImmediately) {
+TEST(FlowTest, ZeroByteFlowCompletesImmediately) {
   Simulation s;
-  SharedResource r(s, "disk", 100.0);
+  FlowPort p(100.0);
   std::vector<Time> done;
-  s.spawn("a", use_resource(s, r, 0, done));
+  s.spawn("a", use_port(s, p, 0, done));
   s.run();
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0], 0);
 }
 
-TEST(SharedResourceTest, TracksStats) {
+TEST(FlowTest, PortIsBusyUntilItsLastFlowEnds) {
   Simulation s;
-  SharedResource r(s, "disk", 100.0);
+  FlowPort p(100.0);
   std::vector<Time> done;
-  s.spawn("a", use_resource(s, r, 300, done));
+  s.spawn("a", use_port(s, p, 300, done));
+  s.run_until(seconds(1));
+  EXPECT_EQ(p.active_flows(), 1u);
   s.run();
-  EXPECT_EQ(r.total_bytes(), 300u);
-  EXPECT_NEAR(to_seconds(r.busy_time()), 3.0, 1e-6);
-  EXPECT_EQ(r.active_flows(), 0u);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_NEAR(to_seconds(done[0]), 3.0, 1e-6);
+  EXPECT_EQ(p.active_flows(), 0u);
+}
+
+// The equal-share resource the disks ran on before sim::Flow, kept as a
+// reference model: one capacity, every active flow at capacity / flows,
+// and all flows settled together and re-timed on each arrival, completion
+// or kill.
+class ReferenceResource {
+ public:
+  ReferenceResource(Simulation& sim, double capacity_bps)
+      : sim_(&sim), cap_(capacity_bps) {}
+
+  class UseAwaiter : public Blocker {
+   public:
+    UseAwaiter(ReferenceResource& r, std::uint64_t bytes)
+        : res_(&r), remaining_(static_cast<double>(bytes)), bytes_(bytes) {}
+
+    bool await_ready() const noexcept { return bytes_ == 0; }
+    void await_suspend(std::coroutine_handle<> h) {
+      proc_ = res_->sim_->current_process();
+      h_ = h;
+      proc_->set_blocker(this);
+      res_->settle();
+      it_ = res_->flows_.insert(res_->flows_.end(), this);
+      res_->reschedule_all();
+    }
+    void await_resume() const noexcept {}
+    void cancel() noexcept override {
+      res_->settle();
+      res_->flows_.erase(it_);
+      done_ev_.cancel();
+      res_->reschedule_all();
+    }
+
+   private:
+    friend class ReferenceResource;
+
+    void complete() {
+      ReferenceResource* r = res_;
+      r->settle();
+      r->flows_.erase(it_);
+      Process* p = proc_;
+      std::coroutine_handle<> h = h_;
+      p->clear_blocker(this);
+      r->reschedule_all();
+      p->resume_leaf(h);
+    }
+
+    ReferenceResource* res_;
+    double remaining_;
+    std::uint64_t bytes_;
+    Process* proc_ = nullptr;
+    std::coroutine_handle<> h_{};
+    std::list<UseAwaiter*>::iterator it_{};
+    TimerHandle done_ev_;
+  };
+
+  UseAwaiter use(std::uint64_t bytes) { return UseAwaiter(*this, bytes); }
+
+ private:
+  void settle() {
+    const Time now = sim_->now();
+    const Duration dt = now - last_settle_;
+    if (dt > 0 && !flows_.empty()) {
+      const double moved = rate_per_flow_ * to_seconds(dt);
+      for (UseAwaiter* f : flows_) {
+        f->remaining_ -= moved;
+        if (f->remaining_ < 0) f->remaining_ = 0;
+      }
+    }
+    last_settle_ = now;
+  }
+
+  void reschedule_all() {
+    rate_per_flow_ =
+        flows_.empty() ? 0.0 : cap_ / static_cast<double>(flows_.size());
+    for (UseAwaiter* f : flows_) {
+      const Duration eta =
+          transfer_time(static_cast<std::uint64_t>(f->remaining_ + 0.5),
+                        rate_per_flow_);
+      sim_->reschedule_in(f->done_ev_, eta, [f] { f->complete(); });
+    }
+  }
+
+  Simulation* sim_;
+  double cap_;
+  std::list<UseAwaiter*> flows_;
+  Time last_settle_ = 0;
+  double rate_per_flow_ = 0;
+};
+
+constexpr double kReplayCapacity = 1e6;  // bytes/sec
+constexpr Time kNotDone = -1;
+
+struct ScriptedFlow {
+  Time start = 0;
+  std::uint64_t bytes = 0;
+  Time kill_at = kNotDone;  // kNotDone: never killed
+};
+
+struct ReferenceModel {
+  explicit ReferenceModel(Simulation& s) : res(s, kReplayCapacity) {}
+  ReferenceResource::UseAwaiter use(Simulation&, std::uint64_t bytes) {
+    return res.use(bytes);
+  }
+  ReferenceResource res;
+};
+
+struct FlowModel {
+  explicit FlowModel(Simulation&) {}
+  Flow use(Simulation& s, std::uint64_t bytes) { return Flow(s, port, bytes); }
+  FlowPort port{kReplayCapacity};
+};
+
+template <class Model>
+Task<> scripted_flow(Simulation& s, Model& m, ScriptedFlow f, Time& done) {
+  co_await s.delay(f.start);
+  co_await m.use(s, f.bytes);
+  done = s.now();
+}
+
+/// Each flow's completion instant, or kNotDone for a killed one.
+template <class Model>
+std::vector<Time> replay(const std::vector<ScriptedFlow>& script) {
+  Simulation s;
+  Model m(s);
+  std::vector<Time> done(script.size(), kNotDone);
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    ProcessPtr p = s.spawn("flow", scripted_flow(s, m, script[i], done[i]));
+    if (script[i].kill_at != kNotDone) {
+      s.call_at(script[i].kill_at, [p] { p->kill(); });
+    }
+  }
+  s.run();
+  return done;
+}
+
+/// A few hundred flows at random instants (with ties), random sizes
+/// including 0, and kills at random instants, one of them at the instant
+/// another flow completes.
+std::vector<ScriptedFlow> random_flow_script(std::uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<ScriptedFlow> script(300);
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    ScriptedFlow& f = script[i];
+    f.start = i > 0 && rng() % 8 == 0 ? script[i - 1].start
+                                      : milliseconds(rng() % 10'000);
+    f.bytes = rng() % 12 == 0 ? 0 : 1 + rng() % 400'000;
+    if (rng() % 6 == 0) f.kill_at = 1 + static_cast<Time>(rng() % seconds(40));
+  }
+  // Kill a flow that is mid-transfer at the instant flow `k` completes.
+  const std::vector<Time> probe = replay<ReferenceModel>(script);
+  for (std::size_t k = script.size() / 2; k < script.size(); ++k) {
+    const Time t = probe[k];
+    if (t == kNotDone || script[k].bytes == 0) continue;
+    for (std::size_t j = 0; j < script.size(); ++j) {
+      if (j == k || script[j].kill_at != kNotDone) continue;
+      if (script[j].start < t && probe[j] > t) {
+        script[j].kill_at = t;
+        return script;
+      }
+    }
+  }
+  ADD_FAILURE() << "no flow was mid-transfer at a completion instant";
+  return script;
+}
+
+TEST(FlowTest, OnePortFlowsReplayTheReferenceResourceExactly) {
+  for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<ScriptedFlow> script = random_flow_script(seed);
+    const std::vector<Time> want = replay<ReferenceModel>(script);
+    const std::vector<Time> got = replay<FlowModel>(script);
+    // Same survivors, and each completes at the same nanosecond.
+    EXPECT_EQ(got, want);
+    const auto killed = std::count(want.begin(), want.end(), kNotDone);
+    EXPECT_GT(killed, 0);
+    EXPECT_LT(killed, static_cast<std::ptrdiff_t>(script.size()) / 2);
+  }
 }
 
 // --- determinism ---------------------------------------------------------------
 
-Task<> noisy_worker(Simulation& s, SharedResource& r, int id,
+Task<> noisy_worker(Simulation& s, FlowPort& p, int id,
                     std::vector<int>& order) {
   co_await s.delay(id % 3);
-  co_await r.use(50 + static_cast<std::uint64_t>(id) * 7);
+  co_await Flow(s, p, 50 + static_cast<std::uint64_t>(id) * 7);
   order.push_back(id);
 }
 
 TEST(DeterminismTest, IdenticalRunsProduceIdenticalOrders) {
   auto run_once = [] {
     Simulation s;
-    SharedResource r(s, "x", 1000.0);
+    FlowPort p(1000.0);
     std::vector<int> order;
-    for (int i = 0; i < 20; ++i) s.spawn("w", noisy_worker(s, r, i, order));
+    for (int i = 0; i < 20; ++i) s.spawn("w", noisy_worker(s, p, i, order));
     s.run();
     return order;
   };

@@ -34,7 +34,7 @@ Task<> sequential_writes(Simulation& s, Disk& d, int n, std::uint64_t each,
 
 TEST(DiskTest, SequentialAppendPaysOneSeek) {
   Simulation s;
-  Disk d(s, "d", test_cfg());
+  Disk d(s, test_cfg());
   std::vector<Time> done;
   s.spawn("w", sequential_writes(s, d, 10, 100, done));
   s.run();
@@ -55,7 +55,7 @@ Task<> alternating_streams(Simulation& s, Disk& d, int n, std::uint64_t each,
 
 TEST(DiskTest, InterleavedStreamsPaySeeks) {
   Simulation s;
-  Disk d(s, "d", test_cfg());
+  Disk d(s, test_cfg());
   std::vector<Time> done;
   s.spawn("w", alternating_streams(s, d, 10, 100, done));
   s.run();
@@ -73,7 +73,7 @@ Task<> read_at(Simulation& s, Disk& d, std::uint64_t stream,
 
 TEST(DiskTest, RandomReadsEachPaySeek) {
   Simulation s;
-  Disk d(s, "d", test_cfg());
+  Disk d(s, test_cfg());
   std::vector<Time> done;
   s.spawn("r1", read_at(s, d, 1, 5000, 100, done));
   s.spawn("r2", read_at(s, d, 1, 0, 100, done));
@@ -87,7 +87,7 @@ TEST(DiskTest, RandomReadsEachPaySeek) {
 
 TEST(DiskTest, SequentialReadAfterWriteIsCheap) {
   Simulation s;
-  Disk d(s, "d", test_cfg());
+  Disk d(s, test_cfg());
   std::vector<Time> done;
   s.spawn("rw", [](Simulation& sm, Disk& dk, std::vector<Time>& dn) -> Task<> {
     co_await dk.write(1, 0, 100);
@@ -103,7 +103,7 @@ TEST(DiskTest, SequentialReadAfterWriteIsCheap) {
 
 TEST(DiskTest, TracksReadWriteBytes) {
   Simulation s;
-  Disk d(s, "d", test_cfg());
+  Disk d(s, test_cfg());
   std::vector<Time> done;
   s.spawn("w", sequential_writes(s, d, 3, 50, done));
   s.run();
@@ -122,7 +122,7 @@ Task<> store_chunks(Simulation& s, ChunkStore& cs, int n, std::size_t size,
 
 TEST(ChunkStoreTest, PutGetRoundTrip) {
   Simulation s;
-  Disk d(s, "d", test_cfg(1e9, 0));
+  Disk d(s, test_cfg(1e9, 0));
   ChunkStore cs(d, /*stream=*/7);
   std::vector<Time> done;
   bool ok = false;
@@ -139,7 +139,7 @@ TEST(ChunkStoreTest, PutGetRoundTrip) {
 
 TEST(ChunkStoreTest, AppendLogStaysSequential) {
   Simulation s;
-  Disk d(s, "d", test_cfg());
+  Disk d(s, test_cfg());
   ChunkStore cs(d, /*stream=*/7);
   std::vector<Time> done;
   s.spawn("w", store_chunks(s, cs, 10, 100, done));
@@ -151,7 +151,7 @@ TEST(ChunkStoreTest, AppendLogStaysSequential) {
 
 TEST(ChunkStoreTest, EraseReclaimsSpace) {
   Simulation s;
-  Disk d(s, "d", test_cfg(1e9, 0));
+  Disk d(s, test_cfg(1e9, 0));
   ChunkStore cs(d, 7);
   std::vector<Time> done;
   s.spawn("w", store_chunks(s, cs, 4, 100, done));
@@ -166,7 +166,7 @@ TEST(ChunkStoreTest, EraseReclaimsSpace) {
 
 TEST(ChunkStoreTest, MissingChunkThrows) {
   Simulation s;
-  Disk d(s, "d", test_cfg(1e9, 0));
+  Disk d(s, test_cfg(1e9, 0));
   ChunkStore cs(d, 7);
   bool threw = false;
   s.spawn("r", [](ChunkStore& st, bool& result) -> Task<> {
@@ -182,7 +182,7 @@ TEST(ChunkStoreTest, MissingChunkThrows) {
 
 TEST(ChunkStoreTest, PhantomChunksAccountSizeOnly) {
   Simulation s;
-  Disk d(s, "d", test_cfg(1e9, 0));
+  Disk d(s, test_cfg(1e9, 0));
   ChunkStore cs(d, 7);
   bool ok = false;
   s.spawn("w", [](ChunkStore& st, bool& result) -> Task<> {
