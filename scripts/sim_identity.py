@@ -61,6 +61,13 @@ def parse_seeds(text):
     return seeds
 
 
+def export_tree(rev, dest):
+    """Writes the tree of git revision `rev` into the directory `dest`."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def build(tree, build_dir):
     jobs = str(os.cpu_count() or 1)
     for cmd in (["cmake", "-S", str(tree / "perf"), "-B", str(build_dir),
@@ -256,11 +263,7 @@ def main():
         base_tree = tmp / "base_tree"
         base_tree.mkdir()
         try:
-            archive = subprocess.run(
-                ["git", "-C", str(ROOT), "archive", args.base],
-                stdout=subprocess.PIPE, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive,
-                           check=True)
+            export_tree(args.base, base_tree)
             if args.benches:
                 return compare_benches(args.base, base_tree, tmp)
             return compare_workloads(args.base, parse_seeds(args.seeds),

@@ -22,13 +22,26 @@
 //     indexes start logging every dedup hit (BlobStore::notify_gc_epoch);
 //     in-flight pins are folded into the live set now AND at finalize.
 //  2. Incremental mark: live chunks from every published tree, one version-
-//     manager shard per slice.
-//  3. Finalize (one atomic slice): re-collect pins + the epoch hit log,
+//     manager shard per slice. The epoch keeps one bit per tree node of the
+//     store (indexed by NodeRef − the store's first ref) and walks a node
+//     only the first time it reaches it, so a base-image subtree that clones
+//     in several shards share is walked once per epoch, not once per shard.
+//     Published nodes are immutable and the mark walks a node's whole
+//     subtree on that first visit, so every chunk under a marked node is
+//     live.
+//  3. Candidate walk (same slice as finalize): the chunks of the dropped
+//     versions' trees, over the same bits. It stops at every node the mark
+//     reached, since nothing under it can be reclaimed, so the candidates
+//     are only the leaves no live tree shares. That is why it must run
+//     after the mark: run first, it would set the bits of the subtrees the
+//     dropped and live trees share, and the mark would then skip live
+//     chunks.
+//  4. Finalize (one atomic slice): re-collect pins + the epoch hit log,
 //     decide the sweep set, and de-index it (notify_chunks_reclaimed)
 //     BEFORE the first erase yield — after this no lookup can hand out a
 //     new Ref to a doomed chunk, which is what makes the yielding erase
 //     phase safe.
-//  4. Sweep: erase replicas batch by batch, wherever the provider manager's
+//  5. Sweep: erase replicas batch by batch, wherever the provider manager's
 //     placement registry says each chunk lives now, and drop its entry.
 //
 // Why each racing reference is covered: a Ref taken before the epoch opened
@@ -45,6 +58,7 @@
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "blob/store.h"
@@ -60,9 +74,11 @@ class GarbageCollector {
   struct Result {
     std::uint64_t reclaimed_bytes = 0;
     std::size_t chunks_deleted = 0;
-    /// Chunks referenced by dropped versions that survived because another
-    /// live version (possibly of another blob, via cloning or dedup), an
-    /// in-flight pin, or a mid-epoch dedup hit still references them.
+    /// Candidates that survived: chunks of dropped leaves that no live tree
+    /// shares, kept because a live version (possibly of another blob, via
+    /// cloning or dedup) reaches the same chunk through another leaf, an
+    /// in-flight pin holds it, or a mid-epoch dedup hit logged it. Leaves
+    /// under a subtree a live tree shares are not candidates at all.
     std::size_t chunks_kept_shared = 0;
     /// Candidates skipped because they were born after the epoch opened
     /// (defensive: a dropped pre-epoch tree cannot reference them).
@@ -71,13 +87,16 @@ class GarbageCollector {
     /// over (1 each for the synchronous collect()).
     std::size_t mark_slices = 0;
     std::size_t sweep_batches = 0;
+    /// Tree nodes the epoch walked, mark and candidate walk together: each
+    /// node at most once, however many shards' blobs share it.
+    std::size_t nodes_walked = 0;
   };
 
   /// Drops versions < keep_from of `blob` and reclaims chunks no longer
   /// reachable from any live version of any blob. Synchronous: the whole
   /// epoch runs in one slice.
   Result collect(BlobId blob, VersionId keep_from) {
-    Epoch e = open_epoch(blob, keep_from);
+    Epoch e(*store_, blob, keep_from);
     const std::size_t shards = store_->version_manager().shard_count();
     for (std::size_t s = 0; s < shards; ++s) mark_shard(s, e);
     e.result.mark_slices = 1;
@@ -92,7 +111,7 @@ class GarbageCollector {
   /// but commits keep running between slices. Must run inside a simulation
   /// process (it yields).
   sim::Task<Result> collect_concurrent(BlobId blob, VersionId keep_from) {
-    Epoch e = open_epoch(blob, keep_from);
+    Epoch e(*store_, blob, keep_from);
     const std::size_t shards = store_->version_manager().shard_count();
     for (std::size_t s = 0; s < shards; ++s) {
       mark_shard(s, e);
@@ -120,31 +139,46 @@ class GarbageCollector {
   static constexpr std::size_t kSweepBatch = 64;
 
   struct Epoch {
+    Epoch(BlobStore& store, BlobId blob, VersionId keep_from)
+        : blob(blob),
+          keep_from(keep_from),
+          horizon(store.chunk_id_counter()),
+          open_on_(&store) {
+      store.notify_gc_epoch(true);
+      // Pins at open: a Ref taken before the epoch (so never hit-logged)
+      // may publish — and release its pin — while the incremental mark is
+      // mid-walk; the open-time snapshot is what protects it.
+      store.collect_pinned_chunks(live);
+    }
+    Epoch(const Epoch&) = delete;
+    Epoch& operator=(const Epoch&) = delete;
+    /// A sweep killed before finalize still closes its epoch, so the digest
+    /// indexes' count of open epochs cannot stick above zero.
+    ~Epoch() { close(); }
+    void close() {
+      if (open_on_ != nullptr) {
+        std::exchange(open_on_, nullptr)->notify_gc_epoch(false);
+      }
+    }
+
     BlobId blob = 0;
     VersionId keep_from = 0;
     /// Chunk ids at/above this were allocated after the epoch opened.
     ChunkId horizon = 0;
     std::unordered_set<ChunkId> live;
+    /// One bit per tree node of the store, indexed by NodeRef − first ref:
+    /// set the first time the mark or the candidate walk reaches the node.
+    std::vector<bool> walked;
     std::unordered_map<ChunkId, ChunkLocation> dropped;
     std::vector<ChunkLocation> swept;  // decided + de-indexed, pending erase
     Result result;
+
+   private:
+    BlobStore* open_on_;
   };
 
-  Epoch open_epoch(BlobId blob, VersionId keep_from) {
-    Epoch e;
-    e.blob = blob;
-    e.keep_from = keep_from;
-    e.horizon = store_->chunk_id_counter();
-    store_->notify_gc_epoch(true);
-    // Pins at open: a Ref taken before the epoch (so never hit-logged) may
-    // publish — and release its pin — while the incremental mark is mid-
-    // walk; the open-time snapshot is what protects it.
-    store_->collect_pinned_chunks(e.live);
-    return e;
-  }
-
   void mark_shard(std::size_t shard, Epoch& e) {
-    std::unordered_set<NodeRef> visited;
+    cover_new_nodes(e);
     store_->version_manager().for_each_blob_in_shard(
         shard, [&](const BlobMeta& meta) {
           for (const VersionInfo& v : meta.versions) {
@@ -155,17 +189,17 @@ class GarbageCollector {
             // horizon, so the sweep can never touch them.
             if (v.pending || v.root == 0) continue;
             if (meta.id == e.blob && v.id < e.keep_from) continue;  // dropped
-            mark_live(v.root, e.live, visited);
+            mark_live(v.root, e);
           }
         });
   }
 
   void collect_candidates(Epoch& e) {
-    std::unordered_set<NodeRef> visited;
+    cover_new_nodes(e);
     const BlobMeta& target = store_->version_manager().peek(e.blob);
     for (const VersionInfo& v : target.versions) {
       if (v.pending || v.root == 0 || v.id >= e.keep_from) continue;
-      collect_chunks(v.root, e.dropped, visited);
+      collect_chunks(v.root, e);
     }
   }
 
@@ -195,7 +229,7 @@ class GarbageCollector {
     // so the batched erases need no further liveness re-checks. This also
     // covers node-loss-orphaned chunks that have no replica left to erase.
     store_->notify_chunks_reclaimed(swept_ids);
-    store_->notify_gc_epoch(false);
+    e.close();
   }
 
   void erase_range(Epoch& e, std::size_t begin, std::size_t end) {
@@ -223,32 +257,47 @@ class GarbageCollector {
     }
   }
 
-  void mark_live(NodeRef ref, std::unordered_set<ChunkId>& live,
-                 std::unordered_set<NodeRef>& visited) {
-    if (ref == 0 || !visited.insert(ref).second) return;
-    const TreeNode* node = store_->metadata().peek_node(ref);
-    if (node == nullptr) return;
-    if (node->leaf) {
-      if (node->chunk.id != 0) live.insert(node->chunk.id);
-      return;
-    }
-    mark_live(node->left, live, visited);
-    mark_live(node->right, live, visited);
+  /// Grows the epoch's bits to every NodeRef allocated so far (commits
+  /// keep building trees between slices).
+  void cover_new_nodes(Epoch& e) {
+    e.walked.resize(store_->node_ref_counter() - store_->first_node_ref());
   }
 
-  void collect_chunks(NodeRef ref,
-                      std::unordered_map<ChunkId, ChunkLocation>& out,
-                      std::unordered_set<NodeRef>& visited) {
-    if (ref == 0 || !visited.insert(ref).second) return;
+  /// The node behind `ref` on the epoch's first visit to it; nullptr when
+  /// the walk was already there, or for a ref this store never issued or a
+  /// node it does not hold (nothing below it to walk).
+  const TreeNode* first_visit(NodeRef ref, Epoch& e) {
+    const NodeRef first = store_->first_node_ref();
+    if (ref < first || ref - first >= e.walked.size()) return nullptr;
+    if (e.walked[ref - first]) return nullptr;
+    e.walked[ref - first] = true;
     const TreeNode* node = store_->metadata().peek_node(ref);
+    if (node != nullptr) ++e.result.nodes_walked;
+    return node;
+  }
+
+  void mark_live(NodeRef ref, Epoch& e) {
+    const TreeNode* node = first_visit(ref, e);
+    if (node == nullptr) return;
+    if (node->leaf) {
+      if (node->chunk.id != 0) e.live.insert(node->chunk.id);
+      return;
+    }
+    mark_live(node->left, e);
+    mark_live(node->right, e);
+  }
+
+  void collect_chunks(NodeRef ref, Epoch& e) {
+    // Stops at nodes the mark reached: every chunk below them is live.
+    const TreeNode* node = first_visit(ref, e);
     if (node == nullptr) return;
     if (node->leaf) {
       // id 0 marks zero-suppressed (payload-free) leaves: nothing to sweep.
-      if (node->chunk.id != 0) out[node->chunk.id] = node->chunk;
+      if (node->chunk.id != 0) e.dropped[node->chunk.id] = node->chunk;
       return;
     }
-    collect_chunks(node->left, out, visited);
-    collect_chunks(node->right, out, visited);
+    collect_chunks(node->left, e);
+    collect_chunks(node->right, e);
   }
 
   BlobStore* store_;

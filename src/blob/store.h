@@ -120,6 +120,15 @@ class BlobStore {
 
   ChunkId& chunk_id_counter() { return next_chunk_id_; }
   NodeRef& node_ref_counter() { return next_node_ref_; }
+  /// Re-bases the tree-node allocator (federation: each zone's store issues
+  /// NodeRefs from a disjoint range). Call before the first commit. Every
+  /// node this store holds has a ref in
+  /// [first_node_ref(), node_ref_counter()); the GC indexes its per-epoch
+  /// node bits from first_node_ref().
+  void seed_node_refs(NodeRef first) {
+    first_node_ref_ = next_node_ref_ = first;
+  }
+  NodeRef first_node_ref() const { return first_node_ref_; }
 
   // --- multi-tenant control plane -------------------------------------------
 
@@ -278,6 +287,7 @@ class BlobStore {
   std::unique_ptr<ProviderManager> provider_manager_;
   std::unique_ptr<VersionManager> version_manager_;
   ChunkId next_chunk_id_ = 1;
+  NodeRef first_node_ref_ = 1;
   NodeRef next_node_ref_ = 1;
   std::vector<std::pair<std::uint64_t, ChunkReclaimHook>> reclaim_hooks_;
   std::vector<std::pair<std::uint64_t, ChunkPinSource>> pin_sources_;

@@ -121,9 +121,8 @@ Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
       store->chunk_id_counter() =
           1 + (static_cast<blob::ChunkId>(z)
                << federation::Fabric::kChunkZoneShift);
-      store->node_ref_counter() =
-          1 + (static_cast<blob::NodeRef>(z)
-               << federation::Fabric::kChunkZoneShift);
+      store->seed_node_refs(1 + (static_cast<blob::NodeRef>(z)
+                                 << federation::Fabric::kChunkZoneShift));
       federation_->add_zone(store.get(), static_cast<net::NodeId>(begin),
                             static_cast<net::NodeId>(end));
       stores_.push_back(std::move(store));

@@ -128,7 +128,7 @@ class ChunkDigestIndex {
         break;
       }
     }
-    if (epoch_open_) epoch_hits_.insert(best->id);
+    if (open_epochs_ != 0) epoch_hits_.insert(best->id);
     return best;
   }
 
@@ -203,14 +203,16 @@ class ChunkDigestIndex {
   // folds the log into its live set before deciding what to reclaim: a Ref
   // taken during the incremental mark may publish (and release its pin)
   // before the sweep's final pin collection, leaving the log as the only
-  // witness that the chunk is reachable again.
+  // witness that the chunk is reachable again. Epochs may overlap (one index
+  // serves the GC of every zone store it is hooked into), so the log counts
+  // open epochs: it starts empty when the first one opens and is dropped
+  // only when the last one closes, never under an epoch still marking.
 
   void open_gc_epoch() {
-    epoch_hits_.clear();
-    epoch_open_ = true;
+    if (open_epochs_++ == 0) epoch_hits_.clear();
   }
   void close_gc_epoch() {
-    epoch_open_ = false;
+    if (open_epochs_ == 0 || --open_epochs_ != 0) return;
     epoch_hits_.clear();
   }
   void collect_epoch_hits(std::unordered_set<blob::ChunkId>& out) const {
@@ -228,7 +230,7 @@ class ChunkDigestIndex {
   /// routing without probing every shard.
   std::unordered_map<blob::ChunkId, Key> by_chunk_;
   std::vector<std::unique_ptr<net::ServiceQueue>> queues_;
-  bool epoch_open_ = false;
+  std::size_t open_epochs_ = 0;
   mutable std::unordered_set<blob::ChunkId> epoch_hits_;
 };
 

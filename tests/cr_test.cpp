@@ -293,6 +293,56 @@ TEST(CrCatalogTest, DanglingStagedRecordIsSweptOnRestart) {
   EXPECT_EQ(swept, RecordState::Incomplete);
 }
 
+// Catalog::compact drops the log versions that appends and in-place
+// rewrites superseded and reclaims the chunks only they held, through the
+// synchronous GarbageCollector::collect(). The log that remains still
+// lists every record for a fresh driver, and a second compact finds nothing.
+TEST(CrCatalogTest, CompactReclaimsSupersededLogVersions) {
+  Cloud cloud(tiny_cfg(Backend::BlobCR));
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  std::uint64_t bytes_before = 0;
+  std::uint64_t bytes_after = 0;
+  std::vector<CheckpointRecord> written;
+  std::vector<CheckpointRecord> relisted;
+
+  cloud.run([](Cloud* cl, std::uint64_t* first, std::uint64_t* second,
+               std::uint64_t* bytes_before, std::uint64_t* bytes_after,
+               std::vector<CheckpointRecord>* written,
+               std::vector<CheckpointRecord>* relisted) -> Task<> {
+    Catalog catalog(*cl);
+    const RecordState finals[] = {RecordState::Complete, RecordState::Retired,
+                                  RecordState::Incomplete,
+                                  RecordState::Complete};
+    for (const RecordState state : finals) {
+      CheckpointRecord rec;
+      rec.tag = "round-" + std::to_string(written->size());
+      rec = co_await catalog.stage(std::move(rec));
+      rec.state = state;
+      co_await catalog.update(rec);
+      written->push_back(rec);
+    }
+    *bytes_before = cl->repository_bytes();
+    *first = catalog.compact();
+    *bytes_after = cl->repository_bytes();
+    *second = catalog.compact();
+
+    Catalog fresh(*cl);
+    *relisted = co_await fresh.list();
+  }(&cloud, &first, &second, &bytes_before, &bytes_after, &written,
+    &relisted));
+
+  EXPECT_GT(first, 0u);
+  EXPECT_LT(bytes_after, bytes_before);
+  EXPECT_EQ(second, 0u);
+  ASSERT_EQ(relisted.size(), written.size());
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    EXPECT_EQ(relisted[i].id, written[i].id);
+    EXPECT_EQ(relisted[i].tag, written[i].tag);
+    EXPECT_EQ(relisted[i].state, written[i].state);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Retention: keep-last-N retires old untagged records and reclaims their
 // snapshot versions through the GC; tagged records survive and stay

@@ -1,19 +1,27 @@
 // Tests for the sharded metadata plane: content-hash routing in the digest
 // index (cross-tenant dedup without cross-shard traffic), withdrawal
 // confinement on failed commits, the epoch-based concurrent GC against a
-// commit parked mid-flight holding dedup pins, the per-shard lookup queues
-// (serialization, tenant order, kill-safety), and the blob/name-hash
-// sharded version manager across shard counts.
+// commit parked mid-flight holding dedup pins, GC epochs against a reference
+// collector (same sweep, each tree node walked once, overlapping and killed
+// epochs), the per-shard lookup queues (serialization, tenant order,
+// kill-safety), and the blob/name-hash sharded version manager across shard
+// counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "blob/client.h"
 #include "blob/gc.h"
 #include "blob/store.h"
+#include "common/rng.h"
 #include "common/strutil.h"
+#include "federation/federation.h"
 #include "reduce/digest_index.h"
 #include "reduce/reducer.h"
 #include "reduce/reduction.h"
@@ -33,15 +41,19 @@ using sim::Task;
 constexpr std::uint64_t kChunk = 1024;
 
 /// A small in-memory cluster hosting one BlobStore (mirrors reduce_test),
-/// with a configurable version-manager shard count.
+/// with a configurable version-manager shard count. A store of zone z > 0
+/// issues blob, chunk and node ids from that zone's range, as core::Cloud
+/// seeds them.
 struct TestCluster {
   Simulation sim;
   std::unique_ptr<net::Fabric> fabric;
   std::vector<std::unique_ptr<storage::Disk>> disks;
   std::unique_ptr<BlobStore> store;
   net::NodeId client_node = 0;
+  blob::ChunkId first_chunk = 1;
 
-  explicit TestCluster(std::size_t n_data = 4, std::size_t version_shards = 1) {
+  explicit TestCluster(std::size_t n_data = 4, std::size_t version_shards = 1,
+                       std::uint32_t zone = 0) {
     const std::size_t n_meta = 2;
     const std::size_t total = 2 + n_meta + n_data + 1;
     net::Fabric::Config fcfg;
@@ -68,8 +80,18 @@ struct TestCluster {
     cfg.tree_depth = 10;
     cfg.replication = 1;
     cfg.version_shards = version_shards;
+    cfg.zone = zone;
     store = std::make_unique<BlobStore>(sim, *fabric, cfg);
     client_node = static_cast<net::NodeId>(total - 1);
+    if (zone != 0) {
+      store->version_manager().seed_blob_ids(
+          1 + (BlobId{zone} << federation::Fabric::kBlobZoneShift));
+      first_chunk = 1 + (blob::ChunkId{zone}
+                         << federation::Fabric::kChunkZoneShift);
+      store->chunk_id_counter() = first_chunk;
+      store->seed_node_refs(1 + (blob::NodeRef{zone}
+                                 << federation::Fabric::kChunkZoneShift));
+    }
   }
 
   void run(Task<> t) {
@@ -391,6 +413,645 @@ TEST(ShardTest, EpochGcKeepsChunksPinnedByParkedCommit) {
   EXPECT_EQ(gc2.chunks_deleted, 0u);
   EXPECT_EQ(gc2.reclaimed_bytes, 0u);
   EXPECT_TRUE(b_ok);
+}
+
+// --- GC epochs: one walk per node, against the reference collector -----------
+
+// ReferenceCollector is GarbageCollector as it was before its epochs kept
+// one bit per tree node: the mark keeps one visited set per version-manager
+// shard, so a subtree that blobs in several shards share is walked once per
+// shard, and the candidate walk has its own set and copies every chunk of
+// the dropped trees into the candidates, shared or not. Seeded scripts run
+// on two identical clusters, one collected by GarbageCollector and one by
+// the reference, and every epoch must sweep the same chunks.
+class ReferenceCollector {
+ public:
+  using Result = blob::GarbageCollector::Result;
+
+  explicit ReferenceCollector(BlobStore& store) : store_(&store) {}
+
+  Result collect(BlobId blob, VersionId keep_from) {
+    Epoch e = open_epoch(blob, keep_from);
+    const std::size_t shards = store_->version_manager().shard_count();
+    for (std::size_t s = 0; s < shards; ++s) mark_shard(s, e);
+    e.result.mark_slices = 1;
+    collect_candidates(e);
+    finalize(e);
+    erase_range(e, 0, e.swept.size());
+    e.result.sweep_batches = 1;
+    return e.result;
+  }
+
+  Task<Result> collect_concurrent(BlobId blob, VersionId keep_from) {
+    Epoch e = open_epoch(blob, keep_from);
+    const std::size_t shards = store_->version_manager().shard_count();
+    for (std::size_t s = 0; s < shards; ++s) {
+      mark_shard(s, e);
+      ++e.result.mark_slices;
+      co_await store_->simulation().yield();
+    }
+    collect_candidates(e);
+    finalize(e);
+    for (std::size_t begin = 0; begin < e.swept.size();
+         begin += kSweepBatch) {
+      erase_range(e, begin, std::min(begin + kSweepBatch, e.swept.size()));
+      ++e.result.sweep_batches;
+      co_await store_->simulation().yield();
+    }
+    co_return e.result;
+  }
+
+ private:
+  static constexpr std::size_t kSweepBatch = 64;
+
+  struct Epoch {
+    BlobId blob = 0;
+    VersionId keep_from = 0;
+    blob::ChunkId horizon = 0;
+    std::unordered_set<blob::ChunkId> live;
+    std::unordered_map<blob::ChunkId, blob::ChunkLocation> dropped;
+    std::vector<blob::ChunkLocation> swept;
+    Result result;
+  };
+
+  Epoch open_epoch(BlobId blob, VersionId keep_from) {
+    Epoch e;
+    e.blob = blob;
+    e.keep_from = keep_from;
+    e.horizon = store_->chunk_id_counter();
+    store_->notify_gc_epoch(true);
+    store_->collect_pinned_chunks(e.live);
+    return e;
+  }
+
+  void mark_shard(std::size_t shard, Epoch& e) {
+    std::unordered_set<blob::NodeRef> visited;
+    store_->version_manager().for_each_blob_in_shard(
+        shard, [&](const blob::BlobMeta& meta) {
+          for (const blob::VersionInfo& v : meta.versions) {
+            if (v.pending || v.root == 0) continue;
+            if (meta.id == e.blob && v.id < e.keep_from) continue;
+            mark_live(v.root, e.live, visited);
+          }
+        });
+  }
+
+  void collect_candidates(Epoch& e) {
+    std::unordered_set<blob::NodeRef> visited;
+    const blob::BlobMeta& target = store_->version_manager().peek(e.blob);
+    for (const blob::VersionInfo& v : target.versions) {
+      if (v.pending || v.root == 0 || v.id >= e.keep_from) continue;
+      collect_chunks(v.root, e.dropped, visited);
+    }
+  }
+
+  void finalize(Epoch& e) {
+    store_->collect_pinned_chunks(e.live);
+    std::vector<blob::ChunkId> swept_ids;
+    for (const auto& [cid, loc] : e.dropped) {
+      if (e.live.count(cid) != 0) {
+        ++e.result.chunks_kept_shared;
+        continue;
+      }
+      if (cid >= e.horizon) {
+        ++e.result.deferred_post_epoch;
+        continue;
+      }
+      e.swept.push_back(loc);
+      swept_ids.push_back(cid);
+    }
+    store_->version_manager().drop_version_records(e.blob, e.keep_from);
+    store_->notify_chunks_reclaimed(swept_ids);
+    store_->notify_gc_epoch(false);
+  }
+
+  void erase_range(Epoch& e, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const blob::ChunkLocation& loc = e.swept[i];
+      std::vector<net::NodeId> homes;
+      if (loc.zone == store_->config().zone) {
+        homes = store_->provider_manager().forget(loc.id);
+      }
+      if (homes.empty()) homes = loc.replicas;
+      bool erased_any = false;
+      for (const net::NodeId node : homes) {
+        if (blob::DataProvider* p = store_->provider_at(node)) {
+          erased_any = p->erase(loc.id) || erased_any;
+        }
+      }
+      if (erased_any) {
+        ++e.result.chunks_deleted;
+        e.result.reclaimed_bytes += loc.size;
+      }
+    }
+  }
+
+  void mark_live(blob::NodeRef ref, std::unordered_set<blob::ChunkId>& live,
+                 std::unordered_set<blob::NodeRef>& visited) {
+    if (ref == 0 || !visited.insert(ref).second) return;
+    const blob::TreeNode* node = store_->metadata().peek_node(ref);
+    if (node == nullptr) return;
+    if (node->leaf) {
+      if (node->chunk.id != 0) live.insert(node->chunk.id);
+      return;
+    }
+    mark_live(node->left, live, visited);
+    mark_live(node->right, live, visited);
+  }
+
+  void collect_chunks(
+      blob::NodeRef ref,
+      std::unordered_map<blob::ChunkId, blob::ChunkLocation>& out,
+      std::unordered_set<blob::NodeRef>& visited) {
+    if (ref == 0 || !visited.insert(ref).second) return;
+    const blob::TreeNode* node = store_->metadata().peek_node(ref);
+    if (node == nullptr) return;
+    if (node->leaf) {
+      if (node->chunk.id != 0) out[node->chunk.id] = node->chunk;
+      return;
+    }
+    collect_chunks(node->left, out, visited);
+    collect_chunks(node->right, out, visited);
+  }
+
+  BlobStore* store_;
+};
+
+constexpr std::size_t kImageChunks = 16;
+
+/// One script chunk: zeros (a zero-suppressed hole when reduced) or one of
+/// 32 patterns, so reduced commits of different blobs and versions often
+/// dedup onto the same chunk ids.
+Buffer script_chunk(common::Rng& rng) {
+  if (rng.chance(0.1)) return Buffer::zeros(kChunk);
+  return Buffer::pattern(kChunk, 500 + rng.uniform(32));
+}
+
+/// Commits the listed chunks of `image` as the next version of `blob`:
+/// reduced when `red` is set, plain otherwise.
+Task<VersionId> commit_chunks(BlobClient& client, Reducer* red, BlobId blob,
+                              const Buffer& image,
+                              const std::vector<std::size_t>& dirty,
+                              blob::CommitProbe* probe = nullptr) {
+  std::vector<BlobClient::ExtentSpec> specs;
+  for (const std::size_t c : dirty) specs.push_back({c * kChunk, kChunk});
+  BlobClient::ExtentReader reader =
+      [&image](std::uint64_t off, std::uint64_t len) -> Task<Buffer> {
+    co_return image.slice(off, len);
+  };
+  blob::CommitOptions opts;
+  opts.reducer = red;
+  opts.probe = probe;
+  co_return co_await client.write_extents_via(blob, std::move(specs), &reader,
+                                              opts);
+}
+
+/// A blob's expected content at each published version (index v - 1) and
+/// the first version the retention drops kept.
+struct Lineage {
+  BlobId id = 0;
+  std::vector<Buffer> versions;
+  VersionId floor = 1;
+};
+
+/// One GC epoch of a script: the collector's result and what the store
+/// holds right after it.
+struct EpochRecord {
+  blob::GarbageCollector::Result result;
+  std::uint64_t stored_bytes = 0;
+  /// (provider index, chunk id) of every chunk a provider holds.
+  std::vector<std::pair<std::size_t, blob::ChunkId>> chunks;
+  /// Every version at or above its blob's floor read back bit-exactly.
+  bool reads_exact = false;
+  /// A reduced commit sat parked at PrePublish through the epoch.
+  bool parked_commit = false;
+  /// nodes_to_walk() just before the epoch.
+  std::size_t nodes_to_walk = 0;
+};
+
+std::vector<std::pair<std::size_t, blob::ChunkId>> chunks_held(
+    const TestCluster& tc) {
+  std::vector<std::pair<std::size_t, blob::ChunkId>> out;
+  const auto& providers = tc.store->providers();
+  for (std::size_t p = 0; p < providers.size(); ++p) {
+    for (blob::ChunkId id = tc.first_chunk;
+         id < tc.store->chunk_id_counter(); ++id) {
+      if (providers[p]->has(id)) out.emplace_back(p, id);
+    }
+  }
+  return out;
+}
+
+Task<bool> reads_exact(BlobClient& client, const std::vector<Lineage>& blobs) {
+  bool exact = true;
+  for (const Lineage& l : blobs) {
+    for (VersionId v = l.floor; v <= l.versions.size(); ++v) {
+      bool same = false;
+      try {
+        const Buffer back =
+            co_await client.read(l.id, v, 0, kImageChunks * kChunk);
+        same = back == l.versions[v - 1];
+      } catch (const blob::BlobError&) {
+        same = false;  // a chunk the sweep took from a kept version
+      }
+      exact = exact && same;
+    }
+  }
+  co_return exact;
+}
+
+/// Distinct tree nodes reachable from `root` in `store`, added to `out`.
+void reach(BlobStore& store, blob::NodeRef root,
+           std::unordered_set<blob::NodeRef>& out) {
+  std::vector<blob::NodeRef> stack{root};
+  while (!stack.empty()) {
+    const blob::NodeRef ref = stack.back();
+    stack.pop_back();
+    const blob::TreeNode* node = store.metadata().peek_node(ref);
+    if (node == nullptr || !out.insert(ref).second || node->leaf) continue;
+    stack.push_back(node->left);
+    stack.push_back(node->right);
+  }
+}
+
+/// What one epoch must walk: the distinct nodes reachable from the live
+/// roots plus the nodes that only the dropped versions (`target`'s below
+/// `keep_from`) hold.
+std::size_t nodes_to_walk(BlobStore& store, BlobId target,
+                          VersionId keep_from) {
+  std::unordered_set<blob::NodeRef> live;
+  std::unordered_set<blob::NodeRef> dropped;
+  store.version_manager().for_each_blob([&](const blob::BlobMeta& m) {
+    for (const blob::VersionInfo& v : m.versions) {
+      if (v.pending || v.root == 0) continue;
+      reach(store, v.root,
+            m.id == target && v.id < keep_from ? dropped : live);
+    }
+  });
+  std::size_t n = live.size();
+  for (const blob::NodeRef r : dropped) n += live.count(r) == 0;
+  return n;
+}
+
+/// The seeded script: a base blob, clones until every version-manager shard
+/// holds one, then rounds of random chunk rewrites (reduced or plain) and
+/// one retention drop per round through collect() or collect_concurrent().
+/// In round 2 a reduced commit parks at PrePublish holding dedup pins on
+/// chunks that only the dropped versions hold, across the sweep.
+template <class Collector>
+Task<> gc_script(TestCluster* tc, std::uint64_t seed,
+                 std::vector<EpochRecord>* log) {
+  common::Rng rng(seed);
+  Reducer red(*tc->store, all_on());
+  BlobClient client(*tc->store, tc->client_node);
+  Collector gc(*tc->store);
+  std::vector<std::size_t> all_chunks;
+  for (std::size_t c = 0; c < kImageChunks; ++c) all_chunks.push_back(c);
+
+  std::vector<Lineage> blobs(1);
+  blobs[0].id = co_await client.create();
+  Buffer image;
+  for (std::size_t c = 0; c < kImageChunks; ++c) {
+    image.append(script_chunk(rng));
+  }
+  co_await commit_chunks(client, &red, blobs[0].id, image, all_chunks);
+  blobs[0].versions.push_back(image);
+
+  const auto every_shard_holds_a_blob = [&] {
+    const blob::VersionManager& vm = tc->store->version_manager();
+    for (std::size_t s = 0; s < vm.shard_count(); ++s) {
+      std::size_t n = 0;
+      vm.for_each_blob_in_shard(s, [&n](const blob::BlobMeta&) { ++n; });
+      if (n == 0) return false;
+    }
+    return true;
+  };
+  while (blobs.size() < 5 || !every_shard_holds_a_blob()) {
+    Lineage clone;
+    clone.id = co_await client.clone(blobs[0].id, 1);
+    clone.versions.push_back(image);
+    blobs.push_back(std::move(clone));
+  }
+
+  for (int round = 0; round < 8; ++round) {
+    for (Lineage& l : blobs) {
+      if (!rng.chance(0.6)) continue;
+      Buffer next = l.versions.back();
+      std::vector<std::size_t> dirty;
+      for (std::size_t c = 0; c < kImageChunks; ++c) {
+        if (rng.chance(0.2)) dirty.push_back(c);
+      }
+      if (dirty.empty()) dirty.push_back(rng.uniform(kImageChunks));
+      for (const std::size_t c : dirty) {
+        next.overwrite(c * kChunk, script_chunk(rng));
+      }
+      co_await commit_chunks(client, rng.chance(0.7) ? &red : nullptr, l.id,
+                             next, dirty);
+      l.versions.push_back(std::move(next));
+    }
+
+    Lineage* parked_on = nullptr;
+    Buffer parked_image;
+    BlobClient parked_client(*tc->store, tc->client_node);
+    bool parked = false;
+    bool published = false;
+    VersionId parked_version = 0;
+    sim::Event resume(tc->sim);
+    blob::CommitProbe probe =
+        [&parked, &resume](blob::CommitStage s) -> Task<> {
+      if (s == blob::CommitStage::PrePublish) {
+        parked = true;
+        co_await resume.wait();
+      }
+    };
+    std::size_t t = 0;
+    VersionId keep_from = 0;
+    if (round == 2) {
+      // Fresh content lands in one version of a blob and is overwritten by
+      // the next, so only the version this sweep drops holds it. A reduced
+      // commit of that content to another blob dedups onto those chunks
+      // and parks at PrePublish: its pins alone keep them.
+      t = rng.uniform(blobs.size());
+      Lineage& target = blobs[t];
+      const std::vector<std::size_t> fresh_chunks{0, 1, 2, 3};
+      parked_image = target.versions.back();
+      for (const std::size_t c : fresh_chunks) {
+        parked_image.overwrite(c * kChunk,
+                               Buffer::pattern(kChunk, 1000 + 16 * seed + c));
+      }
+      co_await commit_chunks(client, &red, target.id, parked_image,
+                             fresh_chunks);
+      target.versions.push_back(parked_image);
+      Buffer next = parked_image;
+      for (const std::size_t c : fresh_chunks) {
+        next.overwrite(c * kChunk, script_chunk(rng));
+      }
+      co_await commit_chunks(client, &red, target.id, next, fresh_chunks);
+      target.versions.push_back(std::move(next));
+      keep_from = static_cast<VersionId>(target.versions.size());
+
+      parked_on = &blobs[(t + 1) % blobs.size()];
+      tc->sim.spawn(
+          "parked-commit",
+          [](BlobClient* c, Reducer* red, BlobId blob, const Buffer* image,
+             const std::vector<std::size_t>* dirty, blob::CommitProbe* probe,
+             VersionId* v, bool* published) -> Task<> {
+            *v = co_await commit_chunks(*c, red, blob, *image, *dirty, probe);
+            *published = true;
+          }(&parked_client, &red, parked_on->id, &parked_image, &all_chunks,
+            &probe, &parked_version, &published));
+      while (!parked) co_await tc->sim.delay(100 * sim::kMicrosecond);
+    } else {
+      std::vector<std::size_t> droppable;
+      for (std::size_t i = 0; i < blobs.size(); ++i) {
+        if (blobs[i].floor < blobs[i].versions.size()) droppable.push_back(i);
+      }
+      if (droppable.empty()) continue;
+      t = droppable[rng.uniform(droppable.size())];
+      keep_from = static_cast<VersionId>(
+          blobs[t].floor + 1 +
+          rng.uniform(blobs[t].versions.size() - blobs[t].floor));
+    }
+    Lineage& target = blobs[t];
+
+    EpochRecord rec;
+    rec.parked_commit = parked_on != nullptr;
+    rec.nodes_to_walk = nodes_to_walk(*tc->store, target.id, keep_from);
+    if (rng.chance(0.5)) {
+      rec.result = gc.collect(target.id, keep_from);
+    } else {
+      rec.result = co_await gc.collect_concurrent(target.id, keep_from);
+    }
+    target.floor = keep_from;
+    rec.stored_bytes = tc->store->total_stored_bytes();
+    rec.chunks = chunks_held(*tc);
+    rec.reads_exact = co_await reads_exact(client, blobs);
+    log->push_back(std::move(rec));
+
+    if (parked_on != nullptr) {
+      resume.set();
+      while (!published) co_await tc->sim.delay(100 * sim::kMicrosecond);
+      EXPECT_EQ(parked_version, parked_on->versions.size() + 1);
+      parked_on->versions.push_back(parked_image);
+    }
+  }
+}
+
+template <class Collector>
+std::vector<EpochRecord> run_gc_script(std::uint64_t seed,
+                                       std::size_t version_shards,
+                                       std::uint32_t zone) {
+  TestCluster tc(4, version_shards, zone);
+  std::vector<EpochRecord> log;
+  tc.run(gc_script<Collector>(&tc, seed, &log));
+  return log;
+}
+
+// Every epoch sweeps exactly what the reference sweeps, over seeds, shard
+// counts and a zone-1 store whose ids start at 1 + (1 << 48): the same
+// bytes and chunks go, the same chunks stay on each provider, every kept
+// version reads back bit-exactly, and the slices and batches match. The
+// library's candidates hold no subtree a live tree shares, so it can only
+// count fewer chunks kept shared, and it walks each reachable node once.
+TEST(GcEpochTest, MatchesReferenceCollector) {
+  struct Run {
+    std::uint64_t seed;
+    std::size_t version_shards;
+    std::uint32_t zone;
+  };
+  std::vector<Run> runs;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    runs.push_back({seed, 1, 0});
+    runs.push_back({seed, 4, 0});
+  }
+  runs.push_back({7, 4, 1});
+
+  std::size_t deleted = 0;
+  std::size_t kept_shared = 0;
+  for (const Run& run : runs) {
+    SCOPED_TRACE(common::strf("seed %llu, %zu shards, zone %u",
+                              static_cast<unsigned long long>(run.seed),
+                              run.version_shards, run.zone));
+    const std::vector<EpochRecord> lib = run_gc_script<blob::GarbageCollector>(
+        run.seed, run.version_shards, run.zone);
+    const std::vector<EpochRecord> ref = run_gc_script<ReferenceCollector>(
+        run.seed, run.version_shards, run.zone);
+    ASSERT_EQ(lib.size(), ref.size());
+    EXPECT_TRUE(std::any_of(lib.begin(), lib.end(), [](const EpochRecord& r) {
+      return r.parked_commit;
+    }));
+    for (std::size_t i = 0; i < lib.size(); ++i) {
+      SCOPED_TRACE("epoch " + std::to_string(i));
+      const blob::GarbageCollector::Result& a = lib[i].result;
+      const blob::GarbageCollector::Result& b = ref[i].result;
+      EXPECT_EQ(a.reclaimed_bytes, b.reclaimed_bytes);
+      EXPECT_EQ(a.chunks_deleted, b.chunks_deleted);
+      EXPECT_EQ(a.deferred_post_epoch, b.deferred_post_epoch);
+      EXPECT_EQ(a.mark_slices, b.mark_slices);
+      EXPECT_EQ(a.sweep_batches, b.sweep_batches);
+      EXPECT_LE(a.chunks_kept_shared, b.chunks_kept_shared);
+      EXPECT_EQ(a.nodes_walked, lib[i].nodes_to_walk);
+      EXPECT_EQ(lib[i].stored_bytes, ref[i].stored_bytes);
+      EXPECT_EQ(lib[i].chunks, ref[i].chunks);
+      EXPECT_TRUE(lib[i].reads_exact);
+      EXPECT_TRUE(ref[i].reads_exact);
+      deleted += b.chunks_deleted;
+      kept_shared += b.chunks_kept_shared;
+    }
+  }
+  // The scripts exercise both outcomes: chunks swept and chunks kept.
+  EXPECT_GT(deleted, 0u);
+  EXPECT_GT(kept_shared, 0u);
+}
+
+// One epoch walks each tree node once, whatever the shard count: the
+// distinct nodes reachable from the live roots plus the nodes that only the
+// dropped versions hold. Clones on every shard share the base image's
+// tree, which a mark with one visited set per shard walked once per shard.
+TEST(GcEpochTest, WalksEachNodeOncePerEpoch) {
+  std::vector<std::size_t> walked;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    TestCluster tc(4, shards);
+    std::size_t expected = 0;
+    std::size_t per_shard_walks = 0;
+    blob::GarbageCollector::Result result;
+    tc.run([](TestCluster* tc, std::size_t* expected,
+              std::size_t* per_shard_walks,
+              blob::GarbageCollector::Result* result) -> Task<> {
+      BlobClient client(*tc->store, tc->client_node);
+      Buffer image;
+      for (std::size_t c = 0; c < kImageChunks; ++c) {
+        image.append(Buffer::pattern(kChunk, 900 + c));
+      }
+      const BlobId base = co_await client.create();
+      co_await client.write(base, 0, image);
+      // Eight clones land on every one of four shards (blob ids and their
+      // shards are deterministic); each rewrites one chunk twice.
+      std::vector<BlobId> clones;
+      for (int i = 0; i < 8; ++i) {
+        const BlobId c = co_await client.clone(base, 1);
+        co_await client.write(c, (i % kImageChunks) * kChunk,
+                              Buffer::pattern(kChunk, 950 + i));
+        co_await client.write(c, ((i + 3) % kImageChunks) * kChunk,
+                              Buffer::pattern(kChunk, 970 + i));
+        clones.push_back(c);
+      }
+      const blob::VersionManager& vm = tc->store->version_manager();
+      if (vm.shard_count() == 4) {
+        for (std::size_t s = 0; s < 4; ++s) {
+          std::size_t n = 0;
+          vm.for_each_blob_in_shard(s, [&](const blob::BlobMeta& m) {
+            n += m.cloned_from == base ? 1 : 0;
+          });
+          EXPECT_GT(n, 0u) << "no clone on shard " << s;
+        }
+      }
+
+      // Drop versions 1 and 2 of the first clone. A mark with one visited
+      // set per shard, plus a candidate walk with its own, walks the live
+      // nodes of each shard and every node of the dropped trees.
+      const BlobId target = clones[0];
+      const VersionId keep_from = 3;
+      *expected = nodes_to_walk(*tc->store, target, keep_from);
+      std::unordered_set<blob::NodeRef> dropped;
+      for (std::size_t s = 0; s < vm.shard_count(); ++s) {
+        std::unordered_set<blob::NodeRef> shard_live;
+        vm.for_each_blob_in_shard(s, [&](const blob::BlobMeta& m) {
+          for (const blob::VersionInfo& v : m.versions) {
+            reach(*tc->store, v.root,
+                  m.id == target && v.id < keep_from ? dropped : shard_live);
+          }
+        });
+        *per_shard_walks += shard_live.size();
+      }
+      *per_shard_walks += dropped.size();
+
+      blob::GarbageCollector gc(*tc->store);
+      *result = co_await gc.collect_concurrent(target, keep_from);
+    }(&tc, &expected, &per_shard_walks, &result));
+    EXPECT_EQ(result.nodes_walked, expected);
+    EXPECT_EQ(result.mark_slices, shards);
+    if (shards == 4) {
+      EXPECT_LT(result.nodes_walked, per_shard_walks);
+    }
+    walked.push_back(result.nodes_walked);
+  }
+  EXPECT_EQ(walked[0], walked[1]);
+}
+
+// The digest index serves the GC of every store it is hooked into, so a
+// second epoch may open and close while the first is still marking. The
+// hit log lives until the last open epoch closes.
+TEST(GcEpochTest, OverlappingEpochsKeepTheHitLogUntilTheLastCloses) {
+  ChunkDigestIndex idx;
+  blob::ChunkLocation loc;
+  loc.id = 10;
+  loc.size = 64;
+  idx.record(7, 64, loc);
+  std::unordered_set<blob::ChunkId> hits;
+
+  idx.open_gc_epoch();
+  idx.open_gc_epoch();
+  ASSERT_NE(idx.lookup(7, 64), nullptr);
+  idx.close_gc_epoch();
+  idx.collect_epoch_hits(hits);
+  EXPECT_EQ(hits, (std::unordered_set<blob::ChunkId>{10}));
+
+  idx.close_gc_epoch();
+  hits.clear();
+  idx.collect_epoch_hits(hits);
+  EXPECT_TRUE(hits.empty());
+  ASSERT_NE(idx.lookup(7, 64), nullptr);
+  idx.collect_epoch_hits(hits);
+  EXPECT_TRUE(hits.empty());
+
+  // A close with no epoch open changes nothing: the next epoch still logs.
+  idx.close_gc_epoch();
+  idx.open_gc_epoch();
+  ASSERT_NE(idx.lookup(7, 64), nullptr);
+  idx.collect_epoch_hits(hits);
+  EXPECT_EQ(hits, (std::unordered_set<blob::ChunkId>{10}));
+  idx.close_gc_epoch();
+}
+
+// A concurrent sweep killed in its mark closes its epoch as its frame
+// unwinds, so the index stops logging hits instead of counting an epoch
+// that never ends.
+TEST(GcEpochTest, KilledSweepClosesItsEpoch) {
+  TestCluster tc(4, /*version_shards=*/4);
+  Reducer red(*tc.store, all_on());
+  bool logged_while_open = false;
+  bool logged_after_kill = true;
+  tc.run([](TestCluster* tc, Reducer* red, bool* logged_while_open,
+            bool* logged_after_kill) -> Task<> {
+    BlobClient client(*tc->store, tc->client_node);
+    const Buffer data = Buffer::pattern(2 * kChunk, 31);
+    const BlobId blob = co_await client.create();
+    co_await write_reduced(client, *red, blob, 0, data);
+    co_await write_reduced(client, *red, blob, 0, Buffer::pattern(kChunk, 32));
+
+    blob::GarbageCollector gc(*tc->store);
+    sim::ProcessPtr sweep = tc->sim.spawn(
+        "sweep", [](blob::GarbageCollector* gc, BlobId blob) -> Task<> {
+          (void)co_await gc->collect_concurrent(blob, 2);
+        }(&gc, blob));
+    co_await tc->sim.yield();  // the sweep opens its epoch and yields
+    EXPECT_FALSE(sweep->finished());
+    const std::uint64_t digest = data.slice(0, kChunk).digest();
+    std::unordered_set<blob::ChunkId> hits;
+    EXPECT_NE(red->index().lookup(digest, kChunk), nullptr);
+    red->index().collect_epoch_hits(hits);
+    *logged_while_open = !hits.empty();
+
+    sweep->kill();
+    hits.clear();
+    EXPECT_NE(red->index().lookup(digest, kChunk), nullptr);
+    red->index().collect_epoch_hits(hits);
+    *logged_after_kill = !hits.empty();
+  }(&tc, &red, &logged_while_open, &logged_after_kill));
+  EXPECT_TRUE(logged_while_open);
+  EXPECT_FALSE(logged_after_kill);
 }
 
 // --- per-shard lookup queues --------------------------------------------------
