@@ -36,16 +36,18 @@ GcOutcome run_gc(int rounds, int keep_last) {
       }
     }
     out->repo_before = cl->repository_bytes();
-    blob::GarbageCollector gc(*cl->blob_store());
+    // Keep only the last `keep` versions of each checkpoint image, all four
+    // images in one GC epoch.
+    const auto kept = static_cast<blob::VersionId>(keep);
+    std::vector<blob::GarbageCollector::Drop> drops;
     for (std::size_t i = 0; i < dep.size(); ++i) {
       const core::InstanceSnapshot& snap = dep.instance(i).last_snapshot;
-      // Keep only the last `keep` versions of each checkpoint image.
-      if (snap.version > static_cast<blob::VersionId>(keep)) {
-        const auto result = gc.collect(
-            snap.image, snap.version - static_cast<blob::VersionId>(keep) + 1);
-        out->reclaimed += result.reclaimed_bytes;
+      if (snap.version > kept) {
+        drops.push_back({snap.image, snap.version - kept + 1});
       }
     }
+    blob::GarbageCollector gc(*cl->blob_store());
+    out->reclaimed = (co_await gc.collect(std::move(drops))).reclaimed_bytes;
     out->repo_after = cl->repository_bytes();
     out->run_time = cl->simulation().now() - t0;
   }(&cloud, rounds, keep_last, outcome));

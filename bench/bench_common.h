@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,32 +82,6 @@ inline core::CloudConfig paper_cloud(Backend backend,
   cfg.vm.process_overhead_bytes = process_overhead;
   return cfg;
 }
-
-/// Cloud cache: reuse one provisioned cloud per (backend, tag) so a sweep
-/// pays image upload once.
-class CloudCache {
- public:
-  core::Cloud& get(Backend backend, const std::string& tag,
-                   std::uint64_t process_overhead = 2 * common::kMB) {
-    const std::string key = std::string(core::backend_name(backend)) + "/" + tag;
-    auto it = clouds_.find(key);
-    if (it == clouds_.end()) {
-      it = clouds_
-               .emplace(key, std::make_unique<core::Cloud>(
-                                 paper_cloud(backend, process_overhead)))
-               .first;
-    }
-    return *it->second;
-  }
-
-  static CloudCache& instance() {
-    static CloudCache cache;
-    return cache;
-  }
-
- private:
-  std::map<std::string, std::unique_ptr<core::Cloud>> clouds_;
-};
 
 /// Reports a simulated duration as the benchmark's manual time.
 inline void report_seconds(benchmark::State& state, sim::Duration d) {

@@ -10,9 +10,7 @@ namespace {
 
 void run_point(benchmark::State& state, const Approach& approach,
                std::size_t instances, std::uint64_t buffer_bytes) {
-  core::Cloud& cloud = CloudCache::instance().get(
-      approach.backend,
-      "fig2-buf" + std::to_string(buffer_bytes / common::kMB));
+  core::Cloud cloud(paper_cloud(approach.backend));
   apps::SyntheticRun run;
   run.instances = instances;
   run.buffer_bytes = buffer_bytes;

@@ -11,10 +11,9 @@ namespace {
 
 void run_point(benchmark::State& state, const Approach& approach,
                std::uint64_t buffer_bytes) {
-  core::Cloud& cloud = CloudCache::instance().get(
-      approach.backend,
-      "fig4-buf" + std::to_string(buffer_bytes / common::kMB),
-      /*process_overhead=*/1500 * 1000);  // blcr adds <2 MB here (paper)
+  // blcr adds <2 MB of process overhead here (paper).
+  core::Cloud cloud(paper_cloud(approach.backend,
+                                /*process_overhead=*/1500 * 1000));
   apps::SyntheticRun run;
   run.instances = fast_mode() ? 2 : 8;
   run.buffer_bytes = buffer_bytes;

@@ -32,8 +32,7 @@ apps::Cm1Run make_run(std::size_t vms) {
 
 void run_point(benchmark::State& state, const Approach& approach,
                std::size_t vms) {
-  core::Cloud& cloud = CloudCache::instance().get(approach.backend, "fig6",
-                                                  kCm1ProcessOverhead);
+  core::Cloud cloud(paper_cloud(approach.backend, kCm1ProcessOverhead));
   const apps::RunResult result =
       apps::run_cm1(cloud, make_run(vms), approach.mode);
   report_seconds(state, result.checkpoint_times.at(0));

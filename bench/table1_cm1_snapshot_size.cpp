@@ -12,8 +12,7 @@ namespace {
 constexpr std::uint64_t kCm1ProcessOverhead = 19 * common::kMB;
 
 void run_point(benchmark::State& state, const Approach& approach) {
-  core::Cloud& cloud = CloudCache::instance().get(approach.backend, "table1",
-                                                  kCm1ProcessOverhead);
+  core::Cloud cloud(paper_cloud(approach.backend, kCm1ProcessOverhead));
   apps::Cm1Run run;
   run.vms = fast_mode() ? 2 : 4;
   run.ranks_per_vm = 4;

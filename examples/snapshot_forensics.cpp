@@ -23,10 +23,10 @@ Task<std::unique_ptr<guestfs::SimpleFs>> mount_snapshot(
     blob::VersionId version) {
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = cl->image_size();
-  auto* dev = new core::MirrorDevice(*cl->federation(), cl->compute_node(3),
-                                     cl->disk(cl->compute_node(3)),
-                                     cl->next_disk_stream(3), image, version,
-                                     mcfg);
+  const net::NodeId node = cl->compute_node(3);
+  auto* dev = new core::MirrorDevice(
+      *cl->federation(), node, cl->disk(node), cl->next_disk_stream(3), image,
+      version, mcfg, *cl->chunk_cache(node));
   *out_dev = dev;
   co_return co_await guestfs::SimpleFs::mount(*dev);
 }

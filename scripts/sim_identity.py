@@ -15,8 +15,12 @@ and compares the `sim`, `layers_sim`, `checks`, `attempted` and `failed`
 fields of each run's final JSON line. Host-time fields are not compared.
 --seeds takes ranges and lists ("1-7", "1,4,9", "1-3,9").
 
-Prints one line per (workload, seed) and a summary line. Exit code 0: every
-pair is identical; 1: some pair differs; 2: a build or a run failed.
+Prints one line per (workload, seed), then one drift line per field that
+differs in any pair (the field, the number of pairs it differs in and the
+least and greatest numeric change, head minus base, e.g.
+"layers_sim.sim.events: 21/28 pairs, -509..-139"), then a summary line.
+Exit code 0: every pair is identical; 1: some pair differs; 2: a build or a
+run failed.
 
 --benches compares the bench/ suite instead: both trees run their own
 scripts/run_benches.sh in fast mode (BLOBCR_BENCH_FAST=1), each with its
@@ -106,9 +110,10 @@ def result_of(proc, label):
     return result
 
 
-def differences(base, head):
-    """Names of the compared fields (or their keys) that differ."""
-    diffs = []
+def changes(base, head):
+    """(name, base value, head value) of every compared field (or key of a
+    compared map) that differs."""
+    out = []
     for field in COMPARED:
         a, b = base.get(field), head.get(field)
         if a == b:
@@ -116,10 +121,45 @@ def differences(base, head):
         if isinstance(a, dict) and isinstance(b, dict):
             keys = sorted(k for k in a.keys() | b.keys()
                           if a.get(k) != b.get(k))
-            diffs += [f"{field}.{k}: {a.get(k)} -> {b.get(k)}" for k in keys]
+            out += [(f"{field}.{k}", a.get(k), b.get(k)) for k in keys]
         else:
-            diffs.append(f"{field}: {a} -> {b}")
-    return diffs
+            out.append((field, a, b))
+    return out
+
+
+def differences(base, head):
+    """Names of the compared fields (or their keys) that differ."""
+    return [f"{name}: {a} -> {b}" for name, a, b in changes(base, head)]
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _signed(x):
+    return f"{x:+d}" if isinstance(x, int) else f"{x:+.6g}"
+
+
+def drift_summary(pair_changes, pairs):
+    """One line per field that differs in any pair: the pairs it differs in
+    out of `pairs`, and the least and greatest change (head - base) over the
+    pairs where both values are numbers. `pair_changes` holds one changes()
+    list per differing pair."""
+    by_field = {}
+    for pair in pair_changes:
+        for name, a, b in pair:
+            by_field.setdefault(name, []).append((a, b))
+    lines = []
+    for name in sorted(by_field):
+        values = by_field[name]
+        deltas = [b - a for a, b in values if _number(a) and _number(b)]
+        line = f"{name}: {len(values)}/{pairs} pairs"
+        if deltas:
+            line += f", {_signed(min(deltas))}..{_signed(max(deltas))}"
+        if len(deltas) < len(values):
+            line += f" ({len(values) - len(deltas)} not numeric)"
+        lines.append(line)
+    return lines
 
 
 def compare_workloads(rev, seeds, base_tree, tmp):
@@ -129,7 +169,7 @@ def compare_workloads(rev, seeds, base_tree, tmp):
     head_bin = build(ROOT, ROOT / "build-perf")
 
     sides = (("base", base_bin), ("head", head_bin))
-    differing = 0
+    pair_changes = []
     for workload in workloads:
         for seed in seeds:
             label = f"{workload} seed {seed}"
@@ -146,15 +186,19 @@ def compare_workloads(rev, seeds, base_tree, tmp):
                     p.kill()
                     p.wait()
                 raise
-            diffs = differences(base, head)
+            diffs = changes(base, head)
             events = base["layers_sim"].get("sim.events", 0)
             print(f"{label}: {'DIFFERS' if diffs else 'identical'} "
                   f"(sim.events {events:.0f})")
-            for d in diffs:
-                print(f"    {d}")
-            differing += bool(diffs)
+            for name, a, b in diffs:
+                print(f"    {name}: {a} -> {b}")
+            if diffs:
+                pair_changes.append(diffs)
 
     pairs = len(workloads) * len(seeds)
+    differing = len(pair_changes)
+    for line in drift_summary(pair_changes, pairs):
+        print(f"drift: {line}")
     print(f"sim_identity: {pairs - differing}/{pairs} (workload, seed) pairs "
           f"identical to {rev} on {', '.join(COMPARED)}")
     return 1 if differing else 0

@@ -2,17 +2,22 @@
 identity check).
 
 Covers seed parsing, the perf-workload field comparison (identical runs,
-changed scalars, changed keys of the sim/layers_sim maps) and the bench-row
-comparison: host fields ignored, a changed counter counted, a counter or a
-whole row present on one side only.
+changed scalars, changed keys of the sim/layers_sim maps), the per-field
+drift summary over pairs and the bench-row comparison: host fields ignored,
+a changed counter counted, a counter or a whole row present on one side
+only.
 
 Run:  python3 -m pytest scripts/test_sim_identity.py -q
+ or:  python3 scripts/test_sim_identity.py   (where pytest is missing)
 """
 from __future__ import annotations
 
 import importlib.util
 import json
 import os
+import sys
+import tempfile
+from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
     "sim_identity",
@@ -58,6 +63,37 @@ def test_differences_names_changed_map_keys_and_scalars():
         "layers_sim.sim.events: 1000 -> 1001",
         "failed: 0 -> 1",
     ]
+
+
+def test_drift_summary_counts_pairs_and_spans_numeric_changes():
+    base = run_result()
+    pairs = [
+        sim_identity.changes(base, run_result(
+            layers_sim={"sim.events": 491, "core.src_repo_mb": 6.0})),
+        sim_identity.changes(base, run_result(
+            layers_sim={"sim.events": 861, "core.src_repo_mb": 6.25})),
+        sim_identity.changes(base, run_result(
+            checks={"restore_ok": False},
+            layers_sim={"sim.events": 700, "core.src_repo_mb": 6.0})),
+    ]
+    assert sim_identity.drift_summary(pairs, 28) == [
+        "checks.restore_ok: 1/28 pairs (1 not numeric)",
+        "layers_sim.core.src_repo_mb: 1/28 pairs, +0.25..+0.25",
+        "layers_sim.sim.events: 3/28 pairs, -509..-139",
+    ]
+
+
+def test_drift_summary_marks_values_that_are_not_numbers():
+    pairs = [
+        [("layers_sim.core.src_wan_mb", None, 0.5)],
+        [("layers_sim.core.src_wan_mb", 0.25, 0.5)],
+        [("failed", 0, 2)],
+    ]
+    assert sim_identity.drift_summary(pairs, 4) == [
+        "failed: 1/4 pairs, +2..+2",
+        "layers_sim.core.src_wan_mb: 2/4 pairs, +0.25..+0.25 (1 not numeric)",
+    ]
+    assert sim_identity.drift_summary([], 4) == []
 
 
 def test_bench_rows_keys_every_row_by_file_and_name(tmp_path):
@@ -114,3 +150,16 @@ def test_bench_differences_count_every_counter_of_a_one_sided_row():
         {}, {shared: bench_row("A/1")})
     assert (compared, differing) == (1, 1)
     assert lines == ["BENCH_a.json A/1: row only in head (1 counters)"]
+
+
+if __name__ == "__main__":
+    tests = [f for name, f in sorted(globals().items())
+             if name.startswith("test_") and callable(f)]
+    for t in tests:
+        if "tmp_path" in t.__code__.co_varnames[:t.__code__.co_argcount]:
+            with tempfile.TemporaryDirectory() as tmp:
+                t(Path(tmp))
+        else:
+            t()
+    print(f"{len(tests)} passed")
+    sys.exit(0)

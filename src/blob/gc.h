@@ -3,16 +3,14 @@
 // reachable only from dropped versions — cloning means chunks can be shared
 // across blobs, so the live set spans the entire store.
 //
-// Two entry points over one epoch protocol:
-//
-//  * collect() — the classic synchronous sweep: the whole epoch runs in one
-//    scheduler slice (no co_await), so nothing can interleave. Call sites
-//    that run outside a simulation process keep working.
-//  * collect_concurrent() — the epoch-based incremental sweep: the mark
-//    walks the version manager's blob shards one at a time, yielding
-//    between shards so in-flight commits keep draining, and the erase phase
-//    sweeps in bounded batches with yields in between. No full-store
-//    stop-the-world pass.
+// One entry point, collect(drops): an epoch-based incremental sweep that
+// drops every listed blob's versions below its floor. The mark walks the
+// version manager's blob shards one at a time, yielding between shards so
+// in-flight commits keep draining, and the erase phase sweeps in bounded
+// batches with yields in between; there is no full-store stop-the-world
+// pass. The mark has to cover every live tree of the store whichever blob
+// is dropped, so a caller hands one retention pass's drops on a store to a
+// single collect(): they share one epoch and one mark.
 //
 // The epoch protocol that keeps the concurrent walk safe against commits
 // racing it:
@@ -29,18 +27,18 @@
 //     Published nodes are immutable and the mark walks a node's whole
 //     subtree on that first visit, so every chunk under a marked node is
 //     live.
-//  3. Candidate walk (same slice as finalize): the chunks of the dropped
-//     versions' trees, over the same bits. It stops at every node the mark
-//     reached, since nothing under it can be reclaimed, so the candidates
-//     are only the leaves no live tree shares. That is why it must run
-//     after the mark: run first, it would set the bits of the subtrees the
-//     dropped and live trees share, and the mark would then skip live
-//     chunks.
+//  3. Candidate walk (same slice as finalize): the chunks of every drop's
+//     dropped versions' trees, over the same bits. It stops at every node
+//     the mark reached, since nothing under it can be reclaimed, so the
+//     candidates are only the leaves no live tree shares. That is why it
+//     must run after the mark: run first, it would set the bits of the
+//     subtrees the dropped and live trees share, and the mark would then
+//     skip live chunks.
 //  4. Finalize (one atomic slice): re-collect pins + the epoch hit log,
-//     decide the sweep set, and de-index it (notify_chunks_reclaimed)
-//     BEFORE the first erase yield — after this no lookup can hand out a
-//     new Ref to a doomed chunk, which is what makes the yielding erase
-//     phase safe.
+//     decide the sweep set, tombstone every drop's version records, and
+//     de-index the sweep set (notify_chunks_reclaimed) BEFORE the first
+//     erase yield — after this no lookup can hand out a new Ref to a doomed
+//     chunk, which is what makes the yielding erase phase safe.
 //  5. Sweep: erase replicas batch by batch, wherever the provider manager's
 //     placement registry says each chunk lives now, and drop its entry.
 //
@@ -55,6 +53,7 @@
 // dropped (pre-epoch) tree.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -71,6 +70,12 @@ class GarbageCollector {
  public:
   explicit GarbageCollector(BlobStore& store) : store_(&store) {}
 
+  /// Drop `blob`'s versions below `keep_from`.
+  struct Drop {
+    BlobId blob = 0;
+    VersionId keep_from = 0;
+  };
+
   struct Result {
     std::uint64_t reclaimed_bytes = 0;
     std::size_t chunks_deleted = 0;
@@ -83,8 +88,8 @@ class GarbageCollector {
     /// Candidates skipped because they were born after the epoch opened
     /// (defensive: a dropped pre-epoch tree cannot reference them).
     std::size_t deferred_post_epoch = 0;
-    /// Concurrent sweep only: scheduler slices the mark/erase phases spread
-    /// over (1 each for the synchronous collect()).
+    /// Scheduler slices the mark spread over (one per version-manager
+    /// shard) and erase batches the sweep spread over.
     std::size_t mark_slices = 0;
     std::size_t sweep_batches = 0;
     /// Tree nodes the epoch walked, mark and candidate walk together: each
@@ -92,26 +97,12 @@ class GarbageCollector {
     std::size_t nodes_walked = 0;
   };
 
-  /// Drops versions < keep_from of `blob` and reclaims chunks no longer
-  /// reachable from any live version of any blob. Synchronous: the whole
-  /// epoch runs in one slice.
-  Result collect(BlobId blob, VersionId keep_from) {
-    Epoch e(*store_, blob, keep_from);
-    const std::size_t shards = store_->version_manager().shard_count();
-    for (std::size_t s = 0; s < shards; ++s) mark_shard(s, e);
-    e.result.mark_slices = 1;
-    collect_candidates(e);
-    finalize(e);
-    erase_range(e, 0, e.swept.size());
-    e.result.sweep_batches = 1;
-    return e.result;
-  }
-
-  /// The epoch-based concurrent sweep: same result contract as collect(),
-  /// but commits keep running between slices. Must run inside a simulation
-  /// process (it yields).
-  sim::Task<Result> collect_concurrent(BlobId blob, VersionId keep_from) {
-    Epoch e(*store_, blob, keep_from);
+  /// Drops every listed blob's versions below its keep_from and reclaims
+  /// the chunks no live version of any blob reaches any more, all in one
+  /// epoch: one mark serves every drop. Commits keep running between
+  /// slices, so it must run inside a simulation process (it yields).
+  sim::Task<Result> collect(std::vector<Drop> drops) {
+    Epoch e(*store_, std::move(drops));
     const std::size_t shards = store_->version_manager().shard_count();
     for (std::size_t s = 0; s < shards; ++s) {
       mark_shard(s, e);
@@ -139,11 +130,14 @@ class GarbageCollector {
   static constexpr std::size_t kSweepBatch = 64;
 
   struct Epoch {
-    Epoch(BlobStore& store, BlobId blob, VersionId keep_from)
-        : blob(blob),
-          keep_from(keep_from),
+    Epoch(BlobStore& store, std::vector<Drop> dropping)
+        : drops(std::move(dropping)),
           horizon(store.chunk_id_counter()),
           open_on_(&store) {
+      for (const Drop& d : drops) {
+        VersionId& floor = keep_from[d.blob];
+        floor = std::max(floor, d.keep_from);
+      }
       store.notify_gc_epoch(true);
       // Pins at open: a Ref taken before the epoch (so never hit-logged)
       // may publish — and release its pin — while the incremental mark is
@@ -161,8 +155,9 @@ class GarbageCollector {
       }
     }
 
-    BlobId blob = 0;
-    VersionId keep_from = 0;
+    std::vector<Drop> drops;
+    /// Each dropped blob's floor (the highest keep_from listed for it).
+    std::unordered_map<BlobId, VersionId> keep_from;
     /// Chunk ids at/above this were allocated after the epoch opened.
     ChunkId horizon = 0;
     std::unordered_set<ChunkId> live;
@@ -181,6 +176,9 @@ class GarbageCollector {
     cover_new_nodes(e);
     store_->version_manager().for_each_blob_in_shard(
         shard, [&](const BlobMeta& meta) {
+          const auto drop = e.keep_from.find(meta.id);
+          const VersionId floor =
+              drop == e.keep_from.end() ? 0 : drop->second;
           for (const VersionInfo& v : meta.versions) {
             // root == 0 covers tombstones and pending (async-reserved)
             // slots: an in-flight drain's version has no tree yet; its
@@ -188,7 +186,7 @@ class GarbageCollector {
             // epoch hit log, and its freshly-stored chunks are above the
             // horizon, so the sweep can never touch them.
             if (v.pending || v.root == 0) continue;
-            if (meta.id == e.blob && v.id < e.keep_from) continue;  // dropped
+            if (v.id < floor) continue;  // dropped
             mark_live(v.root, e);
           }
         });
@@ -196,10 +194,12 @@ class GarbageCollector {
 
   void collect_candidates(Epoch& e) {
     cover_new_nodes(e);
-    const BlobMeta& target = store_->version_manager().peek(e.blob);
-    for (const VersionInfo& v : target.versions) {
-      if (v.pending || v.root == 0 || v.id >= e.keep_from) continue;
-      collect_chunks(v.root, e);
+    for (const Drop& d : e.drops) {
+      const BlobMeta& target = store_->version_manager().peek(d.blob);
+      for (const VersionInfo& v : target.versions) {
+        if (v.pending || v.root == 0 || v.id >= d.keep_from) continue;
+        collect_chunks(v.root, e);
+      }
     }
   }
 
@@ -223,7 +223,9 @@ class GarbageCollector {
       e.swept.push_back(loc);
       swept_ids.push_back(cid);
     }
-    store_->version_manager().drop_version_records(e.blob, e.keep_from);
+    for (const Drop& d : e.drops) {
+      store_->version_manager().drop_version_records(d.blob, d.keep_from);
+    }
     // De-index BEFORE any erase (and before the concurrent sweep's first
     // yield): a dedup hit on a doomed chunk after this point is impossible,
     // so the batched erases need no further liveness re-checks. This also

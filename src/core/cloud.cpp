@@ -734,8 +734,8 @@ std::unique_ptr<MirrorDevice> Deployment::make_mirror(
       reducers_.empty() ? nullptr : reducers_[zone].get();
   return std::make_unique<MirrorDevice>(
       repo, node, cloud.disk(node), cloud.next_disk_stream(node), blob,
-      version, mcfg, cloud.config().adaptive_prefetch ? bus_.get() : nullptr,
-      reducer, cloud.chunk_cache(node));
+      version, mcfg, *cloud.chunk_cache(node),
+      cloud.config().adaptive_prefetch ? bus_.get() : nullptr, reducer);
 }
 
 SourceBytes Deployment::source_bytes() const {

@@ -12,9 +12,6 @@
 namespace blobcr::core {
 
 namespace {
-/// Byte budget of the private fallback cache for standalone devices (the
-/// Cloud sizes shared per-node caches from CloudConfig instead).
-constexpr std::uint64_t kFallbackCacheBytes = 512ULL * 1024 * 1024;
 /// Background prefetch fetches one device keeps in flight.
 constexpr std::int64_t kPrefetchStreams = 2;
 /// Delay before a peer acts on a prefetch hint.
@@ -26,8 +23,8 @@ MirrorDevice::MirrorDevice(federation::Fabric& repo, net::NodeId host,
                            std::uint64_t disk_stream,
                            blob::BlobId backing_blob,
                            blob::VersionId backing_version, const Config& cfg,
-                           PrefetchBus* bus, blob::CommitReducer* reducer,
-                           DecodedChunkCache* node_cache)
+                           DecodedChunkCache& node_cache, PrefetchBus* bus,
+                           blob::CommitReducer* reducer)
     : repo_(&repo),
       store_(repo.store_of_blob(backing_blob)),
       host_(host),
@@ -40,14 +37,14 @@ MirrorDevice::MirrorDevice(federation::Fabric& repo, net::NodeId host,
       reducer_(reducer),
       client_(*store_, host),
       fetch_done_(store_->simulation()),
-      node_cache_(node_cache) {
+      node_cache_(&node_cache) {
   assert(cfg_.capacity > 0);
   client_.set_tenant(cfg_.tenant);
   prefetch_slots_ =
       std::make_unique<sim::Semaphore>(store_->simulation(), kPrefetchStreams);
   if (bus_ != nullptr) bus_->attach(this);
   if (cfg_.redundancy != nullptr)
-    cfg_.redundancy->attach(host_, &this->node_cache());
+    cfg_.redundancy->attach(host_, node_cache_);
   if (cfg_.flush.enabled) {
     flush_agent_ = std::make_unique<flush::FlushAgent>(
         *store_, repo, client_, local_disk, disk_stream, reducer_, cfg_.flush,
@@ -60,18 +57,6 @@ MirrorDevice::~MirrorDevice() {
     if (p && !p->finished()) p->kill();
   }
   if (bus_ != nullptr) bus_->detach(this);
-  // A privately-owned cache dies with the device; the parity tier must not
-  // keep serving rebuilds out of it (shared Cloud caches stay registered).
-  if (cfg_.redundancy != nullptr && own_cache_ != nullptr)
-    cfg_.redundancy->detach_cache(own_cache_.get());
-}
-
-DecodedChunkCache& MirrorDevice::node_cache() {
-  if (node_cache_ == nullptr) {
-    own_cache_ = std::make_unique<DecodedChunkCache>(kFallbackCacheBytes);
-    node_cache_ = own_cache_.get();
-  }
-  return *node_cache_;
 }
 
 std::uint64_t MirrorDevice::chunk_size() const {
@@ -142,7 +127,7 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
     bool cache_hit = false;
     for (;;) {
       // 1. Decoded once per node: any rank on this node already paid.
-      if (const common::Buffer* hit = node_cache().get(key)) {
+      if (const common::Buffer* hit = node_cache_->get(key)) {
         data = *hit;
         ledger_.cache += data.size();
         cache_hit = true;
@@ -205,8 +190,8 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
     // The claim releases only after publishing, so woken waiters find a
     // holder.
     if (!cache_hit) {
-      node_cache().put(key, data);
-      if (bus_ != nullptr) bus_->publish(key, host_, &node_cache());
+      node_cache_->put(key, data);
+      if (bus_ != nullptr) bus_->publish(key, host_, node_cache_);
       claim.release();
     }
   }
@@ -468,20 +453,7 @@ sim::Task<> MirrorDevice::scheduled_prefetch_body(
 
 // --- PrefetchBus -------------------------------------------------------------
 
-void PrefetchBus::detach(MirrorDevice* m) {
-  std::erase(*mirrors_, m);
-  if (m->own_cache_ != nullptr) {
-    // The device's private fallback cache dies with it; holder entries
-    // pointing at it must not dangle. Shared per-node caches are owned by
-    // the Cloud and outlive any device, so they stay registered.
-    DecodedChunkCache* dead = m->own_cache_.get();
-    for (auto it = holders_.begin(); it != holders_.end();) {
-      auto& vec = it->second;
-      std::erase_if(vec, [dead](const Holder& h) { return h.cache == dead; });
-      it = vec.empty() ? holders_.erase(it) : std::next(it);
-    }
-  }
-}
+void PrefetchBus::detach(MirrorDevice* m) { std::erase(*mirrors_, m); }
 
 void PrefetchBus::announce(MirrorDevice* self, const ChunkKey& key,
                            std::uint64_t offset, std::uint64_t len) {

@@ -107,13 +107,15 @@ class MirrorDevice : public img::BlockDevice {
 
   /// `repo` is the checkpoint repository: the device commits to the zone
   /// store owning `backing_blob` and fetches every chunk through
-  /// federation::Fabric::fetch_decoded.
+  /// federation::Fabric::fetch_decoded. `node_cache` is the host's decoded-
+  /// chunk cache (Cloud::chunk_cache); it must outlive the device and any
+  /// bus or parity tier that indexes it.
   MirrorDevice(federation::Fabric& repo, net::NodeId host,
                storage::Disk& local_disk, std::uint64_t disk_stream,
                blob::BlobId backing_blob, blob::VersionId backing_version,
-               const Config& cfg, PrefetchBus* bus = nullptr,
-               blob::CommitReducer* reducer = nullptr,
-               DecodedChunkCache* node_cache = nullptr);
+               const Config& cfg, DecodedChunkCache& node_cache,
+               PrefetchBus* bus = nullptr,
+               blob::CommitReducer* reducer = nullptr);
   ~MirrorDevice() override;
 
   // --- BlockDevice ---
@@ -208,7 +210,6 @@ class MirrorDevice : public img::BlockDevice {
   /// Records a spawned prefetcher. Finished ones are pruned lazily, once the
   /// list has doubled since the last prune, so a hint costs amortized O(1).
   void track_prefetcher(sim::ProcessPtr p);
-  DecodedChunkCache& node_cache();
 
   federation::Fabric* repo_;
   blob::BlobStore* store_;  // the zone store owning backing_blob_
@@ -234,10 +235,7 @@ class MirrorDevice : public img::BlockDevice {
   std::vector<sim::ProcessPtr> prefetchers_;  // read only by the destructor
   std::size_t prune_at_ = 64;
   std::unique_ptr<sim::Semaphore> prefetch_slots_;
-  /// Shared per-node cache (owned by the Cloud) or, when none was supplied
-  /// (standalone devices in tests), a private fallback.
-  DecodedChunkCache* node_cache_;
-  std::unique_ptr<DecodedChunkCache> own_cache_;
+  DecodedChunkCache* node_cache_;  // the host's shared decoded-chunk cache
   // Declared after client_/cache_: the agent's drain loop references both
   // and must be torn down (killed) first.
   std::unique_ptr<flush::FlushAgent> flush_agent_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "blob/gc.h"
 #include "common/codec.h"
 
 namespace blobcr::cr {
@@ -398,10 +397,9 @@ Task<> Catalog::rebuild() {
   co_await blob_client_->bind_name(cfg_.name, blob_id_);
 }
 
-std::uint64_t Catalog::compact() {
-  if (!blob_client_ || blob_id_ == 0 || blob_version_ <= 1) return 0;
-  blob::GarbageCollector gc(*home_store_);
-  return gc.collect(blob_id_, blob_version_).reclaimed_bytes;
+std::optional<blob::GarbageCollector::Drop> Catalog::log_drop() const {
+  if (!blob_client_ || blob_id_ == 0 || blob_version_ <= 1) return std::nullopt;
+  return blob::GarbageCollector::Drop{blob_id_, blob_version_};
 }
 
 Task<> Catalog::rehome_if_dead() {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "blob/client.h"
+#include "blob/gc.h"
 #include "cr/checkpoint.h"
 #include "pfs/pvfs.h"
 #include "sim/sim.h"
@@ -79,10 +80,14 @@ class Catalog {
   /// bookkeeping and tests. Valid after open().
   const std::vector<CheckpointRecord>& records() const { return records_; }
 
-  /// Drops superseded catalog blob versions (every append/rewrite published
-  /// a new one; rewrites orphan their old frames' chunks). Returns
-  /// reclaimed bytes. No-op on the PVFS backend (rewrites are in-place).
-  std::uint64_t compact();
+  /// The catalog log's superseded blob versions as a GC drop: every
+  /// append or rewrite publishes a new version, and rewrites orphan their
+  /// old frames' chunks, so every version below the latest can go.
+  /// cr::Session::apply_retention hands it to the log's store
+  /// (Cloud::store_of_blob) in the same epoch as that store's image drops.
+  /// nullopt on the PVFS backend (rewrites are in-place) and while the log
+  /// has at most one version.
+  std::optional<blob::GarbageCollector::Drop> log_drop() const;
 
   /// Disaster recovery (cr::Session::scavenge): re-creates the durable log
   /// from the in-memory record set after a repository outage destroyed the

@@ -404,27 +404,27 @@ Task<std::uint64_t> Session::apply_retention() {
         }
       }
     }
-    // The retention sweep runs inside a simulation process, so it uses the
-    // epoch-based concurrent collector: commits and drains of live jobs
-    // keep flowing between the per-shard mark slices and erase batches
-    // instead of stalling behind a full-store mark.
-    // Each image's GC runs against the store that owns it (federated
-    // deployments spread images across zone stores).
+    // One GC epoch per store: the mark must walk every live tree of the
+    // store whatever it drops, so the pass hands all of a store's drops to
+    // one collect(). Images live in the zone store that owns them, and the
+    // catalog log rides its home store's epoch. Keyed by zone, so the
+    // stores collect in a fixed order.
+    std::map<std::uint32_t, std::vector<blob::GarbageCollector::Drop>> drops;
+    const auto add = [&](blob::GarbageCollector::Drop d) {
+      drops[cloud.store_of_blob(d.blob)->config().zone].push_back(d);
+    };
     for (const auto& [image, keep_from] : floor) {
-      if (keep_from > 1) {
-        blob::GarbageCollector gc(*cloud.store_of_blob(image));
-        reclaimed +=
-            (co_await gc.collect_concurrent(image, keep_from)).reclaimed_bytes;
-      }
+      if (keep_from > 1) add({image, keep_from});
     }
     for (const auto& [image, max_dropped] : drop_max) {
-      if (floor.count(image) != 0) continue;
-      blob::GarbageCollector gc(*cloud.store_of_blob(image));
-      reclaimed +=
-          (co_await gc.collect_concurrent(image, max_dropped + 1))
-              .reclaimed_bytes;
+      if (floor.count(image) == 0) add({image, max_dropped + 1});
     }
-    reclaimed += catalog_.compact();
+    if (const auto log = catalog_.log_drop()) add(*log);
+    for (auto& [zone, store_drops] : drops) {
+      blob::GarbageCollector gc(*cloud.federation()->store(zone));
+      reclaimed +=
+          (co_await gc.collect(std::move(store_drops))).reclaimed_bytes;
+    }
   } else {
     // qcow2-disk: retired snapshot copies on PVFS are whole files; remove
     // the ones no kept record references. (qcow2-full already removes its

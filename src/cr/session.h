@@ -136,7 +136,11 @@ class Session {
   /// Applies the retention policy now: untagged Complete records beyond
   /// keep-last-N retire, their snapshot versions are garbage-collected
   /// (BlobCR) or their snapshot files removed (qcow2-disk), and the catalog
-  /// log itself is compacted. Returns the bytes reclaimed by this pass.
+  /// log itself is compacted. On BlobCR the pass runs one GC epoch per
+  /// store that has drops: every image floor and whole-image drop of that
+  /// store shares one mark, and the catalog log's superseded versions
+  /// (Catalog::log_drop) ride its home store's epoch. Returns the bytes
+  /// reclaimed by this pass.
   sim::Task<std::uint64_t> apply_retention();
 
   /// The checkpoint the deployment currently descends from (restart target

@@ -11,25 +11,6 @@ void Manager::attach(net::NodeId node, core::DecodedChunkCache* cache) {
   caches_[node] = cache;
 }
 
-void Manager::detach_cache(const core::DecodedChunkCache* cache) {
-  std::vector<net::NodeId> gone;
-  for (const auto& [node, c] : caches_) {
-    if (c == cache) gone.push_back(node);
-  }
-  for (net::NodeId node : gone) {
-    caches_.erase(node);
-    std::erase(nodes_, node);
-    std::vector<std::uint64_t> doomed;
-    for (std::uint64_t gid : open_) {
-      if (group_has_node(groups_.at(gid), node)) doomed.push_back(gid);
-    }
-    for (std::uint64_t gid : doomed) drop_group(gid);
-  }
-  // nodes_ shrank under the round-robin cursor: renormalize so holder
-  // picking keeps cycling evenly instead of skipping the front nodes.
-  holder_rr_ = nodes_.empty() ? 0 : holder_rr_ % nodes_.size();
-}
-
 void Manager::drop_node(net::NodeId node) {
   std::vector<std::uint64_t> doomed;
   for (std::uint64_t gid : open_) {

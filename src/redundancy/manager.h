@@ -91,11 +91,6 @@ class Manager {
   /// Registers a compute node's decoded-chunk cache with the tier.
   /// Idempotent per node; a re-attach replaces the cache pointer.
   void attach(net::NodeId node, core::DecodedChunkCache* cache);
-  /// Deregisters every node whose registered cache is `cache` (a mirroring
-  /// module tearing down its privately-owned cache). Open groups touching
-  /// those nodes are dropped; sealed groups survive and simply find the
-  /// node's payloads missing at rebuild time.
-  void detach_cache(const core::DecodedChunkCache* cache);
   /// Fail-stop: the node's cache contents are gone (cleared by the caller).
   /// Open groups touching the node are dropped. Sealed groups where the
   /// node is a *member* are kept — rebuilding the dead node's members is

@@ -410,6 +410,14 @@ Task<> gc_scenario(TestCluster& tc, BlobId& base, BlobId& ckpt) {
   }
 }
 
+/// One GC epoch that drops `blob`'s versions below `keep_from`.
+Task<> collect(TestCluster& tc, BlobId blob, VersionId keep_from,
+               GarbageCollector::Result& out) {
+  GarbageCollector gc(*tc.store);
+  std::vector<GarbageCollector::Drop> drops{{blob, keep_from}};
+  out = co_await gc.collect(std::move(drops));
+}
+
 TEST(BlobTest, GcReclaimsOnlyUnsharedChunks) {
   TestCluster tc;
   BlobId base = 0;
@@ -418,10 +426,10 @@ TEST(BlobTest, GcReclaimsOnlyUnsharedChunks) {
   // ckpt versions: v1 (clone of base), v2, v3, v4 each with a 1 KiB rewrite.
   const std::uint64_t before = tc.store->total_stored_bytes();
   EXPECT_EQ(before, 8192u + 3 * 1024u);
-  GarbageCollector gc(*tc.store);
   // Keep only the latest checkpoint version: v2 and v3's chunk-0 rewrites
   // are reclaimable; v1's chunks are shared with base and must survive.
-  const auto result = gc.collect(ckpt, /*keep_from=*/4);
+  GarbageCollector::Result result;
+  tc.run(collect(tc, ckpt, /*keep_from=*/4, result));
   EXPECT_EQ(result.reclaimed_bytes, 2u * 1024);
   EXPECT_EQ(tc.store->total_stored_bytes(), before - 2 * 1024);
   // Base must remain fully readable.
@@ -435,8 +443,8 @@ TEST(BlobTest, GcTombstonesResolveToError) {
   BlobId base = 0;
   BlobId ckpt = 0;
   tc.run(gc_scenario(tc, base, ckpt));
-  GarbageCollector gc(*tc.store);
-  gc.collect(ckpt, 4);
+  GarbageCollector::Result result;
+  tc.run(collect(tc, ckpt, 4, result));
   Buffer back;
   bool threw = false;
   auto reader = [](TestCluster& cluster, BlobId blob, bool& out) -> Task<> {

@@ -36,6 +36,9 @@ struct TestRig {
   // Host nodes for mirrors are the last two nodes.
   net::NodeId host_a = 0;
   net::NodeId host_b = 0;
+  /// One decoded-chunk cache per mirror built here, as a standalone host
+  /// has; the rig outlives every bus and parity tier that indexes them.
+  std::vector<std::unique_ptr<DecodedChunkCache>> caches;
 
   TestRig() {
     const std::size_t n_data = 4;
@@ -78,13 +81,19 @@ struct TestRig {
     }(this));
   }
 
+  DecodedChunkCache& fresh_cache() {
+    caches.push_back(
+        std::make_unique<DecodedChunkCache>(512 * common::kMiB));
+    return *caches.back();
+  }
+
   std::unique_ptr<MirrorDevice> make_mirror(net::NodeId host,
                                             PrefetchBus* bus = nullptr) {
     MirrorDevice::Config cfg;
     cfg.capacity = kImage;
     return std::make_unique<MirrorDevice>(
         *repo, host, *disks[4 + (host == host_a ? 0 : 1)], 99, base, 1, cfg,
-        bus);
+        fresh_cache(), bus);
   }
 
   void run(Task<> t) {
@@ -243,7 +252,7 @@ TEST(MirrorTest, RestartedMirrorCommitsIntoBackingImage) {
   MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   MirrorDevice restarted(*rig.repo, rig.host_b, *rig.disks[5], 98, image,
-                         snap, mcfg);
+                         snap, mcfg, rig.fresh_cache());
   restarted.set_checkpoint_blob(image, snap);
   blob::VersionId v2 = 0;
   Buffer view;
@@ -312,7 +321,7 @@ TEST(MirrorTest, ReducedCommitShipsLessAndRoundTrips) {
   MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   MirrorDevice m2(*rig.repo, rig.host_b, *rig.disks[5], 97, rig.base, 1,
-                  mcfg, nullptr, &reducer);
+                  mcfg, rig.fresh_cache(), nullptr, &reducer);
 
   // Rank 1 (unreduced) establishes nothing in the index; rank 2 commits a
   // mix of duplicate-able, zero and unique chunks through the reducer.

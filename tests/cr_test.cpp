@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -293,10 +294,20 @@ TEST(CrCatalogTest, DanglingStagedRecordIsSweptOnRestart) {
   EXPECT_EQ(swept, RecordState::Incomplete);
 }
 
-// Catalog::compact drops the log versions that appends and in-place
-// rewrites superseded and reclaims the chunks only they held, through the
-// synchronous GarbageCollector::collect(). The log that remains still
-// lists every record for a fresh driver, and a second compact finds nothing.
+/// Compacts the catalog log: one GC epoch of the log's store drops the
+/// versions Catalog::log_drop names. Returns the bytes reclaimed.
+Task<std::uint64_t> compact_log(Cloud& cl, const Catalog& catalog) {
+  const std::optional<blob::GarbageCollector::Drop> drop = catalog.log_drop();
+  if (!drop.has_value()) co_return 0;
+  blob::GarbageCollector gc(*cl.store_of_blob(drop->blob));
+  std::vector<blob::GarbageCollector::Drop> drops{*drop};
+  co_return (co_await gc.collect(std::move(drops))).reclaimed_bytes;
+}
+
+// Catalog::log_drop names the log versions that appends and in-place
+// rewrites superseded, and one GC epoch reclaims the chunks only they held.
+// The log that remains still lists every record for a fresh driver, and a
+// second pass finds nothing.
 TEST(CrCatalogTest, CompactReclaimsSupersededLogVersions) {
   Cloud cloud(tiny_cfg(Backend::BlobCR));
   std::uint64_t first = 0;
@@ -323,9 +334,9 @@ TEST(CrCatalogTest, CompactReclaimsSupersededLogVersions) {
       written->push_back(rec);
     }
     *bytes_before = cl->repository_bytes();
-    *first = catalog.compact();
+    *first = co_await compact_log(*cl, catalog);
     *bytes_after = cl->repository_bytes();
-    *second = catalog.compact();
+    *second = co_await compact_log(*cl, catalog);
 
     Catalog fresh(*cl);
     *relisted = co_await fresh.list();
@@ -389,6 +400,101 @@ TEST(CrRetentionTest, KeepLastReclaimsUntaggedAndPreservesTagged) {
   EXPECT_EQ(complete_count, 2u);
   EXPECT_EQ(retired_count, 2u);
   EXPECT_TRUE(golden_ok);
+}
+
+// One retention pass opens one GC epoch per store that has drops. The
+// deployment spans two zones, so its images live in both zone stores, and
+// the catalog log's superseded versions ride zone 0's epoch (the log's home
+// store). The pass reclaims exactly what one epoch per image plus the
+// catalog's own epoch reclaimed, and the latest record still restarts
+// bit-exactly from cold caches.
+TEST(CrRetentionTest, OnePassOpensOneEpochPerStore) {
+  constexpr std::size_t kVms = 4;
+  constexpr std::size_t kOffset = 4;  // nodes 4, 5 in zone 0; 6, 7 in zone 1
+  CloudConfig cfg = tiny_cfg(Backend::BlobCR);
+  cfg.compute_nodes = 12;
+  cfg.federation.zones = 2;
+  Cloud cloud(cfg);
+  struct Outcome {
+    std::size_t images[2] = {0, 0};
+    std::size_t opens[2] = {0, 0};
+    std::uint64_t reclaimed = 0;
+    bool log_in_zone0 = false;
+    bool log_collected = false;
+    bool restored_ok = false;
+  } out;
+
+  cloud.run([](Cloud* cl, Outcome* out) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, kVms, kOffset);
+    Session::Config scfg;
+    scfg.retention.keep_last = 1;
+    scfg.auto_retention = false;
+    Session session(dep, scfg);
+    co_await dep.deploy_and_boot();
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      for (std::size_t i = 0; i < kVms; ++i) {
+        co_await write_state(&dep.vm(i), 40 + 10 * round + i);
+      }
+      (void)co_await session.checkpoint();
+    }
+    for (const core::InstanceSnapshot& s :
+         session.last_committed()->snapshots) {
+      ++out->images[cl->store_of_blob(s.image)->config().zone];
+    }
+
+    std::vector<std::uint64_t> hooks;
+    for (std::uint32_t z = 0; z < 2; ++z) {
+      hooks.push_back(cl->blob_store(z)->add_gc_epoch_hook(
+          [out, z](bool open) { out->opens[z] += open ? 1 : 0; }));
+    }
+    out->reclaimed = co_await session.apply_retention();
+    for (std::uint32_t z = 0; z < 2; ++z) {
+      cl->blob_store(z)->remove_gc_epoch_hook(hooks[z]);
+    }
+
+    // Every log version below the latest went in that pass.
+    const std::optional<blob::GarbageCollector::Drop> log =
+        session.catalog().log_drop();
+    EXPECT_TRUE(log.has_value());
+    if (log.has_value()) {
+      blob::BlobStore* home = cl->store_of_blob(log->blob);
+      out->log_in_zone0 = home == cl->blob_store(0);
+      blob::BlobClient client(*home, cl->compute_node(0));
+      bool collected = true;
+      for (blob::VersionId v = 1; v < log->keep_from; ++v) {
+        try {
+          (void)co_await client.read(log->blob, v, 0, 1);
+          collected = false;
+        } catch (const blob::BlobError&) {
+        }
+      }
+      out->log_collected = collected;
+    }
+
+    dep.destroy_all();
+    cl->reset_chunk_caches();
+    Session::RestartOptions opts;
+    opts.node_offset = kOffset;
+    opts.cold_caches = true;
+    (void)co_await session.restart(Selector::latest(), opts);
+    bool ok = true;
+    for (std::size_t i = 0; i < kVms; ++i) {
+      ok = ok && co_await state_matches(&dep.vm(i), 60 + i);
+    }
+    out->restored_ok = ok;
+  }(&cloud, &out));
+
+  EXPECT_EQ(out.images[0], 2u);
+  EXPECT_EQ(out.images[1], 2u);
+  EXPECT_EQ(out.opens[0], 1u);
+  EXPECT_EQ(out.opens[1], 1u);
+  EXPECT_TRUE(out.log_in_zone0);
+  EXPECT_TRUE(out.log_collected);
+  // What one epoch per image plus one for the catalog log reclaimed here
+  // (3 epochs on zone 0's store, 2 on zone 1's).
+  EXPECT_EQ(out.reclaimed, 4'214'784u);
+  EXPECT_TRUE(out.restored_ok);
 }
 
 // ---------------------------------------------------------------------------

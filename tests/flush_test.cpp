@@ -52,6 +52,9 @@ struct FlushRig {
   blob::BlobId base = 0;
   net::NodeId host = 0;
   sim::Event never;  // parking spot for kill-probes (never set)
+  /// One decoded-chunk cache per mirror built here, as a standalone host
+  /// has; the rig outlives every bus and parity tier that indexes them.
+  std::vector<std::unique_ptr<core::DecodedChunkCache>> caches;
 
   explicit FlushRig(bool with_reduction = false, int replication = 1)
       : never(sim) {
@@ -96,6 +99,12 @@ struct FlushRig {
     }(this));
   }
 
+  core::DecodedChunkCache& fresh_cache() {
+    caches.push_back(
+        std::make_unique<core::DecodedChunkCache>(512 * common::kMiB));
+    return *caches.back();
+  }
+
   void run(Task<> t) {
     auto p = sim.spawn("test", std::move(t));
     sim.run();
@@ -118,7 +127,7 @@ core::MirrorDevice::Config mirror_config(std::size_t max_pending = 2) {
 TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
   FlushRig rig;
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(), nullptr);
+                       mirror_config(), rig.fresh_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     co_await m->write(0, Buffer::pattern(3 * kChunk, 7));
     const blob::BlobId ckpt = co_await m->ioctl_clone();
@@ -143,7 +152,7 @@ TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
 TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
   FlushRig rig;
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(4), nullptr);
+                       mirror_config(4), rig.fresh_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
     std::vector<blob::VersionId> ids;
@@ -180,7 +189,7 @@ TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
 TEST(FlushAgentTest, BackpressureBoundsStagedGenerations) {
   FlushRig rig;
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(1), nullptr);
+                       mirror_config(1), rig.fresh_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     (void)co_await m->ioctl_clone();
     for (int i = 0; i < 4; ++i) {
@@ -205,7 +214,7 @@ TEST(FlushAgentTest, DrainFailurePoisonsAgentAndDropsQueuedGenerations) {
   // queue and reporting the failure to every waiter.
   FlushRig rig(/*with_reduction=*/false, /*replication=*/2);
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(4), nullptr);
+                       mirror_config(4), rig.fresh_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
     co_await m->write(0, Buffer::pattern(kImage, 77));
@@ -305,8 +314,8 @@ void run_one_seed(int seed) {
   }
 
   auto mirror = std::make_unique<core::MirrorDevice>(
-      *rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-      mirror_config(), nullptr, rig.reducer.get());
+      *rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1, mirror_config(),
+      rig.fresh_cache(), nullptr, rig.reducer.get());
 
   // Phase 1: one or two fully-published baseline snapshots.
   rig.run([](FlushRig* rig, Rng* rng, core::MirrorDevice* m,
@@ -384,8 +393,11 @@ void run_one_seed(int seed) {
   // Phase 4: GC after the crash. Dead in-flight drains withdrew their pins
   // and index entries, so collecting everything below `latest` must leave
   // the published version intact.
-  blob::GarbageCollector gc(*rig.store);
-  (void)gc.collect(st->ckpt, latest);
+  rig.run([](FlushRig* rig, HarnessState* st, blob::VersionId* v) -> Task<> {
+    blob::GarbageCollector gc(*rig->store);
+    std::vector<blob::GarbageCollector::Drop> drops{{st->ckpt, *v}};
+    (void)co_await gc.collect(std::move(drops));
+  }(&rig, st.get(), &latest));
   rig.run([](FlushRig* rig, HarnessState* st, blob::VersionId* v) -> Task<> {
     blob::BlobClient client(*rig->store, rig->host);
     const Buffer got = co_await client.read(st->ckpt, *v, 0, kImage);
@@ -397,10 +409,10 @@ void run_one_seed(int seed) {
   // Phase 5: a restarted instance keeps checkpointing into the same image
   // (the repository is not wedged, and the dedup index hands out no refs to
   // dead chunks). Re-write content overlapping the crashed commit's data as
-  // dedup bait.
+  // dedup bait. The restarted instance starts with a fresh cache.
   auto restarted = std::make_unique<core::MirrorDevice>(
       *rig.repo, rig.host, *rig.disks[3], 100, st->ckpt, latest,
-      mirror_config(), nullptr, rig.reducer.get());
+      mirror_config(), rig.fresh_cache(), nullptr, rig.reducer.get());
   restarted->set_checkpoint_blob(st->ckpt, latest);
   st->ref = st->expected.at(latest);
   rig.run([](FlushRig* rig, Rng* rng, core::MirrorDevice* m,
@@ -756,11 +768,11 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   // attached nodes; with 2, each member seals into a width-1 group whose
   // parity block lives on the *other* node — a peer-held replica).
   auto m0 = std::make_unique<core::MirrorDevice>(
-      *rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1, mcfg, nullptr,
-      nullptr);
+      *rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1, mcfg,
+      rig.fresh_cache());
   auto m1 = std::make_unique<core::MirrorDevice>(
       *rig.repo, static_cast<net::NodeId>(rig.host - 1), *rig.disks[3], 101,
-      rig.base, 1, mcfg, nullptr, nullptr);
+      rig.base, 1, mcfg, rig.fresh_cache());
 
   // Baseline: both nodes publish a snapshot; the drains encode parity.
   blob::BlobId ckpt0 = 0;
@@ -822,7 +834,8 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   rig.run([&]() -> Task<> {
     blob::BlobClient client(*rig.store, rig.host);
     const blob::BlobMeta meta = co_await client.stat(ckpt0);
-    (void)gc.collect(ckpt0, meta.latest());
+    std::vector<blob::GarbageCollector::Drop> drops{{ckpt0, meta.latest()}};
+    (void)co_await gc.collect(std::move(drops));
   }());
   EXPECT_GT(mgr.stats().groups_dropped, dropped_before)
       << "GC reclaim never invalidated the superseded parity groups";

@@ -94,8 +94,9 @@ TEST_P(MirrorSnapshotPropertyTest, EveryCommittedVersionStaysIntact) {
 
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
+  core::DecodedChunkCache cache(512 * common::kMiB);
   core::MirrorDevice mirror(*rig.repo, rig.host, *rig.disks[4], 99,
-                            rig.base, 1, mcfg, nullptr);
+                            rig.base, 1, mcfg, cache);
 
   struct Snapshot {
     blob::VersionId version = 0;
@@ -186,8 +187,9 @@ TEST_P(AsyncCommitPropertyTest, PublishedVersionNeverContainsLaterWrites) {
   mcfg.capacity = kImage;
   mcfg.flush.enabled = true;
   mcfg.flush.max_pending = 3;
+  core::DecodedChunkCache cache(512 * common::kMiB);
   core::MirrorDevice mirror(*rig.repo, rig.host, *rig.disks[4], 99,
-                            rig.base, 1, mcfg, nullptr);
+                            rig.base, 1, mcfg, cache);
 
   struct Snapshot {
     blob::VersionId version = 0;

@@ -86,6 +86,14 @@ ReductionConfig all_on() {
   return cfg;
 }
 
+/// One GC epoch that drops `blob`'s versions below `keep_from`.
+Task<GarbageCollector::Result> collect(BlobStore& store, BlobId blob,
+                                       VersionId keep_from) {
+  GarbageCollector gc(store);
+  std::vector<GarbageCollector::Drop> drops{{blob, keep_from}};
+  co_return co_await gc.collect(std::move(drops));
+}
+
 /// Commits `data` at `offset` through the reduction pipeline.
 Task<VersionId> write_reduced(BlobClient& client, Reducer& red, BlobId blob,
                               std::uint64_t offset, Buffer data) {
@@ -218,8 +226,8 @@ TEST(ReduceTest, GcRefcountsSharedChunksAndInvalidatesIndex) {
 
     // Drop A v1. Its chunks are still referenced by B v1, so the sweep
     // must keep them.
-    GarbageCollector gc(*tc->store);
-    const GarbageCollector::Result r = gc.collect(*pa, 2);
+    const GarbageCollector::Result r =
+        co_await collect(*tc->store, *pa, 2);
     EXPECT_EQ(r.chunks_deleted, 0u);
     EXPECT_EQ(r.chunks_kept_shared, 2u);
     const Buffer back = co_await b.read(*pb, 1, 0, shared->size());
@@ -234,8 +242,8 @@ TEST(ReduceTest, GcRefcountsSharedChunksAndInvalidatesIndex) {
             const Buffer* other, BlobId* pb, bool* rewrite_ok) -> Task<> {
     BlobClient b(*tc->store, tc->client_node);
     (void)co_await write_reduced(b, *red, *pb, 0, *other);
-    GarbageCollector gc(*tc->store);
-    const GarbageCollector::Result r = gc.collect(*pb, 2);
+    const GarbageCollector::Result r =
+        co_await collect(*tc->store, *pb, 2);
     EXPECT_EQ(r.chunks_deleted, 2u);
     EXPECT_EQ(r.reclaimed_bytes, 2 * kChunk);
 
@@ -288,8 +296,8 @@ TEST(ReduceTest, InFlightDedupRefPinsChunkAgainstGc) {
         }(&b, red, blob_b, mixed));
     co_await tc->sim.delay(5 * sim::kMillisecond);  // mid-commit
     EXPECT_FALSE(commit->finished());
-    GarbageCollector gc(*tc->store);
-    const GarbageCollector::Result r = gc.collect(blob_a, 2);
+    const GarbageCollector::Result r =
+        co_await collect(*tc->store, blob_a, 2);
     EXPECT_EQ(r.chunks_deleted, 0u);
     EXPECT_EQ(r.chunks_kept_shared, 2u);
 
@@ -300,7 +308,8 @@ TEST(ReduceTest, InFlightDedupRefPinsChunkAgainstGc) {
     // Once the commit published, its version's tree holds the references;
     // the pins are released and a later GC still keeps the chunks because
     // they are reachable from blob B.
-    const GarbageCollector::Result r2 = gc.collect(blob_a, 2);
+    const GarbageCollector::Result r2 =
+        co_await collect(*tc->store, blob_a, 2);
     EXPECT_EQ(r2.chunks_deleted, 0u);
   }(&tc, &red, &shared, &other, &mixed, &read_ok));
   EXPECT_TRUE(read_ok);
@@ -339,8 +348,8 @@ TEST(ReduceTest, PinsHeldThroughMetadataPublish) {
     // nothing stores; ~1.9 ms: publish completes. Land in between.
     co_await tc->sim.delay(1600 * sim::kMicrosecond);
     EXPECT_FALSE(commit->finished());
-    GarbageCollector gc(*tc->store);
-    const GarbageCollector::Result r = gc.collect(blob_a, 2);
+    const GarbageCollector::Result r =
+        co_await collect(*tc->store, blob_a, 2);
     EXPECT_EQ(r.chunks_deleted, 0u);
     EXPECT_EQ(r.chunks_kept_shared, 2u);
 

@@ -217,7 +217,9 @@ TEST(RepairTest, CollectedChunksLeaveTheirRepairedHomes) {
     const VersionId v2 =
         co_await client.write(blob, 0, Buffer::pattern(64 * 1024, 6));
     GarbageCollector gc(*c->store);
-    const GarbageCollector::Result reclaimed = gc.collect(blob, v2);
+    std::vector<GarbageCollector::Drop> drops{{blob, v2}};
+    const GarbageCollector::Result reclaimed =
+        co_await gc.collect(std::move(drops));
     EXPECT_EQ(reclaimed.chunks_deleted, 64u);
     EXPECT_EQ(c->store->total_stored_bytes(), 2u * 64 * 1024);
     EXPECT_EQ(c->store->provider_manager().placements().size(), 64u);

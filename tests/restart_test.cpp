@@ -45,6 +45,9 @@ struct ReducedRig {
   net::NodeId host_a = 0;   // mirror hosts: the last three nodes
   net::NodeId host_b = 0;
   net::NodeId host_c = 0;
+  /// One decoded-chunk cache per mirror built here, as a standalone host
+  /// has; the rig outlives every bus and parity tier that indexes them.
+  std::vector<std::unique_ptr<DecodedChunkCache>> caches;
 
   ReducedRig() {
     const std::size_t n_data = 4;
@@ -108,6 +111,12 @@ struct ReducedRig {
     }(this));
   }
 
+  DecodedChunkCache& fresh_cache() {
+    caches.push_back(std::make_unique<DecodedChunkCache>(512 * common::kMiB));
+    return *caches.back();
+  }
+
+  /// A mirror on `host` over `cache`, or over a fresh cache of its own.
   std::unique_ptr<MirrorDevice> make_mirror(net::NodeId host,
                                             PrefetchBus* bus = nullptr,
                                             DecodedChunkCache* cache =
@@ -115,9 +124,9 @@ struct ReducedRig {
     MirrorDevice::Config cfg;
     cfg.capacity = kImage;
     const std::size_t disk_idx = 4 + (host % 3);
-    return std::make_unique<MirrorDevice>(*repo, host, *disks[disk_idx],
-                                          90 + host, base, 1, cfg, bus,
-                                          nullptr, cache);
+    return std::make_unique<MirrorDevice>(
+        *repo, host, *disks[disk_idx], 90 + host, base, 1, cfg,
+        cache != nullptr ? *cache : fresh_cache(), bus);
   }
 
   void run(Task<> t) {

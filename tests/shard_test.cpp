@@ -390,14 +390,15 @@ TEST(ShardTest, EpochGcKeepsChunksPinnedByParkedCommit) {
     // Concurrent sweep while B is parked: drop v1, keep v2. X's chunks are
     // candidates (only v1's dropped tree references them) but pinned.
     blob::GarbageCollector gc(*tc->store);
-    *gc1 = co_await gc.collect_concurrent(blob_a, 2);
+    std::vector<blob::GarbageCollector::Drop> drops{{blob_a, 2}};
+    *gc1 = co_await gc.collect(drops);
 
     resume.set();
     while (!done) co_await tc->sim.delay(100 * sim::kMicrosecond);
 
     // Second sweep after B published: v1 is already tombstoned, X's chunks
     // are live via B's tree, and nothing further is reclaimable.
-    *gc2 = co_await gc.collect_concurrent(blob_a, 2);
+    *gc2 = co_await gc.collect(drops);
     const Buffer back = co_await b.read(blob_b, vb, 0, x.size());
     *b_ok = (back == x);
   }(&tc, &red, &gc1, &gc2, &b_ok));
@@ -418,29 +419,18 @@ TEST(ShardTest, EpochGcKeepsChunksPinnedByParkedCommit) {
 // --- GC epochs: one walk per node, against the reference collector -----------
 
 // ReferenceCollector is GarbageCollector as it was before its epochs kept
-// one bit per tree node: the mark keeps one visited set per version-manager
-// shard, so a subtree that blobs in several shards share is walked once per
-// shard, and the candidate walk has its own set and copies every chunk of
-// the dropped trees into the candidates, shared or not. Seeded scripts run
-// on two identical clusters, one collected by GarbageCollector and one by
-// the reference, and every epoch must sweep the same chunks.
+// one bit per tree node and took several drops: one epoch drops one blob's
+// versions, the mark keeps one visited set per version-manager shard, so a
+// subtree that blobs in several shards share is walked once per shard, and
+// the candidate walk has its own set and copies every chunk of the dropped
+// trees into the candidates, shared or not. Seeded scripts run on two
+// identical clusters, one collected by GarbageCollector and one by the
+// reference, and every round must sweep the same chunks.
 class ReferenceCollector {
  public:
   using Result = blob::GarbageCollector::Result;
 
   explicit ReferenceCollector(BlobStore& store) : store_(&store) {}
-
-  Result collect(BlobId blob, VersionId keep_from) {
-    Epoch e = open_epoch(blob, keep_from);
-    const std::size_t shards = store_->version_manager().shard_count();
-    for (std::size_t s = 0; s < shards; ++s) mark_shard(s, e);
-    e.result.mark_slices = 1;
-    collect_candidates(e);
-    finalize(e);
-    erase_range(e, 0, e.swept.size());
-    e.result.sweep_batches = 1;
-    return e.result;
-  }
 
   Task<Result> collect_concurrent(BlobId blob, VersionId keep_from) {
     Epoch e = open_epoch(blob, keep_from);
@@ -614,15 +604,45 @@ struct Lineage {
   VersionId floor = 1;
 };
 
-/// One GC epoch of a script: the collector's result and what the store
-/// holds right after it.
+using Drops = std::vector<blob::GarbageCollector::Drop>;
+
+/// Every drop of one script round: one epoch on the library, one epoch per
+/// drop (in list order) on the reference.
+Task<blob::GarbageCollector::Result> collect_round(blob::GarbageCollector& gc,
+                                                   Drops drops) {
+  co_return co_await gc.collect(std::move(drops));
+}
+
+Task<ReferenceCollector::Result> collect_round(ReferenceCollector& gc,
+                                               Drops drops) {
+  ReferenceCollector::Result sum;
+  for (const blob::GarbageCollector::Drop& d : drops) {
+    const ReferenceCollector::Result r =
+        co_await gc.collect_concurrent(d.blob, d.keep_from);
+    sum.reclaimed_bytes += r.reclaimed_bytes;
+    sum.chunks_deleted += r.chunks_deleted;
+    sum.chunks_kept_shared += r.chunks_kept_shared;
+    sum.deferred_post_epoch += r.deferred_post_epoch;
+    sum.mark_slices += r.mark_slices;
+    sum.sweep_batches += r.sweep_batches;
+  }
+  co_return sum;
+}
+
+/// One GC round of a script: the collector's (summed) result and what the
+/// store holds right after it.
 struct EpochRecord {
+  /// Blobs the round dropped versions of.
+  std::size_t drops = 0;
   blob::GarbageCollector::Result result;
   std::uint64_t stored_bytes = 0;
   /// (provider index, chunk id) of every chunk a provider holds.
   std::vector<std::pair<std::size_t, blob::ChunkId>> chunks;
   /// Every version at or above its blob's floor read back bit-exactly.
   bool reads_exact = false;
+  /// Every version the round dropped resolves to the garbage-collected
+  /// error.
+  bool dropped_gone = false;
   /// A reduced commit sat parked at PrePublish through the epoch.
   bool parked_commit = false;
   /// nodes_to_walk() just before the epoch.
@@ -640,6 +660,27 @@ std::vector<std::pair<std::size_t, blob::ChunkId>> chunks_held(
     }
   }
   return out;
+}
+
+/// True when every version below each drop's keep_from reads as
+/// garbage-collected. A fresh client: a client caches the versions it
+/// resolved, and the script's client read these before they were dropped.
+Task<bool> dropped_gone(TestCluster& tc, const Drops& drops) {
+  BlobClient client(*tc.store, tc.client_node);
+  bool gone = true;
+  for (const blob::GarbageCollector::Drop& d : drops) {
+    for (VersionId v = 1; v < d.keep_from; ++v) {
+      bool collected = false;
+      try {
+        (void)co_await client.read(d.blob, v, 0, kChunk);
+      } catch (const blob::BlobError& e) {
+        collected = std::string(e.what()).find("garbage-collected") !=
+                    std::string::npos;
+      }
+      gone = gone && collected;
+    }
+  }
+  co_return gone;
 }
 
 Task<bool> reads_exact(BlobClient& client, const std::vector<Lineage>& blobs) {
@@ -675,17 +716,20 @@ void reach(BlobStore& store, blob::NodeRef root,
 }
 
 /// What one epoch must walk: the distinct nodes reachable from the live
-/// roots plus the nodes that only the dropped versions (`target`'s below
-/// `keep_from`) hold.
-std::size_t nodes_to_walk(BlobStore& store, BlobId target,
-                          VersionId keep_from) {
+/// roots plus the nodes that only the dropped versions (each drop's blob's
+/// below its keep_from) hold.
+std::size_t nodes_to_walk(BlobStore& store, const Drops& drops) {
   std::unordered_set<blob::NodeRef> live;
   std::unordered_set<blob::NodeRef> dropped;
   store.version_manager().for_each_blob([&](const blob::BlobMeta& m) {
     for (const blob::VersionInfo& v : m.versions) {
       if (v.pending || v.root == 0) continue;
-      reach(store, v.root,
-            m.id == target && v.id < keep_from ? dropped : live);
+      const bool gone = std::any_of(
+          drops.begin(), drops.end(),
+          [&](const blob::GarbageCollector::Drop& d) {
+            return d.blob == m.id && v.id < d.keep_from;
+          });
+      reach(store, v.root, gone ? dropped : live);
     }
   });
   std::size_t n = live.size();
@@ -695,9 +739,9 @@ std::size_t nodes_to_walk(BlobStore& store, BlobId target,
 
 /// The seeded script: a base blob, clones until every version-manager shard
 /// holds one, then rounds of random chunk rewrites (reduced or plain) and
-/// one retention drop per round through collect() or collect_concurrent().
-/// In round 2 a reduced commit parks at PrePublish holding dedup pins on
-/// chunks that only the dropped versions hold, across the sweep.
+/// one GC round each, which drops versions of one blob or of 2-3 distinct
+/// blobs. In round 2 a reduced commit parks at PrePublish holding dedup
+/// pins on chunks that only the dropped versions hold, across the sweep.
 template <class Collector>
 Task<> gc_script(TestCluster* tc, std::uint64_t seed,
                  std::vector<EpochRecord>* log) {
@@ -764,14 +808,13 @@ Task<> gc_script(TestCluster* tc, std::uint64_t seed,
         co_await resume.wait();
       }
     };
-    std::size_t t = 0;
-    VersionId keep_from = 0;
+    Drops drops;
     if (round == 2) {
       // Fresh content lands in one version of a blob and is overwritten by
       // the next, so only the version this sweep drops holds it. A reduced
       // commit of that content to another blob dedups onto those chunks
       // and parks at PrePublish: its pins alone keep them.
-      t = rng.uniform(blobs.size());
+      const std::size_t t = rng.uniform(blobs.size());
       Lineage& target = blobs[t];
       const std::vector<std::size_t> fresh_chunks{0, 1, 2, 3};
       parked_image = target.versions.back();
@@ -788,7 +831,8 @@ Task<> gc_script(TestCluster* tc, std::uint64_t seed,
       }
       co_await commit_chunks(client, &red, target.id, next, fresh_chunks);
       target.versions.push_back(std::move(next));
-      keep_from = static_cast<VersionId>(target.versions.size());
+      drops.push_back(
+          {target.id, static_cast<VersionId>(target.versions.size())});
 
       parked_on = &blobs[(t + 1) % blobs.size()];
       tc->sim.spawn(
@@ -807,25 +851,35 @@ Task<> gc_script(TestCluster* tc, std::uint64_t seed,
         if (blobs[i].floor < blobs[i].versions.size()) droppable.push_back(i);
       }
       if (droppable.empty()) continue;
-      t = droppable[rng.uniform(droppable.size())];
-      keep_from = static_cast<VersionId>(
-          blobs[t].floor + 1 +
-          rng.uniform(blobs[t].versions.size() - blobs[t].floor));
+      // Half the rounds drop 2-3 distinct blobs at once.
+      std::size_t n = 1;
+      if (droppable.size() > 1 && rng.chance(0.5)) {
+        n = std::min<std::size_t>(droppable.size(), 2 + rng.uniform(2));
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        std::swap(droppable[k],
+                  droppable[k + rng.uniform(droppable.size() - k)]);
+        const Lineage& l = blobs[droppable[k]];
+        drops.push_back({l.id, static_cast<VersionId>(
+                                   l.floor + 1 +
+                                   rng.uniform(l.versions.size() - l.floor))});
+      }
     }
-    Lineage& target = blobs[t];
 
     EpochRecord rec;
+    rec.drops = drops.size();
     rec.parked_commit = parked_on != nullptr;
-    rec.nodes_to_walk = nodes_to_walk(*tc->store, target.id, keep_from);
-    if (rng.chance(0.5)) {
-      rec.result = gc.collect(target.id, keep_from);
-    } else {
-      rec.result = co_await gc.collect_concurrent(target.id, keep_from);
+    rec.nodes_to_walk = nodes_to_walk(*tc->store, drops);
+    rec.result = co_await collect_round(gc, drops);
+    for (const blob::GarbageCollector::Drop& d : drops) {
+      for (Lineage& l : blobs) {
+        if (l.id == d.blob) l.floor = d.keep_from;
+      }
     }
-    target.floor = keep_from;
     rec.stored_bytes = tc->store->total_stored_bytes();
     rec.chunks = chunks_held(*tc);
     rec.reads_exact = co_await reads_exact(client, blobs);
+    rec.dropped_gone = co_await dropped_gone(*tc, drops);
     log->push_back(std::move(rec));
 
     if (parked_on != nullptr) {
@@ -847,10 +901,13 @@ std::vector<EpochRecord> run_gc_script(std::uint64_t seed,
   return log;
 }
 
-// Every epoch sweeps exactly what the reference sweeps, over seeds, shard
+// Every round sweeps exactly what the reference sweeps, over seeds, shard
 // counts and a zone-1 store whose ids start at 1 + (1 << 48): the same
 // bytes and chunks go, the same chunks stay on each provider, every kept
-// version reads back bit-exactly, and the slices and batches match. The
+// version reads back bit-exactly and every dropped one as garbage-
+// collected. A single-drop round is one epoch on both sides, so the slices
+// and batches match too; a multi-drop round is one epoch on the library
+// (one mark slice per shard) against one per drop on the reference. The
 // library's candidates hold no subtree a live tree shares, so it can only
 // count fewer chunks kept shared, and it walks each reachable node once.
 TEST(GcEpochTest, MatchesReferenceCollector) {
@@ -868,6 +925,8 @@ TEST(GcEpochTest, MatchesReferenceCollector) {
 
   std::size_t deleted = 0;
   std::size_t kept_shared = 0;
+  std::size_t multi_rounds = 0;
+  std::size_t multi_deleted = 0;
   for (const Run& run : runs) {
     SCOPED_TRACE(common::strf("seed %llu, %zu shards, zone %u",
                               static_cast<unsigned long long>(run.seed),
@@ -881,27 +940,39 @@ TEST(GcEpochTest, MatchesReferenceCollector) {
       return r.parked_commit;
     }));
     for (std::size_t i = 0; i < lib.size(); ++i) {
-      SCOPED_TRACE("epoch " + std::to_string(i));
+      SCOPED_TRACE(common::strf("round %zu, %zu drops", i, lib[i].drops));
+      ASSERT_EQ(lib[i].drops, ref[i].drops);
       const blob::GarbageCollector::Result& a = lib[i].result;
       const blob::GarbageCollector::Result& b = ref[i].result;
       EXPECT_EQ(a.reclaimed_bytes, b.reclaimed_bytes);
       EXPECT_EQ(a.chunks_deleted, b.chunks_deleted);
       EXPECT_EQ(a.deferred_post_epoch, b.deferred_post_epoch);
-      EXPECT_EQ(a.mark_slices, b.mark_slices);
-      EXPECT_EQ(a.sweep_batches, b.sweep_batches);
+      if (lib[i].drops == 1) {
+        EXPECT_EQ(a.mark_slices, b.mark_slices);
+        EXPECT_EQ(a.sweep_batches, b.sweep_batches);
+      } else {
+        EXPECT_EQ(a.mark_slices, run.version_shards);
+        ++multi_rounds;
+        multi_deleted += a.chunks_deleted;
+      }
       EXPECT_LE(a.chunks_kept_shared, b.chunks_kept_shared);
       EXPECT_EQ(a.nodes_walked, lib[i].nodes_to_walk);
       EXPECT_EQ(lib[i].stored_bytes, ref[i].stored_bytes);
       EXPECT_EQ(lib[i].chunks, ref[i].chunks);
       EXPECT_TRUE(lib[i].reads_exact);
       EXPECT_TRUE(ref[i].reads_exact);
+      EXPECT_TRUE(lib[i].dropped_gone);
+      EXPECT_TRUE(ref[i].dropped_gone);
       deleted += b.chunks_deleted;
       kept_shared += b.chunks_kept_shared;
     }
   }
-  // The scripts exercise both outcomes: chunks swept and chunks kept.
+  // The scripts exercise both outcomes, chunks swept and chunks kept, and
+  // multi-drop rounds that sweep.
   EXPECT_GT(deleted, 0u);
   EXPECT_GT(kept_shared, 0u);
+  EXPECT_GT(multi_rounds, 0u);
+  EXPECT_GT(multi_deleted, 0u);
 }
 
 // One epoch walks each tree node once, whatever the shard count: the
@@ -953,7 +1024,8 @@ TEST(GcEpochTest, WalksEachNodeOncePerEpoch) {
       // nodes of each shard and every node of the dropped trees.
       const BlobId target = clones[0];
       const VersionId keep_from = 3;
-      *expected = nodes_to_walk(*tc->store, target, keep_from);
+      const Drops drops{{target, keep_from}};
+      *expected = nodes_to_walk(*tc->store, drops);
       std::unordered_set<blob::NodeRef> dropped;
       for (std::size_t s = 0; s < vm.shard_count(); ++s) {
         std::unordered_set<blob::NodeRef> shard_live;
@@ -968,7 +1040,7 @@ TEST(GcEpochTest, WalksEachNodeOncePerEpoch) {
       *per_shard_walks += dropped.size();
 
       blob::GarbageCollector gc(*tc->store);
-      *result = co_await gc.collect_concurrent(target, keep_from);
+      *result = co_await gc.collect(drops);
     }(&tc, &expected, &per_shard_walks, &result));
     EXPECT_EQ(result.nodes_walked, expected);
     EXPECT_EQ(result.mark_slices, shards);
@@ -1034,7 +1106,8 @@ TEST(GcEpochTest, KilledSweepClosesItsEpoch) {
     blob::GarbageCollector gc(*tc->store);
     sim::ProcessPtr sweep = tc->sim.spawn(
         "sweep", [](blob::GarbageCollector* gc, BlobId blob) -> Task<> {
-          (void)co_await gc->collect_concurrent(blob, 2);
+          Drops drops{{blob, 2}};
+          (void)co_await gc->collect(std::move(drops));
         }(&gc, blob));
     co_await tc->sim.yield();  // the sweep opens its epoch and yields
     EXPECT_FALSE(sweep->finished());
