@@ -4,8 +4,8 @@
 The CI release leg runs the restart-path AND commit-path benches under
 BLOBCR_BENCH_FAST=1 and calls this script; the build fails when restart
 makespan, repository-bytes-fetched, shipped snapshot bytes, commit
-blocked-time or the multi-tenant headline metrics regress beyond the
-tolerance band, or when a bit-exactness / invariant check (the `verified`
+blocked-time, the multi-tenant headline metrics or the bytes snapshot GC
+reclaims regress beyond the tolerance band, or when a bit-exactness / invariant check (the `verified`
 counter) flips to 0.
 
 Both sides are *simulated* results, so run-to-run noise is zero for an
@@ -85,6 +85,10 @@ HIGHER_IS_BETTER = {
     # Federation: hot-chunk replication's zone-loss restart speedup over
     # floor-only replication at the same zone count.
     "zone_loss_speedup": ("zone-loss hot-replication speedup [x]", 0.05),
+    # Snapshot GC: repository bytes one retention pass reclaims (the one
+    # bench that runs GarbageCollector::collect end to end). A GC that
+    # stops reclaiming fails; the slack covers rows that reclaim nothing.
+    "reclaimed_MB": ("GC reclaimed bytes [MB]", 0.5),
 }
 # Default file set: the restart- and commit-path benches the gate protects.
 DEFAULT_FILES = [
@@ -99,6 +103,7 @@ DEFAULT_FILES = [
     "BENCH_ablation_shard_sweep.json",
     "BENCH_ablation_federation.json",
     "BENCH_ablation_qos_e2e.json",
+    "BENCH_ablation_gc.json",
 ]
 
 

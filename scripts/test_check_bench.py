@@ -182,6 +182,24 @@ def test_commit_p95_is_gated_lower_better(tmp_path):
     assert run_gate(tmp_path, fresh_bad, base) == 1
 
 
+def test_gc_reclaimed_mb_is_gated_higher_better(tmp_path):
+    # ablation_gc's baseline rows: 6.29 MB at keep_last 1, 0.0 at keep_last
+    # 4. The floor for 6.29 is 6.29*0.75 - 0.5 = 4.2175; the slack keeps the
+    # 0.0 row passing; a GC that stops reclaiming fails; more never fails.
+    base = {"AblationGc/keep_last:1": {"reclaimed_MB": 6.29},
+            "AblationGc/keep_last:4": {"reclaimed_MB": 0.0}}
+    fresh_ok = {"AblationGc/keep_last:1": {"reclaimed_MB": 4.3},
+                "AblationGc/keep_last:4": {"reclaimed_MB": 0.0}}
+    fresh_more = {"AblationGc/keep_last:1": {"reclaimed_MB": 9.0},
+                  "AblationGc/keep_last:4": {"reclaimed_MB": 1.0}}
+    fresh_bad = {"AblationGc/keep_last:1": {"reclaimed_MB": 0.0},
+                 "AblationGc/keep_last:4": {"reclaimed_MB": 0.0}}
+    assert run_gate(tmp_path, fresh_ok, base) == 0
+    assert run_gate(tmp_path, fresh_more, base) == 0
+    assert run_gate(tmp_path, fresh_bad, base) == 1
+    assert "BENCH_ablation_gc.json" in check_bench.DEFAULT_FILES
+
+
 def test_summary_table_is_written(tmp_path):
     base = {"Fig3/p": {"restart_s": 10.0, "verified": 1},
             "Sweep/t1000/s16": {"index_lookups_per_s": 100000.0}}

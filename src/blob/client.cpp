@@ -655,15 +655,4 @@ sim::Task<std::vector<BlobClient::ChunkRef>> BlobClient::resolve_chunks(
   co_return refs;
 }
 
-sim::Task<> BlobClient::prefetch_metadata(BlobId blob, VersionId version,
-                                          std::uint64_t offset,
-                                          std::uint64_t len) {
-  const VersionEntry entry = co_await resolve(blob, version);
-  if (entry.root == 0 || len == 0) co_return;
-  const std::uint64_t chunk_size = entry.chunk_size;
-  const std::uint64_t lo_chunk = offset / chunk_size;
-  const std::uint64_t hi_chunk = (offset + len + chunk_size - 1) / chunk_size;
-  co_await descend(entry.root, capacity_chunks(), lo_chunk, hi_chunk, nullptr);
-}
-
 }  // namespace blobcr::blob

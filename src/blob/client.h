@@ -173,11 +173,6 @@ class BlobClient {
   static common::Buffer decode_stored(const ChunkLocation& loc,
                                       common::Buffer stored);
 
-  /// Warms this client's metadata cache for a byte range (used by restart's
-  /// lazy-fetch path to avoid per-block metadata stalls).
-  sim::Task<> prefetch_metadata(BlobId blob, VersionId version,
-                                std::uint64_t offset, std::uint64_t len);
-
   /// Chunk size of `blob` when this client has already resolved it (the
   /// create/commit/read paths all cache it); 0 for an unseen blob.
   std::uint64_t known_chunk_size(BlobId blob) const {

@@ -16,9 +16,10 @@
 // racing it:
 //
 //  1. Epoch open: record the chunk-id horizon (the store's next chunk id).
-//     Chunks born after the open are never touched this epoch. Digest
-//     indexes start logging every dedup hit (BlobStore::notify_gc_epoch);
-//     in-flight pins are folded into the live set now AND at finalize.
+//     Chunks born after the open are never touched this epoch. The store's
+//     GC observers hear the open (BlobStore::notify_gc_epoch), so the digest
+//     indexes start logging every dedup hit; the observers' pins (in-flight
+//     dedup Refs) are folded into the live set now AND at finalize.
 //  2. Incremental mark: live chunks from every published tree, one version-
 //     manager shard per slice. The epoch keeps one bit per tree node of the
 //     store (indexed by NodeRef − the store's first ref) and walks a node
@@ -43,7 +44,7 @@
 //     placement registry says each chunk lives now, and drop its entry.
 //
 // Why each racing reference is covered: a Ref taken before the epoch opened
-// is either still pinned at open/finalize (pin sources) or its commit
+// is either still pinned at open/finalize (the index's pins) or its commit
 // published, putting the chunk in a tree — if the mark already passed that
 // blob's shard, the Ref's lookup... cannot have happened (pre-epoch lookups
 // with post-epoch publishes hold their pin until publish, and a pin seen at
@@ -182,7 +183,7 @@ class GarbageCollector {
           for (const VersionInfo& v : meta.versions) {
             // root == 0 covers tombstones and pending (async-reserved)
             // slots: an in-flight drain's version has no tree yet; its
-            // chunk references are protected by the reducer's pins and the
+            // chunk references are protected by the index's pins and the
             // epoch hit log, and its freshly-stored chunks are above the
             // horizon, so the sweep can never touch them.
             if (v.pending || v.root == 0) continue;
@@ -204,8 +205,8 @@ class GarbageCollector {
   }
 
   void finalize(Epoch& e) {
-    // Fresh pins + the epoch hit log (the indexes surface logged hits
-    // through the same pin-source interface).
+    // Fresh pins + the epoch hit log (the indexes report both through
+    // GcObserver::collect_pins).
     store_->collect_pinned_chunks(e.live);
     std::vector<ChunkId> swept_ids;
     for (const auto& [cid, loc] : e.dropped) {

@@ -51,16 +51,17 @@ class CommitReducer {
                               std::uint32_t stored_size) = 0;
   virtual void account_aliased(std::uint32_t raw_size) = 0;
 
-  /// A dedup Ref pins its chunk inside reduce() (the reference is invisible
-  /// to the GC until the version publishes); the committing client releases
-  /// all of a commit's pins once the commit has published or failed.
-  virtual void release_refs(const std::vector<ChunkId>& ids) { (void)ids; }
+  /// A dedup Ref pins its chunk inside reduce(), in the index that handed
+  /// it out (the reference is invisible to the GC until the version
+  /// publishes); the committing client releases all of a commit's pins once
+  /// the commit has published or failed.
+  virtual void release_refs(const std::vector<ChunkId>& ids) = 0;
 
   /// A failed commit withdraws the chunks it had announced via committed():
   /// its version never published, so no tree references them, and leaving
   /// them indexed would hand out dedup Refs to orphans the GC can never
   /// reclaim.
-  virtual void forget_indexed(const std::vector<ChunkId>& ids) { (void)ids; }
+  virtual void forget_indexed(const std::vector<ChunkId>& ids) = 0;
 };
 
 }  // namespace blobcr::blob

@@ -13,7 +13,6 @@
 // orchestrates; the data never passes through it).
 #pragma once
 
-#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -71,8 +70,12 @@ class RepairService {
       const int deficit = target_replication - static_cast<int>(live.size());
       if (deficit <= 0) continue;
 
-      std::vector<net::NodeId> homes = pick_destinations(
-          live, static_cast<std::size_t>(deficit), placement.size);
+      // The least-loaded live providers that do not hold it yet.
+      std::vector<net::NodeId> homes;
+      for (const DataProvider* p : store_->least_loaded_providers(live)) {
+        if (homes.size() == static_cast<std::size_t>(deficit)) break;
+        homes.push_back(p->node());
+      }
       if (homes.size() < static_cast<std::size_t>(deficit))
         ++report.unrepairable;
       if (homes.empty()) continue;
@@ -115,35 +118,6 @@ class RepairService {
   }
 
  private:
-  /// Least-loaded live providers that do not already hold the chunk.
-  std::vector<net::NodeId> pick_destinations(
-      const std::vector<net::NodeId>& holders, std::size_t count,
-      std::uint32_t size) {
-    struct Candidate {
-      DataProvider* provider;
-      std::uint64_t load;
-    };
-    std::vector<Candidate> candidates;
-    for (const auto& p : store_->providers()) {
-      if (!p->alive()) continue;
-      if (std::find(holders.begin(), holders.end(), p->node()) !=
-          holders.end())
-        continue;
-      candidates.push_back({p.get(), p->stored_bytes()});
-    }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.load < b.load;
-                     });
-    std::vector<net::NodeId> out;
-    for (const Candidate& c : candidates) {
-      if (out.size() == count) break;
-      out.push_back(c.provider->node());
-      (void)size;
-    }
-    return out;
-  }
-
   sim::Task<> copy_chunk(ChunkId id, net::NodeId src, net::NodeId dst,
                          net::TenantId tenant, Report* report) {
     DataProvider* source = store_->provider_at(src);

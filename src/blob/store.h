@@ -4,8 +4,8 @@
 // aggregates part of every compute node's local disk).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -101,6 +101,24 @@ class BlobStore {
   }
   const std::vector<std::unique_ptr<DataProvider>>& providers() const {
     return providers_;
+  }
+
+  /// Where new copies go: the live providers not on `exclude`, least
+  /// stored bytes first, ties in construction order.
+  std::vector<DataProvider*> least_loaded_providers(
+      const std::vector<net::NodeId>& exclude = {}) const {
+    std::vector<DataProvider*> out;
+    for (const auto& p : providers_) {
+      if (p->alive() && std::find(exclude.begin(), exclude.end(),
+                                  p->node()) == exclude.end()) {
+        out.push_back(p.get());
+      }
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const DataProvider* a, const DataProvider* b) {
+                       return a->stored_bytes() < b->stored_bytes();
+                     });
+    return out;
   }
 
   /// Fail-stop of a compute node takes its data provider down with it.
@@ -216,60 +234,25 @@ class BlobStore {
     return it == quotas_.end() ? kUnlimited : it->second;
   }
 
-  /// Chunk-reclaim observers: the reduction subsystem's digest indexes must
-  /// drop entries for chunks the garbage collector deletes, otherwise a
-  /// later dedup hit would reference reclaimed (lost) content. Hooks are
-  /// deployment-scoped objects with shorter lifetimes than the store, hence
-  /// the id-based deregistration.
-  using ChunkReclaimHook = std::function<void(const std::vector<ChunkId>&)>;
-  std::uint64_t add_chunk_reclaim_hook(ChunkReclaimHook hook) {
-    const std::uint64_t id = ++next_hook_id_;
-    reclaim_hooks_.emplace_back(id, std::move(hook));
-    return id;
-  }
-  void remove_chunk_reclaim_hook(std::uint64_t id) {
-    std::erase_if(reclaim_hooks_,
-                  [id](const auto& h) { return h.first == id; });
-  }
+  /// GC observers: every party that holds chunk state outside this store's
+  /// trees (GcObserver). The digest indexes drop reclaimed chunks (a stale
+  /// dedup hit would resurrect lost content), log hits while an epoch is
+  /// open and report in-flight dedup pins; the parity tier drops the groups
+  /// of reclaimed members; the federation erases their cross-zone copies.
+  /// Observers run in registration order. They may be shorter-lived than the
+  /// store, so each unregisters before it dies.
+  void add_gc_observer(GcObserver* o) { gc_observers_.push_back(o); }
+  void remove_gc_observer(GcObserver* o) { std::erase(gc_observers_, o); }
   void notify_chunks_reclaimed(const std::vector<ChunkId>& ids) {
     if (ids.empty()) return;
-    for (const auto& [id, hook] : reclaim_hooks_) hook(ids);
-  }
-
-  /// Pin sources: chunks referenced by in-flight reduced commits (a dedup
-  /// Ref taken before the version publishes is invisible to the GC's tree
-  /// walk). The GC unions every source's pins into its live set.
-  using ChunkPinSource = std::function<void(std::unordered_set<ChunkId>&)>;
-  std::uint64_t add_chunk_pin_source(ChunkPinSource source) {
-    const std::uint64_t id = ++next_hook_id_;
-    pin_sources_.emplace_back(id, std::move(source));
-    return id;
-  }
-  void remove_chunk_pin_source(std::uint64_t id) {
-    std::erase_if(pin_sources_,
-                  [id](const auto& h) { return h.first == id; });
-  }
-  void collect_pinned_chunks(std::unordered_set<ChunkId>& out) const {
-    for (const auto& [id, source] : pin_sources_) source(out);
-  }
-
-  /// Concurrent-GC epoch observers: the digest indexes log every dedup hit
-  /// served while a sweep's epoch is open (a Ref taken mid-epoch may
-  /// publish and unpin before the sweep's final pin collection — the log is
-  /// the only surviving witness). Same id-based lifecycle as the reclaim
-  /// hooks.
-  using GcEpochHook = std::function<void(bool /*open*/)>;
-  std::uint64_t add_gc_epoch_hook(GcEpochHook hook) {
-    const std::uint64_t id = ++next_hook_id_;
-    gc_epoch_hooks_.emplace_back(id, std::move(hook));
-    return id;
-  }
-  void remove_gc_epoch_hook(std::uint64_t id) {
-    std::erase_if(gc_epoch_hooks_,
-                  [id](const auto& h) { return h.first == id; });
+    for (GcObserver* o : gc_observers_) o->forget_chunks(ids);
   }
   void notify_gc_epoch(bool open) {
-    for (const auto& [id, hook] : gc_epoch_hooks_) hook(open);
+    for (GcObserver* o : gc_observers_) o->gc_epoch(open);
+  }
+  /// Unions every observer's pins into `out` (the GC's live set).
+  void collect_pinned_chunks(std::unordered_set<ChunkId>& out) const {
+    for (const GcObserver* o : gc_observers_) o->collect_pins(out);
   }
 
  private:
@@ -289,10 +272,7 @@ class BlobStore {
   ChunkId next_chunk_id_ = 1;
   NodeRef first_node_ref_ = 1;
   NodeRef next_node_ref_ = 1;
-  std::vector<std::pair<std::uint64_t, ChunkReclaimHook>> reclaim_hooks_;
-  std::vector<std::pair<std::uint64_t, ChunkPinSource>> pin_sources_;
-  std::vector<std::pair<std::uint64_t, GcEpochHook>> gc_epoch_hooks_;
-  std::uint64_t next_hook_id_ = 0;
+  std::vector<GcObserver*> gc_observers_;
 };
 
 }  // namespace blobcr::blob

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/buffer.h"
@@ -123,6 +124,29 @@ struct BlobMeta {
 struct Extent {
   std::uint64_t offset = 0;
   common::Buffer data;
+};
+
+/// A party that holds chunk state outside a store's trees and must follow
+/// that store's garbage collection (BlobStore::add_gc_observer): the digest
+/// indexes, the parity tier and the federation's cross-zone copies. Every
+/// hook does nothing by default. A store holds its observers by address, so
+/// an observer is neither copied nor moved.
+class GcObserver {
+ public:
+  GcObserver() = default;
+  GcObserver(const GcObserver&) = delete;
+  GcObserver& operator=(const GcObserver&) = delete;
+  virtual ~GcObserver() = default;
+  /// The sweep set, before the first of them is erased: drop every
+  /// reference to these chunks.
+  virtual void forget_chunks(const std::vector<ChunkId>& ids) { (void)ids; }
+  /// A GC epoch opened (true) or closed (false).
+  virtual void gc_epoch(bool open) { (void)open; }
+  /// Adds every chunk this party needs kept alive to `out` (called when an
+  /// epoch opens and again at finalize).
+  virtual void collect_pins(std::unordered_set<ChunkId>& out) const {
+    (void)out;
+  }
 };
 
 }  // namespace blobcr::blob

@@ -259,32 +259,12 @@ reduce::ChunkDigestIndex* Cloud::shared_digest_index() {
   if (shared_index_ == nullptr) {
     shared_index_ = std::make_unique<reduce::ChunkDigestIndex>(
         cfg_.reduction.index_shards);
-    // Repository-lifetime hooks (one set, owned here): entries must drop
-    // when the GC reclaims chunks, epoch logging must open/close with the
-    // concurrent sweep, and logged hits must count as pinned — all even
-    // while no deployment (and thus no reducer) is alive, e.g. a retention
-    // sweep between jobs.
-    // Every zone's store shares the one index — its GC must invalidate
-    // entries and its sweeps must see epoch hits just like zone 0's.
-    for (auto& s : stores_) {
-      s->add_chunk_reclaim_hook(
-          [index =
-               shared_index_.get()](const std::vector<blob::ChunkId>& ids) {
-            index->forget_chunks(ids);
-          });
-      s->add_gc_epoch_hook([index = shared_index_.get()](bool open) {
-        if (open) {
-          index->open_gc_epoch();
-        } else {
-          index->close_gc_epoch();
-        }
-      });
-      s->add_chunk_pin_source(
-          [index = shared_index_.get()](
-              std::unordered_set<blob::ChunkId>& out) {
-            index->collect_epoch_hits(out);
-          });
-    }
+    // The index observes every zone store's GC for the repository's
+    // lifetime, even while no deployment (and thus no reducer) is alive,
+    // e.g. a retention sweep between jobs: entries drop when a store
+    // reclaims their chunks, and its pins and epoch hit log reach every
+    // store's sweep.
+    for (auto& s : stores_) s->add_gc_observer(shared_index_.get());
     federation_->set_digest_index(shared_index_.get());
   }
   return shared_index_.get();
@@ -295,15 +275,11 @@ redundancy::Manager* Cloud::redundancy() {
   if (redundancy_ == nullptr) {
     redundancy_ = std::make_unique<redundancy::Manager>(
         sim_, *fabric_, cfg_.redundancy, kPeerShape);
-    // One repository-lifetime reclaim hook: GC reclaim of a member chunk
-    // invalidates its whole parity group (no orphaned parity blocks), even
-    // while no deployment is alive — e.g. a retention sweep between jobs.
-    for (auto& s : stores_) {
-      s->add_chunk_reclaim_hook(
-          [mgr = redundancy_.get()](const std::vector<blob::ChunkId>& ids) {
-            mgr->forget_chunks(ids);
-          });
-    }
+    // The tier observes every zone store's GC for the repository's
+    // lifetime: reclaiming a member chunk invalidates its whole parity group
+    // (no orphaned parity blocks), even while no deployment is alive, e.g.
+    // a retention sweep between jobs.
+    for (auto& s : stores_) s->add_gc_observer(redundancy_.get());
   }
   return redundancy_.get();
 }

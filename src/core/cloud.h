@@ -240,13 +240,15 @@ class Cloud {
   net::TenantId register_tenant(const std::string& name, double weight = 1.0);
 
   /// The repository-scoped chunk digest index shared by every deployment
-  /// whose ReductionConfig::shared_index is on (lazily created; one GC
-  /// reclaim hook, owned here, keeps it honest across deployment
-  /// lifetimes). nullptr on non-BlobCR backends.
+  /// whose ReductionConfig::shared_index is on (lazily created, and
+  /// registered then as a GC observer of every zone store, so it stays
+  /// honest across deployment lifetimes and its dedup pins reach every
+  /// store's GC). nullptr on non-BlobCR backends.
   reduce::ChunkDigestIndex* shared_digest_index();
 
-  /// The cloud-scoped peer parity redundancy tier (lazily created; one GC
-  /// reclaim hook keeps parity groups honest across deployment lifetimes).
+  /// The cloud-scoped peer parity redundancy tier (lazily created, and
+  /// registered then as a GC observer of every zone store, so parity groups
+  /// stay honest across deployment lifetimes).
   /// Like the repository, the tier outlives any single deployment: a
   /// rollback onto fresh nodes still rebuilds the dead node's chunks from
   /// the previous deployment's surviving caches. nullptr when
@@ -262,12 +264,12 @@ class Cloud {
   /// One BlobStore per availability zone, in zone-id order (empty on the
   /// PVFS baselines).
   std::vector<std::unique_ptr<blob::BlobStore>> stores_;
-  /// Declared after the stores: destroyed first, while the stores (whose
-  /// reclaim hooks reference them) never fire hooks during destruction.
+  /// Declared after the stores: destroyed first, while the stores (which
+  /// hold it as a GC observer) never notify during destruction.
   std::unique_ptr<reduce::ChunkDigestIndex> shared_index_;
   /// Same ordering contract as shared_index_.
   std::unique_ptr<redundancy::Manager> redundancy_;
-  /// Same ordering contract (holds one reclaim hook per zone store).
+  /// Same ordering contract (a GC observer of every zone store).
   std::unique_ptr<federation::Fabric> federation_;
   std::unique_ptr<pfs::PvfsCluster> pvfs_;
   std::unordered_map<net::NodeId, std::unique_ptr<DecodedChunkCache>>

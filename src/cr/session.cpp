@@ -315,16 +315,13 @@ Task<ScavengeReport> Session::scavenge() {
     }
     // Least-loaded live provider takes the restored copy (the manager's
     // usual balance policy, applied to the scavenge stream).
-    blob::DataProvider* target = nullptr;
-    for (const auto& p : store->providers()) {
-      if (!p->alive()) continue;
-      if (target == nullptr || p->stored_bytes() < target->stored_bytes())
-        target = p.get();
-    }
-    if (target == nullptr) {
+    const std::vector<blob::DataProvider*> targets =
+        store->least_loaded_providers();
+    if (targets.empty()) {
       ++rep.unrecoverable;
       continue;
     }
+    blob::DataProvider* target = targets.front();
     const auto payload =
         co_await dep_->recover_chunk_payload(core::ChunkKey::of(loc),
                                              target->node());

@@ -19,11 +19,7 @@ constexpr std::uint64_t kManifestRecordBytes = 48;
 }  // namespace
 
 Fabric::~Fabric() {
-  for (Zone& z : zones_) {
-    if (z.store != nullptr && z.reclaim_hook != 0) {
-      z.store->remove_chunk_reclaim_hook(z.reclaim_hook);
-    }
-  }
+  for (const Zone& z : zones_) z.store->remove_gc_observer(this);
 }
 
 void Fabric::add_zone(blob::BlobStore* store, net::NodeId compute_begin,
@@ -32,8 +28,7 @@ void Fabric::add_zone(blob::BlobStore* store, net::NodeId compute_begin,
   z.store = store;
   z.compute_begin = compute_begin;
   z.compute_end = compute_end;
-  z.reclaim_hook = store->add_chunk_reclaim_hook(
-      [this](const std::vector<blob::ChunkId>& ids) { drop_chunks(ids); });
+  store->add_gc_observer(this);
   zones_.push_back(z);
 }
 
@@ -76,7 +71,7 @@ std::uint32_t Fabric::buddy_of(std::uint32_t origin) const {
   return static_cast<std::uint32_t>(zones_.size());
 }
 
-void Fabric::drop_chunks(const std::vector<blob::ChunkId>& ids) {
+void Fabric::forget_chunks(const std::vector<blob::ChunkId>& ids) {
   for (const blob::ChunkId id : ids) {
     popular_.erase(id);
     const auto it = replicas_.find(id);
@@ -127,14 +122,10 @@ sim::Task<bool> Fabric::replicate_chunk(blob::ChunkLocation loc,
   std::uint32_t src_zone = 0;
   blob::DataProvider* src = find_source(loc, &src_zone);
   if (src == nullptr) co_return false;
-  blob::DataProvider* target = nullptr;
-  for (const auto& p : store(dest)->providers()) {
-    if (!p->alive()) continue;
-    if (target == nullptr || p->stored_bytes() < target->stored_bytes()) {
-      target = p.get();
-    }
-  }
-  if (target == nullptr) co_return false;
+  const std::vector<blob::DataProvider*> targets =
+      store(dest)->least_loaded_providers();
+  if (targets.empty()) co_return false;
+  blob::DataProvider* target = targets.front();
   // Background replication runs as the default tenant: it competes at the
   // provider-io gates like any other disk I/O, but no job is charged.
   const qos::IoContext ctx{net::kDefaultTenant, qos::GateClass::ProviderIo};

@@ -29,9 +29,9 @@
 // Replica copies keep their origin ChunkId (ids are globally unique across
 // zones — each store's id counters are seeded in a disjoint range), so the
 // directory here is the only extra metadata. The origin store's GC sweeps
-// only its own providers; this fabric hooks every store's reclaim
-// notifications and erases the cross-zone copies (and directory entries)
-// itself, so replicas neither leak nor dangle.
+// only its own providers; this fabric observes every store's GC
+// (blob::GcObserver) and erases the cross-zone copies (and directory
+// entries) of the chunks it sweeps, so replicas neither leak nor dangle.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +76,7 @@ struct FederationConfig {
   std::uint64_t hot_budget_bytes = 0;
 };
 
-class Fabric {
+class Fabric final : public blob::GcObserver {
  public:
   /// BlobIds carry their home zone in bits [40, 64); ChunkIds in [48, 64).
   /// Zone 0's ranges start at 1, so single-zone ids decode to 0.
@@ -85,14 +85,11 @@ class Fabric {
 
   Fabric(sim::Simulation& sim, net::Fabric& net, FederationConfig cfg)
       : sim_(&sim), net_(&net), cfg_(cfg) {}
-  ~Fabric();
-
-  Fabric(const Fabric&) = delete;
-  Fabric& operator=(const Fabric&) = delete;
+  ~Fabric() override;
 
   /// Registers one zone: its store plus the contiguous compute-node block
   /// [compute_begin, compute_end) it hosts. Call once per zone, in zone-id
-  /// order; hooks the store's chunk-reclaim notifications.
+  /// order; registers this fabric as a GC observer of the store.
   void add_zone(blob::BlobStore* store, net::NodeId compute_begin,
                 net::NodeId compute_end);
 
@@ -195,6 +192,12 @@ class Fabric {
     return it == catalog_.end() ? nullptr : &it->second;
   }
 
+  // --- GC ------------------------------------------------------------------
+
+  /// GC observer: a zone store swept these chunks, so their cross-zone
+  /// copies and directory entries go too.
+  void forget_chunks(const std::vector<blob::ChunkId>& ids) override;
+
   // --- counters -------------------------------------------------------------
 
   std::uint64_t replicated_bytes() const { return replicated_bytes_; }
@@ -219,7 +222,6 @@ class Fabric {
     net::NodeId compute_begin = 0;
     net::NodeId compute_end = 0;
     bool dead = false;
-    std::uint64_t reclaim_hook = 0;
   };
   struct Replica {
     std::uint32_t zone = 0;
@@ -247,7 +249,6 @@ class Fabric {
                                   std::uint32_t* src_zone) const;
   /// Next live zone after `origin` in ring order; zones() when none.
   std::uint32_t buddy_of(std::uint32_t origin) const;
-  void drop_chunks(const std::vector<blob::ChunkId>& ids);
 
   sim::Simulation* sim_;
   net::Fabric* net_;

@@ -150,7 +150,7 @@ sim::Task<> FlushAgent::drain_one(StagedCommit c) {
   // deployment (redundancy::Manager). Fired after publish — a kill at this
   // boundary leaves a published-but-unprotected version, never a torn one.
   if (probe_) co_await probe_(blob::CommitStage::ParityEncode);
-  if (redundancy_ != nullptr && redundancy_->config().enabled) {
+  if (redundancy_ != nullptr) {
     std::uint64_t chunk = client_->known_chunk_size(c.blob);
     if (chunk == 0) chunk = store_->config().default_chunk_size;
     std::vector<redundancy::Manager::ChunkPayload> protect;

@@ -19,13 +19,17 @@
 //
 // Entries are recorded only after a chunk reached all of its replicas
 // (CommitReducer::committed), so the index never references in-flight data.
-// The garbage collector invalidates entries whose chunks it reclaims through
-// BlobStore's reclaim hooks; a stale hit after GC would silently resurrect a
-// deleted chunk. While a concurrent GC epoch is open (open_gc_epoch), every
-// lookup hit is logged: a dedup Ref taken mid-epoch is invisible both to the
-// sweep's tree walk and — once its commit publishes and unpins — to the pin
-// sources, so the epoch log is what keeps the concurrent sweep from
-// reclaiming content referenced by a commit that raced the mark.
+// The index observes the GC of every store it serves (blob::GcObserver,
+// registered by its owner): forget_chunks drops the entries of reclaimed
+// chunks, since a stale hit after GC would silently resurrect a deleted
+// chunk. It also holds the in-flight dedup pins: a Ref it hands out is
+// pinned (pin) until the referencing commit publishes or fails
+// (release_pins), because no tree shows that reference yet. While a GC
+// epoch is open (gc_epoch), every lookup hit is logged: a Ref taken
+// mid-epoch is invisible both to the sweep's tree walk and — once its commit
+// publishes and unpins — to the pins, so the epoch log is what keeps the
+// sweep from reclaiming content referenced by a commit that raced the mark.
+// collect_pins reports the pins and the log together.
 //
 // Collision caveat: a cross-commit hit is trusted on (64-bit XXH64 digest,
 // raw length) equality alone — the indexed payload lives on remote
@@ -52,7 +56,7 @@
 
 namespace blobcr::reduce {
 
-class ChunkDigestIndex {
+class ChunkDigestIndex final : public blob::GcObserver {
  public:
   struct Key {
     std::uint64_t digest = 0;
@@ -168,7 +172,7 @@ class ChunkDigestIndex {
   /// location whose chunk is gone; remaining same-content fallbacks keep
   /// serving lookups. Each id touches only its owning shard — a failed
   /// commit's withdrawal cannot disturb (or contend with) other shards.
-  void forget_chunks(const std::vector<blob::ChunkId>& ids) {
+  void forget_chunks(const std::vector<blob::ChunkId>& ids) override {
     for (const blob::ChunkId id : ids) {
       const auto it = by_chunk_.find(id);
       if (it == by_chunk_.end()) continue;
@@ -198,24 +202,35 @@ class ChunkDigestIndex {
     return shards_[shard].entries.size();
   }
 
-  // --- concurrent-GC epoch log ---------------------------------------------
-  // While an epoch is open every lookup hit's chunk id is logged. The sweep
-  // folds the log into its live set before deciding what to reclaim: a Ref
-  // taken during the incremental mark may publish (and release its pin)
-  // before the sweep's final pin collection, leaving the log as the only
-  // witness that the chunk is reachable again. Epochs may overlap (one index
-  // serves the GC of every zone store it is hooked into), so the log counts
-  // open epochs: it starts empty when the first one opens and is dropped
-  // only when the last one closes, never under an epoch still marking.
+  // --- GC pins ---------------------------------------------------------------
+  // A dedup Ref is pinned from lookup until its commit publishes or fails,
+  // one count per Ref, so each referencing commit holds its own. While an
+  // epoch is open every lookup hit's chunk id is also logged: a Ref taken
+  // during the incremental mark may publish (and release its pin) before
+  // the sweep's final pin collection, leaving the log as the only witness
+  // that the chunk is reachable again. Epochs may overlap (one index serves
+  // the GC of every zone store it observes), so the log counts open epochs:
+  // it starts empty when the first one opens and is dropped only when the
+  // last one closes, never under an epoch still marking.
 
-  void open_gc_epoch() {
-    if (open_epochs_++ == 0) epoch_hits_.clear();
+  void pin(blob::ChunkId id) { ++pins_[id]; }
+  void release_pins(const std::vector<blob::ChunkId>& ids) {
+    for (const blob::ChunkId id : ids) {
+      const auto it = pins_.find(id);
+      if (it == pins_.end()) continue;
+      if (--it->second == 0) pins_.erase(it);
+    }
   }
-  void close_gc_epoch() {
-    if (open_epochs_ == 0 || --open_epochs_ != 0) return;
-    epoch_hits_.clear();
+
+  void gc_epoch(bool open) override {
+    if (open) {
+      if (open_epochs_++ == 0) epoch_hits_.clear();
+    } else if (open_epochs_ != 0 && --open_epochs_ == 0) {
+      epoch_hits_.clear();
+    }
   }
-  void collect_epoch_hits(std::unordered_set<blob::ChunkId>& out) const {
+  void collect_pins(std::unordered_set<blob::ChunkId>& out) const override {
+    for (const auto& [id, count] : pins_) out.insert(id);
     for (const blob::ChunkId id : epoch_hits_) out.insert(id);
   }
 
@@ -230,6 +245,8 @@ class ChunkDigestIndex {
   /// routing without probing every shard.
   std::unordered_map<blob::ChunkId, Key> by_chunk_;
   std::vector<std::unique_ptr<net::ServiceQueue>> queues_;
+  /// Chunks referenced by in-flight commits, one count per Ref handed out.
+  std::unordered_map<blob::ChunkId, std::uint32_t> pins_;
   std::size_t open_epochs_ = 0;
   mutable std::unordered_set<blob::ChunkId> epoch_hits_;
 };

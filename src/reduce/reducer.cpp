@@ -16,37 +16,11 @@ Reducer::Reducer(blob::BlobStore& store, const ReductionConfig& cfg,
       tenant_(tenant),
       own_index_(cfg.index_shards),
       index_(shared_index != nullptr ? shared_index : &own_index_) {
-  if (!shares_index()) {
-    // An isolated index is this reducer's own: hook GC reclaim and the
-    // concurrent sweep's epoch open/close ourselves. A shared (repository-
-    // scoped) index outlives every deployment, so its owner — the Cloud —
-    // holds the one set of hooks for it.
-    hook_id_ = store_->add_chunk_reclaim_hook(
-        [this](const std::vector<blob::ChunkId>& ids) {
-          index_->forget_chunks(ids);
-        });
-    gc_epoch_hook_id_ = store_->add_gc_epoch_hook([this](bool open) {
-      if (open) {
-        index_->open_gc_epoch();
-      } else {
-        index_->close_gc_epoch();
-      }
-    });
-  }
-  pin_source_id_ = store_->add_chunk_pin_source(
-      [this](std::unordered_set<blob::ChunkId>& out) {
-        for (const auto& [id, count] : pinned_) out.insert(id);
-        // Lookup hits served during an open GC epoch count as live: the
-        // pin of a Ref that published mid-epoch is already released, and
-        // the sweep's mark may have passed its blob before the publish.
-        if (!shares_index()) index_->collect_epoch_hits(out);
-      });
+  if (!shares_index()) store_->add_gc_observer(&own_index_);
 }
 
 Reducer::~Reducer() {
-  if (hook_id_ != 0) store_->remove_chunk_reclaim_hook(hook_id_);
-  if (gc_epoch_hook_id_ != 0) store_->remove_gc_epoch_hook(gc_epoch_hook_id_);
-  store_->remove_chunk_pin_source(pin_source_id_);
+  if (!shares_index()) store_->remove_gc_observer(&own_index_);
 }
 
 void Reducer::begin_epoch() { epoch_base_ = stats_; }
@@ -105,7 +79,7 @@ sim::Task<blob::ReducedChunk> Reducer::reduce(net::NodeId node,
       out.ref = *loc;
       // Pin until the referencing commit publishes (or fails): the GC
       // cannot see this reference in any tree yet.
-      ++pinned_[out.ref.id];
+      index_->pin(out.ref.id);
       ++stats_.dedup_hits;
       stats_.dedup_bytes += raw_size;
       co_return out;
@@ -158,11 +132,7 @@ void Reducer::account_aliased(std::uint32_t raw_size) {
 }
 
 void Reducer::release_refs(const std::vector<blob::ChunkId>& ids) {
-  for (const blob::ChunkId id : ids) {
-    const auto it = pinned_.find(id);
-    if (it == pinned_.end()) continue;
-    if (--it->second == 0) pinned_.erase(it);
-  }
+  index_->release_pins(ids);
 }
 
 void Reducer::forget_indexed(const std::vector<blob::ChunkId>& ids) {

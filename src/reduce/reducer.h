@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "blob/reducer.h"
@@ -27,13 +26,13 @@ namespace blobcr::reduce {
 
 class Reducer final : public blob::CommitReducer {
  public:
-  /// Registers with the store so GC invalidates the index on reclaim.
   /// With a `shared_index` (the repository-scoped index owned by the Cloud)
-  /// this reducer records into and dedups against it — cross-job dedup —
-  /// and its owner is responsible for the reclaim/epoch hooks; without one,
-  /// the reducer owns an isolated per-deployment index and hooks it itself.
-  /// `tenant` tags the reducer's index lookups for the shard queues' fair
-  /// dispatch (the deployment's repository tenant).
+  /// this reducer records into, pins in and dedups against it — cross-job
+  /// dedup — and the index's owner registers it with the stores' GC;
+  /// without one, the reducer owns an isolated per-deployment index and
+  /// registers that with `store` itself. `tenant` tags the reducer's index
+  /// lookups for the shard queues' fair dispatch (the deployment's
+  /// repository tenant).
   Reducer(blob::BlobStore& store, const ReductionConfig& cfg,
           ChunkDigestIndex* shared_index = nullptr,
           net::TenantId tenant = net::kDefaultTenant);
@@ -75,13 +74,6 @@ class Reducer final : public blob::CommitReducer {
   ChunkDigestIndex* index_;
   ReductionStats stats_;
   ReductionStats epoch_base_;
-  std::uint64_t hook_id_ = 0;
-  std::uint64_t pin_source_id_ = 0;
-  std::uint64_t gc_epoch_hook_id_ = 0;
-  /// Chunks referenced by in-flight commits (dedup Refs taken but not yet
-  /// published), with a count per concurrent referencing commit. The GC
-  /// treats them as live.
-  std::unordered_map<blob::ChunkId, std::uint32_t> pinned_;
 };
 
 }  // namespace blobcr::reduce

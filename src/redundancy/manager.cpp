@@ -80,7 +80,6 @@ Manager::Group* Manager::pick_group(net::NodeId node) {
 
 sim::Task<> Manager::encode_commit(net::NodeId node,
                                    std::vector<ChunkPayload> chunks) {
-  if (!cfg_.enabled) co_return;
   for (ChunkPayload& cp : chunks) {
     if (cp.data.empty()) continue;
     // The committing node's resident copy is a tier asset regardless of
@@ -224,7 +223,6 @@ sim::Task<std::optional<common::Buffer>> Manager::rebuild(core::ChunkKey key,
 
 sim::Task<std::optional<common::Buffer>> Manager::fetch_resident(
     core::ChunkKey key, net::NodeId dst) {
-  if (!cfg_.enabled) co_return std::nullopt;
   for (net::NodeId node : nodes_) {
     if (node == dst) continue;
     core::DecodedChunkCache* c = cache_for(node);

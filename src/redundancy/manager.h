@@ -48,7 +48,7 @@
 
 namespace blobcr::redundancy {
 
-class Manager {
+class Manager final : public blob::GcObserver {
  public:
   /// One committed chunk, as handed over by the flush drain.
   struct ChunkPayload {
@@ -75,10 +75,6 @@ class Manager {
           const RedundancyConfig& cfg, net::Fabric::Shape peer_shape)
       : sim_(&sim), fabric_(&fabric), cfg_(cfg), shape_(peer_shape) {}
 
-  Manager(const Manager&) = delete;
-  Manager& operator=(const Manager&) = delete;
-
-  const RedundancyConfig& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
 
   /// The reserved content key of group `gid`'s parity block.
@@ -109,7 +105,7 @@ class Manager {
   /// Folds `node`'s freshly committed chunks into parity groups (see file
   /// comment). Also seeds the committing node's own cache with the decoded
   /// payloads — that resident copy is what rebuilds of *other* members of
-  /// the group will read later. No-op when disabled or < 2 nodes attached.
+  /// the group will read later. Forms no group with < 2 nodes attached.
   sim::Task<> encode_commit(net::NodeId node,
                             std::vector<ChunkPayload> chunks);
 
@@ -140,9 +136,9 @@ class Manager {
 
   // --- GC -------------------------------------------------------------------
 
-  /// Chunk-reclaim hook body: any group holding a reclaimed member is
-  /// invalidated and its parity block is erased from the holder cache.
-  void forget_chunks(const std::vector<blob::ChunkId>& ids);
+  /// GC observer: any group holding a reclaimed member is invalidated and
+  /// its parity block is erased from the holder cache.
+  void forget_chunks(const std::vector<blob::ChunkId>& ids) override;
 
   /// Parity blocks still resident in attached holder caches (orphan check).
   std::size_t resident_parity_blocks() const;

@@ -18,6 +18,8 @@
 #include "blob/client.h"
 #include "core/blobcr.h"
 #include "flush/flush_agent.h"
+#include "reduce/digest_index.h"
+#include "redundancy/manager.h"
 #include "sim/sim.h"
 
 namespace blobcr::cr {
@@ -443,14 +445,18 @@ TEST(CrRetentionTest, OnePassOpensOneEpochPerStore) {
       ++out->images[cl->store_of_blob(s.image)->config().zone];
     }
 
-    std::vector<std::uint64_t> hooks;
+    struct EpochCounter : blob::GcObserver {
+      std::size_t* opens = nullptr;
+      void gc_epoch(bool open) override { *opens += open ? 1 : 0; }
+    };
+    EpochCounter counters[2];
     for (std::uint32_t z = 0; z < 2; ++z) {
-      hooks.push_back(cl->blob_store(z)->add_gc_epoch_hook(
-          [out, z](bool open) { out->opens[z] += open ? 1 : 0; }));
+      counters[z].opens = &out->opens[z];
+      cl->blob_store(z)->add_gc_observer(&counters[z]);
     }
     out->reclaimed = co_await session.apply_retention();
     for (std::uint32_t z = 0; z < 2; ++z) {
-      cl->blob_store(z)->remove_gc_epoch_hook(hooks[z]);
+      cl->blob_store(z)->remove_gc_observer(&counters[z]);
     }
 
     // Every log version below the latest went in that pass.
@@ -494,6 +500,144 @@ TEST(CrRetentionTest, OnePassOpensOneEpochPerStore) {
   // What one epoch per image plus one for the catalog log reclaimed here
   // (3 epochs on zone 0's store, 2 on zone 1's).
   EXPECT_EQ(out.reclaimed, 4'214'784u);
+  EXPECT_TRUE(out.restored_ok);
+}
+
+// The shared digest index observes the GC of every zone store, not only
+// zone 0's. The job runs in zone 1: once retention sweeps the chunks of its
+// first state, the index must stop serving them, and the same content
+// committed again must be stored anew and restart bit-exactly from cold
+// caches. An index deaf to zone 1's sweep would hand out dedup Refs to the
+// swept chunks.
+TEST(CrRetentionTest, SharedIndexForgetsWhatEveryZoneSweeps) {
+  constexpr std::size_t kZone1 = 6;  // first compute node of zone 1
+  CloudConfig cfg = tiny_cfg(Backend::BlobCR);
+  cfg.compute_nodes = 12;
+  cfg.federation.zones = 2;
+  cfg.reduction.enabled = true;  // one index, shared by both zone stores
+  Cloud cloud(cfg);
+  struct Outcome {
+    bool in_zone1 = false;
+    std::uint64_t reclaimed = 0;
+    std::size_t swept = 0;         // indexed leaves of the first state swept
+    std::size_t still_served = 0;  // ... that the index still hands out
+    bool restored_ok = false;
+  } out;
+
+  cloud.run([](Cloud* cl, Outcome* out) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, 1, kZone1);
+    Session::Config scfg;
+    scfg.retention.keep_last = 1;
+    scfg.auto_retention = false;
+    Session session(dep, scfg);
+    co_await dep.deploy_and_boot();
+
+    co_await write_state(&dep.vm(0), 70);
+    const CheckpointRecord first = co_await session.checkpoint();
+    const core::InstanceSnapshot& s = first.snapshots.at(0);
+    blob::BlobStore* store = cl->store_of_blob(s.image);
+    out->in_zone1 = store == cl->blob_store(1);
+    blob::BlobClient client(*store, cl->compute_node(kZone1));
+    const blob::BlobMeta meta = co_await client.stat(s.image);
+    const std::vector<blob::BlobClient::ChunkRef> refs =
+        co_await client.resolve_chunks(s.image, s.version, 0,
+                                       meta.version(s.version).size);
+    std::vector<blob::ChunkLocation> indexed;
+    for (const blob::BlobClient::ChunkRef& ref : refs) {
+      if (ref.loc.digest != 0) indexed.push_back(ref.loc);
+    }
+
+    co_await write_state(&dep.vm(0), 71);  // overwrites the state in place
+    (void)co_await session.checkpoint();
+    out->reclaimed = co_await session.apply_retention();
+
+    reduce::ChunkDigestIndex* index = cl->shared_digest_index();
+    for (const blob::ChunkLocation& loc : indexed) {
+      bool held = false;
+      for (const auto& p : store->providers()) held = held || p->has(loc.id);
+      if (held) continue;
+      ++out->swept;
+      const blob::ChunkLocation* hit =
+          index->lookup(loc.digest, loc.logical(), loc.zone);
+      if (hit != nullptr && hit->id == loc.id) ++out->still_served;
+    }
+
+    co_await write_state(&dep.vm(0), 70);
+    (void)co_await session.checkpoint();
+    dep.destroy_all();
+    cl->reset_chunk_caches();
+    Session::RestartOptions opts;
+    opts.node_offset = kZone1 + 1;
+    opts.cold_caches = true;
+    (void)co_await session.restart(Selector::latest(), opts);
+    out->restored_ok = co_await state_matches(&dep.vm(0), 70);
+  }(&cloud, &out));
+
+  EXPECT_TRUE(out.in_zone1);
+  EXPECT_GT(out.reclaimed, 0u);
+  EXPECT_GT(out.swept, 0u);
+  EXPECT_EQ(out.still_served, 0u);
+  EXPECT_TRUE(out.restored_ok);
+}
+
+// The Cloud's parity tier observes the stores' GC: a retention pass that
+// reclaims member chunks drops their parity groups and erases the groups'
+// parity blocks from the holder caches, so no parity block is orphaned.
+TEST(CrRetentionTest, ReclaimDropsTheParityGroupsOfItsMembers) {
+  constexpr std::size_t kVms = 3;
+  CloudConfig cfg = tiny_cfg(Backend::BlobCR, /*flush=*/true);
+  cfg.redundancy.enabled = true;
+  Cloud cloud(cfg);
+  struct Outcome {
+    std::uint64_t reclaimed = 0;
+    std::uint64_t sealed = 0;
+    std::uint64_t dropped_before = 0;
+    std::uint64_t dropped_after = 0;
+    std::uint64_t parity_blocks = 0;
+    std::size_t resident_blocks = 0;
+    bool restored_ok = false;
+  } out;
+
+  cloud.run([](Cloud* cl, Outcome* out) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, kVms);
+    Session::Config scfg;
+    scfg.retention.keep_last = 1;
+    scfg.auto_retention = false;
+    Session session(dep, scfg);
+    co_await dep.deploy_and_boot();
+    for (std::uint64_t round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i < kVms; ++i) {
+        co_await write_state(&dep.vm(i), 80 + 10 * round + i);
+      }
+      (void)co_await session.checkpoint();
+    }
+    redundancy::Manager* mgr = cl->redundancy();
+    out->sealed = mgr->stats().groups_sealed;
+    out->dropped_before = mgr->stats().groups_dropped;
+    out->reclaimed = co_await session.apply_retention();
+    out->dropped_after = mgr->stats().groups_dropped;
+    out->parity_blocks = mgr->stats().parity_blocks;
+    out->resident_blocks = mgr->resident_parity_blocks();
+
+    dep.destroy_all();
+    cl->reset_chunk_caches();
+    Session::RestartOptions opts;
+    opts.node_offset = kVms;
+    opts.cold_caches = true;
+    (void)co_await session.restart(Selector::latest(), opts);
+    bool ok = true;
+    for (std::size_t i = 0; i < kVms; ++i) {
+      ok = ok && co_await state_matches(&dep.vm(i), 90 + i);
+    }
+    out->restored_ok = ok;
+  }(&cloud, &out));
+
+  EXPECT_GT(out.sealed, 0u);
+  EXPECT_GT(out.reclaimed, 0u);
+  EXPECT_GT(out.dropped_after, out.dropped_before);
+  EXPECT_EQ(out.parity_blocks, out.resident_blocks);
   EXPECT_TRUE(out.restored_ok);
 }
 

@@ -8,6 +8,7 @@
 // fresh driver that recovers the catalog from replicated frames alone.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,6 +123,78 @@ TEST(FederationTest, DrainReplicatesManifestAndFloorCopies) {
     EXPECT_GT(fed->manifest_bytes(), 0u);
     EXPECT_GT(fed->catalog_bytes(), 0u);  // catalog frames crossed zones too
   }(&cloud));
+}
+
+// ---------------------------------------------------------------------------
+// GC reaches the cross-zone copies: the federation observes every zone
+// store's GC, so a retention pass that sweeps zone-0 chunks also erases
+// their floor copies in the buddy zone, and their directory entries.
+// ---------------------------------------------------------------------------
+
+TEST(FederationTest, RetentionErasesCrossZoneCopiesOfSweptChunks) {
+  Cloud cloud(fed_cfg(2, 8));
+  struct Outcome {
+    std::uint64_t reclaimed = 0;
+    std::size_t swept_copies = 0;  // swept chunks that had a zone-1 copy
+    std::uint64_t swept_copy_bytes = 0;
+    std::size_t entries_before = 0;
+    std::size_t entries_after = 0;
+    std::uint64_t buddy_before = 0;
+    std::uint64_t buddy_after = 0;
+  } out;
+  cloud.run([](Cloud* cl, Outcome* out) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, 1);  // node 0 -> zone 0
+    Session::Config scfg;
+    scfg.retention.keep_last = 1;
+    scfg.auto_retention = false;
+    Session session(dep, scfg);
+    co_await dep.deploy_and_boot();
+    std::vector<CheckpointRecord> recs;
+    for (std::uint64_t seed = 7; seed <= 8; ++seed) {
+      co_await write_state(&dep.vm(0), seed);
+      recs.push_back(co_await session.checkpoint());
+    }
+
+    // Every leaf of both versions that the drains copied into zone 1.
+    blob::BlobStore* home = cl->blob_store(0);
+    blob::BlobStore* buddy = cl->blob_store(1);
+    blob::BlobClient client(*home, cl->compute_node(0));
+    std::map<blob::ChunkId, blob::ChunkLocation> copied;
+    for (const CheckpointRecord& rec : recs) {
+      const core::InstanceSnapshot& s = rec.snapshots.at(0);
+      const blob::BlobMeta meta = co_await client.stat(s.image);
+      const std::vector<blob::BlobClient::ChunkRef> refs =
+          co_await client.resolve_chunks(s.image, s.version, 0,
+                                         meta.version(s.version).size);
+      for (const blob::BlobClient::ChunkRef& ref : refs) {
+        for (const auto& p : buddy->providers()) {
+          if (ref.loc.id != 0 && p->has(ref.loc.id)) {
+            copied.emplace(ref.loc.id, ref.loc);
+          }
+        }
+      }
+    }
+
+    federation::Fabric* fed = cl->federation();
+    out->entries_before = fed->replica_entries();
+    out->buddy_before = buddy->total_stored_bytes();
+    out->reclaimed = co_await session.apply_retention();
+    out->entries_after = fed->replica_entries();
+    out->buddy_after = buddy->total_stored_bytes();
+    for (const auto& [id, loc] : copied) {
+      bool held = false;
+      for (const auto& p : home->providers()) held = held || p->has(id);
+      if (held) continue;
+      ++out->swept_copies;
+      out->swept_copy_bytes += loc.size;
+    }
+  }(&cloud, &out));
+
+  EXPECT_GT(out.reclaimed, 0u);
+  EXPECT_GT(out.swept_copies, 0u);
+  EXPECT_EQ(out.entries_before - out.entries_after, out.swept_copies);
+  EXPECT_EQ(out.buddy_before - out.buddy_after, out.swept_copy_bytes);
 }
 
 // ---------------------------------------------------------------------------

@@ -757,10 +757,7 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   rcfg.enabled = true;
   rcfg.group_size = 4;
   redundancy::Manager mgr(rig.sim, *rig.fabric, rcfg, {});
-  const std::uint64_t hook = rig.store->add_chunk_reclaim_hook(
-      [&mgr](const std::vector<blob::ChunkId>& ids) {
-        mgr.forget_chunks(ids);
-      });
+  rig.store->add_gc_observer(&mgr);
 
   core::MirrorDevice::Config mcfg = mirror_config(2);
   mcfg.redundancy = &mgr;
@@ -827,8 +824,8 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   }());
 
   // GC the superseded baseline version. Its chunks were parity members; the
-  // reclaim hook must drop their groups and erase the parity blocks from
-  // the holder caches — nothing orphaned.
+  // tier, observing the store's GC, must drop their groups and erase the
+  // parity blocks from the holder caches — nothing orphaned.
   const std::uint64_t dropped_before = mgr.stats().groups_dropped;
   blob::GarbageCollector gc(*rig.store);
   rig.run([&]() -> Task<> {
@@ -841,7 +838,7 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
       << "GC reclaim never invalidated the superseded parity groups";
   EXPECT_EQ(mgr.stats().parity_blocks, mgr.resident_parity_blocks())
       << "orphaned parity blocks survived the GC";
-  rig.store->remove_chunk_reclaim_hook(hook);
+  rig.store->remove_gc_observer(&mgr);
 }
 
 TEST(FlushCrashConsistencyTest, RandomKillNeverExposesTornSnapshot) {

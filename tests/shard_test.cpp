@@ -332,8 +332,8 @@ TEST(ShardTest, FailedCommitWithdrawalConfinedToOwningShard) {
 // resumed commit must publish and restore bit-exactly.
 TEST(ShardTest, EpochGcKeepsChunksPinnedByParkedCommit) {
   TestCluster tc(4, /*version_shards=*/4);
-  // Isolated reducer: owns a 16-shard index and hooks the store's reclaim /
-  // epoch / pin-source interfaces itself.
+  // Isolated reducer: owns a 16-shard index and registers it as a GC
+  // observer of the store itself.
   Reducer red(*tc.store, all_on());
 
   blob::GarbageCollector::Result gc1;
@@ -413,6 +413,103 @@ TEST(ShardTest, EpochGcKeepsChunksPinnedByParkedCommit) {
   // bit-exact — the resumed commit's chunks really survived both sweeps.
   EXPECT_EQ(gc2.chunks_deleted, 0u);
   EXPECT_EQ(gc2.reclaimed_bytes, 0u);
+  EXPECT_TRUE(b_ok);
+}
+
+// Dedup pins live in the index that handed out the Refs, one count per
+// referencing commit. Two reducers over one shared index park two commits
+// that both reference chunk X. Killing the first releases only its own pin:
+// a GC that drops the only version holding X must keep it for the second,
+// which then publishes and reads back bit-exactly.
+TEST(ShardTest, PinsOfTwoParkedCommitsCountSeparately) {
+  TestCluster tc(4, /*version_shards=*/4);
+  ChunkDigestIndex idx(16);
+  tc.store->add_gc_observer(&idx);
+  Reducer red_a(*tc.store, all_on(), &idx);
+  Reducer red_b(*tc.store, all_on(), &idx);
+
+  blob::GarbageCollector::Result gc;
+  bool killed = false;
+  bool b_ok = false;
+  tc.run([](TestCluster* tc, Reducer* red_a, Reducer* red_b,
+            blob::GarbageCollector::Result* gc, bool* killed,
+            bool* b_ok) -> Task<> {
+    const Buffer x = Buffer::pattern(kChunk, 81);
+    BlobClient w(*tc->store, tc->client_node);
+    const BlobId blob_w = co_await w.create();
+    co_await write_reduced(w, *red_a, blob_w, 0, x);  // v1 holds X
+    co_await write_reduced(w, *red_a, blob_w, 0, Buffer::pattern(kChunk, 82));
+
+    // Two commits of X, one per reducer, each parked at PrePublish holding
+    // a Ref (a pin) to X. A parks for good; B parks until resumed.
+    std::size_t parked = 0;
+    sim::Event never(tc->sim);
+    sim::Event resume(tc->sim);
+    blob::CommitProbe park_a = [&parked,
+                                &never](blob::CommitStage s) -> Task<> {
+      if (s == blob::CommitStage::PrePublish) {
+        ++parked;
+        co_await never.wait();  // killed while suspended here
+      }
+    };
+    blob::CommitProbe park_b = [&parked,
+                                &resume](blob::CommitStage s) -> Task<> {
+      if (s == blob::CommitStage::PrePublish) {
+        ++parked;
+        co_await resume.wait();
+      }
+    };
+    BlobClient::ExtentReader reader =
+        [&x](std::uint64_t off, std::uint64_t len) -> Task<Buffer> {
+      co_return x.slice(off, len);
+    };
+    blob::CommitOptions opts_a;
+    opts_a.reducer = red_a;
+    opts_a.probe = &park_a;
+    blob::CommitOptions opts_b;
+    opts_b.reducer = red_b;
+    opts_b.probe = &park_b;
+    BlobClient a(*tc->store, tc->client_node);
+    BlobClient b(*tc->store, tc->client_node);
+    const BlobId blob_a = co_await a.create();
+    const BlobId blob_b = co_await b.create();
+    auto commit = [](BlobClient* c, BlobId blob, const Buffer* x,
+                     BlobClient::ExtentReader* reader,
+                     blob::CommitOptions* opts, VersionId* v) -> Task<> {
+      std::vector<BlobClient::ExtentSpec> specs;
+      specs.push_back({0, x->size()});
+      *v = co_await c->write_extents_via(blob, std::move(specs), reader,
+                                         *opts);
+    };
+    VersionId va = 0;
+    VersionId vb = 0;
+    sim::ProcessPtr victim = tc->sim.spawn(
+        "victim", commit(&a, blob_a, &x, &reader, &opts_a, &va));
+    sim::ProcessPtr survivor = tc->sim.spawn(
+        "survivor", commit(&b, blob_b, &x, &reader, &opts_b, &vb));
+    while (parked < 2) co_await tc->sim.delay(100 * sim::kMicrosecond);
+    victim->kill();
+    *killed = true;
+
+    blob::GarbageCollector collector(*tc->store);
+    std::vector<blob::GarbageCollector::Drop> drops{{blob_w, 2}};
+    *gc = co_await collector.collect(std::move(drops));
+
+    resume.set();
+    while (!survivor->finished()) {
+      co_await tc->sim.delay(100 * sim::kMicrosecond);
+    }
+    try {
+      *b_ok = (co_await b.read(blob_b, vb, 0, x.size())) == x;
+    } catch (const blob::BlobError&) {
+      *b_ok = false;
+    }
+  }(&tc, &red_a, &red_b, &gc, &killed, &b_ok));
+  tc.store->remove_gc_observer(&idx);
+
+  ASSERT_TRUE(killed);
+  EXPECT_GE(gc.chunks_kept_shared, 1u);
+  EXPECT_EQ(gc.chunks_deleted, 0u);
   EXPECT_TRUE(b_ok);
 }
 
@@ -1052,7 +1149,7 @@ TEST(GcEpochTest, WalksEachNodeOncePerEpoch) {
   EXPECT_EQ(walked[0], walked[1]);
 }
 
-// The digest index serves the GC of every store it is hooked into, so a
+// The digest index serves the GC of every store it observes, so a
 // second epoch may open and close while the first is still marking. The
 // hit log lives until the last open epoch closes.
 TEST(GcEpochTest, OverlappingEpochsKeepTheHitLogUntilTheLastCloses) {
@@ -1063,28 +1160,28 @@ TEST(GcEpochTest, OverlappingEpochsKeepTheHitLogUntilTheLastCloses) {
   idx.record(7, 64, loc);
   std::unordered_set<blob::ChunkId> hits;
 
-  idx.open_gc_epoch();
-  idx.open_gc_epoch();
+  idx.gc_epoch(true);
+  idx.gc_epoch(true);
   ASSERT_NE(idx.lookup(7, 64), nullptr);
-  idx.close_gc_epoch();
-  idx.collect_epoch_hits(hits);
+  idx.gc_epoch(false);
+  idx.collect_pins(hits);
   EXPECT_EQ(hits, (std::unordered_set<blob::ChunkId>{10}));
 
-  idx.close_gc_epoch();
+  idx.gc_epoch(false);
   hits.clear();
-  idx.collect_epoch_hits(hits);
+  idx.collect_pins(hits);
   EXPECT_TRUE(hits.empty());
   ASSERT_NE(idx.lookup(7, 64), nullptr);
-  idx.collect_epoch_hits(hits);
+  idx.collect_pins(hits);
   EXPECT_TRUE(hits.empty());
 
   // A close with no epoch open changes nothing: the next epoch still logs.
-  idx.close_gc_epoch();
-  idx.open_gc_epoch();
+  idx.gc_epoch(false);
+  idx.gc_epoch(true);
   ASSERT_NE(idx.lookup(7, 64), nullptr);
-  idx.collect_epoch_hits(hits);
+  idx.collect_pins(hits);
   EXPECT_EQ(hits, (std::unordered_set<blob::ChunkId>{10}));
-  idx.close_gc_epoch();
+  idx.gc_epoch(false);
 }
 
 // A concurrent sweep killed in its mark closes its epoch as its frame
@@ -1114,13 +1211,13 @@ TEST(GcEpochTest, KilledSweepClosesItsEpoch) {
     const std::uint64_t digest = data.slice(0, kChunk).digest();
     std::unordered_set<blob::ChunkId> hits;
     EXPECT_NE(red->index().lookup(digest, kChunk), nullptr);
-    red->index().collect_epoch_hits(hits);
+    red->index().collect_pins(hits);
     *logged_while_open = !hits.empty();
 
     sweep->kill();
     hits.clear();
     EXPECT_NE(red->index().lookup(digest, kChunk), nullptr);
-    red->index().collect_epoch_hits(hits);
+    red->index().collect_pins(hits);
     *logged_after_kill = !hits.empty();
   }(&tc, &red, &logged_while_open, &logged_after_kill));
   EXPECT_TRUE(logged_while_open);
