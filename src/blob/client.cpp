@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <exception>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -541,6 +542,8 @@ sim::Task<common::Buffer> BlobClient::fetch_stored(BlobStore& store,
 sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
                                            std::uint64_t offset,
                                            std::uint64_t len) {
+  const VersionKey key{blob, version};
+  const bool cached = version != 0 && version_cache_.contains(key);
   const VersionEntry entry = co_await resolve(blob, version);
   if (offset + len > entry.size && entry.size != 0) {
     // Reads past the logical end are clipped like a sparse file.
@@ -552,30 +555,46 @@ sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
   const std::uint64_t hi_chunk = (offset + len + chunk_size - 1) / chunk_size;
 
   std::vector<std::pair<std::uint64_t, ChunkLocation>> leaves;
-  co_await descend(entry.root, capacity_chunks(), lo_chunk, hi_chunk, &leaves);
-
-  // Fetch each distinct chunk once (dedup can alias many leaves onto one
-  // stored chunk — re-fetching per leaf would pay on restore the transfers
-  // dedup saved on commit), window-limited, then assemble per leaf.
   auto fetched =
       std::make_shared<std::unordered_map<ChunkId, common::Buffer>>();
-  std::vector<sim::Task<>> fetches;
-  for (const auto& [index, loc] : leaves) {
-    // Zero-suppressed leaves are metadata-only holes: no payload to fetch;
-    // the assembly below fills uncovered gaps with zeros.
-    if (loc.encoding == ChunkEncoding::Zero || loc.id == 0) continue;
-    if (!fetched->try_emplace(loc.id).second) continue;  // already scheduled
-    fetches.push_back(
-        [](BlobClient* self, ChunkLocation l,
-           std::shared_ptr<std::unordered_map<ChunkId, common::Buffer>> res)
-            -> sim::Task<> {
-          (*res)[l.id] = co_await fetch_stored(
-              *self->store_, l, self->node_,
-              qos::IoContext{self->tenant_, qos::GateClass::ProviderIo});
-        }(this, loc, fetched));
+  std::exception_ptr failure;
+  try {
+    co_await descend(entry.root, capacity_chunks(), lo_chunk, hi_chunk,
+                     &leaves);
+
+    // Fetch each distinct chunk once (dedup can alias many leaves onto one
+    // stored chunk — re-fetching per leaf would pay on restore the transfers
+    // dedup saved on commit), window-limited, then assemble per leaf.
+    std::vector<sim::Task<>> fetches;
+    for (const auto& [index, loc] : leaves) {
+      // Zero-suppressed leaves are metadata-only holes: no payload to
+      // fetch; the assembly below fills uncovered gaps with zeros.
+      if (loc.encoding == ChunkEncoding::Zero || loc.id == 0) continue;
+      if (!fetched->try_emplace(loc.id).second) continue;  // scheduled
+      fetches.push_back(
+          [](BlobClient* self, ChunkLocation l,
+             std::shared_ptr<std::unordered_map<ChunkId, common::Buffer>> res)
+              -> sim::Task<> {
+            (*res)[l.id] = co_await fetch_stored(
+                *self->store_, l, self->node_,
+                qos::IoContext{self->tenant_, qos::GateClass::ProviderIo});
+          }(this, loc, fetched));
+    }
+    co_await sim::run_window(store_->simulation(), BlobStore::kReadWindow,
+                             std::move(fetches));
+  } catch (const BlobError&) {
+    if (!cached) throw;
+    failure = std::current_exception();
   }
-  co_await sim::run_window(store_->simulation(), BlobStore::kReadWindow,
-                           std::move(fetches));
+  if (failure) {
+    // The cached entry may predate a GC epoch that tombstoned the version,
+    // leaving this client walking a reclaimed tree. Resolve it afresh: a
+    // tombstone throws the garbage-collected error; otherwise the original
+    // error stands.
+    version_cache_.erase(key);
+    (void)co_await resolve(blob, version);
+    std::rethrow_exception(failure);
+  }
 
   // Decode once per distinct chunk, in place (an RLE chunk aliased by many
   // leaves must not be re-decoded per leaf), then assemble piecewise in

@@ -84,13 +84,21 @@ bool Buffer::all_zero() const {
 }
 
 std::span<const std::byte> Buffer::bytes() const {
-  // Canonical form: a fully-real buffer is one merged segment.
-  if (segs_.size() != 1 || segs_[0].phantom()) return {};
+  if (segs_.empty() || is_phantom()) return {};
+  if (segs_.size() > 1) {  // flatten once; later calls reuse the storage
+    auto flat = std::make_shared<Storage>();
+    flat->reserve(size_);
+    for (const Segment& s : segs_) {
+      const auto view = s.view();
+      flat->insert(flat->end(), view.begin(), view.end());
+    }
+    segs_.assign(1, Segment{std::move(flat), 0, size_});
+  }
   return segs_[0].view();
 }
 
 std::span<std::byte> Buffer::mutable_bytes() {
-  if (segs_.size() != 1 || segs_[0].phantom()) return {};
+  if (bytes().empty()) return {};
   Segment& s = segs_[0];
   if (s.data.use_count() > 1) {  // copy on write
     const auto view = s.view();
@@ -105,17 +113,24 @@ std::uint64_t Buffer::digest() const {
     // Keep the historical pure-phantom formula.
     return mix64(kPhantomSalt ^ size_);
   }
-  // Each segment's hash seeds the next, so segment order counts.
+  // Each run's hash seeds the next, so run order counts. A run of adjacent
+  // real segments hashes as one stream: the digest does not depend on how
+  // the real bytes are segmented.
   std::uint64_t h = 0;
-  for (const Segment& s : segs_) {
-    if (s.phantom()) {
-      const std::uint64_t marker = mix64(kPhantomSalt ^ s.length);
+  for (std::size_t i = 0; i < segs_.size();) {
+    if (segs_[i].phantom()) {
+      const std::uint64_t marker = mix64(kPhantomSalt ^ segs_[i].length);
       std::byte bytes[sizeof marker];
       std::memcpy(bytes, &marker, sizeof marker);
       h = xxh64(bytes, h);
-    } else {
-      h = xxh64(s.view(), h);
+      ++i;
+      continue;
     }
+    Xxh64 run(h);
+    for (; i < segs_.size() && !segs_[i].phantom(); ++i) {
+      run.update(segs_[i].view());
+    }
+    h = run.digest();
   }
   return h;
 }
@@ -124,29 +139,12 @@ void Buffer::push_segment(Segment seg) {
   if (seg.length == 0) return;
   size_ += seg.length;
   if (!segs_.empty()) {
+    // Phantom runs merge, and so do contiguous views of one storage; real
+    // pieces of different storages stay separate segments.
     Segment& last = segs_.back();
-    if (last.phantom() && seg.phantom()) {
+    if (last.data == seg.data &&
+        (last.phantom() || last.offset + last.length == seg.offset)) {
       last.length += seg.length;
-      return;
-    }
-    if (!last.phantom() && !seg.phantom()) {
-      const std::uint64_t last_end = last.offset + last.length;
-      if (last.data == seg.data && last_end == seg.offset) {
-        last.length += seg.length;  // adjacent views of one storage
-      } else if (last.data.use_count() == 1 &&
-                 last_end == last.data->size()) {  // sole owner, at its end
-        const auto view = seg.view();
-        last.data->insert(last.data->end(), view.begin(), view.end());
-        last.length += seg.length;
-      } else {  // copy both into fresh storage
-        auto merged = std::make_shared<Storage>();
-        merged->reserve(last.length + seg.length);
-        const auto left = last.view();
-        const auto right = seg.view();
-        merged->insert(merged->end(), left.begin(), left.end());
-        merged->insert(merged->end(), right.begin(), right.end());
-        last = {std::move(merged), 0, last.length + seg.length};
-      }
       return;
     }
   }
@@ -177,7 +175,9 @@ Buffer Buffer::slice(std::size_t off, std::size_t len) const {
 }
 
 void Buffer::append(const Buffer& src) {
-  for (const Segment& s : src.segs_) push_segment(s);
+  // By index: `src` may be *this, whose segment vector push_segment grows.
+  const std::size_t n = src.segs_.size();
+  for (std::size_t i = 0; i < n; ++i) push_segment(src.segs_[i]);
 }
 
 void Buffer::overwrite(std::size_t off, const Buffer& src) {
@@ -187,11 +187,13 @@ void Buffer::overwrite(std::size_t off, const Buffer& src) {
     append(src);
     return;
   }
-  // Fast path: a real write fully inside a single real buffer.
-  // mutable_bytes() unshares the storage first, so a source viewing the
-  // same storage still reads the old bytes.
-  if (fully_real() && src.fully_real() && off + src.size() <= size_) {
-    const auto from = src.bytes();
+  // Fast path: one real segment written fully inside a one-segment real
+  // buffer. mutable_bytes() unshares the storage first, so a source viewing
+  // the same storage still reads the old bytes. Any other write slices, so
+  // a small write never flattens a multi-segment buffer.
+  if (segs_.size() == 1 && !segs_[0].phantom() && src.segs_.size() == 1 &&
+      !src.segs_[0].phantom() && off + src.size() <= size_) {
+    const auto from = src.segs_[0].view();
     std::memcpy(mutable_bytes().data() + off, from.data(), from.size());
     return;
   }
@@ -223,16 +225,35 @@ std::string Buffer::to_string() const {
 
 bool operator==(const Buffer& a, const Buffer& b) {
   if (a.size_ != b.size_) return false;
-  // Canonical form makes segment-wise comparison exact.
-  if (a.segs_.size() != b.segs_.size()) return false;
-  for (std::size_t i = 0; i < a.segs_.size(); ++i) {
-    const auto& sa = a.segs_[i];
-    const auto& sb = b.segs_[i];
-    if (sa.phantom() != sb.phantom() || sa.length != sb.length) return false;
-    if (sa.phantom()) continue;
-    if (sa.data == sb.data && sa.offset == sb.offset) continue;
-    if (std::memcmp(sa.view().data(), sb.view().data(), sa.length) != 0)
+  // Walk both segmentations by byte position, one overlap at a time: equal
+  // content may be cut into different real segments. Phantom runs are
+  // merged, so equal buffers have phantom bytes at the same positions.
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::uint64_t at_a = 0;  // bytes of a.segs_[i] already compared
+  std::uint64_t at_b = 0;
+  while (i < a.segs_.size()) {  // equal sizes: b runs out together with a
+    const Buffer::Segment& sa = a.segs_[i];
+    const Buffer::Segment& sb = b.segs_[j];
+    if (sa.phantom() != sb.phantom()) return false;
+    const std::uint64_t n = std::min(sa.length - at_a, sb.length - at_b);
+    const std::uint64_t from_a = sa.offset + at_a;
+    const std::uint64_t from_b = sb.offset + at_b;
+    if (!sa.phantom() && (sa.data != sb.data || from_a != from_b) &&
+        std::memcmp(sa.data->data() + from_a, sb.data->data() + from_b, n) !=
+            0) {
       return false;
+    }
+    at_a += n;
+    at_b += n;
+    if (at_a == sa.length) {
+      ++i;
+      at_a = 0;
+    }
+    if (at_b == sb.length) {
+      ++j;
+      at_b = 0;
+    }
   }
   return true;
 }

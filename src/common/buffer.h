@@ -12,22 +12,31 @@
 // header next to phantom memory pages.
 //
 // Real bytes live in shared, reference-counted storage: a real segment is a
-// view (offset, length) into one storage, so copying, slicing, shrinking and
-// appending a buffer cost O(segments) and share bytes instead of copying
-// them. Storage is copy-on-write, and only two things still copy bytes:
-//   - merging two real pieces that are not contiguous in one storage (both
-//     are copied into fresh storage; only the right one when the left piece
-//     alone holds its storage and ends at its end, so it grows in place);
+// view (offset, length) into one storage, so copying, slicing, shrinking
+// and appending a buffer cost O(segments) and share bytes instead of
+// copying them. A buffer assembled from pieces of several storages keeps
+// one segment per piece, and overwrite() writes in place only into a
+// one-segment buffer from a one-segment source (otherwise it slices).
+// Storage is copy-on-write; besides the bytes an in-place write stores,
+// only two things copy bytes:
+//   - the first bytes() or mutable_bytes() of a fully-real buffer that
+//     holds several segments flattens it into one exactly-sized storage
+//     (each copy of such a buffer flattens on its own);
 //   - the first write (mutable_bytes(), an in-place overwrite()) to storage
 //     another Buffer also holds.
+// digest(), operator== and all_zero() read the segments where they are, so
+// they never flatten.
 //
 // A span from bytes() or mutable_bytes() stays valid only until that Buffer
 // is next modified or destroyed; mutable_bytes() may copy, so take it again
 // after any change instead of keeping an older span.
 //
 // Canonical form invariant: segments are contiguous from offset 0, adjacent
-// segments of the same kind are merged; a fully-real buffer therefore has
-// exactly one segment and exposes a flat byte view.
+// phantom segments are merged, and so are adjacent real views that are
+// contiguous in one storage. Adjacent real segments of different storages
+// stay apart, so a fully-real buffer may hold several segments; digest()
+// hashes each run of adjacent real segments as one stream, so a payload's
+// digest does not depend on how it is segmented.
 #pragma once
 
 #include <cstddef>
@@ -69,9 +78,10 @@ class Buffer {
   bool all_zero() const;
 
   /// Flat view of the payload; requires fully_real() (empty span otherwise).
+  /// Flattens a multi-segment buffer into one storage on first use.
   std::span<const std::byte> bytes() const;
-  /// Writable flat view; requires fully_real(). Copies the bytes first when
-  /// another Buffer shares their storage.
+  /// Writable flat view; requires fully_real(). Flattens like bytes(), and
+  /// copies the bytes first when another Buffer shares their storage.
   std::span<std::byte> mutable_bytes();
 
   /// Order-sensitive digest over content; phantom segments contribute a
@@ -117,7 +127,8 @@ class Buffer {
   void push_segment(Segment seg);          // appends + merges
   Buffer slice_segments(std::size_t off, std::size_t len) const;
 
-  std::vector<Segment> segs_;
+  // mutable: bytes() flattens in place; the content does not change.
+  mutable std::vector<Segment> segs_;
   std::uint64_t size_ = 0;
 };
 

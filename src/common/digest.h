@@ -2,14 +2,18 @@
 //
 // Chunk digests (Buffer::digest, hence ChunkLocation::digest and every
 // digest-keyed map) use XXH64, written here from the published algorithm:
-// four 64-bit lanes consume 32 bytes per step. FNV-1a 64-bit stays for
+// four 64-bit lanes consume 32 bytes per step. It is written once, as an
+// incremental state (Xxh64), so a payload held in several pieces hashes as
+// one stream; xxh64(span) wraps it. FNV-1a 64-bit stays for
 // fnv1a(span) because perf/'s kernel probe and the tests call it, and for
 // the constexpr string form.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string_view>
 
@@ -50,51 +54,107 @@ constexpr std::uint64_t xxh64_round(std::uint64_t acc, std::uint64_t lane) {
 }
 }  // namespace detail
 
-/// XXH64 of `data` (the reference algorithm's output for every input).
-inline std::uint64_t xxh64(std::span<const std::byte> data,
-                           std::uint64_t seed = 0) {
-  using detail::xxh64_round;
-  const std::byte* const p = data.data();
-  const std::size_t n = data.size();
-  std::size_t i = 0;
-  std::uint64_t h = seed + kXxhPrime5;
-  if (n >= 32) {
-    std::uint64_t v1 = seed + kXxhPrime1 + kXxhPrime2;
-    std::uint64_t v2 = seed + kXxhPrime2;
-    std::uint64_t v3 = seed;
-    std::uint64_t v4 = seed - kXxhPrime1;
-    for (; i + 32 <= n; i += 32) {
+/// Incremental XXH64: update() with the input in any number of pieces,
+/// then digest() equals xxh64() of the pieces concatenated. Whole 32-byte
+/// stripes are consumed straight from the input; only a stripe that spans
+/// two pieces, and the final tail, pass through the 32-byte pending block.
+class Xxh64 {
+ public:
+  explicit Xxh64(std::uint64_t seed = 0)
+      : seed_(seed),
+        lanes_{seed + kXxhPrime1 + kXxhPrime2, seed + kXxhPrime2, seed,
+               seed - kXxhPrime1} {}
+
+  void update(std::span<const std::byte> data) {
+    const std::byte* p = data.data();
+    std::size_t n = data.size();
+    if (n == 0) return;
+    total_ += n;
+    if (pending_len_ > 0) {
+      const std::size_t take = std::min(n, sizeof pending_ - pending_len_);
+      std::memcpy(pending_ + pending_len_, p, take);
+      pending_len_ += take;
+      p += take;
+      n -= take;
+      if (pending_len_ < sizeof pending_) return;
+      consume(pending_, sizeof pending_);
+      pending_len_ = 0;
+    }
+    const std::size_t whole = n - n % 32;
+    consume(p, whole);
+    if (n > whole) std::memcpy(pending_, p + whole, n - whole);
+    pending_len_ = n - whole;
+  }
+
+  std::uint64_t digest() const {
+    using detail::xxh64_round;
+    std::uint64_t h = seed_ + kXxhPrime5;
+    if (total_ >= 32) {
+      h = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7) +
+          std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+      for (const std::uint64_t v : lanes_) {
+        h = (h ^ xxh64_round(0, v)) * kXxhPrime1 + kXxhPrime4;
+      }
+    }
+    h += total_;
+    const std::byte* const p = pending_;
+    const std::size_t n = pending_len_;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      h = std::rotl(h ^ xxh64_round(0, load_u64(p + i)), 27) * kXxhPrime1 +
+          kXxhPrime4;
+    }
+    if (i + 4 <= n) {
+      h = std::rotl(h ^ (load_u32(p + i) * kXxhPrime1), 23) * kXxhPrime2 +
+          kXxhPrime3;
+      i += 4;
+    }
+    for (; i < n; ++i) {
+      h = std::rotl(h ^ (std::to_integer<std::uint64_t>(p[i]) * kXxhPrime5),
+                    11) *
+          kXxhPrime1;
+    }
+    h ^= h >> 33;
+    h *= kXxhPrime2;
+    h ^= h >> 29;
+    h *= kXxhPrime3;
+    h ^= h >> 32;
+    return h;
+  }
+
+ private:
+  /// Folds whole stripes [p, p+n) into the lanes; n is a multiple of 32.
+  void consume(const std::byte* p, std::size_t n) {
+    using detail::xxh64_round;
+    std::uint64_t v1 = lanes_[0];
+    std::uint64_t v2 = lanes_[1];
+    std::uint64_t v3 = lanes_[2];
+    std::uint64_t v4 = lanes_[3];
+    for (std::size_t i = 0; i < n; i += 32) {
       v1 = xxh64_round(v1, load_u64(p + i));
       v2 = xxh64_round(v2, load_u64(p + i + 8));
       v3 = xxh64_round(v3, load_u64(p + i + 16));
       v4 = xxh64_round(v4, load_u64(p + i + 24));
     }
-    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
-        std::rotl(v4, 18);
-    for (const std::uint64_t v : {v1, v2, v3, v4}) {
-      h = (h ^ xxh64_round(0, v)) * kXxhPrime1 + kXxhPrime4;
-    }
+    lanes_[0] = v1;
+    lanes_[1] = v2;
+    lanes_[2] = v3;
+    lanes_[3] = v4;
   }
-  h += n;
-  for (; i + 8 <= n; i += 8) {
-    h = std::rotl(h ^ xxh64_round(0, load_u64(p + i)), 27) * kXxhPrime1 +
-        kXxhPrime4;
-  }
-  if (i + 4 <= n) {
-    h = std::rotl(h ^ (load_u32(p + i) * kXxhPrime1), 23) * kXxhPrime2 +
-        kXxhPrime3;
-    i += 4;
-  }
-  for (; i < n; ++i) {
-    h = std::rotl(h ^ (std::to_integer<std::uint64_t>(p[i]) * kXxhPrime5), 11) *
-        kXxhPrime1;
-  }
-  h ^= h >> 33;
-  h *= kXxhPrime2;
-  h ^= h >> 29;
-  h *= kXxhPrime3;
-  h ^= h >> 32;
-  return h;
+
+  std::uint64_t seed_;
+  std::uint64_t lanes_[4];
+  std::uint64_t total_ = 0;
+  std::byte pending_[32] = {};
+  std::size_t pending_len_ = 0;
+};
+
+/// XXH64 of `data` (the reference algorithm's output for every input).
+inline std::uint64_t xxh64(std::span<const std::byte> data,
+                           std::uint64_t seed = 0) {
+  Xxh64 state(seed);
+  state.update(data);
+  return state.digest();
 }
 
 }  // namespace blobcr::common

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "blob/spool.h"
 #include "federation/federation.h"
@@ -602,10 +603,18 @@ sim::Task<> PrefetchBus::schedule_restart_prefetch(
     std::erase_if(refs, [](const blob::BlobClient::ChunkRef& r) {
       return r.loc.id == 0 || r.loc.encoding == blob::ChunkEncoding::Zero;
     });
-    std::stable_sort(refs.begin(), refs.end(),
-                     [&popularity](const auto& a, const auto& b) {
-                       return popularity[ChunkKey::of(a.loc)] >
-                              popularity[ChunkKey::of(b.loc)];
+    // Most-shared first, stable among equals. Each ref's popularity is
+    // looked up once; the sort permutes indexes.
+    std::vector<std::uint32_t> pop;
+    pop.reserve(refs.size());
+    for (const auto& r : refs) {
+      pop.push_back(popularity.at(ChunkKey::of(r.loc)));
+    }
+    std::vector<std::size_t> order(refs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&pop](std::size_t a, std::size_t b) {
+                       return pop[a] > pop[b];
                      });
     const std::uint64_t cs = im.m->chunk_size();
     // Rotate each instance's start so concurrent repository fetches spread
@@ -617,7 +626,7 @@ sim::Task<> PrefetchBus::schedule_restart_prefetch(
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
     std::uint64_t budget = per_instance_budget;
     for (std::size_t k = 0; k < refs.size(); ++k) {
-      const auto& r = refs[(k + rot) % refs.size()];
+      const auto& r = refs[order[(k + rot) % refs.size()]];
       const std::uint64_t len = r.loc.logical();
       if (len > budget) break;
       budget -= len;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "blob/client.h"
@@ -443,20 +444,31 @@ TEST(BlobTest, GcTombstonesResolveToError) {
   BlobId base = 0;
   BlobId ckpt = 0;
   tc.run(gc_scenario(tc, base, ckpt));
-  GarbageCollector::Result result;
-  tc.run(collect(tc, ckpt, 4, result));
-  Buffer back;
-  bool threw = false;
-  auto reader = [](TestCluster& cluster, BlobId blob, bool& out) -> Task<> {
-    BlobClient client(*cluster.store, cluster.client_node);
+  // Reads v2 through `client`; a BlobError's message lands in `error`.
+  auto read_v2 = [](BlobClient& client, BlobId blob,
+                    std::string& error) -> Task<> {
     try {
       (void)co_await client.read(blob, 2, 0, 1024);
-    } catch (const BlobError&) {
-      out = true;
+    } catch (const BlobError& e) {
+      error = e.what();
     }
   };
-  tc.run(reader(tc, ckpt, threw));
-  EXPECT_TRUE(threw);
+  // This client resolves v2 (and caches its tree) before the epoch.
+  BlobClient early(*tc.store, tc.client_node);
+  std::string early_before;
+  tc.run(read_v2(early, ckpt, early_before));
+  EXPECT_EQ(early_before, "");
+  GarbageCollector::Result result;
+  tc.run(collect(tc, ckpt, 4, result));
+  BlobClient fresh(*tc.store, tc.client_node);
+  std::string fresh_error;
+  tc.run(read_v2(fresh, ckpt, fresh_error));
+  EXPECT_NE(fresh_error.find("garbage-collected"), std::string::npos)
+      << fresh_error;
+  std::string early_error;
+  tc.run(read_v2(early, ckpt, early_error));
+  EXPECT_NE(early_error.find("garbage-collected"), std::string::npos)
+      << early_error;
 }
 
 // Property test: a random sequence of chunk-aligned writes across several

@@ -110,6 +110,82 @@ TEST(BufferTest, ResizeZeroExtends) {
   EXPECT_EQ(b.to_string(), "a");
 }
 
+// One content (real bytes, a phantom run, real bytes) built flat and from
+// pieces of distinct storages: the segmentation must not show through ==,
+// digest(), all_zero() or bytes(), and a write through one buffer's
+// mutable_bytes() must not reach the storages it shares.
+TEST(BufferTest, PiecewiseContentMatchesFlat) {
+  constexpr std::size_t kPieces[] = {1, 7, 31, 32, 33};
+  constexpr std::size_t kReal = 1 + 7 + 31 + 32 + 33;
+  constexpr std::size_t kPhantom = 40;
+  constexpr std::size_t kPad = 5;  // each piece views the middle of its storage
+  const Buffer head = Buffer::pattern(kReal, 11);
+  const Buffer tail = Buffer::pattern(kReal, 12);
+  Buffer flat = head;
+  flat.append(Buffer::phantom(kPhantom));
+  flat.append(tail);
+
+  std::vector<Buffer> holders;  // own the pieces' storages
+  std::vector<Buffer> holders_before;
+  auto piecewise_of = [&](const Buffer& real) {
+    const auto src = real.bytes();
+    Buffer out;
+    std::size_t at = 0;
+    for (const std::size_t len : kPieces) {
+      std::vector<std::byte> storage(kPad, std::byte{0x5a});
+      storage.insert(storage.end(), src.begin() + at, src.begin() + at + len);
+      storage.insert(storage.end(), kPad, std::byte{0xa5});
+      holders.push_back(Buffer::real(storage));
+      holders_before.push_back(Buffer::real(storage));  // a separate copy
+      out.append(holders.back().slice(kPad, len));
+      at += len;
+    }
+    return out;
+  };
+  Buffer piecewise = piecewise_of(head);
+  piecewise.append(Buffer::phantom(kPhantom));
+  piecewise.append(piecewise_of(tail));
+
+  EXPECT_EQ(piecewise, flat);
+  EXPECT_EQ(flat, piecewise);
+  EXPECT_EQ(piecewise.digest(), flat.digest());
+  EXPECT_EQ(piecewise.all_zero(), flat.all_zero());
+  EXPECT_NE(piecewise, Buffer::phantom(flat.size()));
+  for (const std::size_t base : {std::size_t{0}, kReal + kPhantom}) {
+    for (std::size_t off = 0; off < kReal; ++off) {
+      for (std::size_t len = 1; off + len <= kReal; ++len) {
+        const Buffer a = piecewise.slice(base + off, len);
+        const Buffer b = flat.slice(base + off, len);
+        ASSERT_EQ(a, b) << base + off << "+" << len;
+        ASSERT_EQ(a.digest(), b.digest()) << base + off << "+" << len;
+        const auto va = a.bytes();
+        const auto vb = b.bytes();
+        ASSERT_TRUE(std::equal(va.begin(), va.end(), vb.begin(), vb.end()))
+            << base + off << "+" << len;
+      }
+    }
+  }
+
+  // Fully-real piecewise zeros against one zero storage.
+  Buffer zeros;
+  for (const std::size_t len : kPieces) zeros.append(Buffer::zeros(len));
+  EXPECT_TRUE(zeros.all_zero());
+  EXPECT_EQ(zeros, Buffer::zeros(kReal));
+  EXPECT_EQ(zeros.digest(), Buffer::zeros(kReal).digest());
+
+  // A write through a piecewise copy flattens that copy alone.
+  Buffer copy = piecewise.slice(0, kReal);
+  const auto writable = copy.mutable_bytes();
+  ASSERT_EQ(writable.size(), kReal);
+  for (std::size_t i = 0; i < kReal; i += 3) writable[i] = ~writable[i];
+  EXPECT_NE(copy, head);
+  EXPECT_EQ(piecewise, flat);
+  EXPECT_EQ(piecewise.digest(), flat.digest());
+  for (std::size_t i = 0; i < holders.size(); ++i) {
+    EXPECT_EQ(holders[i], holders_before[i]) << "storage " << i;
+  }
+}
+
 // Differential test of Buffer's shared copy-on-write storage: seeded random
 // sequences of slice, copy, append, overwrite (in place and growing), resize
 // and mutable_bytes() writes over mixed real/phantom buffers, checked after
@@ -312,14 +388,21 @@ TEST_P(BufferSharingTest, MatchesFlatModel) {
         break;
       }
     }
+    // Digest and == first: Matches() calls bytes(), which flattens a
+    // fully-real buffer, and these must also hold for the segmentation
+    // the step left (appends of distinct storages make several segments).
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      ASSERT_TRUE(Matches(pool[i].buf, pool[i].model))
+      ASSERT_EQ(pool[i].buf.digest(), pool[i].model.build().digest())
           << "step " << step << " op " << op << " buffer " << i;
       for (std::size_t j = 0; j < i; ++j) {
         ASSERT_EQ(pool[i].buf == pool[j].buf, pool[i].model == pool[j].model)
             << "step " << step << " op " << op << " buffers " << i << ", "
             << j;
       }
+    }
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      ASSERT_TRUE(Matches(pool[i].buf, pool[i].model))
+          << "step " << step << " op " << op << " buffer " << i;
     }
   }
 }
@@ -574,6 +657,38 @@ TEST(DigestTest, Xxh64MatchesByteSerialReferenceAtEveryLength) {
     for (const std::uint64_t seed : {std::uint64_t{0}, kSanitySeed}) {
       ASSERT_EQ(xxh64(in, seed), xxh64_reference(in, seed))
           << "length " << n << " seed " << seed;
+    }
+  }
+}
+
+// The incremental state fed any split of an input equals the one-shot
+// xxh64() of the whole input: two pieces at every offset for every length
+// up to 300, and three pieces at every pair of cuts up to 100 bytes, where
+// a stripe can straddle two cuts.
+TEST(DigestTest, Xxh64StreamMatchesOneShotAtEverySplit) {
+  const std::vector<std::byte> sanity = sanity_buffer(300);
+  for (const std::uint64_t seed : {std::uint64_t{0}, kSanitySeed}) {
+    for (std::size_t n = 0; n <= sanity.size(); ++n) {
+      const auto in = std::span(sanity).first(n);
+      const std::uint64_t whole = xxh64(in, seed);
+      for (std::size_t cut = 0; cut <= n; ++cut) {
+        Xxh64 stream(seed);
+        stream.update(in.first(cut));
+        stream.update(in.subspan(cut));
+        ASSERT_EQ(stream.digest(), whole)
+            << "length " << n << " cut " << cut << " seed " << seed;
+      }
+      if (n > 100) continue;
+      for (std::size_t a = 0; a <= n; ++a) {
+        for (std::size_t b = a; b <= n; ++b) {
+          Xxh64 stream(seed);
+          stream.update(in.first(a));
+          stream.update(in.subspan(a, b - a));
+          stream.update(in.subspan(b));
+          ASSERT_EQ(stream.digest(), whole) << "length " << n << " cuts " << a
+                                            << ", " << b << " seed " << seed;
+        }
+      }
     }
   }
 }
