@@ -126,7 +126,7 @@ sim::Task<> tenant_task(SweepState* st, std::size_t i) {
     co_return data.slice(off, len);
   };
   const blob::VersionId v = co_await client.write_extents_via(
-      blob, std::move(specs), &reader, st->reducers[i].get());
+      blob, std::move(specs), &reader, {.reducer = st->reducers[i].get()});
   const sim::Time t1 = st->sim->now();
   st->commit_times.push_back(t1 - t0);
   st->last_end = std::max(st->last_end, t1);
@@ -205,7 +205,8 @@ Row run_config(std::size_t tenants, std::size_t shards) {
     st.tenant_ids.push_back(
         store.tenants().register_tenant(common::strf("job%zu", i)));
     st.reducers.push_back(std::make_unique<reduce::Reducer>(
-        store, rcfg, &index, st.tenant_ids.back()));
+        std::vector<blob::BlobStore*>{&store}, rcfg, &index,
+        st.tenant_ids.back()));
   }
 
   // Warmup: one seed commit indexes the whole shared pool, so every
@@ -213,7 +214,7 @@ Row run_config(std::size_t tenants, std::size_t shards) {
   // (in the single-shard plane the queue backlog would otherwise serve all
   // lookups before the first commit records anything — zero hits by
   // accident of queueing, not by content).
-  reduce::Reducer seed_reducer(store, rcfg, &index);
+  reduce::Reducer seed_reducer({&store}, rcfg, &index);
   {
     sim::ProcessPtr seed = sim.spawn(
         "seed",
@@ -232,7 +233,7 @@ Row run_config(std::size_t tenants, std::size_t shards) {
             co_return pool.slice(off, len);
           };
           co_await client.write_extents_via(blob, std::move(specs), &reader,
-                                            red);
+                                            {.reducer = red});
         }(&store, &seed_reducer));
     sim.run();
     if (seed->error()) std::rethrow_exception(seed->error());

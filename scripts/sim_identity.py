@@ -25,11 +25,14 @@ run failed.
 --benches compares the bench/ suite instead: both trees run their own
 scripts/run_benches.sh in fast mode (BLOBCR_BENCH_FAST=1), each with its
 build and output directories in the temporary directory, concurrently.
-Every user counter of every row of every BENCH_*.json is compared; the
-host-dependent real_time, cpu_time, iterations and time_unit fields and
-the JSON context are not. A row present on one side only counts all of its
-counters as differing. Prints each difference and the summary
-"N counters, M differ"; exit code 1 when M > 0, 2 on a build/run failure.
+Every user counter of every row of every BENCH_*.json is compared, and so
+is real_time on a row whose name ends in "/manual_time": such a bench
+reports the simulated duration it passed to SetIterationTime there. The
+host-dependent cpu_time, iterations and time_unit fields, real_time of any
+other row and the JSON context are not compared. A row present on one side
+only counts all of its counters as differing. Prints each difference and
+the summary "N counters, M differ"; exit code 1 when M > 0, 2 on a
+build/run failure.
 """
 
 import argparse
@@ -44,8 +47,11 @@ ROOT = Path(__file__).resolve().parent.parent
 COMPARED = ("sim", "layers_sim", "checks", "attempted", "failed")
 RUN_TIMEOUT_S = 600
 BENCH_TIMEOUT_S = 3600
-# Bench row fields that depend on the host, not on the simulation.
+# Bench row fields that depend on the host, not on the simulation; real_time
+# is simulated time on a manual-time row (MANUAL_TIME), so it is compared
+# there.
 HOST_FIELDS = {"real_time", "cpu_time", "iterations", "time_unit"}
+MANUAL_TIME = "/manual_time"
 # google-benchmark's own row bookkeeping: it names a row, it is no result.
 ROW_FIELDS = {"name", "family_index", "per_family_instance_index", "run_name",
               "run_type", "repetitions", "repetition_index", "threads",
@@ -205,8 +211,12 @@ def compare_workloads(rev, seeds, base_tree, tmp):
 
 
 def counters_of(row):
+    """The simulated values of a bench row: its user counters, plus
+    real_time on a manual-time row."""
+    manual = row["name"].endswith(MANUAL_TIME)
     return {k: v for k, v in row.items()
-            if k not in HOST_FIELDS and k not in ROW_FIELDS}
+            if k not in ROW_FIELDS
+            and (k not in HOST_FIELDS or (manual and k == "real_time"))}
 
 
 def bench_rows(out_dir):
@@ -286,8 +296,10 @@ def compare_benches(rev, base_tree, tmp):
     for line in lines:
         print(f"    {line}")
     files = len({name for name, _ in head_rows})
+    manual = sum(row.endswith(MANUAL_TIME) for _, row in head_rows)
     print(f"sim_identity: {compared} counters, {differing} differ "
-          f"({len(head_rows)} rows of {files} fast-mode benches vs {rev})")
+          f"({len(head_rows)} rows of {files} fast-mode benches, real_time "
+          f"of {manual} manual-time rows included, vs {rev})")
     return 1 if differing else 0
 
 

@@ -4,8 +4,8 @@ identity check).
 Covers seed parsing, the perf-workload field comparison (identical runs,
 changed scalars, changed keys of the sim/layers_sim maps), the per-field
 drift summary over pairs and the bench-row comparison: host fields ignored,
-a changed counter counted, a counter or a whole row present on one side
-only.
+real_time compared on manual-time rows only, a changed counter counted, a
+counter or a whole row present on one side only.
 
 Run:  python3 -m pytest scripts/test_sim_identity.py -q
  or:  python3 scripts/test_sim_identity.py   (where pytest is missing)
@@ -116,6 +116,21 @@ def test_bench_differences_ignore_host_fields_and_bookkeeping():
     compared, differing, lines = sim_identity.bench_differences(
         base, {("BENCH_a.json", "A/1"): head_row})
     assert (compared, differing, lines) == (2, 0, [])
+
+
+def test_bench_differences_compare_real_time_of_manual_time_rows():
+    # A manual-time row's real_time is the simulated duration the bench
+    # passed to SetIterationTime; cpu_time stays host time.
+    key = ("BENCH_a.json", "A/1/manual_time")
+    base_row = bench_row("A/1/manual_time", mb=1.0)
+    same = dict(base_row, cpu_time=9.0)
+    assert sim_identity.bench_differences({key: base_row}, {key: same}) == (
+        2, 0, [])
+    slower = dict(base_row, real_time=1.25)
+    compared, differing, lines = sim_identity.bench_differences(
+        {key: base_row}, {key: slower})
+    assert (compared, differing) == (2, 1)
+    assert lines == ["BENCH_a.json A/1/manual_time real_time: 1.0 -> 1.25"]
 
 
 def test_bench_differences_count_a_changed_counter():

@@ -7,10 +7,13 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "reduce/reducer.h"
 #include "reduce/rle.h"
 #include "sim/when_all.h"
 
 namespace blobcr::blob {
+
+using reduce::ReducedChunk;
 
 common::Buffer BlobClient::decode_stored(const ChunkLocation& loc,
                                          common::Buffer stored) {
@@ -162,17 +165,8 @@ sim::Task<VersionId> BlobClient::write_extents(BlobId blob,
 
 sim::Task<VersionId> BlobClient::write_extents_via(
     BlobId blob, std::vector<ExtentSpec> extents, ExtentReader* reader,
-    CommitReducer* reducer) {
-  CommitOptions opts;
-  opts.reducer = reducer;
-  co_return co_await write_extents_via(blob, std::move(extents), reader,
-                                       std::move(opts));
-}
-
-sim::Task<VersionId> BlobClient::write_extents_via(
-    BlobId blob, std::vector<ExtentSpec> extents, ExtentReader* reader,
     CommitOptions opts) {
-  CommitReducer* reducer = opts.reducer;
+  reduce::Reducer* reducer = opts.reducer;
   VersionId latest = 0;
   const VersionEntry base = co_await resolve(blob, latest);
   const std::uint64_t chunk_size = base.chunk_size;
@@ -248,22 +242,24 @@ sim::Task<VersionId> BlobClient::write_extents_via(
   // indexed would offer dedup targets the GC can never reclaim.
   std::vector<ReducedChunk> plans;
   struct CommitGuard {
-    CommitReducer* red;
+    reduce::ChunkDigestIndex* index;
     const std::vector<ReducedChunk>* plans;
     std::vector<ChunkId> indexed{};  // chunks this commit put in the index
     bool published = false;
     ~CommitGuard() {
-      if (red == nullptr) return;
+      if (index == nullptr) return;
       std::vector<ChunkId> ids;
       for (const ReducedChunk& p : *plans) {
         if (p.kind == ReducedChunk::Kind::Ref && p.ref.id != 0) {
           ids.push_back(p.ref.id);
         }
       }
-      if (!ids.empty()) red->release_refs(ids);
-      if (!published && !indexed.empty()) red->forget_indexed(indexed);
+      if (!ids.empty()) index->release_pins(ids);
+      // Only the withdrawn chunks' own locations drop; identical content
+      // another commit stored stays indexed (fallback entries).
+      if (!published && !indexed.empty()) index->forget_chunks(indexed);
     }
-  } guard{reducer, &plans};
+  } guard{reducer == nullptr ? nullptr : &reducer->index(), &plans};
 
   if (opts.probe != nullptr) co_await (*opts.probe)(CommitStage::Reducing);
 
@@ -310,12 +306,11 @@ sim::Task<VersionId> BlobClient::write_extents_via(
     reduces.reserve(pieces.size());
     for (std::size_t i = 0; i < pieces.size(); ++i) {
       reduces.push_back(
-          [](BlobClient* self, const Piece& piece, ExtentReader* rd,
-             CommitReducer* red, ReducedChunk* plan) -> sim::Task<> {
+          [](const Piece& piece, ExtentReader* rd, reduce::Reducer* red,
+             std::uint32_t zone, ReducedChunk* plan) -> sim::Task<> {
             common::Buffer data = co_await (*rd)(piece.offset, piece.length);
-            *plan = co_await red->reduce(self->node_, piece.offset,
-                                         std::move(data));
-          }(this, pieces[i], reader, reducer, &plans[i]));
+            *plan = co_await red->reduce(zone, std::move(data));
+          }(pieces[i], reader, reducer, store_->config().zone, &plans[i]));
     }
     co_await sim::run_window(store_->simulation(), BlobStore::kWriteWindow,
                              std::move(reduces));
@@ -365,7 +360,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
       // length-derived and would alias unrelated content.
       if (plans[i].index_on_commit) loc.digest = plans[i].digest;
       stored_payload += loc.size;
-      reducer->account_stored(pieces[i].length, loc.size);
+      reducer->account_stored(loc.size);
       locs[i] = std::move(loc);
     }
     for (std::size_t i = 0; i < pieces.size(); ++i) {
@@ -391,8 +386,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
     for (const std::size_t i : store_idx) {
       stores.push_back(
           [](BlobClient* self, ReducedChunk* plan, const ChunkLocation& loc,
-             CommitReducer* red,
-             std::vector<ChunkId>* indexed) -> sim::Task<> {
+             CommitGuard* g) -> sim::Task<> {
             for (const net::NodeId replica : loc.replicas) {
               DataProvider* provider = self->store_->provider_at(replica);
               if (provider == nullptr) throw BlobError("no provider at node");
@@ -401,10 +395,10 @@ sim::Task<VersionId> BlobClient::write_extents_via(
                   qos::IoContext{self->tenant_, qos::GateClass::ProviderIo});
             }
             if (plan->index_on_commit) {
-              red->committed(plan->digest, loc);
-              indexed->push_back(loc.id);
+              g->index->record(plan->digest, loc.logical(), loc);
+              g->indexed.push_back(loc.id);
             }
-          }(this, &plans[i], locs[i], reducer, &guard.indexed));
+          }(this, &plans[i], locs[i], &guard));
     }
     co_await sim::run_window(store_->simulation(), BlobStore::kWriteWindow,
                              std::move(stores));
@@ -569,7 +563,7 @@ sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
     for (const auto& [index, loc] : leaves) {
       // Zero-suppressed leaves are metadata-only holes: no payload to
       // fetch; the assembly below fills uncovered gaps with zeros.
-      if (loc.encoding == ChunkEncoding::Zero || loc.id == 0) continue;
+      if (loc.hole()) continue;
       if (!fetched->try_emplace(loc.id).second) continue;  // scheduled
       fetches.push_back(
           [](BlobClient* self, ChunkLocation l,
@@ -605,7 +599,7 @@ sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
   common::Buffer out;
   std::uint64_t cursor = offset;
   for (const auto& [index, loc] : leaves) {
-    if (loc.encoding == ChunkEncoding::Zero || loc.id == 0) continue;
+    if (loc.hole()) continue;
     common::Buffer& data = fetched->at(loc.id);
     if (decoded.insert(loc.id).second) {
       data = decode_stored(loc, std::move(data));

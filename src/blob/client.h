@@ -17,10 +17,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "blob/reducer.h"
 #include "blob/store.h"
 #include "blob/types.h"
 #include "common/buffer.h"
+
+namespace blobcr::reduce {
+class Reducer;
+}
 
 namespace blobcr::blob {
 
@@ -51,10 +54,10 @@ const char* commit_stage_name(CommitStage s);
 /// boundary under test.
 using CommitProbe = std::function<sim::Task<>(CommitStage)>;
 
-/// Extended knobs for write_extents_via (the plain overload covers the
-/// common synchronous cases).
+/// Knobs of write_extents_via; the defaults are a plain synchronous commit.
 struct CommitOptions {
-  CommitReducer* reducer = nullptr;
+  /// The deployment's reduction pipeline; nullptr ships chunks unreduced.
+  reduce::Reducer* reducer = nullptr;
   /// Non-zero: publish into this reserved version slot (asynchronous drains
   /// reserve at stage time so snapshot numbering reflects capture order).
   VersionId reserved_version = 0;
@@ -109,24 +112,18 @@ class BlobClient {
   /// from disk) overlaps with shipping it to the providers. The caller owns
   /// `reader` and must keep it alive until this task completes.
   ///
-  /// With a `reducer`, every chunk runs through the reduction pipeline
+  /// With `opts.reducer`, every chunk runs through the reduction pipeline
   /// first: all-zero chunks become metadata-only holes, content already in
   /// the repository (other ranks, previous versions, or earlier in this
   /// commit) is referenced instead of re-stored, and remaining payloads may
   /// be compressed. The published version's new_chunk_bytes then reflects
-  /// what actually shipped.
+  /// what actually shipped. `opts` also takes a reserved (provisional)
+  /// version slot and stage-boundary probes, as the asynchronous drain of
+  /// flush::FlushAgent commits.
   sim::Task<VersionId> write_extents_via(BlobId blob,
                                          std::vector<ExtentSpec> extents,
                                          ExtentReader* reader,
-                                         CommitReducer* reducer = nullptr);
-
-  /// Full-control COMMIT: reduction, a reserved (provisional) version slot
-  /// and stage-boundary probes. The asynchronous drain path of
-  /// flush::FlushAgent commits through this overload.
-  sim::Task<VersionId> write_extents_via(BlobId blob,
-                                         std::vector<ExtentSpec> extents,
-                                         ExtentReader* reader,
-                                         CommitOptions opts);
+                                         CommitOptions opts = {});
 
   /// Reads [offset, offset+len) of a version. Unwritten holes read as zeros.
   sim::Task<common::Buffer> read(BlobId blob, VersionId version,

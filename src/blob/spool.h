@@ -1,5 +1,6 @@
-// SpooledCommitReader: the local-disk read policy shared by the synchronous
-// COMMIT path (MirrorDevice) and the asynchronous drain (FlushAgent).
+// commit_spooled: the one COMMIT of a mirroring module's dirty extents,
+// shared by the synchronous path (MirrorDevice::ioctl_commit) and the
+// asynchronous drain (FlushAgent).
 //
 // Chunks are pulled inside the store's window-limited pipeline, but the
 // FUSE-style mirroring module scans its modification log sequentially — so
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "blob/client.h"
 #include "common/buffer.h"
@@ -21,57 +23,49 @@
 
 namespace blobcr::blob {
 
-class SpooledCommitReader {
- public:
-  /// Serves the actual payload bytes once the disk time is charged (e.g.
-  /// a slice of the mirroring module's cache or of a frozen staging
-  /// generation). Synchronous: data structures only, no simulated cost.
-  using ContentFn =
-      std::function<common::Buffer(std::uint64_t offset, std::uint64_t len)>;
+/// Serves the actual payload bytes once the disk time is charged (e.g. a
+/// slice of the mirroring module's cache or of a frozen staging
+/// generation). Synchronous: data structures only, no simulated cost.
+using SpoolContent =
+    std::function<common::Buffer(std::uint64_t offset, std::uint64_t len)>;
 
-  /// `ranges` are the commit's chunk-rounded extents; both `ranges` and the
-  /// reader itself must outlive the write_extents_via call.
-  SpooledCommitReader(storage::Disk& disk, std::uint64_t stream,
-                      const common::RangeSet* ranges, ContentFn content)
-      : disk_(&disk),
-        stream_(stream),
-        ranges_(ranges),
-        content_(std::move(content)),
-        reader_([this](std::uint64_t offset, std::uint64_t length) {
-          return read(offset, length);
-        }) {}
-
-  SpooledCommitReader(const SpooledCommitReader&) = delete;
-  SpooledCommitReader& operator=(const SpooledCommitReader&) = delete;
-
-  BlobClient::ExtentReader* reader() { return &reader_; }
-
- private:
-  static constexpr std::uint64_t kReadahead = 4 * 1024 * 1024;
-
-  sim::Task<common::Buffer> read(std::uint64_t offset, std::uint64_t length) {
-    if (!done_.contains(offset, offset + length)) {
+/// Commits `ranges` (chunk-rounded extents) of `blob` through `client`,
+/// reading each chunk from `disk` on `stream` with spooled readahead and
+/// taking its bytes from `content`. `ranges` must outlive the task.
+inline sim::Task<VersionId> commit_spooled(BlobClient& client, BlobId blob,
+                                           const common::RangeSet& ranges,
+                                           storage::Disk& disk,
+                                           std::uint64_t stream,
+                                           SpoolContent content,
+                                           CommitOptions opts = {}) {
+  constexpr std::uint64_t kReadahead = 4 * 1024 * 1024;
+  const std::vector<common::Range> extents = ranges.to_vector();
+  std::vector<BlobClient::ExtentSpec> specs;
+  specs.reserve(extents.size());
+  for (const common::Range& r : extents) specs.push_back({r.begin, r.length()});
+  // The reader and its spool state live in this frame, which awaits the
+  // whole pipeline.
+  common::RangeSet done;
+  BlobClient::ExtentReader reader =
+      [&](std::uint64_t offset,
+          std::uint64_t length) -> sim::Task<common::Buffer> {
+    if (!done.contains(offset, offset + length)) {
       // Spool forward within the commit range containing this chunk.
       std::uint64_t spool_end = offset + length;
-      for (const common::Range& full : ranges_->to_vector()) {
+      for (const common::Range& full : extents) {
         if (full.begin <= offset && offset < full.end) {
           spool_end =
               std::max(spool_end, std::min(full.end, offset + kReadahead));
           break;
         }
       }
-      done_.insert(offset, spool_end);
-      co_await disk_->read(stream_, offset, spool_end - offset);
+      done.insert(offset, spool_end);
+      co_await disk.read(stream, offset, spool_end - offset);
     }
-    co_return content_(offset, length);
-  }
-
-  storage::Disk* disk_;
-  std::uint64_t stream_;
-  const common::RangeSet* ranges_;
-  ContentFn content_;
-  common::RangeSet done_;
-  BlobClient::ExtentReader reader_;
-};
+    co_return content(offset, length);
+  };
+  co_return co_await client.write_extents_via(blob, std::move(specs), &reader,
+                                              std::move(opts));
+}
 
 }  // namespace blobcr::blob

@@ -59,6 +59,8 @@ struct ChunkLocation {
   std::uint32_t zone = 0;
 
   std::uint32_t logical() const { return logical_size != 0 ? logical_size : size; }
+  /// A payload-free leaf: it reads as zeros, with no chunk to fetch.
+  bool hole() const { return id == 0 || encoding == ChunkEncoding::Zero; }
 };
 
 /// One node of the persistent (path-copied) metadata segment tree over the

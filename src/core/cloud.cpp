@@ -148,17 +148,26 @@ void Cloud::run(sim::Task<> body) {
   sim_.run();
   if (p->error()) std::rethrow_exception(p->error());
   if (!p->finished()) {
-#ifdef BLOBCR_DEBUG_STALL
-    for (const auto& pr : sim_.debug_processes()) {
-      if (pr && !pr->finished()) fprintf(stderr, "STALLED: %s\n", pr->name().c_str());
-    }
-#endif
     // The queue drained with the driver still blocked: some process it was
-    // waiting on died or deadlocked. Surface any failed process's error.
+    // waiting on died or deadlocked. Name the unfinished ones (the first
+    // kNamed of them) so the error says who.
+    constexpr std::size_t kNamed = 8;
+    std::string names;
+    std::size_t blocked = 0;
+    for (const sim::ProcessPtr& pr : sim_.debug_processes()) {
+      if (!pr || pr->finished()) continue;
+      if (blocked++ < kNamed) {
+        names += (names.empty() ? "" : ", ") + pr->name();
+      }
+    }
+    if (blocked > kNamed) {
+      names += common::strf(" and %zu more", blocked - kNamed);
+    }
     sim_.shutdown();
     throw std::runtime_error(
         "simulation stalled: driver blocked when the event queue drained "
-        "(a guest process likely failed before reaching a barrier)");
+        "(a guest process likely failed before reaching a barrier); "
+        "unfinished: " + names);
   }
 }
 
@@ -318,17 +327,17 @@ Deployment::Deployment(Cloud& cloud, std::size_t instances,
       cloud.config().reduction.enabled) {
     // The digest index is repository-scoped by default — concurrent jobs
     // dedup against each other's committed chunks — while the reducer
-    // (stats, epochs, in-flight pins) stays deployment-scoped.
-    // One reducer per zone: the reducer's store drives dedup's preferred
-    // zone, in-flight pin registration and the zone-local Ref check, so it
-    // must match the store a mirror actually commits against.
+    // (stats, epochs) stays deployment-scoped. One reducer serves every
+    // zone store: each commit names its store's zone.
+    std::vector<blob::BlobStore*> stores;
     for (std::uint32_t z = 0; z < cloud.zones(); ++z) {
-      reducers_.push_back(std::make_unique<reduce::Reducer>(
-          *cloud.blob_store(z), cloud.config().reduction,
-          cloud.config().reduction.shared_index ? cloud.shared_digest_index()
-                                                : nullptr,
-          tenant_));
+      stores.push_back(cloud.blob_store(z));
     }
+    reducer_ = std::make_unique<reduce::Reducer>(
+        std::move(stores), cloud.config().reduction,
+        cloud.config().reduction.shared_index ? cloud.shared_digest_index()
+                                              : nullptr,
+        tenant_);
   }
   mpi_ = std::make_unique<mpi::MpiWorld>(cloud.simulation(), cloud.fabric());
   validate_placement();
@@ -704,14 +713,12 @@ std::unique_ptr<MirrorDevice> Deployment::make_mirror(
   mcfg.flush = flush;
   mcfg.tenant = tenant_;
   mcfg.redundancy = cloud.redundancy();
-  federation::Fabric& repo = *cloud.federation();
-  const std::uint32_t zone = repo.store_of_blob(blob)->config().zone;
-  reduce::Reducer* reducer =
-      reducers_.empty() ? nullptr : reducers_[zone].get();
   return std::make_unique<MirrorDevice>(
-      repo, node, cloud.disk(node), cloud.next_disk_stream(node), blob,
-      version, mcfg, *cloud.chunk_cache(node),
-      cloud.config().adaptive_prefetch ? bus_.get() : nullptr, reducer);
+      *cloud.federation(), node, cloud.disk(node),
+      cloud.next_disk_stream(node), blob, version, mcfg,
+      *cloud.chunk_cache(node),
+      cloud.config().adaptive_prefetch ? bus_.get() : nullptr,
+      reducer_.get());
 }
 
 SourceBytes Deployment::source_bytes() const {

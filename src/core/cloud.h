@@ -366,13 +366,11 @@ class Deployment {
   /// own deployment-scoped state (bus holders, staged images) is gone.
   redundancy::Manager* redundancy() { return cloud_->redundancy(); }
   /// Deployment-wide reduction pipeline (nullptr when reduction is off or
-  /// the backend is not BlobCR). Shared by all mirroring modules, like the
-  /// prefetch bus, so dedup works across ranks and snapshot versions. There
-  /// is one reducer per zone (dedup Refs stay zone-local); this returns
-  /// zone 0's.
-  reduce::Reducer* reducer() {
-    return reducers_.empty() ? nullptr : reducers_.front().get();
-  }
+  /// the backend is not BlobCR). Shared by all mirroring modules in every
+  /// zone, like the prefetch bus, so dedup works across ranks and snapshot
+  /// versions; each commit names its store's zone, so dedup Refs stay
+  /// zone-local.
+  reduce::Reducer* reducer() { return reducer_.get(); }
 
   /// True when the asynchronous commit pipeline runs on this deployment's
   /// mirroring modules (BlobCR backend with CloudConfig::flush enabled).
@@ -474,9 +472,7 @@ class Deployment {
                           InstanceSnapshot& snap,
                           const flush::FlushConfig& flush);
   /// A mirroring module on `node` backed by (blob, version), bound to the
-  /// zone store that owns `blob` and to that zone's reducer: commits
-  /// through a zone-z store must reduce through the zone-z reducer, whose
-  /// index lookups prefer — and whose GC pins register in — that zone.
+  /// zone store that owns `blob` and to the deployment's reducer.
   std::unique_ptr<MirrorDevice> make_mirror(net::NodeId node,
                                             blob::BlobId blob,
                                             blob::VersionId version,
@@ -493,9 +489,7 @@ class Deployment {
   sim::ProcessPtr restart_scheduler_;
   std::function<void(std::size_t)> restart_probe_;
   std::unique_ptr<PrefetchBus> bus_;
-  /// One reducer per zone: stats, epochs and in-flight pins are per
-  /// (deployment, zone).
-  std::vector<std::unique_ptr<reduce::Reducer>> reducers_;
+  std::unique_ptr<reduce::Reducer> reducer_;
   std::unique_ptr<mpi::MpiWorld> mpi_;
   std::vector<std::unique_ptr<Instance>> instances_;
 };

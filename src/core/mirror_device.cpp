@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <string>
+#include <string_view>
 
 #include "blob/spool.h"
 #include "federation/federation.h"
@@ -17,6 +19,16 @@ namespace {
 constexpr std::int64_t kPrefetchStreams = 2;
 /// Delay before a peer acts on a prefetch hint.
 constexpr sim::Duration kHintLatency = 300 * sim::kMicrosecond;
+
+/// A failed fetch or resolve, naming its cause (a lost replica, a
+/// garbage-collected version...). A cause that already is one — a chunk's
+/// fetch failing inside a batch — passes through unchanged.
+blob::BlobError fetch_failure(const std::exception& cause) {
+  constexpr std::string_view kFailed = "mirror fetch failed";
+  const std::string what = cause.what();
+  if (what.starts_with(kFailed)) return blob::BlobError(what);
+  return blob::BlobError(std::string(kFailed) + ": " + what);
+}
 }  // namespace
 
 MirrorDevice::MirrorDevice(federation::Fabric& repo, net::NodeId host,
@@ -25,7 +37,7 @@ MirrorDevice::MirrorDevice(federation::Fabric& repo, net::NodeId host,
                            blob::BlobId backing_blob,
                            blob::VersionId backing_version, const Config& cfg,
                            DecodedChunkCache& node_cache, PrefetchBus* bus,
-                           blob::CommitReducer* reducer)
+                           reduce::Reducer* reducer)
     : repo_(&repo),
       store_(repo.store_of_blob(backing_blob)),
       host_(host),
@@ -117,8 +129,7 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
   // A leaf-less index or a Zero-encoded leaf is a hole: it materializes
   // locally with no repository or peer transfer and no disk payload (the
   // sparse local cache reads holes as zeros).
-  const bool hole = loc == nullptr || loc->id == 0 ||
-                    loc->encoding == blob::ChunkEncoding::Zero;
+  const bool hole = loc == nullptr || loc->hole();
   if (hole) {
     ledger_.zero += len;
   } else {
@@ -167,15 +178,13 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
       //    copy instead.
       if (claim.acquire()) {
         federation::Fabric::FetchResult fetched;
-        bool fetch_failed = false;
         try {
           fetched = co_await repo_->fetch_decoded(
               *loc, host_,
               qos::IoContext{cfg_.tenant, qos::GateClass::ProviderIo});
-        } catch (...) {
-          fetch_failed = true;
+        } catch (const std::exception& e) {
+          throw fetch_failure(e);
         }
-        if (fetch_failed) throw blob::BlobError("mirror fetch failed");
         ledger_.repo += loc->size;
         ledger_.repo_logical += fetched.data.size();
         if (fetched.wan) ledger_.wan += fetched.data.size();
@@ -252,15 +261,13 @@ sim::Task<> MirrorDevice::ensure_available(std::uint64_t begin,
     // Resolve the claimed window to chunk identity tuples, then
     // materialize each claimed chunk (window-limited like a client read).
     std::vector<blob::BlobClient::ChunkRef> refs;
-    bool failed = false;
     try {
       refs = co_await client_.resolve_chunks(
           backing_blob_, backing_version_, claimed.front().first,
           claimed.back().second - claimed.front().first);
-    } catch (...) {
-      failed = true;
+    } catch (const std::exception& e) {
+      throw fetch_failure(e);
     }
-    if (failed) throw blob::BlobError("mirror fetch failed");
     std::unordered_map<std::uint64_t, const blob::ChunkLocation*> by_index;
     by_index.reserve(refs.size());
     for (const auto& r : refs) by_index[r.index] = &r.loc;
@@ -274,10 +281,9 @@ sim::Task<> MirrorDevice::ensure_available(std::uint64_t begin,
     try {
       co_await sim::run_window(store_->simulation(),
                                blob::BlobStore::kReadWindow, std::move(jobs));
-    } catch (...) {
-      failed = true;
+    } catch (const std::exception& e) {
+      throw fetch_failure(e);
     }
-    if (failed) throw blob::BlobError("mirror fetch failed");
   }
 }
 
@@ -364,20 +370,13 @@ sim::Task<blob::VersionId> MirrorDevice::ioctl_commit() {
 
   // Stream the commit: chunks are read from the local cache disk inside the
   // store pipeline, overlapping local I/O with provider transfers (spooled
-  // readahead policy in blob/spool.h). Both `rounded` and the reader live
-  // in this frame, which awaits the pipeline.
-  std::vector<blob::BlobClient::ExtentSpec> specs;
-  for (const common::Range& r : rounded.to_vector()) {
-    specs.push_back({r.begin, r.length()});
-  }
-  blob::SpooledCommitReader spool(
-      *disk_, stream_, &rounded,
+  // readahead policy in blob/spool.h).
+  const blob::VersionId v = co_await blob::commit_spooled(
+      client_, ckpt_blob_, rounded, *disk_, stream_,
       [this](std::uint64_t offset, std::uint64_t length) {
         return cache_.read(offset, length);
-      });
-  const blob::VersionId v =
-      co_await client_.write_extents_via(ckpt_blob_, std::move(specs),
-                                         spool.reader(), reducer_);
+      },
+      {.reducer = reducer_});
   dirty_.clear();
   last_commit_payload_ = payload;
   last_version_ = v;
@@ -587,22 +586,19 @@ sim::Task<> PrefetchBus::schedule_restart_prefetch(
   }
   co_await sim::when_all(*sim_, std::move(resolves));
 
-  // Popularity: how many instances share each content identity.
+  // Popularity: how many instances share each content identity (holes
+  // have no content to fetch and drop out here).
   std::unordered_map<ChunkKey, std::uint32_t, ChunkKeyHash> popularity;
-  for (const InstanceMap& im : *maps) {
-    for (const auto& r : im.refs) {
-      if (r.loc.id == 0 || r.loc.encoding == blob::ChunkEncoding::Zero)
-        continue;
-      ++popularity[ChunkKey::of(r.loc)];
-    }
+  for (InstanceMap& im : *maps) {
+    std::erase_if(im.refs, [](const blob::BlobClient::ChunkRef& r) {
+      return r.loc.hole();
+    });
+    for (const auto& r : im.refs) ++popularity[ChunkKey::of(r.loc)];
   }
 
   for (std::size_t i = 0; i < maps->size(); ++i) {
     InstanceMap& im = (*maps)[i];
     std::vector<blob::BlobClient::ChunkRef>& refs = im.refs;
-    std::erase_if(refs, [](const blob::BlobClient::ChunkRef& r) {
-      return r.loc.id == 0 || r.loc.encoding == blob::ChunkEncoding::Zero;
-    });
     // Most-shared first, stable among equals. Each ref's popularity is
     // looked up once; the sort permutes indexes.
     std::vector<std::uint32_t> pop;

@@ -115,7 +115,7 @@ class MirrorDevice : public img::BlockDevice {
                blob::BlobId backing_blob, blob::VersionId backing_version,
                const Config& cfg, DecodedChunkCache& node_cache,
                PrefetchBus* bus = nullptr,
-               blob::CommitReducer* reducer = nullptr);
+               reduce::Reducer* reducer = nullptr);
   ~MirrorDevice() override;
 
   // --- BlockDevice ---
@@ -220,7 +220,7 @@ class MirrorDevice : public img::BlockDevice {
   blob::VersionId backing_version_;
   Config cfg_;
   PrefetchBus* bus_;
-  blob::CommitReducer* reducer_;  // deployment-scoped reduction pipeline
+  reduce::Reducer* reducer_;  // deployment-scoped reduction pipeline
   blob::BlobClient client_;
 
   common::SparseFile cache_;      // local content (fetched + written)

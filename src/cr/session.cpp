@@ -283,9 +283,7 @@ Task<ScavengeReport> Session::scavenge() {
       const auto refs =
           co_await client.resolve_chunks(s.image, s.version, 0, size);
       for (const blob::BlobClient::ChunkRef& ref : refs) {
-        if (ref.loc.id == 0 || ref.loc.encoding == blob::ChunkEncoding::Zero)
-          continue;
-        want.emplace(ref.loc.id, ref.loc);
+        if (!ref.loc.hole()) want.emplace(ref.loc.id, ref.loc);
       }
     }
   }

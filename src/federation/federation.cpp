@@ -191,8 +191,7 @@ sim::Task<> Fabric::replicate_commit(blob::BlobClient& client,
     const std::uint64_t off = index * stored.chunk_size;
     const bool is_dirty = dirty.intersects(off, off + 1);
     if (is_dirty) ++dirty_leaves;
-    if (loc.id == 0 || loc.encoding == blob::ChunkEncoding::Zero) continue;
-    if (loc.zone != origin) continue;
+    if (loc.hole() || loc.zone != origin) continue;
     if (!seen.insert(loc.id).second) continue;
     floor_set.push_back(&loc);
     if (is_dirty) delta.push_back(&loc);
@@ -301,7 +300,7 @@ sim::Task<std::optional<Fabric::FetchResult>> Fabric::try_fetch(
 
 sim::Task<Fabric::FetchResult> Fabric::fetch_decoded(
     const blob::ChunkLocation& loc, net::NodeId dst, qos::IoContext ctx) {
-  if (loc.id == 0 || loc.encoding == blob::ChunkEncoding::Zero) {
+  if (loc.hole()) {
     co_return FetchResult{common::Buffer::zeros(loc.logical()), false};
   }
   // An in-zone chunk of a live zone stays inside its own store: the listed

@@ -11,7 +11,7 @@ namespace blobcr::flush {
 
 FlushAgent::FlushAgent(blob::BlobStore& store, federation::Fabric& federation,
                        blob::BlobClient& client, storage::Disk& disk,
-                       std::uint64_t disk_stream, blob::CommitReducer* reducer,
+                       std::uint64_t disk_stream, reduce::Reducer* reducer,
                        const FlushConfig& cfg,
                        redundancy::Manager* redundancy)
     : store_(&store),
@@ -125,26 +125,16 @@ sim::Task<> FlushAgent::drain_loop() {
 sim::Task<> FlushAgent::drain_one(StagedCommit c) {
   if (probe_) co_await probe_(blob::CommitStage::Staged);
 
-  std::vector<blob::BlobClient::ExtentSpec> specs;
-  for (const common::Range& r : c.ranges.to_vector()) {
-    specs.push_back({r.begin, r.length()});
-  }
-
   // Spooled reads of the frozen generation: the difference log lives on the
-  // local disk (readahead policy in blob/spool.h, shared with the
-  // synchronous commit path).
-  blob::SpooledCommitReader spool(
-      *disk_, stream_, &c.ranges,
+  // local disk (blob/spool.h, shared with the synchronous commit path).
+  const blob::VersionId v = co_await blob::commit_spooled(
+      *client_, c.blob, c.ranges, *disk_, stream_,
       [&c](std::uint64_t offset, std::uint64_t length) {
         return c.data.read(offset, length);
-      });
-
-  blob::CommitOptions opts;
-  opts.reducer = reducer_;
-  opts.reserved_version = c.reserved;
-  opts.probe = probe_ ? &probe_ : nullptr;
-  const blob::VersionId v = co_await client_->write_extents_via(
-      c.blob, std::move(specs), spool.reader(), std::move(opts));
+      },
+      {.reducer = reducer_,
+       .reserved_version = c.reserved,
+       .probe = probe_ ? &probe_ : nullptr});
 
   // Peer parity tier: the drained chunks fold into XOR groups across the
   // deployment (redundancy::Manager). Fired after publish — a kill at this
@@ -158,8 +148,7 @@ sim::Task<> FlushAgent::drain_one(StagedCommit c) {
       const auto refs =
           co_await client_->resolve_chunks(c.blob, v, r.begin, r.length());
       for (const blob::BlobClient::ChunkRef& ref : refs) {
-        if (ref.loc.id == 0 || ref.loc.encoding == blob::ChunkEncoding::Zero)
-          continue;
+        if (ref.loc.hole()) continue;
         const std::uint64_t off = ref.index * chunk;
         if (off < r.begin || off >= r.end) continue;
         protect.push_back(redundancy::Manager::ChunkPayload{

@@ -48,7 +48,7 @@ class FlushAgent {
   /// tier — the CommitStage::ParityEncode boundary.
   FlushAgent(blob::BlobStore& store, federation::Fabric& federation,
              blob::BlobClient& client, storage::Disk& disk,
-             std::uint64_t disk_stream, blob::CommitReducer* reducer,
+             std::uint64_t disk_stream, reduce::Reducer* reducer,
              const FlushConfig& cfg,
              redundancy::Manager* redundancy = nullptr);
   ~FlushAgent();
@@ -95,7 +95,7 @@ class FlushAgent {
   blob::BlobClient* client_;
   storage::Disk* disk_;
   std::uint64_t stream_;
-  blob::CommitReducer* reducer_;
+  reduce::Reducer* reducer_;
   redundancy::Manager* redundancy_;
   federation::Fabric* fed_;  // never null
   FlushConfig cfg_;

@@ -17,8 +17,9 @@
 // during frame unwinding, where no co_await is possible; only the lookup
 // path (the per-chunk hot path) goes through the shard queues.
 //
-// Entries are recorded only after a chunk reached all of its replicas
-// (CommitReducer::committed), so the index never references in-flight data.
+// Entries are recorded only after a chunk reached all of its replicas (by
+// BlobClient's reduced commit path), so the index never references
+// in-flight data.
 // The index observes the GC of every store it serves (blob::GcObserver,
 // registered by its owner): forget_chunks drops the entries of reclaimed
 // chunks, since a stale hit after GC would silently resurrect a deleted

@@ -1,5 +1,6 @@
 #include "reduce/reducer.h"
 
+#include <cassert>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -9,41 +10,40 @@
 
 namespace blobcr::reduce {
 
-Reducer::Reducer(blob::BlobStore& store, const ReductionConfig& cfg,
-                 ChunkDigestIndex* shared_index, net::TenantId tenant)
-    : store_(&store),
+Reducer::Reducer(std::vector<blob::BlobStore*> stores,
+                 const ReductionConfig& cfg, ChunkDigestIndex* shared_index,
+                 net::TenantId tenant)
+    : stores_(std::move(stores)),
       cfg_(cfg),
       tenant_(tenant),
       own_index_(cfg.index_shards),
       index_(shared_index != nullptr ? shared_index : &own_index_) {
-  if (!shares_index()) store_->add_gc_observer(&own_index_);
+  assert(!stores_.empty());
+  if (shares_index()) return;
+  for (blob::BlobStore* s : stores_) s->add_gc_observer(&own_index_);
 }
 
 Reducer::~Reducer() {
-  if (!shares_index()) store_->remove_gc_observer(&own_index_);
+  if (shares_index()) return;
+  for (blob::BlobStore* s : stores_) s->remove_gc_observer(&own_index_);
 }
 
-void Reducer::begin_epoch() { epoch_base_ = stats_; }
-
-sim::Task<blob::ReducedChunk> Reducer::reduce(net::NodeId node,
-                                              std::uint64_t offset,
-                                              common::Buffer payload) {
-  (void)node;
-  (void)offset;
+sim::Task<ReducedChunk> Reducer::reduce(std::uint32_t zone,
+                                        common::Buffer payload) {
   const std::uint32_t raw_size = static_cast<std::uint32_t>(payload.size());
   ++stats_.chunks_total;
   stats_.raw_bytes += raw_size;
 
   if (cfg_.digest_bps > 0) {
-    co_await store_->simulation().delay(
+    co_await stores_.front()->simulation().delay(
         sim::transfer_time(raw_size, cfg_.digest_bps));
   }
 
-  blob::ReducedChunk out;
+  ReducedChunk out;
 
   // 1. Zero suppression: an all-zero chunk becomes a metadata-only hole.
   if (cfg_.zero_suppression && payload.all_zero()) {
-    out.kind = blob::ReducedChunk::Kind::Zero;
+    out.kind = ReducedChunk::Kind::Zero;
     ++stats_.zero_chunks;
     stats_.zero_bytes += raw_size;
     co_return out;
@@ -61,9 +61,8 @@ sim::Task<blob::ReducedChunk> Reducer::reduce(net::NodeId node,
     // owning shard (per-tenant fair order); otherwise it is an in-process
     // peek, exactly the pre-sharding timing model.
     // Proximity-ordered serving: of the same-content copies on record,
-    // prefer one in this store's own zone so dedup Refs (and the restart
-    // fetches they later imply) stay zone-local when possible.
-    const std::uint32_t zone = store_->config().zone;
+    // prefer one in the committing store's zone so dedup Refs (and the
+    // restart fetches they later imply) stay zone-local when possible.
     const blob::ChunkLocation* loc =
         index_->service_attached()
             ? co_await index_->lookup_queued(tenant_, out.digest, raw_size,
@@ -75,7 +74,7 @@ sim::Task<blob::ReducedChunk> Reducer::reduce(net::NodeId node,
     // sharing is the federation replicator's job, not dedup's.
     if (loc != nullptr && loc->zone != zone) loc = nullptr;
     if (loc != nullptr) {
-      out.kind = blob::ReducedChunk::Kind::Ref;
+      out.kind = ReducedChunk::Kind::Ref;
       out.ref = *loc;
       // Pin until the referencing commit publishes (or fails): the GC
       // cannot see this reference in any tree yet.
@@ -89,7 +88,7 @@ sim::Task<blob::ReducedChunk> Reducer::reduce(net::NodeId node,
 
   // 3. Compression: real RLE transform, or the ratio model for pure-phantom
   //    payloads. Mixed chunks ship raw so real content survives bit-exactly.
-  out.kind = blob::ReducedChunk::Kind::Store;
+  out.kind = ReducedChunk::Kind::Store;
   if (cfg_.compression && payload.fully_real()) {
     std::vector<std::byte> encoded = rle_encode(payload.bytes());
     if (encoded.size() < raw_size) {
@@ -114,31 +113,6 @@ sim::Task<blob::ReducedChunk> Reducer::reduce(net::NodeId node,
   out.payload = std::move(payload);
   out.encoding = blob::ChunkEncoding::Raw;
   co_return out;
-}
-
-void Reducer::committed(std::uint64_t digest, const blob::ChunkLocation& loc) {
-  index_->record(digest, loc.logical(), loc);
-}
-
-void Reducer::account_stored(std::uint32_t raw_size,
-                             std::uint32_t stored_size) {
-  (void)raw_size;
-  stats_.shipped_bytes += stored_size;
-}
-
-void Reducer::account_aliased(std::uint32_t raw_size) {
-  ++stats_.dedup_hits;
-  stats_.dedup_bytes += raw_size;
-}
-
-void Reducer::release_refs(const std::vector<blob::ChunkId>& ids) {
-  index_->release_pins(ids);
-}
-
-void Reducer::forget_indexed(const std::vector<blob::ChunkId>& ids) {
-  // forget_chunks only drops the withdrawn chunks' own locations; identical
-  // content another commit stored stays indexed (fallback entries).
-  index_->forget_chunks(ids);
 }
 
 }  // namespace blobcr::reduce

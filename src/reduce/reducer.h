@@ -1,8 +1,10 @@
-// Reducer: the concrete chunk-reduction pipeline (zero suppression ->
-// content-addressed dedup -> compression) that BlobClient consults on the
-// commit path. One Reducer per deployment, shared by all of its mirroring
-// modules — the same scoping as the PrefetchBus — so dedup works across
-// ranks as well as across successive snapshot versions.
+// Reducer: the chunk-reduction pipeline (zero suppression -> content-
+// addressed dedup -> compression) that BlobClient::write_extents_via runs
+// each chunk through before placement. One Reducer per deployment, shared
+// by all of its mirroring modules in every zone — the same scoping as the
+// PrefetchBus — so dedup works across ranks as well as across successive
+// snapshot versions. The committing client names its store's zone on every
+// call, so one reducer serves every zone store of a federated repository.
 //
 // Honesty rules (the simulator mixes real and phantom payloads):
 //  * zero suppression and dedup apply only to fully-real payloads — phantom
@@ -17,44 +19,68 @@
 #include <cstdint>
 #include <vector>
 
-#include "blob/reducer.h"
 #include "blob/store.h"
+#include "blob/types.h"
+#include "common/buffer.h"
 #include "reduce/digest_index.h"
 #include "reduce/reduction.h"
+#include "sim/task.h"
 
 namespace blobcr::reduce {
 
-class Reducer final : public blob::CommitReducer {
+/// The reduction verdict for one chunk-sized commit payload.
+struct ReducedChunk {
+  enum class Kind {
+    Store,  // ship `payload` (possibly transformed) as a new chunk
+    Ref,    // reference the existing chunk at `ref`; nothing ships
+    Zero,   // metadata-only hole; nothing ships or stores
+  };
+  Kind kind = Kind::Store;
+  common::Buffer payload;  // Store: the bytes to place and ship
+  blob::ChunkEncoding encoding = blob::ChunkEncoding::Raw;  // Store
+  blob::ChunkLocation ref;  // Ref: existing location (copied into the leaf)
+  std::uint64_t digest = 0;      // content digest of the raw payload
+  bool index_on_commit = false;  // record digest -> location once stored
+};
+
+class Reducer {
  public:
   /// With a `shared_index` (the repository-scoped index owned by the Cloud)
-  /// this reducer records into, pins in and dedups against it — cross-job
-  /// dedup — and the index's owner registers it with the stores' GC;
-  /// without one, the reducer owns an isolated per-deployment index and
-  /// registers that with `store` itself. `tenant` tags the reducer's index
+  /// this reducer looks up and pins in it — cross-job dedup — and the
+  /// index's owner registers it with the stores' GC; without one, the
+  /// reducer owns an isolated per-deployment index and registers that with
+  /// every store in `stores` itself. `tenant` tags the reducer's index
   /// lookups for the shard queues' fair dispatch (the deployment's
   /// repository tenant).
-  Reducer(blob::BlobStore& store, const ReductionConfig& cfg,
+  Reducer(std::vector<blob::BlobStore*> stores, const ReductionConfig& cfg,
           ChunkDigestIndex* shared_index = nullptr,
           net::TenantId tenant = net::kDefaultTenant);
-  ~Reducer() override;
+  ~Reducer();
 
   Reducer(const Reducer&) = delete;
   Reducer& operator=(const Reducer&) = delete;
 
-  // --- CommitReducer ---
-  sim::Task<blob::ReducedChunk> reduce(net::NodeId node, std::uint64_t offset,
-                                       common::Buffer payload) override;
-  void committed(std::uint64_t digest, const blob::ChunkLocation& loc) override;
-  void account_stored(std::uint32_t raw_size,
-                      std::uint32_t stored_size) override;
-  void account_aliased(std::uint32_t raw_size) override;
-  void release_refs(const std::vector<blob::ChunkId>& ids) override;
-  void forget_indexed(const std::vector<blob::ChunkId>& ids) override;
+  /// Reduces one raw chunk payload committed into the `zone` store (called
+  /// inside the commit window, so simulated digest/compression cost
+  /// overlaps across chunks). A dedup Ref is pinned in index(); the
+  /// committing client releases the pin once its commit published or
+  /// failed, and records every stored dedupable chunk there itself.
+  sim::Task<ReducedChunk> reduce(std::uint32_t zone, common::Buffer payload);
+
+  /// Byte accounting from the client: a genuinely stored chunk (what
+  /// shipped) or an intra-commit dedup alias (raw bytes saved).
+  void account_stored(std::uint32_t stored_size) {
+    stats_.shipped_bytes += stored_size;
+  }
+  void account_aliased(std::uint32_t raw_size) {
+    ++stats_.dedup_hits;
+    stats_.dedup_bytes += raw_size;
+  }
 
   /// Opens a fresh stats epoch: epoch_stats() then covers only what was
   /// reduced since this call. Callers that want per-checkpoint stats open
   /// one before each checkpoint.
-  void begin_epoch();
+  void begin_epoch() { epoch_base_ = stats_; }
 
   const ReductionConfig& config() const { return cfg_; }
   const ReductionStats& stats() const { return stats_; }
@@ -65,7 +91,7 @@ class Reducer final : public blob::CommitReducer {
   bool shares_index() const { return index_ != &own_index_; }
 
  private:
-  blob::BlobStore* store_;
+  std::vector<blob::BlobStore*> stores_;
   ReductionConfig cfg_;
   net::TenantId tenant_;
   ChunkDigestIndex own_index_;

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "blob/client.h"
+#include "blob/gc.h"
 #include "core/mirror_device.h"
 #include "federation/federation.h"
 #include "core/proxy.h"
@@ -316,7 +318,7 @@ TEST(MirrorTest, ReducedCommitShipsLessAndRoundTrips) {
   rig.make_base();
   reduce::ReductionConfig rcfg;
   rcfg.enabled = true;
-  reduce::Reducer reducer(*rig.store, rcfg);
+  reduce::Reducer reducer({rig.store.get()}, rcfg);
   auto m1 = rig.make_mirror(rig.host_a);
   MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
@@ -347,6 +349,32 @@ TEST(MirrorTest, ReducedCommitShipsLessAndRoundTrips) {
   EXPECT_EQ(reducer.stats().shipped_bytes, 3 * kChunk);
   EXPECT_EQ(reducer.stats().zero_chunks, 2u);
   EXPECT_EQ(reducer.stats().dedup_hits, 2u);
+}
+
+// A read through a mirror whose backing version a GC epoch tombstoned
+// fails with a BlobError that names the cause, not a bare fetch failure.
+TEST(MirrorTest, FetchFromCollectedVersionNamesTheCause) {
+  TestRig rig;
+  rig.make_base();
+  rig.run([](TestRig* r) -> Task<> {
+    blob::BlobClient client(*r->store, r->host_a);
+    (void)co_await client.write(r->base, 0, Buffer::pattern(kImage, 43));
+    blob::GarbageCollector gc(*r->store);
+    std::vector<blob::GarbageCollector::Drop> drops;
+    drops.push_back({r->base, 2});
+    (void)co_await gc.collect(std::move(drops));
+  }(&rig));
+  auto m = rig.make_mirror(rig.host_a);  // backed by the collected version 1
+  std::string what;
+  rig.run([](MirrorDevice* m, std::string* what) -> Task<> {
+    try {
+      (void)co_await m->read(0, kChunk);
+    } catch (const blob::BlobError& e) {
+      *what = e.what();
+    }
+  }(m.get(), &what));
+  EXPECT_NE(what.find("mirror fetch failed"), std::string::npos) << what;
+  EXPECT_NE(what.find("garbage-collected"), std::string::npos) << what;
 }
 
 TEST(MirrorTest, PrefetchedReadIsFasterThanCold) {

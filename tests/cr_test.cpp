@@ -19,6 +19,7 @@
 #include "core/blobcr.h"
 #include "flush/flush_agent.h"
 #include "reduce/digest_index.h"
+#include "reduce/reducer.h"
 #include "redundancy/manager.h"
 #include "sim/sim.h"
 
@@ -503,22 +504,26 @@ TEST(CrRetentionTest, OnePassOpensOneEpochPerStore) {
   EXPECT_TRUE(out.restored_ok);
 }
 
-// The shared digest index observes the GC of every zone store, not only
-// zone 0's. The job runs in zone 1: once retention sweeps the chunks of its
-// first state, the index must stop serving them, and the same content
-// committed again must be stored anew and restart bit-exactly from cold
-// caches. An index deaf to zone 1's sweep would hand out dedup Refs to the
-// swept chunks.
-TEST(CrRetentionTest, SharedIndexForgetsWhatEveryZoneSweeps) {
+// The digest index observes the GC of every zone store, not only zone 0's.
+// The job runs in zone 1: once retention sweeps the chunks of its first
+// state, the index must stop serving them, and the same content committed
+// again must be stored anew and restart bit-exactly from cold caches. An
+// index deaf to zone 1's sweep would hand out dedup Refs to the swept
+// chunks. Holds for the Cloud's shared index and for the isolated index of
+// the deployment's one reducer (shared_index = false).
+void expect_index_forgets_every_zone_sweep(bool shared_index) {
+  SCOPED_TRACE(shared_index ? "shared index" : "isolated index");
   constexpr std::size_t kZone1 = 6;  // first compute node of zone 1
   CloudConfig cfg = tiny_cfg(Backend::BlobCR);
   cfg.compute_nodes = 12;
   cfg.federation.zones = 2;
-  cfg.reduction.enabled = true;  // one index, shared by both zone stores
+  cfg.reduction.enabled = true;  // one index, observing both zone stores
+  cfg.reduction.shared_index = shared_index;
   Cloud cloud(cfg);
   struct Outcome {
     bool in_zone1 = false;
     std::uint64_t reclaimed = 0;
+    std::size_t served_before = 0;  // indexed leaves served before the sweep
     std::size_t swept = 0;         // indexed leaves of the first state swept
     std::size_t still_served = 0;  // ... that the index still hands out
     bool restored_ok = false;
@@ -550,9 +555,16 @@ TEST(CrRetentionTest, SharedIndexForgetsWhatEveryZoneSweeps) {
 
     co_await write_state(&dep.vm(0), 71);  // overwrites the state in place
     (void)co_await session.checkpoint();
+    reduce::ChunkDigestIndex* index = cl->config().reduction.shared_index
+                                          ? cl->shared_digest_index()
+                                          : &dep.reducer()->index();
+    for (const blob::ChunkLocation& loc : indexed) {
+      const blob::ChunkLocation* hit =
+          index->lookup(loc.digest, loc.logical(), loc.zone);
+      if (hit != nullptr && hit->id == loc.id) ++out->served_before;
+    }
     out->reclaimed = co_await session.apply_retention();
 
-    reduce::ChunkDigestIndex* index = cl->shared_digest_index();
     for (const blob::ChunkLocation& loc : indexed) {
       bool held = false;
       for (const auto& p : store->providers()) held = held || p->has(loc.id);
@@ -576,9 +588,15 @@ TEST(CrRetentionTest, SharedIndexForgetsWhatEveryZoneSweeps) {
 
   EXPECT_TRUE(out.in_zone1);
   EXPECT_GT(out.reclaimed, 0u);
+  EXPECT_GT(out.served_before, 0u);
   EXPECT_GT(out.swept, 0u);
   EXPECT_EQ(out.still_served, 0u);
   EXPECT_TRUE(out.restored_ok);
+}
+
+TEST(CrRetentionTest, SharedIndexForgetsWhatEveryZoneSweeps) {
+  expect_index_forgets_every_zone_sweep(/*shared_index=*/true);
+  expect_index_forgets_every_zone_sweep(/*shared_index=*/false);
 }
 
 // The Cloud's parity tier observes the stores' GC: a retention pass that

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "cr/session.h"
 #include "federation/federation.h"
 #include "flush/flush_agent.h"
+#include "reduce/reducer.h"
 #include "sim/sim.h"
 
 namespace blobcr {
@@ -431,6 +433,103 @@ TEST(FederationTest, MultiJobUsageSumsEveryZone) {
   EXPECT_EQ(j.usage.raw_bytes, z0.raw_bytes + z1.raw_bytes);
   EXPECT_EQ(j.usage.shipped_bytes, z0.shipped_bytes + z1.shipped_bytes);
   EXPECT_EQ(j.usage.commits, z0.commits + z1.commits);
+}
+
+// ---------------------------------------------------------------------------
+// One reducer per deployment serves every zone: a deployment spanning two
+// zones reduces both instances' commits through Deployment::reducer(), each
+// against its own store's zone. The zone-1 instance commits content the
+// zone-0 instance already stored, yet its leaves stay in zone 1 (a dedup
+// Ref never crosses zones), and the next identical round dedups it against
+// those zone-1 chunks.
+// ---------------------------------------------------------------------------
+
+TEST(FederationTest, OneReducerServesEveryZone) {
+  CloudConfig cfg = fed_cfg(2, 8);  // zone 0 = nodes 0-3, zone 1 = nodes 4-7
+  cfg.reduction.enabled = true;
+  Cloud cloud(cfg);
+  struct Outcome {
+    bool spans_zones = false;
+    std::uint64_t raw_bytes = 0;
+    std::uint64_t payloads = 0;  // both mirrors' last_commit_payload()
+    std::size_t digest_leaves = 0;  // of instance 1's first version
+    std::size_t foreign = 0;  // digest leaves of instance 1 outside zone 1
+    std::size_t zone1_refs = 0;  // second-round leaves on first-round chunks
+  } out;
+
+  cloud.run([](Cloud* cl, Outcome* out) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, 2, 3);  // node 3 -> zone 0, node 4 -> zone 1
+    Session session(dep);
+    co_await dep.deploy_and_boot();
+
+    // Every chunk of this state reads alike, so a rewrite the file system
+    // places elsewhere still matches the earlier chunks one for one.
+    const Buffer state =
+        Buffer::real(std::vector<std::byte>(common::kMiB, std::byte{0x5a}));
+    // One round: both instances write the state, instance 0 commits (and
+    // drains, so its chunks are indexed) before instance 1.
+    const auto round = [](Deployment* dep, Session* session,
+                          const Buffer* state) -> Task<> {
+      for (std::size_t i = 0; i < 2; ++i) {
+        co_await dep->vm(i).fs()->write_file("/data/state.bin", *state);
+        co_await dep->vm(i).fs()->sync();
+      }
+      (void)co_await dep->snapshot_instance(0);
+      co_await dep->wait_drained(0);
+      (void)co_await dep->snapshot_instance(1);
+      (void)co_await session->commit_last();
+    };
+    // Instance 1's digest-carrying leaves of its latest version (chunk
+    // index -> chunk id); counts the ones outside zone 1.
+    const auto leaves = [](Cloud* cl, Deployment* dep, Outcome* out)
+        -> Task<std::map<std::uint64_t, blob::ChunkId>> {
+      const core::InstanceSnapshot s =
+          dep->collect_last_snapshots().snapshots.at(1);
+      blob::BlobClient client(*cl->store_of_blob(s.image),
+                              cl->compute_node(4));
+      const blob::BlobMeta meta = co_await client.stat(s.image);
+      const std::vector<blob::BlobClient::ChunkRef> refs =
+          co_await client.resolve_chunks(s.image, s.version, 0,
+                                         meta.version(s.version).size);
+      std::map<std::uint64_t, blob::ChunkId> ids;
+      for (const blob::BlobClient::ChunkRef& ref : refs) {
+        if (ref.loc.digest == 0) continue;
+        ids[ref.index] = ref.loc.id;
+        if (ref.loc.zone != 1) ++out->foreign;
+      }
+      co_return ids;
+    };
+
+    co_await round(&dep, &session, &state);
+    const core::GlobalCheckpoint line = dep.collect_last_snapshots();
+    out->spans_zones =
+        federation::Fabric::zone_of_blob(line.snapshots.at(0).image) == 0 &&
+        federation::Fabric::zone_of_blob(line.snapshots.at(1).image) == 1;
+    out->raw_bytes = dep.reducer()->stats().raw_bytes;
+    out->payloads = dep.instance(0).mirror->last_commit_payload() +
+                    dep.instance(1).mirror->last_commit_payload();
+    const std::map<std::uint64_t, blob::ChunkId> first =
+        co_await leaves(cl, &dep, out);
+    out->digest_leaves = first.size();
+
+    co_await round(&dep, &session, &state);
+    std::set<blob::ChunkId> stored;
+    for (const auto& [index, id] : first) stored.insert(id);
+    for (const auto& [index, id] : co_await leaves(cl, &dep, out)) {
+      const auto it = first.find(index);
+      const bool rewritten = it == first.end() || it->second != id;
+      if (rewritten && stored.contains(id)) ++out->zone1_refs;
+    }
+  }(&cloud, &out));
+
+  EXPECT_TRUE(out.spans_zones);
+  EXPECT_GT(out.raw_bytes, 0u);
+  EXPECT_EQ(out.raw_bytes, out.payloads)
+      << "the reducer did not see both zones' commits";
+  EXPECT_GT(out.digest_leaves, 0u);
+  EXPECT_EQ(out.foreign, 0u) << "instance 1 holds leaves outside zone 1";
+  EXPECT_GT(out.zone1_refs, 0u);
 }
 
 }  // namespace

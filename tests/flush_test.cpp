@@ -90,7 +90,8 @@ struct FlushRig {
     if (with_reduction) {
       reduce::ReductionConfig rcfg;
       rcfg.enabled = true;
-      reducer = std::make_unique<reduce::Reducer>(*store, rcfg);
+      reducer = std::make_unique<reduce::Reducer>(
+          std::vector<blob::BlobStore*>{store.get()}, rcfg);
     }
     run([](FlushRig* rig) -> Task<> {
       blob::BlobClient client(*rig->store, rig->host);

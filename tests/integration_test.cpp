@@ -288,5 +288,27 @@ TEST(DeploymentTest, SnapshotMappingIsRecorded) {
   }
 }
 
+// A driver blocked when the event queue drains fails with an error that
+// names the unfinished processes: here a guest waiting on an Event nobody
+// sets, and the driver joining it.
+TEST(CloudTest, StallNamesTheUnfinishedProcesses) {
+  Cloud cloud(tiny_cfg(Backend::BlobCR));
+  sim::Event never(cloud.simulation());
+  std::string what;
+  try {
+    cloud.run([](Cloud* cl, sim::Event* never) -> Task<> {
+      sim::ProcessPtr guest = cl->simulation().spawn(
+          "stuck-guest",
+          [](sim::Event* e) -> Task<> { co_await e->wait(); }(never));
+      co_await guest->join();
+    }(&cloud, &never));
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("simulation stalled"), std::string::npos) << what;
+  EXPECT_NE(what.find("stuck-guest"), std::string::npos) << what;
+  EXPECT_NE(what.find("driver"), std::string::npos) << what;
+}
+
 }  // namespace
 }  // namespace blobcr::core

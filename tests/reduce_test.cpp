@@ -106,12 +106,12 @@ Task<VersionId> write_reduced(BlobClient& client, Reducer& red, BlobId blob,
     co_return owned->slice(off - offset, len);
   };
   co_return co_await client.write_extents_via(blob, std::move(specs),
-                                              &reader, &red);
+                                              &reader, {.reducer = &red});
 }
 
 TEST(ReduceTest, ZeroSuppressionRoundTrip) {
   TestCluster tc;
-  Reducer red(*tc.store, all_on());
+  Reducer red({tc.store.get()}, all_on());
   Buffer data = Buffer::pattern(kChunk, 7);
   data.append(Buffer::zeros(2 * kChunk));
   data.append(Buffer::pattern(kChunk, 8));
@@ -136,7 +136,7 @@ TEST(ReduceTest, ZeroSuppressionRoundTrip) {
 
 TEST(ReduceTest, DedupAcrossRanksAndVersions) {
   TestCluster tc;
-  Reducer red(*tc.store, all_on());
+  Reducer red({tc.store.get()}, all_on());
   const Buffer content = Buffer::pattern(4 * kChunk, 99);
   bool rank_b_ok = false;
   bool v2_ok = false;
@@ -181,7 +181,7 @@ TEST(ReduceTest, DedupAcrossRanksAndVersions) {
 
 TEST(ReduceTest, IntraCommitDedup) {
   TestCluster tc;
-  Reducer red(*tc.store, all_on());
+  Reducer red({tc.store.get()}, all_on());
   // One commit whose four chunks are identical.
   const Buffer one = Buffer::pattern(kChunk, 5);
   Buffer data = one;
@@ -203,7 +203,7 @@ TEST(ReduceTest, IntraCommitDedup) {
 
 TEST(ReduceTest, GcRefcountsSharedChunksAndInvalidatesIndex) {
   TestCluster tc;
-  Reducer red(*tc.store, all_on());
+  Reducer red({tc.store.get()}, all_on());
   const Buffer shared = Buffer::pattern(2 * kChunk, 11);
   const Buffer other = Buffer::pattern(2 * kChunk, 12);
   bool b_after_gc_ok = false;
@@ -269,7 +269,7 @@ TEST(ReduceTest, InFlightDedupRefPinsChunkAgainstGc) {
   // "version published": the unique chunk's store takes ~10 ms of
   // simulated time while the Refs are already pinned.
   TestCluster tc(4, 1, /*disk_bps=*/1e5);
-  Reducer red(*tc.store, all_on());
+  Reducer red({tc.store.get()}, all_on());
   const Buffer shared = Buffer::pattern(2 * kChunk, 31);
   const Buffer other = Buffer::pattern(2 * kChunk, 32);
   Buffer mixed = shared;
@@ -326,7 +326,7 @@ TEST(ReduceTest, PinsHeldThroughMetadataPublish) {
   TestCluster tc;
   ReductionConfig cfg = all_on();
   cfg.digest_bps = 1e6;  // ~1 ms per chunk digest
-  Reducer red(*tc.store, cfg);
+  Reducer red({tc.store.get()}, cfg);
   const Buffer shared = Buffer::pattern(2 * kChunk, 41);
   const Buffer other = Buffer::pattern(2 * kChunk, 42);
   bool read_ok = false;
@@ -364,11 +364,11 @@ TEST(ReduceTest, PinsHeldThroughMetadataPublish) {
 TEST(ReduceTest, FailedCommitWithdrawsIndexedDigests) {
   // Two large chunks land on the two providers; one provider fails while
   // both transfers are in flight. The surviving chunk stores, enters the
-  // dedup index via committed(), and then the commit as a whole throws —
+  // dedup index (record()), and then the commit as a whole throws —
   // its version never publishes, so the orphan chunk must leave the index
   // again (a dedup Ref onto it could never be reclaimed by the GC).
   TestCluster tc(/*n_data=*/2, /*replication=*/1);
-  Reducer red(*tc.store, all_on());
+  Reducer red({tc.store.get()}, all_on());
   constexpr std::uint64_t kBig = 1 << 20;
   const Buffer data = Buffer::pattern(2 * kBig, 51);
   bool threw = false;
@@ -412,7 +412,7 @@ TEST(ReduceTest, RleCompressionRoundTrip) {
   cfg.zero_suppression = false;
   cfg.dedup = false;
   cfg.compression = true;
-  Reducer red(*tc.store, cfg);
+  Reducer red({tc.store.get()}, cfg);
   // Chunk 1: highly compressible runs (but not all zeros). Chunk 2: random.
   std::vector<std::byte> runs(kChunk, std::byte{0xAB});
   for (std::size_t i = 0; i < runs.size(); i += 97) runs[i] = std::byte{0x12};
@@ -445,7 +445,7 @@ TEST(ReduceTest, PhantomRatioCompression) {
   cfg.dedup = true;  // must NOT dedup phantom payloads
   cfg.compression = true;
   cfg.phantom_compression_ratio = 0.5;
-  Reducer red(*tc.store, cfg);
+  Reducer red({tc.store.get()}, cfg);
   const Buffer data = Buffer::phantom(4 * kChunk);
   std::uint64_t back_digest = 0;
   std::uint64_t back_size = 0;
@@ -636,7 +636,7 @@ TEST(ReduceTest, RleEncoderMatchesByteSerialReference) {
 
 TEST(ReduceTest, ReplicatedDedupCountsOnce) {
   TestCluster tc(4, /*replication=*/2);
-  Reducer red(*tc.store, all_on());
+  Reducer red({tc.store.get()}, all_on());
   const Buffer content = Buffer::pattern(2 * kChunk, 21);
   bool ok = false;
   tc.run([](TestCluster* tc, Reducer* red, const Buffer* content,

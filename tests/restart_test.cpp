@@ -83,7 +83,8 @@ struct ReducedRig {
 
     reduce::ReductionConfig rcfg;
     rcfg.enabled = true;
-    reducer = std::make_unique<reduce::Reducer>(*store, rcfg);
+    reducer = std::make_unique<reduce::Reducer>(
+        std::vector<blob::BlobStore*>{store.get()}, rcfg);
 
     // chunk 0: incompressible pattern   -> Raw
     // chunk 1: zeros                    -> Zero (metadata-only hole)
@@ -106,8 +107,9 @@ struct ReducedRig {
           [rig](std::uint64_t off, std::uint64_t len) -> Task<Buffer> {
         co_return rig->content.slice(off, len);
       };
-      (void)co_await client.write_extents_via(rig->base, std::move(specs),
-                                              &reader, rig->reducer.get());
+      (void)co_await client.write_extents_via(
+          rig->base, std::move(specs), &reader,
+          {.reducer = rig->reducer.get()});
     }(this));
   }
 

@@ -122,7 +122,7 @@ Task<VersionId> write_reduced(BlobClient& client, Reducer& red, BlobId blob,
     co_return data.slice(off - offset, len);
   };
   co_return co_await client.write_extents_via(blob, std::move(specs),
-                                              &reader, &red);
+                                              &reader, {.reducer = &red});
 }
 
 std::vector<ChunkDigestIndex::ShardStats> snapshot(
@@ -145,8 +145,8 @@ TEST(ShardTest, SameContentLandsInOneShardRegardlessOfTenant) {
   ChunkDigestIndex idx(16);
   const net::TenantId ta = tc.store->tenants().register_tenant("job-a");
   const net::TenantId tb = tc.store->tenants().register_tenant("job-b");
-  Reducer red_a(*tc.store, all_on(), &idx, ta);
-  Reducer red_b(*tc.store, all_on(), &idx, tb);
+  Reducer red_a({tc.store.get()}, all_on(), &idx, ta);
+  Reducer red_b({tc.store.get()}, all_on(), &idx, tb);
   const Buffer content = Buffer::pattern(4 * kChunk, 99);
 
   std::vector<ChunkDigestIndex::ShardStats> after_a;
@@ -214,8 +214,8 @@ TEST(ShardTest, FailedCommitWithdrawalConfinedToOwningShard) {
   ChunkDigestIndex idx(16);
   const net::TenantId ta = tc.store->tenants().register_tenant("job-a");
   const net::TenantId tb = tc.store->tenants().register_tenant("job-b");
-  Reducer red_a(*tc.store, all_on(), &idx, ta);
-  Reducer red_b(*tc.store, all_on(), &idx, tb);
+  Reducer red_a({tc.store.get()}, all_on(), &idx, ta);
+  Reducer red_b({tc.store.get()}, all_on(), &idx, tb);
   const Buffer content_a = Buffer::pattern(2 * kChunk, 11);
   const Buffer content_b = Buffer::pattern(2 * kChunk, 22);
 
@@ -334,7 +334,7 @@ TEST(ShardTest, EpochGcKeepsChunksPinnedByParkedCommit) {
   TestCluster tc(4, /*version_shards=*/4);
   // Isolated reducer: owns a 16-shard index and registers it as a GC
   // observer of the store itself.
-  Reducer red(*tc.store, all_on());
+  Reducer red({tc.store.get()}, all_on());
 
   blob::GarbageCollector::Result gc1;
   blob::GarbageCollector::Result gc2;
@@ -425,8 +425,8 @@ TEST(ShardTest, PinsOfTwoParkedCommitsCountSeparately) {
   TestCluster tc(4, /*version_shards=*/4);
   ChunkDigestIndex idx(16);
   tc.store->add_gc_observer(&idx);
-  Reducer red_a(*tc.store, all_on(), &idx);
-  Reducer red_b(*tc.store, all_on(), &idx);
+  Reducer red_a({tc.store.get()}, all_on(), &idx);
+  Reducer red_b({tc.store.get()}, all_on(), &idx);
 
   blob::GarbageCollector::Result gc;
   bool killed = false;
@@ -843,7 +843,7 @@ template <class Collector>
 Task<> gc_script(TestCluster* tc, std::uint64_t seed,
                  std::vector<EpochRecord>* log) {
   common::Rng rng(seed);
-  Reducer red(*tc->store, all_on());
+  Reducer red({tc->store.get()}, all_on());
   BlobClient client(*tc->store, tc->client_node);
   Collector gc(*tc->store);
   std::vector<std::size_t> all_chunks;
@@ -1189,7 +1189,7 @@ TEST(GcEpochTest, OverlappingEpochsKeepTheHitLogUntilTheLastCloses) {
 // that never ends.
 TEST(GcEpochTest, KilledSweepClosesItsEpoch) {
   TestCluster tc(4, /*version_shards=*/4);
-  Reducer red(*tc.store, all_on());
+  Reducer red({tc.store.get()}, all_on());
   bool logged_while_open = false;
   bool logged_after_kill = true;
   tc.run([](TestCluster* tc, Reducer* red, bool* logged_while_open,
