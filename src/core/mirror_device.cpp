@@ -15,8 +15,6 @@
 namespace blobcr::core {
 
 namespace {
-/// Background prefetch fetches one device keeps in flight.
-constexpr std::int64_t kPrefetchStreams = 2;
 /// Delay before a peer acts on a prefetch hint.
 constexpr sim::Duration kHintLatency = 300 * sim::kMicrosecond;
 
@@ -53,8 +51,6 @@ MirrorDevice::MirrorDevice(federation::Fabric& repo, net::NodeId host,
       node_cache_(&node_cache) {
   assert(cfg_.capacity > 0);
   client_.set_tenant(cfg_.tenant);
-  prefetch_slots_ =
-      std::make_unique<sim::Semaphore>(store_->simulation(), kPrefetchStreams);
   if (bus_ != nullptr) bus_->attach(this);
   if (cfg_.redundancy != nullptr)
     cfg_.redundancy->attach(host_, node_cache_);
@@ -66,8 +62,9 @@ MirrorDevice::MirrorDevice(federation::Fabric& repo, net::NodeId host,
 }
 
 MirrorDevice::~MirrorDevice() {
-  for (const auto& p : prefetchers_) {
-    if (p && !p->finished()) p->kill();
+  prefetch_queue_.clear();
+  for (const sim::ProcessPtr& w : prefetch_workers_) {
+    if (w) w->kill();
   }
   if (bus_ != nullptr) bus_->detach(this);
 }
@@ -387,42 +384,42 @@ void MirrorDevice::hint(std::uint64_t offset, std::uint64_t len) {
   const std::uint64_t end = std::min(offset + len, cfg_.capacity);
   if (offset >= end) return;
   if (available_.contains(offset, end)) return;
-  track_prefetcher(store_->simulation().spawn(
-      "prefetch", prefetch_worker(offset, end)));
+  enqueue_prefetch(offset, end);
 }
 
-void MirrorDevice::track_prefetcher(sim::ProcessPtr p) {
-  if (prefetchers_.size() >= prune_at_) {
-    std::erase_if(prefetchers_,
-                  [](const sim::ProcessPtr& q) { return !q || q->finished(); });
-    prune_at_ = std::max<std::size_t>(64, 2 * prefetchers_.size());
+void MirrorDevice::enqueue_prefetch(std::uint64_t begin, std::uint64_t end) {
+  prefetch_queue_.push_back({begin, end});
+  for (sim::ProcessPtr& w : prefetch_workers_) {
+    if (!w || w->finished()) {
+      w = store_->simulation().spawn("prefetch", prefetch_worker());
+      return;
+    }
   }
-  prefetchers_.push_back(std::move(p));
 }
 
-sim::Task<> MirrorDevice::prefetch_worker(std::uint64_t begin,
-                                          std::uint64_t end) {
-  // Repository-wide admission first: a mass rollback's prefetch storm
-  // queues at the admission plane's restart-prefetch gate alongside live
-  // commits. The permit is RAII-held across the fetch — the destructor
-  // kills prefetchers_ at teardown, and a leaked permit would wedge the
-  // next deployment's restart against this store.
-  qos::FairGate::Permit admission = co_await store_->admission().admit(
-      qos::IoContext{cfg_.tenant, qos::GateClass::RestartPrefetch},
-      static_cast<double>(end - begin));
-  (void)admission;
-  // Local stream bound, released by an RAII guard like the admission permit
-  // above — a plain release() after the co_await would leak the slot
-  // whenever the worker is killed mid-fetch.
-  co_await prefetch_slots_->acquire();
-  struct Slot {
-    sim::Semaphore* slots;
-    ~Slot() { slots->release(); }
-  } slot{prefetch_slots_.get()};
-  try {
-    co_await ensure_available(begin, end, /*announce=*/false);
-  } catch (...) {
-    // Backing unavailable: the demand path will surface it.
+sim::Task<> MirrorDevice::prefetch_worker() {
+  while (!prefetch_queue_.empty()) {
+    const common::Range r = prefetch_queue_.front();
+    prefetch_queue_.pop_front();
+    {
+      // Repository-wide admission, one range at a time, right before the
+      // fetch: a mass rollback's prefetch queues at the admission plane's
+      // restart-prefetch gate alongside live commits. The permit is RAII —
+      // the destructor kills the workers at teardown, and a leaked permit
+      // would wedge the next deployment's restart against this store.
+      qos::FairGate::Permit admission = co_await store_->admission().admit(
+          qos::IoContext{cfg_.tenant, qos::GateClass::RestartPrefetch},
+          static_cast<double>(r.length()));
+      (void)admission;
+      try {
+        co_await ensure_available(r.begin, r.end, /*announce=*/false);
+      } catch (...) {
+        // Backing unavailable: the demand path will surface it.
+      }
+    }
+    // The next range starts from a scheduled resume in this instant, not
+    // inline, so the events this range's completion queued run first.
+    if (!prefetch_queue_.empty()) co_await store_->simulation().yield();
   }
 }
 
@@ -434,21 +431,7 @@ MirrorDevice::resolve_backing_chunks() {
 
 void MirrorDevice::start_scheduled_prefetch(
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges) {
-  if (ranges.empty()) return;
-  track_prefetcher(store_->simulation().spawn(
-      "restart-prefetch", scheduled_prefetch_body(std::move(ranges))));
-}
-
-sim::Task<> MirrorDevice::scheduled_prefetch_body(
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges) {
-  // Each range worker gates on prefetch_slots_, so at most
-  // kPrefetchStreams chunks are in flight while the order is preserved.
-  std::vector<sim::Task<>> jobs;
-  jobs.reserve(ranges.size());
-  for (const auto& [begin, end] : ranges) {
-    jobs.push_back(prefetch_worker(begin, end));
-  }
-  co_await sim::when_all(store_->simulation(), std::move(jobs));
+  for (const auto& [begin, end] : ranges) enqueue_prefetch(begin, end);
 }
 
 // --- PrefetchBus -------------------------------------------------------------
@@ -460,21 +443,20 @@ void PrefetchBus::announce(MirrorDevice* self, const ChunkKey& key,
   if (!announced_.insert(key).second) return;  // once per deployment
   ++hints_sent_;
   hinted_bytes_ += len;
-  for (MirrorDevice* m : *mirrors_) {
-    if (m == self) continue;
-    // The timer may outlive the bus or the device (failure mid-restart
-    // destroys instances with hints still queued): a weak reference to the
-    // attach list gates both — bus gone drops the hint, device gone means
-    // it is no longer listed.
-    std::weak_ptr<std::vector<MirrorDevice*>> alive = mirrors_;
-    sim_->call_in(kHintLatency, [alive, m, offset, len] {
-      const auto mirrors = alive.lock();
-      if (!mirrors) return;
-      if (std::find(mirrors->begin(), mirrors->end(), m) == mirrors->end())
-        return;
-      m->hint(offset, len);
-    });
-  }
+  // The timer may outlive the bus or a peer (failure mid-restart destroys
+  // instances with hints in flight): a weak reference to the attach list
+  // gates both — bus gone drops the hint, a peer gone is no longer listed.
+  std::weak_ptr<std::vector<MirrorDevice*>> alive = mirrors_;
+  sim_->call_in(kHintLatency, [alive, peers = *mirrors_, self, offset, len] {
+    const auto mirrors = alive.lock();
+    if (!mirrors) return;
+    for (MirrorDevice* m : peers) {
+      if (m != self && std::find(mirrors->begin(), mirrors->end(), m) !=
+                           mirrors->end()) {
+        m->hint(offset, len);
+      }
+    }
+  });
 }
 
 void PrefetchBus::publish(const ChunkKey& key, net::NodeId node,

@@ -19,7 +19,9 @@
 //    each chunk once per node, not once per rank.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -167,17 +169,24 @@ class MirrorDevice : public img::BlockDevice {
   /// Raw (pre-reduction) payload of the last commit.
   std::uint64_t last_commit_payload() const { return last_commit_payload_; }
 
-  /// Prefetch hint from the bus: fetch [offset, offset+len) in the
-  /// background if missing.
+  /// Background fetches one device keeps in flight: the number of workers
+  /// that drain its prefetch queue.
+  static constexpr std::size_t kPrefetchStreams = 2;
+
+  /// Prefetch hint from the bus: queues [offset, offset+len) for the
+  /// prefetch workers unless it is already local. A queued range holds no
+  /// admission permit; a worker admits it when it starts the fetch.
   void hint(std::uint64_t offset, std::uint64_t len);
+  /// Ranges waiting in the prefetch queue, hinted or scheduled.
+  std::size_t prefetch_queued() const { return prefetch_queue_.size(); }
 
   /// Resolves the whole backing window to chunk identity tuples (restart
   /// scheduler input; warms the metadata cache as a side effect).
   sim::Task<std::vector<blob::BlobClient::ChunkRef>> resolve_backing_chunks();
 
-  /// Kicks a background worker that materializes the given chunk-aligned
-  /// ranges in order, a few chunks in flight at a time (the restart
-  /// scheduler hands popularity-ordered ranges here).
+  /// Queues the given chunk-aligned ranges for the prefetch workers, in the
+  /// order given, behind any queued hints (the restart scheduler hands
+  /// popularity-ordered ranges here).
   void start_scheduled_prefetch(
       std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges);
 
@@ -204,12 +213,12 @@ class MirrorDevice : public img::BlockDevice {
   sim::Task<> materialize_chunk(std::uint64_t clo, std::uint64_t chi,
                                 const blob::ChunkLocation* loc,
                                 bool announce);
-  sim::Task<> prefetch_worker(std::uint64_t begin, std::uint64_t end);
-  sim::Task<> scheduled_prefetch_body(
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges);
-  /// Records a spawned prefetcher. Finished ones are pruned lazily, once the
-  /// list has doubled since the last prune, so a hint costs amortized O(1).
-  void track_prefetcher(sim::ProcessPtr p);
+  /// Appends [begin, end) to the prefetch queue and starts a worker when
+  /// fewer than kPrefetchStreams run.
+  void enqueue_prefetch(std::uint64_t begin, std::uint64_t end);
+  /// Drains the prefetch queue one range at a time and exits once it is
+  /// empty.
+  sim::Task<> prefetch_worker();
 
   federation::Fabric* repo_;
   blob::BlobStore* store_;  // the zone store owning backing_blob_
@@ -232,9 +241,8 @@ class MirrorDevice : public img::BlockDevice {
   blob::VersionId last_version_ = 0;
   SourceBytes ledger_;
   std::uint64_t last_commit_payload_ = 0;
-  std::vector<sim::ProcessPtr> prefetchers_;  // read only by the destructor
-  std::size_t prune_at_ = 64;
-  std::unique_ptr<sim::Semaphore> prefetch_slots_;
+  std::deque<common::Range> prefetch_queue_;  // hinted + scheduled, FIFO
+  std::array<sim::ProcessPtr, kPrefetchStreams> prefetch_workers_;
   DecodedChunkCache* node_cache_;  // the host's shared decoded-chunk cache
   // Declared after client_/cache_: the agent's drain loop references both
   // and must be torn down (killed) first.
@@ -254,10 +262,10 @@ class MirrorDevice : public img::BlockDevice {
 ///    one instance pulls a given chunk from the repository at a time,
 ///    everyone else waits and then takes the peer copy;
 ///  * on-demand fetches still broadcast prefetch hints (once per content
-///    key per deployment, exploiting boot jitter), and schedule_restart_
-///    prefetch() orders each instance's background prefetch by chunk
-///    popularity — chunks shared by the most ranks first — with per-
-///    instance rotation so concurrent repository fetches spread over
+///    key per deployment, exploiting boot jitter) into each peer's
+///    prefetch queue, and schedule_restart_prefetch() fills those queues
+///    by chunk popularity — chunks shared by the most ranks first — with
+///    per-instance rotation so concurrent repository fetches spread over
 ///    distinct popular chunks.
 class PrefetchBus {
  public:
@@ -276,7 +284,9 @@ class PrefetchBus {
   /// A demand fetch of `key` (living at [offset, offset+len) of the
   /// announcing instance's image) — peers prefetch the same range from
   /// their own backing, which resolves to the same content for shared
-  /// chunks. Broadcast once per content key per deployment.
+  /// chunks. Broadcast once per content key per deployment: one timer,
+  /// 300 µs later, hints every other mirror attached now, in attach order,
+  /// skipping any detached by then.
   void announce(MirrorDevice* self, const ChunkKey& key, std::uint64_t offset,
                 std::uint64_t len);
 
@@ -353,7 +363,7 @@ class PrefetchBus {
 
   sim::Simulation* sim_;
   net::Fabric::Shape peer_shape_;
-  /// Held behind a shared_ptr so scheduled hint timers can hold a weak
+  /// Held behind a shared_ptr so a scheduled hint timer can hold a weak
   /// reference: a timer firing after the bus (or a device) is gone checks
   /// liveness instead of dereferencing freed memory.
   std::shared_ptr<std::vector<MirrorDevice*>> mirrors_;

@@ -398,6 +398,65 @@ TEST(MirrorTest, PrefetchedReadIsFasterThanCold) {
   EXPECT_LT(warm, cold);
 }
 
+// Hinted ranges queue on one FIFO per mirror: a storm of hints runs at most
+// kPrefetchStreams workers, they drain every range, and a hint for a range
+// that is already local starts nothing.
+TEST(MirrorTest, HintStormRunsAtMostTwoPrefetchWorkers) {
+  TestRig rig;
+  rig.make_base();
+  auto m = rig.make_mirror(rig.host_a);
+  std::size_t live_after_storm = 0;
+  rig.run([](TestRig* r, MirrorDevice* m, std::size_t& live) -> Task<> {
+    for (std::uint64_t off = 0; off < kImage; off += kChunk) {
+      m->hint(off, kChunk);
+    }
+    live = r->sim.live_process_count();
+    co_return;
+  }(&rig, m.get(), live_after_storm));
+  // The test process plus the workers.
+  EXPECT_LE(live_after_storm, 1 + MirrorDevice::kPrefetchStreams);
+  EXPECT_EQ(m->locally_available_bytes(), kImage);
+  EXPECT_EQ(m->prefetch_queued(), 0u);
+
+  std::size_t live_after_local_hint = 0;
+  const std::uint64_t events = rig.sim.events_processed();
+  rig.run([](TestRig* r, MirrorDevice* m, std::size_t& live) -> Task<> {
+    m->hint(0, kChunk);
+    live = r->sim.live_process_count();
+    co_return;
+  }(&rig, m.get(), live_after_local_hint));
+  EXPECT_EQ(live_after_local_hint, 1u);
+  EXPECT_EQ(rig.sim.events_processed(), events + 1);  // the test's start
+  EXPECT_EQ(m->prefetch_queued(), 0u);
+}
+
+// One timer per announce delivers the hint to every other mirror, 300 µs
+// later. A mirror destroyed in between is skipped without being touched,
+// and the survivors still prefetch.
+TEST(MirrorTest, HintSkipsAPeerDestroyedBeforeDelivery) {
+  TestRig rig;
+  rig.make_base();
+  PrefetchBus bus(rig.sim);
+  auto m1 = rig.make_mirror(rig.host_a, &bus);
+  auto m2 = rig.make_mirror(rig.host_b, &bus);
+  auto m3 = rig.make_mirror(rig.host_b, &bus);
+  auto reader = rig.sim.spawn("reader", [](MirrorDevice* a) -> Task<> {
+    (void)co_await a->read(0, kChunk);
+  }(m1.get()));
+  // Step 10 µs at a time until m1's demand fetch announces the chunk, then
+  // destroy m3 well inside the hint latency.
+  while (bus.hints_sent() == 0) {
+    ASSERT_TRUE(rig.sim.run_until(rig.sim.now() + 10 * sim::kMicrosecond));
+  }
+  EXPECT_EQ(m2->prefetch_queued() + m2->locally_available_bytes(), 0u);
+  m3.reset();
+  EXPECT_EQ(bus.attached(), 2u);
+  rig.sim.run();
+  ASSERT_FALSE(reader->error());
+  EXPECT_EQ(m2->locally_available_bytes(), kChunk);
+  EXPECT_EQ(m2->remote_bytes_fetched(), kChunk);
+}
+
 TEST(ProxyTest, PausesVmDuringSnapshot) {
   TestRig rig;
   rig.make_base();

@@ -7,9 +7,10 @@
 // bottleneck; a tenant's commit_wait is read from the commit gate and both
 // manager queues; admission is kill-safe at every gate class; a
 // mass-rollback storm and live commits share the plane without starving
-// each other in either direction; and restart-prefetch workers killed at
-// deployment teardown release their admission permits (the leak that would
-// wedge the next restart).
+// each other in either direction; a mirror's queued prefetch ranges hold no
+// restart-prefetch permit; and restart-prefetch workers killed at deployment
+// teardown release their admission permits (the leak that would wedge the
+// next restart).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -898,90 +899,171 @@ TEST(QosStormTest, RollbackStormAndLiveCommitsFinishInBothDirections) {
 }
 
 // ---------------------------------------------------------------------------
-// Regression: prefetch workers killed at deployment teardown must release
-// their admission state — the permit a holder carries and the queue entry a
-// waiter occupies. With prefetch_slots=1 a leaked permit would wedge every
-// later restart's prefetch against this repository.
+// A queued prefetch range holds no permit: with one restart-prefetch slot and
+// two cold-restarted mirrors hinted once per chunk, the gate sees each
+// mirror's workers (at most MirrorDevice::kPrefetchStreams of them), never
+// the hundreds of ranges queued behind them.
 // ---------------------------------------------------------------------------
 
-TEST(QosTeardownTest, KilledPrefetchWorkersReleaseAdmissionPermits) {
-  CloudConfig cfg = qos_cloud_cfg(12);
-  cfg.qos.prefetch_slots = 1;  // a single leak wedges the gate
-  Cloud cloud(cfg);
-  bool verified = false;
-  std::size_t in_use_after_kill = 1, pending_after_kill = 1;
-  std::size_t in_use_final = 1, pending_final = 1;
+/// Hints every chunk of `m`'s image, one range per chunk.
+void hint_every_chunk(core::MirrorDevice* m, std::uint64_t chunk) {
+  for (std::uint64_t off = 0; off < m->capacity(); off += chunk) {
+    m->hint(off, chunk);
+  }
+}
 
-  cloud.run([](Cloud* cl, bool* verified, std::size_t* in_use_after_kill,
-               std::size_t* pending_after_kill, std::size_t* in_use_final,
-               std::size_t* pending_final) -> Task<> {
+TEST(QosPrefetchTest, QueuedRangesWaitOutsideTheRestartPrefetchGate) {
+  CloudConfig cfg = qos_cloud_cfg(8);
+  cfg.qos.prefetch_slots = 1;
+  Cloud cloud(cfg);
+  std::size_t max_queued = 0, max_in_use = 0, max_pending = 0;
+
+  cloud.run([](Cloud* cl, std::size_t* max_queued, std::size_t* max_in_use,
+               std::size_t* max_pending) -> Task<> {
     sim::Simulation& sim = cl->simulation();
     co_await cl->provision_base_image();
     const net::TenantId tenant = cl->register_tenant("t");
     cr::Session::Config scfg;
     scfg.job = "t";
-
-    std::vector<std::uint64_t> digests(2, 0);
-    {
-      // Driver generation 1: checkpoint, cold-restart, then die while one
-      // prefetch worker holds the plane's only prefetch permit and another
-      // is queued behind it (teardown kills the workers mid-flight; the
-      // permit must release and the waiter must unlink as frames unwind).
-      Deployment::Options opts{0, tenant, std::nullopt};
-      Deployment dep(*cl, 2, opts);
-      cr::Session session(dep, scfg);
-      co_await dep.deploy_and_boot();
-      for (std::size_t i = 0; i < 2; ++i) {
-        Buffer buf = Buffer::pattern(2 * common::kMB, 0xbeef + i);
-        digests[i] = buf.digest();
-        co_await dep.vm(i).fs()->write_file("/data/buf.bin", std::move(buf));
-        co_await dep.vm(i).fs()->sync();
-      }
-      (void)co_await session.checkpoint();
-      dep.destroy_all();
-      (void)co_await session.restart(cr::Selector::latest(),
-                                     {.node_offset = 4, .cold_caches = true});
-      for (std::size_t i = 0; i < 2; ++i) {
-        core::MirrorDevice* m = dep.instance(i).mirror.get();
-        m->hint(0, m->capacity());
-      }
-      co_await sim.delay(1 * sim::kMillisecond);
-      // Total driver loss mid-prefetch: ~Deployment kills every worker.
+    Deployment::Options opts{0, tenant, std::nullopt};
+    Deployment dep(*cl, 2, opts);
+    cr::Session session(dep, scfg);
+    co_await dep.deploy_and_boot();
+    (void)co_await session.checkpoint();
+    dep.destroy_all();
+    (void)co_await session.restart(cr::Selector::latest(),
+                                   {.node_offset = 4, .cold_caches = true});
+    for (std::size_t i = 0; i < 2; ++i) {
+      hint_every_chunk(dep.instance(i).mirror.get(), cl->config().chunk_size);
     }
-
     const qos::FairGate& gate =
         cl->blob_store()->admission().gate(qos::GateClass::RestartPrefetch);
-    *in_use_after_kill = gate.in_use();
-    *pending_after_kill = gate.pending();
-
-    // Driver generation 2: the gate must still dispatch — a fresh
-    // deployment's cold restart (whose scheduler prefetches through the
-    // same single slot) restores bit-exactly.
-    Deployment::Options opts2{8, tenant, std::nullopt};
-    Deployment dep2(*cl, 2, opts2);
-    cr::Session session2(dep2, scfg);
-    (void)co_await session2.restart(cr::Selector::latest(),
-                                    {.node_offset = 8, .cold_caches = true});
-    bool ok = true;
-    for (std::size_t i = 0; i < 2; ++i) {
-      const Buffer back =
-          co_await dep2.vm(i).fs()->read_file("/data/buf.bin");
-      ok = ok && back.size() == 2 * common::kMB && back.digest() == digests[i];
+    // Sample until the queues are drained and the gate is idle, so that
+    // ranges handed to one process each, waiting at the gate instead of in
+    // the queue, would show as pending.
+    for (;;) {
+      std::size_t queued = 0;
+      for (std::size_t i = 0; i < 2; ++i) {
+        queued += dep.instance(i).mirror->prefetch_queued();
+      }
+      *max_queued = std::max(*max_queued, queued);
+      *max_in_use = std::max(*max_in_use, gate.in_use());
+      *max_pending = std::max(*max_pending, gate.pending());
+      if (queued == 0 && gate.in_use() == 0 && gate.pending() == 0) break;
+      co_await sim.delay(10 * sim::kMillisecond);
     }
-    *verified = ok;
-    co_await sim.delay(30 * sim::kSecond);  // let background prefetch drain
-    *in_use_final = gate.in_use();
-    *pending_final = gate.pending();
-  }(&cloud, &verified, &in_use_after_kill, &pending_after_kill, &in_use_final,
-    &pending_final));
+  }(&cloud, &max_queued, &max_in_use, &max_pending));
 
-  EXPECT_EQ(in_use_after_kill, 0u)
-      << "a killed prefetch holder leaked its admission permit";
-  EXPECT_EQ(pending_after_kill, 0u)
-      << "a killed queued prefetch worker never unlinked from the gate";
-  EXPECT_TRUE(verified);
-  EXPECT_EQ(in_use_final, 0u);
-  EXPECT_EQ(pending_final, 0u);
+  EXPECT_GE(max_queued, 200u) << "the hints never queued hundreds of ranges";
+  EXPECT_LE(max_in_use, 1u);
+  EXPECT_LE(max_pending, 2 * core::MirrorDevice::kPrefetchStreams - 1);
+}
+
+// ---------------------------------------------------------------------------
+// Regression: prefetch workers killed at deployment teardown must release
+// their admission state — the permit a holder carries and the queue entry a
+// waiter occupies. With prefetch_slots=1 a leaked permit would wedge every
+// later restart's prefetch against this repository. Teardown runs once with
+// one whole-image hint per mirror and once with one hint per chunk, so that
+// ranges are still queued when the workers die.
+// ---------------------------------------------------------------------------
+
+TEST(QosTeardownTest, KilledPrefetchWorkersReleaseAdmissionPermits) {
+  for (const bool per_chunk : {false, true}) {
+    SCOPED_TRACE(per_chunk ? "one hint per chunk" : "one whole-image hint");
+    CloudConfig cfg = qos_cloud_cfg(12);
+    cfg.qos.prefetch_slots = 1;  // a single leak wedges the gate
+    Cloud cloud(cfg);
+    bool verified = false;
+    std::size_t queued_at_kill = 0;
+    std::size_t in_use_after_kill = 1, pending_after_kill = 1;
+    std::size_t in_use_final = 1, pending_final = 1;
+
+    cloud.run([](Cloud* cl, bool per_chunk, bool* verified,
+                 std::size_t* queued_at_kill, std::size_t* in_use_after_kill,
+                 std::size_t* pending_after_kill, std::size_t* in_use_final,
+                 std::size_t* pending_final) -> Task<> {
+      sim::Simulation& sim = cl->simulation();
+      co_await cl->provision_base_image();
+      const net::TenantId tenant = cl->register_tenant("t");
+      cr::Session::Config scfg;
+      scfg.job = "t";
+
+      std::vector<std::uint64_t> digests(2, 0);
+      {
+        // Driver generation 1: checkpoint, cold-restart, then die while one
+        // prefetch worker holds the plane's only prefetch permit and others
+        // are queued behind it (teardown kills the workers mid-flight; the
+        // permit must release and the waiters must unlink as frames
+        // unwind).
+        Deployment::Options opts{0, tenant, std::nullopt};
+        Deployment dep(*cl, 2, opts);
+        cr::Session session(dep, scfg);
+        co_await dep.deploy_and_boot();
+        for (std::size_t i = 0; i < 2; ++i) {
+          Buffer buf = Buffer::pattern(2 * common::kMB, 0xbeef + i);
+          digests[i] = buf.digest();
+          co_await dep.vm(i).fs()->write_file("/data/buf.bin",
+                                              std::move(buf));
+          co_await dep.vm(i).fs()->sync();
+        }
+        (void)co_await session.checkpoint();
+        dep.destroy_all();
+        (void)co_await session.restart(
+            cr::Selector::latest(), {.node_offset = 4, .cold_caches = true});
+        for (std::size_t i = 0; i < 2; ++i) {
+          core::MirrorDevice* m = dep.instance(i).mirror.get();
+          if (per_chunk) {
+            hint_every_chunk(m, cl->config().chunk_size);
+          } else {
+            m->hint(0, m->capacity());
+          }
+        }
+        co_await sim.delay(1 * sim::kMillisecond);
+        for (std::size_t i = 0; i < 2; ++i) {
+          *queued_at_kill += dep.instance(i).mirror->prefetch_queued();
+        }
+        // Total driver loss mid-prefetch: ~Deployment kills every worker.
+      }
+
+      const qos::FairGate& gate =
+          cl->blob_store()->admission().gate(qos::GateClass::RestartPrefetch);
+      *in_use_after_kill = gate.in_use();
+      *pending_after_kill = gate.pending();
+
+      // Driver generation 2: the gate must still dispatch — a fresh
+      // deployment's cold restart (whose scheduler prefetches through the
+      // same single slot) restores bit-exactly.
+      Deployment::Options opts2{8, tenant, std::nullopt};
+      Deployment dep2(*cl, 2, opts2);
+      cr::Session session2(dep2, scfg);
+      (void)co_await session2.restart(
+          cr::Selector::latest(), {.node_offset = 8, .cold_caches = true});
+      bool ok = true;
+      for (std::size_t i = 0; i < 2; ++i) {
+        const Buffer back =
+            co_await dep2.vm(i).fs()->read_file("/data/buf.bin");
+        ok = ok && back.size() == 2 * common::kMB &&
+             back.digest() == digests[i];
+      }
+      *verified = ok;
+      co_await sim.delay(30 * sim::kSecond);  // let background prefetch drain
+      *in_use_final = gate.in_use();
+      *pending_final = gate.pending();
+    }(&cloud, per_chunk, &verified, &queued_at_kill, &in_use_after_kill,
+      &pending_after_kill, &in_use_final, &pending_final));
+
+    if (per_chunk) {
+      EXPECT_GT(queued_at_kill, 0u) << "teardown found no queued ranges";
+    }
+    EXPECT_EQ(in_use_after_kill, 0u)
+        << "a killed prefetch holder leaked its admission permit";
+    EXPECT_EQ(pending_after_kill, 0u)
+        << "a killed queued prefetch worker never unlinked from the gate";
+    EXPECT_TRUE(verified);
+    EXPECT_EQ(in_use_final, 0u);
+    EXPECT_EQ(pending_final, 0u);
+  }
 }
 
 }  // namespace
