@@ -3,8 +3,9 @@
 
 The CI release leg runs the restart-path AND commit-path benches under
 BLOBCR_BENCH_FAST=1 and calls this script; the build fails when restart
-makespan, repository-bytes-fetched, shipped snapshot bytes, commit
-blocked-time, the multi-tenant headline metrics or the bytes snapshot GC
+makespan, repository-bytes-fetched, shipped snapshot bytes, the
+per-approach snapshot sizes of Fig 4 / Table 1 (qcow baselines included),
+commit blocked-time, the multi-tenant headline metrics or the bytes snapshot GC
 reclaims regress beyond the tolerance band, or when a bit-exactness / invariant check (the `verified`
 counter) flips to 0.
 
@@ -47,6 +48,9 @@ GATED_COUNTERS = {
     # Commit path.
     "blocked_s": ("commit blocked time [s]", 0.02),
     "snap_MB_per_vm": ("snapshot shipped [MB/VM]", 0.5),
+    # Per-approach snapshot size (Fig 4 / Table 1), the qcow baselines'
+    # shipped container bytes included.
+    "snapshot_MB_per_vm": ("snapshot size [MB/VM]", 0.5),
     "repo_MB": ("repository growth [MB]", 2.0),
     # Multi-tenant repository.
     "repo_mb_per_job": ("repository bytes shipped [MB/job]", 0.5),
@@ -104,6 +108,9 @@ DEFAULT_FILES = [
     "BENCH_ablation_federation.json",
     "BENCH_ablation_qos_e2e.json",
     "BENCH_ablation_gc.json",
+    "BENCH_fig4_snapshot_size.json",
+    "BENCH_fig6_cm1_checkpoint.json",
+    "BENCH_table1_cm1_snapshot_size.json",
 ]
 
 

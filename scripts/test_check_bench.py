@@ -103,6 +103,19 @@ def test_commit_path_counters_are_gated(tmp_path):
     assert run_gate(tmp_path, fresh_bad, base) == 1
 
 
+def test_snapshot_size_is_gated(tmp_path):
+    # fig4/table1's per-approach snapshot size, qcow baselines included.
+    base = {"Fig4/qcow2-full/buf_mb:50": {"snapshot_MB_per_vm": 178.0}}
+    fresh_ok = {"Fig4/qcow2-full/buf_mb:50": {"snapshot_MB_per_vm": 200.0}}
+    fresh_bad = {"Fig4/qcow2-full/buf_mb:50": {"snapshot_MB_per_vm": 230.0}}
+    assert run_gate(tmp_path, fresh_ok, base) == 0
+    assert run_gate(tmp_path, fresh_bad, base) == 1
+    for f in ("BENCH_fig4_snapshot_size.json",
+              "BENCH_fig6_cm1_checkpoint.json",
+              "BENCH_table1_cm1_snapshot_size.json"):
+        assert f in check_bench.DEFAULT_FILES
+
+
 def test_elastic_rescale_makespan_is_gated(tmp_path):
     base = {"AblationElastic/rescale-restart":
             {"rescale_restart_s": 10.0, "verified": 1}}

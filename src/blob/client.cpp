@@ -228,8 +228,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
   // no-op. The permit releases as this frame unwinds — including on drain
   // kill.
   qos::FairGate::Permit admission = co_await store_->admission().admit(
-      qos::IoContext{tenant_, qos::GateClass::Commit},
-      static_cast<double>(payload_bytes));
+      qos::GateClass::Commit, tenant_, static_cast<double>(payload_bytes));
   (void)admission;
 
   // Reduced-path commit state, function-scoped so the guard's destructor
@@ -288,9 +287,8 @@ sim::Task<VersionId> BlobClient::write_extents_via(
             for (const net::NodeId replica : loc.replicas) {
               DataProvider* provider = self->store_->provider_at(replica);
               if (provider == nullptr) throw BlobError("no provider at node");
-              co_await provider->store(
-                  self->node_, loc.id, data,
-                  qos::IoContext{self->tenant_, qos::GateClass::ProviderIo});
+              co_await provider->store(self->node_, loc.id, data,
+                                       self->tenant_);
             }
           }(this, pieces[i], locs[i], reader));
     }
@@ -390,9 +388,8 @@ sim::Task<VersionId> BlobClient::write_extents_via(
             for (const net::NodeId replica : loc.replicas) {
               DataProvider* provider = self->store_->provider_at(replica);
               if (provider == nullptr) throw BlobError("no provider at node");
-              co_await provider->store(
-                  self->node_, loc.id, plan->payload,
-                  qos::IoContext{self->tenant_, qos::GateClass::ProviderIo});
+              co_await provider->store(self->node_, loc.id, plan->payload,
+                                       self->tenant_);
             }
             if (plan->index_on_commit) {
               g->index->record(plan->digest, loc.logical(), loc);
@@ -511,24 +508,24 @@ sim::Task<> BlobClient::descend(
 sim::Task<common::Buffer> BlobClient::fetch_stored(BlobStore& store,
                                                    const ChunkLocation& loc,
                                                    net::NodeId dst,
-                                                   qos::IoContext ctx) {
+                                                   net::TenantId tenant) {
   const std::size_t n = loc.replicas.size();
   const std::size_t start = static_cast<std::size_t>(loc.id) % n;
   for (std::size_t attempt = 0; attempt < n; ++attempt) {
     const net::NodeId replica = loc.replicas[(start + attempt) % n];
     DataProvider* provider = store.provider_at(replica);
     if (provider == nullptr || !provider->has(loc.id)) continue;
-    co_return co_await provider->fetch(dst, loc.id, ctx);
+    co_return co_await provider->fetch(dst, loc.id, tenant);
   }
   // The metadata lists where the replicas were at write time; after a node
   // loss the repair service may have re-homed the chunk. Ask the provider
   // manager where it lives now before declaring it lost.
   const std::vector<net::NodeId> current =
-      co_await store.provider_manager().locate(dst, loc.id, ctx.tenant);
+      co_await store.provider_manager().locate(dst, loc.id, tenant);
   for (const net::NodeId replica : current) {
     DataProvider* provider = store.provider_at(replica);
     if (provider == nullptr || !provider->has(loc.id)) continue;
-    co_return co_await provider->fetch(dst, loc.id, ctx);
+    co_return co_await provider->fetch(dst, loc.id, tenant);
   }
   throw BlobError("all replicas of chunk lost");
 }
@@ -569,9 +566,8 @@ sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
           [](BlobClient* self, ChunkLocation l,
              std::shared_ptr<std::unordered_map<ChunkId, common::Buffer>> res)
               -> sim::Task<> {
-            (*res)[l.id] = co_await fetch_stored(
-                *self->store_, l, self->node_,
-                qos::IoContext{self->tenant_, qos::GateClass::ProviderIo});
+            (*res)[l.id] = co_await fetch_stored(*self->store_, l,
+                                                 self->node_, self->tenant_);
           }(this, loc, fetched));
     }
     co_await sim::run_window(store_->simulation(), BlobStore::kReadWindow,

@@ -164,7 +164,7 @@ class BlobClient {
   static sim::Task<common::Buffer> fetch_stored(BlobStore& store,
                                                 const ChunkLocation& loc,
                                                 net::NodeId dst,
-                                                qos::IoContext ctx);
+                                                net::TenantId tenant);
 
   /// Maps a stored (possibly reduced) chunk payload back to logical bytes.
   static common::Buffer decode_stored(const ChunkLocation& loc,

@@ -3,10 +3,10 @@
 // (immutable data => log-structured => the disk stays near streaming rate
 // even with many concurrent writers; see storage/disk.h).
 //
-// Every store/fetch is tenant-tagged (qos::IoContext) and admitted at the
-// repository admission plane's provider-io gate before touching the fabric
-// or the disk, so weighted fairness holds when the provider pool — not the
-// commit gate — is the bottleneck.
+// Every store/fetch names its tenant and is admitted at the repository
+// admission plane's provider-io gate before touching the fabric or the
+// disk, so weighted fairness holds when the provider pool — not the commit
+// gate — is the bottleneck.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +45,10 @@ class DataProvider {
 
   /// Receives a chunk from `from` and persists it.
   sim::Task<> store(net::NodeId from, ChunkId id, common::Buffer data,
-                    qos::IoContext ctx) {
+                    net::TenantId tenant) {
     if (!alive_) throw BlobError("provider down");
     qos::FairGate::Permit permit =
-        co_await admit(ctx, static_cast<double>(data.size()));
+        co_await admit(tenant, static_cast<double>(data.size()));
     (void)permit;
     co_await fabric_->transfer(from, node_, data.size());
     if (!alive_) throw BlobError("provider died during store");
@@ -59,11 +59,11 @@ class DataProvider {
   /// (federation: wide-area pulls ride the WAN shape; the default is the
   /// fabric's unshaped class).
   sim::Task<common::Buffer> fetch(net::NodeId to, ChunkId id,
-                                  qos::IoContext ctx,
+                                  net::TenantId tenant,
                                   net::Fabric::Shape shape = {}) {
     if (!alive_ || !store_.has(id)) throw BlobError("chunk unavailable");
     qos::FairGate::Permit permit =
-        co_await admit(ctx, static_cast<double>(store_.size_of(id)));
+        co_await admit(tenant, static_cast<double>(store_.size_of(id)));
     (void)permit;
     if (!alive_ || !store_.has(id)) throw BlobError("chunk unavailable");
     common::Buffer data = co_await store_.get(id);
@@ -74,10 +74,11 @@ class DataProvider {
   /// Lands an already-delivered payload on this provider's disk (no fabric
   /// transfer — the replicator moved the bytes itself, over its own traffic
   /// class, before handing them over).
-  sim::Task<> put_local(ChunkId id, common::Buffer data, qos::IoContext ctx) {
+  sim::Task<> put_local(ChunkId id, common::Buffer data,
+                        net::TenantId tenant) {
     if (!alive_) throw BlobError("provider down");
     qos::FairGate::Permit permit =
-        co_await admit(ctx, static_cast<double>(data.size()));
+        co_await admit(tenant, static_cast<double>(data.size()));
     (void)permit;
     if (!alive_) throw BlobError("provider down");
     co_await store_.put(id, std::move(data));
@@ -90,13 +91,12 @@ class DataProvider {
   std::size_t chunk_count() const { return alive_ ? store_.chunk_count() : 0; }
 
  private:
-  /// Provider I/O always admits at the provider-io gate regardless of the
-  /// caller's class: a commit already holding a commit slot must not
-  /// re-enter the commit gate (self-deadlock under bounded slots), and the
-  /// permit order commit→provider / prefetch→provider stays acyclic.
-  sim::Task<qos::FairGate::Permit> admit(qos::IoContext ctx, double cost) {
-    ctx.gate = qos::GateClass::ProviderIo;
-    return plane_->admit(ctx, cost);
+  /// Provider I/O always admits at the provider-io gate, whatever gate the
+  /// caller already holds: a commit holding a commit slot must not re-enter
+  /// the commit gate (self-deadlock under bounded slots), and the permit
+  /// order commit→provider / prefetch→provider stays acyclic.
+  sim::Task<qos::FairGate::Permit> admit(net::TenantId tenant, double cost) {
+    return plane_->admit(qos::GateClass::ProviderIo, tenant, cost);
   }
 
   net::Fabric* fabric_;

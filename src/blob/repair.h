@@ -125,15 +125,14 @@ class RepairService {
     // Local read at the source (loopback), then one fabric hop src -> dst.
     // Repair traffic rides the provider-io gate under the chunk's owning
     // tenant, so scrub bursts are arbitrated like any other disk I/O.
-    const qos::IoContext ctx{tenant, qos::GateClass::ProviderIo};
-    common::Buffer data = co_await source->fetch(src, id, ctx);
+    common::Buffer data = co_await source->fetch(src, id, tenant);
     const std::uint64_t bytes = data.size();
     report->bytes_copied += bytes;
     Report::TenantRepair& tr = report->by_tenant[tenant];
     ++tr.copies;
     tr.bytes += bytes;
     store_->account_repair(tenant, 1, bytes);
-    co_await dest->store(src, id, std::move(data), ctx);
+    co_await dest->store(src, id, std::move(data), tenant);
   }
 
   BlobStore* store_;

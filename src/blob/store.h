@@ -152,8 +152,7 @@ class BlobStore {
 
   /// The repository's admission plane: the tenant table plus one gate per
   /// admission class (commit, provider-io, restart-prefetch). Every path
-  /// that touches this repository is admitted here with a tenant-tagged
-  /// qos::IoContext.
+  /// that touches this repository is admitted here under its tenant.
   qos::AdmissionPlane& admission() { return plane_; }
   const qos::AdmissionPlane& admission() const { return plane_; }
 
@@ -225,7 +224,7 @@ class BlobStore {
   /// shipped_bytes and at catalog staging (cr::Catalog). 0 = unlimited.
   struct TenantQuota {
     std::uint64_t max_resident_bytes = 0;   // shipped (post-reduction) bytes
-    std::uint64_t max_catalog_records = 0;  // staged checkpoint records
+    std::uint64_t max_catalog_records = 0;  // Staged + Complete records
   };
   void set_tenant_quota(net::TenantId t, TenantQuota q) { quotas_[t] = q; }
   const TenantQuota& tenant_quota(net::TenantId t) const {

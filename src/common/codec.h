@@ -17,7 +17,6 @@ namespace blobcr::common {
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { raw(&v, 1); }
-  void u16(std::uint16_t v) { raw(&v, 2); }
   void u32(std::uint32_t v) { raw(&v, 4); }
   void u64(std::uint64_t v) { raw(&v, 8); }
   void str(const std::string& s) {
@@ -50,7 +49,6 @@ class ByteReader {
   }
 
   std::uint8_t u8() { return read_int<std::uint8_t>(); }
-  std::uint16_t u16() { return read_int<std::uint16_t>(); }
   std::uint32_t u32() { return read_int<std::uint32_t>(); }
   std::uint64_t u64() { return read_int<std::uint64_t>(); }
   std::string str() {

@@ -7,7 +7,6 @@
 #include "cr/checkpoint.h"       // IWYU pragma: export
 #include "cr/session.h"          // IWYU pragma: export
 #include "core/proxy.h"          // IWYU pragma: export
-#include "core/qcow_proxy.h"     // IWYU pragma: export
 #include "core/rest_proxy.h"     // IWYU pragma: export
 #include "core/wire.h"           // IWYU pragma: export
 #include "mpi/blcr.h"            // IWYU pragma: export

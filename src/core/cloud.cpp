@@ -27,6 +27,38 @@ constexpr net::Fabric::Shape kPeerShape{50 * sim::kMicrosecond, 0};
 /// Capacity of each compute node's decoded-chunk cache (decimal MB).
 constexpr std::uint64_t kChunkCacheBytes = 512 * common::kMB;
 
+/// Pipelined copy of a qcow baseline's local container file into a fresh
+/// PVFS file: 4 MiB windows, two in flight (read window N+1 while window N
+/// is on the wire), which is how a streaming cp through a mount behaves.
+/// Extent-aware reads preserve the real/phantom content structure of the
+/// source. No incremental support: every snapshot re-ships the whole
+/// container.
+sim::Task<std::uint64_t> copy_container_to_pvfs(
+    sim::Simulation& sim, storage::ByteStore& container,
+    std::uint64_t container_bytes, pfs::PvfsCluster& pvfs, net::NodeId node,
+    const std::string& dest_path) {
+  pfs::PvfsClient client(pvfs, node);
+  const pfs::FileId dest = co_await client.create(dest_path);
+  constexpr std::uint64_t kWindow = 4 * 1024 * 1024;
+  std::vector<sim::Task<>> windows;
+  for (std::uint64_t off = 0; off < container_bytes; off += kWindow) {
+    const std::uint64_t len = std::min(kWindow, container_bytes - off);
+    windows.push_back(
+        [](storage::ByteStore* src, pfs::PvfsCluster* cluster,
+           net::NodeId n, pfs::FileId f, std::uint64_t o,
+           std::uint64_t l) -> sim::Task<> {
+          storage::ByteStore::Pieces pieces =
+              co_await src->read_extents(o, l);
+          pfs::PvfsClient c(*cluster, n);
+          for (auto& [piece_off, piece] : pieces) {
+            co_await c.write(f, piece_off, std::move(piece));
+          }
+        }(&container, &pvfs, node, dest, off, len));
+  }
+  co_await sim::run_window(sim, 2, std::move(windows));
+  co_return container_bytes;
+}
+
 }  // namespace
 
 const char* backend_name(Backend b) {
@@ -362,65 +394,20 @@ Deployment::~Deployment() {
   destroy_all();
 }
 
-void Deployment::build_instance_fresh(std::size_t i, net::NodeId node) {
-  auto inst = std::make_unique<Instance>();
-  inst->index = i;
-  inst->node = node;
-  Cloud& cloud = *cloud_;
-  const CloudConfig& cfg = cloud.config();
-
-  if (cfg.backend == Backend::BlobCR) {
-    // Placement affinity: a fresh instance clones its own zone's base image
-    // so its commits land in the zone-local repository.
-    inst->mirror = make_mirror(node, cloud.base_blob(cloud.zone_of_node(node)),
-                               1, flush_cfg_);
-    inst->proxy = std::make_unique<CheckpointProxy>(cloud.simulation(),
-                                                    cloud.fabric(), node);
-  } else {
-    // The qcow chain is opened inside boot_instance (needs a coroutine).
-    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(cloud.simulation(),
-                                                        cloud.fabric(), node);
-    inst->qfull_proxy = std::make_unique<QcowFullProxy>(cloud.simulation(),
-                                                        cloud.fabric(), node);
-  }
-  instances_.push_back(std::move(inst));
-}
-
-sim::Task<> Deployment::boot_instance(std::size_t i) {
-  Instance& inst = *instances_.at(i);
-  Cloud& cloud = *cloud_;
-  const CloudConfig& cfg = cloud.config();
-
-  if (cfg.backend != Backend::BlobCR && !inst.qcow) {
-    // qemu-img create -b <base-on-pvfs> <local qcow2>.
-    auto backing = co_await pfs::PvfsFileStore::open(
-        *cloud.pvfs(), inst.node, cloud.base_pvfs_path(), false);
-    inst.qcow_backing = std::move(backing);
-    inst.qcow_container = std::make_unique<storage::LocalFile>(
-        cloud.disk(inst.node), cloud.next_disk_stream(inst.node));
-    img::QcowImage::Config qcfg;
-    qcfg.virtual_size = cloud.image_size();
-    inst.qcow = std::make_unique<img::QcowImage>(
-        *inst.qcow_container, inst.qcow_backing.get(), qcfg);
-    inst.qcow_dev = std::make_unique<img::QcowDevice>(*inst.qcow);
-  }
-
-  vm::VmConfig vmc = cfg.vm;
-  vmc.name = common::strf("vm%zu", inst.index);
-  inst.vm = std::make_unique<vm::VmInstance>(cloud.simulation(), inst.node,
-                                             inst.device(), vmc);
-  co_await vm::GuestOs::boot(*inst.vm, cfg.os);
-}
-
 sim::Task<> Deployment::deploy_and_boot() {
   assert(cloud_->provisioned() && "provision_base_image() first");
+  // Every instance boots from the base image: its plan names no snapshot,
+  // and its first commit derives a fresh checkpoint image.
+  InstancePlan fresh;
+  fresh.fresh_image = true;
   instances_.clear();
-  for (std::size_t i = 0; i < count_; ++i) {
-    build_instance_fresh(i, cloud_->compute_node(node_offset_ + i));
-  }
+  instances_.resize(count_);
   std::vector<sim::Task<>> boots;
   boots.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) boots.push_back(boot_instance(i));
+  for (std::size_t i = 0; i < count_; ++i) {
+    boots.push_back(
+        build_instance(i, cloud_->compute_node(node_offset_ + i), fresh));
+  }
   co_await sim::when_all(cloud_->simulation(), std::move(boots));
 }
 
@@ -438,38 +425,36 @@ sim::Task<InstanceSnapshot> Deployment::snapshot_instance(std::size_t i) {
     snap.image = r.image;
     snap.version = r.version;
     snap.vm_downtime = r.vm_downtime;
-    // Snapshot size: incremental chunk payload + new metadata. A
-    // provisional (async) version doesn't know its size yet — the record
+    // A provisional (async) version doesn't know its size yet — the record
     // fills in when the drain publishes.
-    const blob::BlobMeta& meta =
-        cloud_->store_of_blob(r.image)->version_manager().peek(r.image);
-    if (r.version != 0) {
-      const blob::VersionInfo& v = meta.version(r.version);
-      if (!v.pending) snap.bytes = v.new_chunk_bytes + v.new_meta_bytes;
-    }
-  } else if (cfg.backend == Backend::Qcow2Disk) {
-    const std::string path = common::strf(
-        "/ckpt/d%llu_inst%zu_v%llu.qcow2",
-        static_cast<unsigned long long>(seq_), i,
-        static_cast<unsigned long long>(inst.snapshot_counter));
-    const QcowSnapshotResult r = co_await inst.qdisk_proxy->request_checkpoint(
-        *inst.vm, *inst.qcow, *inst.qcow_container, *cloud_->pvfs(), path);
-    snap.pvfs_path = r.pvfs_path;
-    snap.qcow_state = r.state;
-    snap.bytes = r.bytes;
-    snap.vm_downtime = r.vm_downtime;
+    snap.bytes = published_bytes(snap);
   } else {
-    const std::string path = common::strf(
-        "/ckpt/d%llu_inst%zu_full_v%llu.qcow2",
-        static_cast<unsigned long long>(seq_), i,
+    // The whole container goes to a new PVFS file. qcow2-full first appends
+    // the full VM state (savevm), which the host drives without a guest
+    // request, and keeps only the latest copy: it subsumes every internal
+    // snapshot.
+    const bool full = cfg.backend == Backend::Qcow2Full;
+    snap.pvfs_path = common::strf(
+        "/ckpt/d%llu_inst%zu%s_v%llu.qcow2",
+        static_cast<unsigned long long>(seq_), i, full ? "_full" : "",
         static_cast<unsigned long long>(inst.snapshot_counter));
-    const QcowSnapshotResult r = co_await inst.qfull_proxy->request_checkpoint(
-        *inst.vm, *inst.qcow, *inst.qcow_container, *cloud_->pvfs(), path,
-        inst.last_snapshot.pvfs_path);
-    snap.pvfs_path = r.pvfs_path;
-    snap.qcow_state = r.state;
-    snap.bytes = r.bytes;
-    snap.vm_downtime = r.vm_downtime;
+    const std::string previous = inst.last_snapshot.pvfs_path;
+    snap.vm_downtime = co_await inst.proxy->serve(
+        *inst.vm, !full, [this, &inst, &snap, full, &previous]() -> sim::Task<> {
+          pfs::PvfsCluster& pvfs = *cloud_->pvfs();
+          if (full) {
+            co_await inst.qcow->save_vm_state(
+                common::Buffer::phantom(inst.vm->ram_state_bytes()));
+          }
+          snap.bytes = co_await copy_container_to_pvfs(
+              cloud_->simulation(), *inst.qcow_container,
+              inst.qcow->container_bytes(), pvfs, inst.node, snap.pvfs_path);
+          snap.qcow_state = inst.qcow->export_state();
+          if (full && !previous.empty()) {
+            pfs::PvfsClient client(pvfs, inst.node);
+            co_await client.remove(previous);
+          }
+        });
   }
   inst.last_snapshot = snap;
   co_return snap;
@@ -498,20 +483,24 @@ GlobalCheckpoint Deployment::collect_last_snapshots() const {
     // An async snapshot recorded while still provisional has bytes == 0;
     // once the drain published, the version record knows the size — refresh
     // so Fig4/Table1-style accounting sees drained snapshots.
-    if (snap.backend == Backend::BlobCR && snap.image != 0 &&
-        snap.version != 0 && snap.bytes == 0 &&
-        cloud_->store_of_blob(snap.image)->version_manager().exists(
-            snap.image)) {
-      const blob::BlobMeta& meta =
-          cloud_->store_of_blob(snap.image)->version_manager().peek(snap.image);
-      if (snap.version <= meta.versions.size()) {
-        const blob::VersionInfo& v = meta.version(snap.version);
-        if (!v.pending) snap.bytes = v.new_chunk_bytes + v.new_meta_bytes;
-      }
+    if (snap.backend == Backend::BlobCR && snap.bytes == 0) {
+      snap.bytes = published_bytes(snap);
     }
     ckpt.snapshots.push_back(std::move(snap));
   }
   return ckpt;
+}
+
+std::uint64_t Deployment::published_bytes(const InstanceSnapshot& snap) const {
+  if (snap.image == 0 || snap.version == 0) return 0;
+  blob::BlobStore* store = cloud_->store_of_blob(snap.image);
+  if (store == nullptr || !store->version_manager().exists(snap.image)) {
+    return 0;
+  }
+  const blob::BlobMeta& meta = store->version_manager().peek(snap.image);
+  if (snap.version > meta.versions.size()) return 0;
+  const blob::VersionInfo& v = meta.version(snap.version);
+  return v.pending ? 0 : v.new_chunk_bytes + v.new_meta_bytes;
 }
 
 void Deployment::destroy_all() {
@@ -576,30 +565,23 @@ sim::Task<> Deployment::build_instance(std::size_t i, net::NodeId node,
   InstanceSnapshot& snap = inst->last_snapshot;
   snap = plan.boot;
   co_await open_volume(*inst, node, snap, flush_cfg_);
-  if (cfg.backend == Backend::BlobCR) {
-    // Subsequent checkpoints land in the same checkpoint image — except for
-    // an elastic clone (M > N), which shares its source tuple with another
-    // instance and must derive a fresh image on its first commit instead.
-    if (!plan.fresh_image) {
-      inst->mirror->set_checkpoint_blob(snap.image, snap.version);
-    }
-    inst->proxy = std::make_unique<CheckpointProxy>(cloud.simulation(),
-                                                    cloud.fabric(), node);
-  } else {
-    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(cloud.simulation(),
-                                                        cloud.fabric(), node);
-    inst->qfull_proxy = std::make_unique<QcowFullProxy>(cloud.simulation(),
-                                                        cloud.fabric(), node);
+  // Subsequent checkpoints land in the same checkpoint image — except on a
+  // fresh deploy or for an elastic clone (M > N), which shares its source
+  // tuple with another instance: their first commit derives a fresh image.
+  if (inst->mirror && !plan.fresh_image) {
+    inst->mirror->set_checkpoint_blob(snap.image, snap.version);
   }
+  inst->proxy = std::make_unique<CheckpointProxy>(cloud.simulation(),
+                                                  cloud.fabric(), node);
 
   vm::VmConfig vmc = cfg.vm;
-  vmc.name = common::strf("vm%zu-r", i);
+  vmc.name = common::strf("vm%zu", i);
   inst->vm = std::make_unique<vm::VmInstance>(cloud.simulation(), node,
                                               inst->device(), vmc);
   instances_[i] = std::move(inst);
   Instance& ref = *instances_[i];
 
-  if (cfg.backend == Backend::Qcow2Full) {
+  if (cfg.backend == Backend::Qcow2Full && !snap.pvfs_path.empty()) {
     // Resume from the full snapshot: load the VM state, no reboot.
     (void)co_await ref.qcow->load_vm_state();
     co_await cloud.simulation().delay(500 * sim::kMillisecond);  // resume cpu
@@ -670,6 +652,13 @@ sim::Task<> Deployment::open_volume(Volume& vol, net::NodeId node,
                                     const flush::FlushConfig& flush) {
   Cloud& cloud = *cloud_;
   if (cloud.config().backend == Backend::BlobCR) {
+    if (snap.image == 0) {
+      // Placement affinity: an instance with no snapshot yet clones its own
+      // zone's base image, so its commits land in the zone-local repository.
+      vol.mirror = make_mirror(node, cloud.base_blob(cloud.zone_of_node(node)),
+                               1, flush);
+      co_return;
+    }
     // Resolve before the mirror binds a store (identity on a live zone or a
     // 1-zone fabric).
     std::tie(snap.image, snap.version) =
@@ -678,17 +667,23 @@ sim::Task<> Deployment::open_volume(Volume& vol, net::NodeId node,
     vol.mirror = make_mirror(node, snap.image, snap.version, flush);
     co_return;
   }
-  // The snapshot file is opened straight through the PVFS mount.
   vol.qcow_backing = co_await pfs::PvfsFileStore::open(
       *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
-  vol.qcow_container = co_await pfs::PvfsFileStore::open(
-      *cloud.pvfs(), node, snap.pvfs_path, false);
+  const bool fresh = snap.pvfs_path.empty();
+  if (fresh) {
+    // qemu-img create -b <base-on-pvfs> <local qcow2>.
+    vol.qcow_container = std::make_unique<storage::LocalFile>(
+        cloud.disk(node), cloud.next_disk_stream(node));
+  } else {
+    // The snapshot file is opened straight through the PVFS mount.
+    vol.qcow_container = co_await pfs::PvfsFileStore::open(
+        *cloud.pvfs(), node, snap.pvfs_path, false);
+  }
   img::QcowImage::Config qcfg;
   qcfg.virtual_size = cloud.image_size();
   vol.qcow = std::make_unique<img::QcowImage>(
       *vol.qcow_container, vol.qcow_backing.get(), qcfg);
-  co_await vol.qcow->open_existing(snap.qcow_state);
-  vol.qcow_dev = std::make_unique<img::QcowDevice>(*vol.qcow);
+  if (!fresh) co_await vol.qcow->open_existing(snap.qcow_state);
 }
 
 sim::Task<sim::Duration> Deployment::migrate_instance(std::size_t i,

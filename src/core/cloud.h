@@ -3,9 +3,11 @@
 // Cloud owns the simulated testbed (nodes, disks, fabric), the persistent
 // repository (BlobSeer store for BlobCR, PVFS for the qcow baselines) and
 // the uploaded base image. Deployment implements multi-deployment of VM
-// instances from the base image, guest-triggered disk snapshots through the
-// node-local proxies, the checkpoint -> snapshot mapping, and restart from
-// a globally consistent set of snapshots on fresh nodes.
+// instances from the base image, disk snapshots through each instance's
+// node-local proxy, the checkpoint -> snapshot mapping, and restart from
+// a globally consistent set of snapshots on fresh nodes. A fresh deploy, a
+// restart and a migration build their instances through one path: a fresh
+// instance is one whose plan names no snapshot yet.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,6 @@
 #include "core/mirror_device.h"
 #include "flush/flush.h"
 #include "core/proxy.h"
-#include "core/qcow_proxy.h"
 #include "img/qcow.h"
 #include "mpi/mpi.h"
 #include "net/fabric.h"
@@ -122,12 +123,14 @@ struct GlobalCheckpoint {
 
 /// One new instance's share of an (N -> M) restart: the snapshot it boots
 /// from, plus any extra source tuples it adopts as attached data volumes
-/// (M < N shards). Built by cr::build_restart_plan (src/cr/remap.h).
+/// (M < N shards). Built by cr::build_restart_plan (src/cr/remap.h). A
+/// fresh deploy's plan names no snapshot: its boot tuple is the default.
 struct InstancePlan {
   InstanceSnapshot boot;
-  /// M > N clones: the instance lazy-fetches the source snapshot but must
-  /// NOT adopt its checkpoint image — the first commit derives a fresh one,
-  /// so no two instances ever commit into the same image.
+  /// The first commit derives a fresh checkpoint image instead of adopting
+  /// the boot tuple's: a fresh deploy has none, and an M > N clone
+  /// lazy-fetches a source snapshot whose image another instance commits
+  /// into (no two instances ever commit into the same image).
   bool fresh_image = false;
   std::vector<InstanceSnapshot> attached;
 };
@@ -299,17 +302,17 @@ class Deployment {
 
   /// One virtual disk of an instance. Exactly one device family is
   /// populated, by backend: a BlobCR mirroring module, or a qcow2 image
-  /// over its PVFS backing.
+  /// (a local container on a fresh deploy, the snapshot copy on PVFS after
+  /// a restart) over the base image on PVFS.
   struct Volume {
     std::unique_ptr<MirrorDevice> mirror;
     std::unique_ptr<pfs::PvfsFileStore> qcow_backing;
     std::unique_ptr<storage::ByteStore> qcow_container;
     std::unique_ptr<img::QcowImage> qcow;
-    std::unique_ptr<img::QcowDevice> qcow_dev;
 
     img::BlockDevice& device() {
       if (mirror) return *mirror;
-      return *qcow_dev;
+      return *qcow;
     }
   };
 
@@ -330,8 +333,6 @@ class Deployment {
     bool failed = false;
     std::unique_ptr<vm::VmInstance> vm;
     std::unique_ptr<CheckpointProxy> proxy;
-    std::unique_ptr<QcowDiskProxy> qdisk_proxy;
-    std::unique_ptr<QcowFullProxy> qfull_proxy;
     std::uint64_t snapshot_counter = 0;
     InstanceSnapshot last_snapshot;
     /// Extra pre-rescale shards adopted by this instance (elastic M < N).
@@ -380,11 +381,12 @@ class Deployment {
   sim::Task<> wait_drained(std::size_t i);
 
   /// Creates devices and VMs from the base image and boots all instances in
-  /// parallel.
+  /// parallel, through the same per-instance build as restart_from.
   sim::Task<> deploy_and_boot();
 
-  /// Guest-triggered disk snapshot of one instance (dispatches to the
-  /// backend's proxy). Updates the instance's last-snapshot record.
+  /// Disk snapshot of one instance through its proxy (BlobCR's CLONE +
+  /// COMMIT, or a container copy to PVFS on the qcow baselines, preceded by
+  /// savevm on qcow2-full). Updates the instance's last-snapshot record.
   sim::Task<InstanceSnapshot> snapshot_instance(std::size_t i);
 
   /// Snapshots every instance in parallel (the qcow2-full driver and
@@ -422,8 +424,8 @@ class Deployment {
 
   /// Test scaffolding (crash-harness style, like flush's stage probes):
   /// invoked with the instance index at the start of every per-instance
-  /// rebuild inside restart_from. A throwing probe models a mid-restart
-  /// boot failure. nullptr disables.
+  /// build (deploy, restart, migration). A throwing probe models a
+  /// mid-restart boot failure. nullptr disables.
   void set_restart_probe(std::function<void(std::size_t)> probe) {
     restart_probe_ = std::move(probe);
   }
@@ -455,22 +457,26 @@ class Deployment {
   /// nodes (the redundancy tier's durability and the peer-vs-repo byte
   /// accounting both assume one instance per node).
   void validate_placement() const;
-  void build_instance_fresh(std::size_t i, net::NodeId node);
-  /// Rebuilds instance i on `node` from its share of a restart (or a
-  /// one-instance migration plan): boot volume, proxies, VM, guest boot or
-  /// qcow2-full resume, then the attached volumes. `plan` must stay alive
-  /// until the task completes.
+  /// Builds instance i on `node` from its plan (a fresh deploy's plan
+  /// names no snapshot; a restart's share or a one-instance migration plan
+  /// does): boot volume, proxy, VM, guest boot or qcow2-full resume, then
+  /// the attached volumes. `plan` must stay alive until the task completes.
   sim::Task<> build_instance(std::size_t i, net::NodeId node,
                              const InstancePlan& plan);
-  sim::Task<> boot_instance(std::size_t i);
-  /// Opens `vol` on `node` from a checkpointed snapshot. BlobCR: resolves
-  /// the tuple first (a dead home zone adopts it into a survivor, see
-  /// federation::Fabric::resolve_restart) and writes the resolved tuple
-  /// back into `snap`, then builds the mirror. qcow baselines: opens the
-  /// snapshot container over the base image on PVFS.
+  /// Opens `vol` on `node` from `snap`. BlobCR: a tuple naming no snapshot
+  /// (image 0) opens the zone's base image; otherwise resolves the tuple
+  /// first (a dead home zone adopts it into a survivor, see
+  /// federation::Fabric::resolve_restart), writes the resolved tuple back
+  /// into `snap` and builds the mirror. qcow baselines: a qcow2 image over
+  /// the base image on PVFS, in a fresh local container (no snapshot path)
+  /// or the snapshot's PVFS copy.
   sim::Task<> open_volume(Volume& vol, net::NodeId node,
                           InstanceSnapshot& snap,
                           const flush::FlushConfig& flush);
+  /// Size of a published BlobCR snapshot (new chunk payload + new
+  /// metadata); 0 when `snap` names no version, or it is still provisional
+  /// (an async commit the drain has not published yet).
+  std::uint64_t published_bytes(const InstanceSnapshot& snap) const;
   /// A mirroring module on `node` backed by (blob, version), bound to the
   /// zone store that owns `blob` and to the deployment's reducer.
   std::unique_ptr<MirrorDevice> make_mirror(net::NodeId node,

@@ -176,9 +176,7 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
       if (claim.acquire()) {
         federation::Fabric::FetchResult fetched;
         try {
-          fetched = co_await repo_->fetch_decoded(
-              *loc, host_,
-              qos::IoContext{cfg_.tenant, qos::GateClass::ProviderIo});
+          fetched = co_await repo_->fetch_decoded(*loc, host_, cfg_.tenant);
         } catch (const std::exception& e) {
           throw fetch_failure(e);
         }
@@ -408,7 +406,7 @@ sim::Task<> MirrorDevice::prefetch_worker() {
       // the destructor kills the workers at teardown, and a leaked permit
       // would wedge the next deployment's restart against this store.
       qos::FairGate::Permit admission = co_await store_->admission().admit(
-          qos::IoContext{cfg_.tenant, qos::GateClass::RestartPrefetch},
+          qos::GateClass::RestartPrefetch, cfg_.tenant,
           static_cast<double>(r.length()));
       (void)admission;
       try {

@@ -276,12 +276,20 @@ Task<> Catalog::open() {
 Task<CheckpointRecord> Catalog::stage(CheckpointRecord rec) {
   co_await open();
   // Per-tenant catalog-record ceiling: admission is checked before any
-  // durable write, so a rejected stage leaves the log untouched.
+  // durable write, so a rejected stage leaves the log untouched. Only the
+  // records retention keeps count (Staged and Complete): retiring frees
+  // quota, and an Incomplete record, which retention never retires, must
+  // not lock the tenant out.
   if (blob_client_ != nullptr && home_store_ != nullptr) {
     const blob::BlobStore::TenantQuota& q =
         home_store_->tenant_quota(cfg_.tenant);
+    const auto live = std::count_if(
+        records_.begin(), records_.end(), [](const CheckpointRecord& r) {
+          return r.state == RecordState::Staged ||
+                 r.state == RecordState::Complete;
+        });
     if (q.max_catalog_records != 0 &&
-        records_.size() >= q.max_catalog_records) {
+        static_cast<std::uint64_t>(live) >= q.max_catalog_records) {
       throw blob::QuotaExceededError(
           "tenant " + std::to_string(cfg_.tenant) + " catalog quota (" +
           std::to_string(q.max_catalog_records) +

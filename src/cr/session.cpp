@@ -329,9 +329,8 @@ Task<ScavengeReport> Session::scavenge() {
     }
     common::Buffer stored = encode_for_store(loc, payload->data);
     const std::uint64_t stored_bytes = stored.size();
-    co_await target->store(
-        target->node(), id, std::move(stored),
-        qos::IoContext{dep_->tenant(), qos::GateClass::ProviderIo});
+    co_await target->store(target->node(), id, std::move(stored),
+                           dep_->tenant());
     if (place != pm.placements().end())
       pm.update_placement(id, {target->node()});
     ++rep.chunks_restored;

@@ -128,10 +128,9 @@ sim::Task<bool> Fabric::replicate_chunk(blob::ChunkLocation loc,
   blob::DataProvider* target = targets.front();
   // Background replication runs as the default tenant: it competes at the
   // provider-io gates like any other disk I/O, but no job is charged.
-  const qos::IoContext ctx{net::kDefaultTenant, qos::GateClass::ProviderIo};
-  common::Buffer data =
-      co_await src->fetch(target->node(), loc.id, ctx, wan_shape());
-  co_await target->put_local(loc.id, std::move(data), ctx);
+  common::Buffer data = co_await src->fetch(
+      target->node(), loc.id, net::kDefaultTenant, wan_shape());
+  co_await target->put_local(loc.id, std::move(data), net::kDefaultTenant);
   // Re-lookup after the awaits: the directory may have rehashed, and a
   // racing copy of the same chunk may have landed first.
   std::vector<Replica>& entry = replicas_[loc.id];
@@ -254,7 +253,7 @@ struct Candidate {
 }  // namespace
 
 sim::Task<std::optional<Fabric::FetchResult>> Fabric::try_fetch(
-    qos::IoContext ctx, blob::ChunkLocation loc, net::NodeId dst) {
+    net::TenantId tenant, blob::ChunkLocation loc, net::NodeId dst) {
   const std::uint32_t my = zone_of_node(dst);
   std::vector<Candidate> order;
   const auto add_origin = [&] {
@@ -286,7 +285,7 @@ sim::Task<std::optional<Fabric::FetchResult>> Fabric::try_fetch(
     const bool wan = c.zone != my;
     try {
       common::Buffer data = co_await c.provider->fetch(
-          dst, loc.id, ctx, wan ? wan_shape() : net::Fabric::Shape{});
+          dst, loc.id, tenant, wan ? wan_shape() : net::Fabric::Shape{});
       if (wan) wan_fetch_bytes_ += loc.size;
       co_return FetchResult{
           blob::BlobClient::decode_stored(loc, std::move(data)), wan};
@@ -299,7 +298,7 @@ sim::Task<std::optional<Fabric::FetchResult>> Fabric::try_fetch(
 }
 
 sim::Task<Fabric::FetchResult> Fabric::fetch_decoded(
-    const blob::ChunkLocation& loc, net::NodeId dst, qos::IoContext ctx) {
+    const blob::ChunkLocation& loc, net::NodeId dst, net::TenantId tenant) {
   if (loc.hole()) {
     co_return FetchResult{common::Buffer::zeros(loc.logical()), false};
   }
@@ -308,11 +307,11 @@ sim::Task<Fabric::FetchResult> Fabric::fetch_decoded(
   // re-homed. A failure there is final — no WAN detour.
   if (alive(loc.zone) && zone_of_node(dst) == loc.zone) {
     common::Buffer stored = co_await blob::BlobClient::fetch_stored(
-        *store(loc.zone), loc, dst, ctx);
+        *store(loc.zone), loc, dst, tenant);
     co_return FetchResult{
         blob::BlobClient::decode_stored(loc, std::move(stored)), false};
   }
-  std::optional<FetchResult> got = co_await try_fetch(ctx, loc, dst);
+  std::optional<FetchResult> got = co_await try_fetch(tenant, loc, dst);
   if (got.has_value()) co_return std::move(*got);
   // Content-addressed last resort: the same bytes may live under another
   // ChunkId in a live zone (a sibling zone's rank committed identical
@@ -322,7 +321,7 @@ sim::Task<Fabric::FetchResult> Fabric::fetch_decoded(
     const blob::ChunkLocation* alt =
         index_->lookup(loc.digest, loc.logical(), zone_of_node(dst));
     if (alt != nullptr && alt->id != loc.id) {
-      got = co_await try_fetch(ctx, *alt, dst);
+      got = co_await try_fetch(tenant, *alt, dst);
       if (got.has_value()) co_return std::move(*got);
     }
   }

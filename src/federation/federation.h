@@ -48,7 +48,7 @@
 #include "common/buffer.h"
 #include "common/rangeset.h"
 #include "net/fabric.h"
-#include "qos/admission.h"
+#include "net/tenant.h"
 #include "sim/sim.h"
 
 namespace blobcr::reduce {
@@ -153,10 +153,10 @@ class Fabric final : public blob::GcObserver {
   /// holding the content: local-zone copy -> sibling-zone replica (WAN) ->
   /// origin zone (WAN) -> digest-index content fallback. Throws BlobError
   /// when no live copy is reachable.
-  /// `ctx` tags the pull with the restarting tenant; every provider touch
-  /// (local or WAN) is admitted at that zone's provider-io gate under it.
+  /// `tenant` is the restarting tenant; every provider touch (local or
+  /// WAN) is admitted at that zone's provider-io gate under it.
   sim::Task<FetchResult> fetch_decoded(const blob::ChunkLocation& loc,
-                                       net::NodeId dst, qos::IoContext ctx);
+                                       net::NodeId dst, net::TenantId tenant);
 
   // --- zone-loss restart failover ------------------------------------------
 
@@ -239,7 +239,7 @@ class Fabric final : public blob::GcObserver {
   /// One fetch attempt over a fixed location, walking local-zone copies,
   /// then sibling-zone replicas (WAN), then the origin zone. nullopt when
   /// no live copy of this exact chunk remains.
-  sim::Task<std::optional<FetchResult>> try_fetch(qos::IoContext ctx,
+  sim::Task<std::optional<FetchResult>> try_fetch(net::TenantId tenant,
                                                   blob::ChunkLocation loc,
                                                   net::NodeId dst);
   /// A live provider currently holding `loc` (origin replicas first, then

@@ -515,7 +515,6 @@ sim::Task<> SimpleFs::sync() {
     co_await dev_->write(cfg_.block_size, std::move(blob));
     meta_dirty_ = false;
   }
-  co_await dev_->flush();
 }
 
 }  // namespace blobcr::guestfs

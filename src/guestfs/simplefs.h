@@ -116,8 +116,6 @@ class SimpleFs {
   common::Buffer encode_metadata() const;
   void decode_metadata(const common::Buffer& blob);
 
-  Inode& inode_of_path(const std::string& path);
-  const Inode& inode_of_path(const std::string& path) const;
   Inode* resolve(const std::string& path);
   const Inode* resolve(const std::string& path) const;
   std::pair<Inode*, std::string> resolve_parent(const std::string& path);

@@ -1,6 +1,8 @@
 // BlockDevice: what a hypervisor exposes to its guest as the virtual disk.
-// Implementations: RawDevice (flat ByteStore), QcowDevice (copy-on-write
-// image), and core's MirrorDevice (BlobCR's mirroring module).
+// Implementations: QcowImage (the qcow baselines' copy-on-write image),
+// core's MirrorDevice (BlobCR's mirroring module) and MemDevice (offline
+// image authoring). Writes are durable in the device once acknowledged, so
+// a guest `sync` needs no device-level flush.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +19,6 @@ class BlockDevice {
   virtual sim::Task<> write(std::uint64_t offset, common::Buffer data) = 0;
   virtual sim::Task<common::Buffer> read(std::uint64_t offset,
                                          std::uint64_t len) = 0;
-  /// Ensures all acknowledged writes are durable in the image container
-  /// (the guest's `sync`).
-  virtual sim::Task<> flush() { co_return; }
 };
 
 }  // namespace blobcr::img

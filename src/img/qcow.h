@@ -1,4 +1,5 @@
-// QcowImage: a qcow2-style copy-on-write disk image.
+// QcowImage: a qcow2-style copy-on-write disk image, and the guest's
+// virtual disk on the qcow baselines (it is a BlockDevice itself).
 //
 // Reproduced behaviours that matter to the paper:
 //  * cluster-granular COW over an optional read-only backing store (the raw
@@ -25,7 +26,7 @@
 
 namespace blobcr::img {
 
-class QcowImage {
+class QcowImage : public BlockDevice {
  public:
   struct Config {
     std::uint64_t cluster_size = 64 * 1024;  // qcow2 default
@@ -37,11 +38,12 @@ class QcowImage {
   QcowImage(storage::ByteStore& container, storage::ByteStore* backing,
             const Config& cfg);
 
-  std::uint64_t virtual_size() const { return cfg_.virtual_size; }
   std::uint64_t cluster_size() const { return cfg_.cluster_size; }
 
-  sim::Task<common::Buffer> read(std::uint64_t offset, std::uint64_t len);
-  sim::Task<> write(std::uint64_t offset, common::Buffer data);
+  std::uint64_t capacity() const override { return cfg_.virtual_size; }
+  sim::Task<common::Buffer> read(std::uint64_t offset,
+                                 std::uint64_t len) override;
+  sim::Task<> write(std::uint64_t offset, common::Buffer data) override;
 
   /// savevm: appends the VM state and freezes the current disk mapping.
   sim::Task<> save_vm_state(common::Buffer state);
@@ -104,42 +106,6 @@ class QcowImage {
   std::uint64_t host_end_;
   std::vector<Snapshot> snapshots_;
   std::uint64_t guest_bytes_written_ = 0;
-};
-
-/// BlockDevice adapter for a QcowImage.
-class QcowDevice : public BlockDevice {
- public:
-  explicit QcowDevice(QcowImage& image) : image_(&image) {}
-  std::uint64_t capacity() const override { return image_->virtual_size(); }
-  sim::Task<> write(std::uint64_t offset, common::Buffer data) override {
-    co_await image_->write(offset, std::move(data));
-  }
-  sim::Task<common::Buffer> read(std::uint64_t offset,
-                                 std::uint64_t len) override {
-    co_return co_await image_->read(offset, len);
-  }
-
- private:
-  QcowImage* image_;
-};
-
-/// BlockDevice over a flat ByteStore (a raw image).
-class RawDevice : public BlockDevice {
- public:
-  RawDevice(storage::ByteStore& store, std::uint64_t capacity)
-      : store_(&store), capacity_(capacity) {}
-  std::uint64_t capacity() const override { return capacity_; }
-  sim::Task<> write(std::uint64_t offset, common::Buffer data) override {
-    co_await store_->write(offset, std::move(data));
-  }
-  sim::Task<common::Buffer> read(std::uint64_t offset,
-                                 std::uint64_t len) override {
-    co_return co_await store_->read(offset, len);
-  }
-
- private:
-  storage::ByteStore* store_;
-  std::uint64_t capacity_;
 };
 
 }  // namespace blobcr::img

@@ -1,7 +1,7 @@
 // qos::AdmissionPlane — the repository's single QoS choke point.
 //
-// Every path that touches the shared repository is admitted here, tagged
-// with a tenant-carrying IoContext and classified into one of three gates:
+// Every path that touches the shared repository is admitted here under its
+// tenant and classified into one of three gates:
 //
 //            +---------------------- AdmissionPlane ---------------------+
 //            |  TenantRegistry (identities + weights)                    |
@@ -56,14 +56,6 @@ inline const char* gate_class_name(GateClass g) {
   }
   return "?";
 }
-
-/// Tenant tag threaded through every repository-touching path. Constructed
-/// at the request's origin (BlobClient commit, MirrorDevice restart,
-/// repair scrub, federation replicator) and carried down to the gates.
-struct IoContext {
-  net::TenantId tenant = net::kDefaultTenant;
-  GateClass gate = GateClass::ProviderIo;
-};
 
 /// All QoS knobs for one repository, validated as a unit.
 struct Config {
@@ -135,10 +127,11 @@ class AdmissionPlane {
     return const_cast<AdmissionPlane*>(this)->gate(g);
   }
 
-  /// Admits `ctx` at its class's gate; `cost` is the request's service
+  /// Admits `tenant` at `g`'s gate; `cost` is the request's service
   /// demand (bytes). The returned permit is the RAII slot.
-  sim::Task<FairGate::Permit> admit(IoContext ctx, double cost) {
-    return gate(ctx.gate).enter(ctx.tenant, cost);
+  sim::Task<FairGate::Permit> admit(GateClass g, net::TenantId tenant,
+                                    double cost) {
+    return gate(g).enter(tenant, cost);
   }
 
   /// Cumulative queueing time of `tenant` at `g`'s gate.

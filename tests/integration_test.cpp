@@ -145,6 +145,34 @@ TEST(QcowFullIntegrationTest, ResumeRollsDiskBackWithoutReboot) {
   EXPECT_GT(restart_time, 0);
 }
 
+// §3.3: the proxy resumes the VM whether or not the snapshot succeeded.
+// qcow2-full removes its previous PVFS copy inside the pause; with that copy
+// gone the second snapshot fails, and the VM must still run afterwards.
+TEST(QcowFullIntegrationTest, FailedSnapshotResumesTheVm) {
+  Cloud cloud(tiny_cfg(Backend::Qcow2Full));
+  bool threw = false;
+  bool paused_after = true;
+
+  cloud.run([](Cloud* cl, bool* threw, bool* paused_after) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, 1);
+    co_await dep.deploy_and_boot();
+    co_await write_state(&dep.vm(0), 3000);
+    const InstanceSnapshot first = co_await dep.snapshot_instance(0);
+    pfs::PvfsClient client(*cl->pvfs(), cl->compute_node(0));
+    co_await client.remove(first.pvfs_path);
+    try {
+      (void)co_await dep.snapshot_instance(0);
+    } catch (const pfs::PvfsError&) {
+      *threw = true;
+    }
+    *paused_after = dep.vm(0).paused();
+  }(&cloud, &threw, &paused_after));
+
+  EXPECT_TRUE(threw) << "the snapshot over a removed copy did not fail";
+  EXPECT_FALSE(paused_after) << "a failed snapshot left the VM paused";
+}
+
 TEST(SuccessiveCheckpointTest, BlobcrShipsDeltasQcowShipsEverything) {
   // Two clouds, same workload: three checkpoints with a small dirty set in
   // between. BlobCR's 2nd/3rd snapshots stay small; qcow2-disk re-ships the

@@ -369,5 +369,38 @@ TEST(MultiTenantTest, CapacityQuotasRefuseCommitAndCatalogOverage) {
   EXPECT_TRUE(free_tenant_ok);
 }
 
+// The catalog-records ceiling counts only the records retention keeps
+// (Staged and Complete): a tenant that retires checkpoints, as the refusal
+// advises, can keep staging new ones under the same ceiling.
+TEST(MultiTenantTest, RetiredRecordsFreeCatalogQuota) {
+  Cloud cloud(repo_cfg(4));
+  int passed = 0;
+
+  cloud.run([](Cloud* cl, int* passed) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment::Options opts{0, cl->register_tenant("rcap"), std::nullopt};
+    cl->set_tenant_quota(opts.tenant, {0, /*max_catalog_records=*/2});
+    Deployment dep(*cl, 1, opts);
+    cr::Session::Config scfg;
+    scfg.job = "rcap";
+    scfg.retention.keep_last = 1;  // auto-retention after each checkpoint
+    cr::Session session(dep, scfg);
+    co_await dep.deploy_and_boot();
+
+    for (const std::uint64_t seed : {0x71ULL, 0x72ULL, 0x73ULL, 0x74ULL}) {
+      co_await dep.vm(0).fs()->write_file(
+          "/data/r.bin", Buffer::pattern(150'000, seed));
+      co_await dep.vm(0).fs()->sync();
+      try {
+        (void)co_await session.checkpoint();
+        ++*passed;
+      } catch (const blob::QuotaExceededError&) {
+      }
+    }
+  }(&cloud, &passed));
+
+  EXPECT_EQ(passed, 4) << "retired records still count against the quota";
+}
+
 }  // namespace
 }  // namespace blobcr

@@ -676,8 +676,7 @@ Task<> store_one(ProviderCluster* tc, net::TenantId tenant, blob::ChunkId id,
                  sim::Time* done) {
   if (pre_delay > 0) co_await tc->sim.delay(pre_delay);
   blob::DataProvider* p = tc->store->provider_at(4);
-  co_await p->store(tc->client_node, id, Buffer::pattern(bytes, id),
-                    qos::IoContext{tenant, qos::GateClass::ProviderIo});
+  co_await p->store(tc->client_node, id, Buffer::pattern(bytes, id), tenant);
   if (done != nullptr) *done = tc->sim.now();
 }
 
@@ -773,10 +772,11 @@ TEST(QosUsageTest, CommitWaitCountsManagerQueuesWithQosOff) {
 // ---------------------------------------------------------------------------
 
 Task<> admit_and_hold(sim::Simulation* sim, qos::AdmissionPlane* plane,
-                      qos::IoContext ctx, sim::Duration pre_delay,
-                      sim::Duration hold_time, sim::Time* admitted) {
+                      qos::GateClass gate, net::TenantId tenant,
+                      sim::Duration pre_delay, sim::Duration hold_time,
+                      sim::Time* admitted) {
   if (pre_delay > 0) co_await sim->delay(pre_delay);
-  qos::FairGate::Permit permit = co_await plane->admit(ctx, 1.0);
+  qos::FairGate::Permit permit = co_await plane->admit(gate, tenant, 1.0);
   (void)permit;
   if (admitted != nullptr) *admitted = sim->now();
   if (hold_time > 0) co_await sim->delay(hold_time);
@@ -798,14 +798,14 @@ TEST(QosPlaneTest, KilledWaiterAndHolderReleaseEveryGateClass) {
 
     sim::Time survivor_admitted = 0;
     auto holder = sim.spawn(
-        "holder", admit_and_hold(&sim, &plane, {t1, gc}, 0, 10 * sim::kSecond,
+        "holder", admit_and_hold(&sim, &plane, gc, t1, 0, 10 * sim::kSecond,
                                  nullptr));
     auto waiter = sim.spawn(
-        "waiter", admit_and_hold(&sim, &plane, {t1, gc},
+        "waiter", admit_and_hold(&sim, &plane, gc, t1,
                                  100 * sim::kMillisecond, 10 * sim::kSecond,
                                  nullptr));
     sim.spawn("survivor",
-              admit_and_hold(&sim, &plane, {t2, gc}, 200 * sim::kMillisecond,
+              admit_and_hold(&sim, &plane, gc, t2, 200 * sim::kMillisecond,
                              0, &survivor_admitted));
     sim.spawn("killer", kill_two(&sim, 1 * sim::kSecond, waiter, holder));
     sim.run();

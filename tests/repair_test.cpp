@@ -184,7 +184,7 @@ TEST(RepairTest, ReadersFindRehomedChunksThroughLocate) {
       bool failed = false;
       try {
         leaf = (co_await repo.fetch_decoded(ref.loc, c->client_node,
-                                            qos::IoContext{}))
+                                            net::kDefaultTenant))
                    .data;
       } catch (const BlobError&) {
         failed = true;
