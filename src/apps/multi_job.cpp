@@ -81,15 +81,8 @@ Task<> job_body(Cloud* cloud, const MultiJobRun* run, std::size_t job_index,
   sim::Simulation& sim = cloud->simulation();
   co_await sim.delay(spec.stagger);
 
-  Deployment::Options dopts;
-  dopts.node_offset = node_offset;
-  dopts.tenant = out->tenant;
-  if (spec.async_flush) {
-    flush::FlushConfig fcfg;
-    fcfg.enabled = true;
-    dopts.flush = fcfg;
-  }
-  Deployment dep(*cloud, spec.instances, dopts);
+  Deployment dep(*cloud, spec.instances,
+                 Deployment::Options{node_offset, out->tenant});
 
   cr::Session::Config scfg;
   scfg.job = spec.name;

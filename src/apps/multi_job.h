@@ -10,7 +10,8 @@
 // Each job runs the synthetic workload shape of §4.3 (fill a buffer, dump
 // it to the virtual disk, request a snapshot, commit the line to the job's
 // catalog), staggered in time, with per-job knobs for size, cadence, QoS
-// weight, retention and the async commit pipeline.
+// weight and retention. Every job commits through the cloud's pipeline
+// (CloudConfig::flush).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 
 #include "core/cloud.h"
 #include "cr/checkpoint.h"
-#include "flush/flush.h"
 #include "sim/sim.h"
 
 namespace blobcr::apps {
@@ -40,9 +40,6 @@ struct TenantJobSpec {
   sim::Duration think_time = 0;
   /// Per-job retention (keep-last-N through the job's own session; 0 off).
   std::size_t keep_last = 0;
-  /// Run this job's commits through the async pipeline (per-job override of
-  /// CloudConfig::flush).
-  bool async_flush = false;
   /// Tear down and restart from the job's own catalog at the end, verifying
   /// every instance's restored buffer bit for bit.
   bool do_restart = true;

@@ -314,8 +314,8 @@ reduce::ChunkDigestIndex* Cloud::shared_digest_index() {
 redundancy::Manager* Cloud::redundancy() {
   if (stores_.empty() || !cfg_.redundancy.enabled) return nullptr;
   if (redundancy_ == nullptr) {
-    redundancy_ = std::make_unique<redundancy::Manager>(
-        sim_, *fabric_, cfg_.redundancy, kPeerShape);
+    redundancy_ =
+        std::make_unique<redundancy::Manager>(sim_, *fabric_, kPeerShape);
     // The tier observes every zone store's GC for the repository's
     // lifetime: reclaiming a member chunk invalidates its whole parity group
     // (no orphaned parity blocks), even while no deployment is alive, e.g.
@@ -343,8 +343,7 @@ std::uint64_t Cloud::repository_bytes() const {
 
 Deployment::Deployment(Cloud& cloud, std::size_t instances,
                        std::size_t node_offset)
-    : Deployment(cloud, instances, Options{node_offset, net::kDefaultTenant,
-                                           std::nullopt}) {}
+    : Deployment(cloud, instances, Options{node_offset}) {}
 
 Deployment::Deployment(Cloud& cloud, std::size_t instances,
                        const Options& opts)
@@ -352,7 +351,6 @@ Deployment::Deployment(Cloud& cloud, std::size_t instances,
       count_(instances),
       node_offset_(opts.node_offset),
       tenant_(opts.tenant),
-      flush_cfg_(opts.flush.has_value() ? *opts.flush : cloud.config().flush),
       seq_(cloud.next_deployment_seq()) {
   bus_ = std::make_unique<PrefetchBus>(cloud.simulation(), kPeerShape);
   if (cloud.config().backend == Backend::BlobCR &&
@@ -452,7 +450,13 @@ sim::Task<InstanceSnapshot> Deployment::snapshot_instance(std::size_t i) {
           snap.qcow_state = inst.qcow->export_state();
           if (full && !previous.empty()) {
             pfs::PvfsClient client(pvfs, inst.node);
-            co_await client.remove(previous);
+            try {
+              co_await client.remove(previous);
+            } catch (const pfs::PvfsError&) {
+              // Already gone (e.g. removed from outside): nothing to remove.
+              // Failing here would fail every later snapshot of the VM and
+              // strand each attempt's new copy on PVFS.
+            }
           }
         });
   }
@@ -543,7 +547,8 @@ void Deployment::fail_instance(std::size_t i) {
 }
 
 bool Deployment::flush_enabled() const {
-  return cloud_->config().backend == Backend::BlobCR && flush_cfg_.enabled;
+  return cloud_->config().backend == Backend::BlobCR &&
+         cloud_->config().flush.enabled;
 }
 
 sim::Task<> Deployment::wait_drained(std::size_t i) {
@@ -564,7 +569,7 @@ sim::Task<> Deployment::build_instance(std::size_t i, net::NodeId node,
   // retention act on an adopted lineage.
   InstanceSnapshot& snap = inst->last_snapshot;
   snap = plan.boot;
-  co_await open_volume(*inst, node, snap, flush_cfg_);
+  co_await open_volume(*inst, node, snap, cfg.flush);
   // Subsequent checkpoints land in the same checkpoint image — except on a
   // fresh deploy or for an elastic clone (M > N), which shares its source
   // tuple with another instance: their first commit derives a fresh image.

@@ -288,16 +288,13 @@ class Cloud {
 class Deployment {
  public:
   /// Per-job construction knobs for multi-tenant clouds. The defaults give
-  /// the classic single-job deployment (default tenant, cloud-level flush).
+  /// the classic single-job deployment (default tenant).
   struct Options {
     std::size_t node_offset = 0;
     /// Repository tenant identity (from Cloud::register_tenant). Tags every
     /// repository request of this deployment's instances for QoS admission
     /// and per-tenant accounting.
     net::TenantId tenant = net::kDefaultTenant;
-    /// Per-job override of CloudConfig::flush (a bulk job can drain
-    /// asynchronously while an interactive job commits synchronously).
-    std::optional<flush::FlushConfig> flush;
   };
 
   /// One virtual disk of an instance. Exactly one device family is
@@ -488,7 +485,6 @@ class Deployment {
   std::size_t count_;
   std::size_t node_offset_;
   net::TenantId tenant_;
-  flush::FlushConfig flush_cfg_;  // resolved Options::flush override
   std::uint64_t seq_;  // unique per deployment; namespaces snapshot files
   /// The restart scheduler runs in the background (it references the
   /// instances' mirrors, so it is killed before they are torn down).

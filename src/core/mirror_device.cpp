@@ -56,7 +56,7 @@ MirrorDevice::MirrorDevice(federation::Fabric& repo, net::NodeId host,
     cfg_.redundancy->attach(host_, node_cache_);
   if (cfg_.flush.enabled) {
     flush_agent_ = std::make_unique<flush::FlushAgent>(
-        *store_, repo, client_, local_disk, disk_stream, reducer_, cfg_.flush,
+        *store_, repo, client_, local_disk, disk_stream, reducer_,
         cfg_.redundancy);
   }
 }

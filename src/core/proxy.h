@@ -28,9 +28,11 @@ class CheckpointProxy {
     sim::Duration vm_downtime = 0;
   };
 
-  CheckpointProxy(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
-                  sim::Duration auth_cost = 500 * sim::kMicrosecond)
-      : sim_(&sim), fabric_(&fabric), node_(node), auth_cost_(auth_cost) {}
+  /// Time the proxy spends authenticating a caller before pausing its VM.
+  static constexpr sim::Duration kAuthCost = 500 * sim::kMicrosecond;
+
+  CheckpointProxy(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node)
+      : sim_(&sim), fabric_(&fabric), node_(node) {}
 
   net::NodeId node() const { return node_; }
 
@@ -48,7 +50,7 @@ class CheckpointProxy {
     if (vm.host() != node_)
       throw std::runtime_error("proxy rejects non-local VM");
     if (guest_request) co_await fabric_->message(node_, node_);
-    co_await sim_->delay(auth_cost_);
+    co_await sim_->delay(kAuthCost);
 
     const sim::Time pause_start = sim_->now();
     vm.pause();
@@ -87,7 +89,6 @@ class CheckpointProxy {
   sim::Simulation* sim_;
   net::Fabric* fabric_;
   net::NodeId node_;
-  sim::Duration auth_cost_;
   std::uint64_t requests_ = 0;
 };
 

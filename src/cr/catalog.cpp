@@ -157,11 +157,11 @@ Catalog::Catalog(core::Cloud& cloud, Config cfg)
   if (cloud.blob_store() != nullptr) {
     home_store_ = cloud.blob_store();
     blob_client_ = std::make_unique<blob::BlobClient>(*home_store_,
-                                                      cfg_.client_node);
+                                                      kClientNode);
     blob_client_->set_tenant(cfg_.tenant);
   } else {
     pvfs_client_ =
-        std::make_unique<pfs::PvfsClient>(*cloud.pvfs(), cfg_.client_node);
+        std::make_unique<pfs::PvfsClient>(*cloud.pvfs(), kClientNode);
   }
 }
 
@@ -311,7 +311,7 @@ Task<CheckpointRecord> Catalog::stage(CheckpointRecord rec) {
   frames_.push_back(slot);
   if (blob_client_ != nullptr && cloud_->federation()->enabled()) {
     co_await cloud_->federation()->replicate_catalog(
-        cfg_.name, rec.id, std::move(replica), cfg_.client_node);
+        cfg_.name, rec.id, std::move(replica), kClientNode);
   }
   co_return rec;
 }
@@ -327,7 +327,7 @@ Task<> Catalog::update(CheckpointRecord rec) {
     records_[i] = std::move(rec);
     if (blob_client_ != nullptr && cloud_->federation()->enabled()) {
       co_await cloud_->federation()->replicate_catalog(
-          cfg_.name, records_[i].id, std::move(replica), cfg_.client_node);
+          cfg_.name, records_[i].id, std::move(replica), kClientNode);
     }
     co_return;
   }
@@ -420,7 +420,7 @@ Task<> Catalog::rehome_if_dead() {
   // open()'s read_all against dead providers would fail, not recover.
   home_store_ = fed->store(fed->first_live_zone());
   blob_client_ =
-      std::make_unique<blob::BlobClient>(*home_store_, cfg_.client_node);
+      std::make_unique<blob::BlobClient>(*home_store_, kClientNode);
   blob_client_->set_tenant(cfg_.tenant);
   blob_id_ = 0;
   blob_version_ = 0;

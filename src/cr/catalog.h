@@ -41,11 +41,13 @@ class Catalog {
     /// drivers namespace this per job (cr::Session::Config::job), so each
     /// tenant lists and restarts only its own lineage.
     std::string name = "/blobcr/checkpoint-catalog";
-    /// Node the catalog client issues its repository requests from.
-    net::NodeId client_node = 0;
     /// Tenant the catalog's repository requests run as.
     net::TenantId tenant = net::kDefaultTenant;
   };
+
+  /// Node the catalog client (and cr::Session's own repository clients)
+  /// issue their requests from.
+  static constexpr net::NodeId kClientNode = 0;
 
   explicit Catalog(core::Cloud& cloud) : Catalog(cloud, Config()) {}
   Catalog(core::Cloud& cloud, Config cfg);

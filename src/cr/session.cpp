@@ -23,13 +23,12 @@ using sim::Task;
 
 namespace {
 
-/// Applies the per-job namespacing and tenant identity before the catalog
-/// is constructed from the config.
-Session::Config finalize(const Deployment& dep, Session::Config cfg) {
-  if (!cfg.job.empty()) cfg.catalog.name += "/" + cfg.job;
-  if (cfg.catalog.tenant == net::kDefaultTenant) {
-    cfg.catalog.tenant = dep.tenant();
-  }
+/// The job's catalog: the default name namespaced by `job`, run as the
+/// deployment's tenant.
+Catalog::Config catalog_config(const Deployment& dep, const std::string& job) {
+  Catalog::Config cfg;
+  if (!job.empty()) cfg.name += "/" + job;
+  cfg.tenant = dep.tenant();
   return cfg;
 }
 
@@ -37,8 +36,8 @@ Session::Config finalize(const Deployment& dep, Session::Config cfg) {
 
 Session::Session(Deployment& deployment, Config cfg)
     : dep_(&deployment),
-      cfg_(finalize(deployment, std::move(cfg))),
-      catalog_(deployment.cloud(), cfg_.catalog) {}
+      cfg_(std::move(cfg)),
+      catalog_(deployment.cloud(), catalog_config(deployment, cfg_.job)) {}
 
 Task<> Session::init_lineage() {
   co_await catalog_.open();
@@ -167,7 +166,7 @@ Task<CheckpointRecord> Session::checkpoint(std::string tag) {
 }
 
 Task<> Session::clone_qcow_containers(core::RestartPlan& plan) {
-  pfs::PvfsClient client(*dep_->cloud().pvfs(), cfg_.catalog.client_node);
+  pfs::PvfsClient client(*dep_->cloud().pvfs(), Catalog::kClientNode);
   for (std::size_t i = 0; i < plan.instances.size(); ++i) {
     core::InstancePlan& ip = plan.instances[i];
     if (!ip.fresh_image || ip.boot.backend != core::Backend::Qcow2Disk)
@@ -277,9 +276,9 @@ Task<ScavengeReport> Session::scavenge() {
       const std::uint64_t size = meta.version(s.version).size;
       if (size == 0) continue;
       blob::BlobClient& client =
-          clients.try_emplace(store, *store, cfg_.catalog.client_node)
+          clients.try_emplace(store, *store, Catalog::kClientNode)
               .first->second;
-      client.set_tenant(cfg_.catalog.tenant);
+      client.set_tenant(dep_->tenant());
       const auto refs =
           co_await client.resolve_chunks(s.image, s.version, 0, size);
       for (const blob::BlobClient::ChunkRef& ref : refs) {
@@ -431,7 +430,7 @@ Task<std::uint64_t> Session::apply_retention() {
         if (!s.pvfs_path.empty()) kept_paths.insert(s.pvfs_path);
       }
     }
-    pfs::PvfsClient client(*cloud.pvfs(), cfg_.catalog.client_node);
+    pfs::PvfsClient client(*cloud.pvfs(), Catalog::kClientNode);
     for (const CheckpointRecord& r : retire) {
       for (const core::InstanceSnapshot& s : r.snapshots) {
         if (s.backend != core::Backend::Qcow2Disk || s.pvfs_path.empty() ||

@@ -49,11 +49,11 @@ class Session {
  public:
   struct Config {
     RetentionPolicy retention;
-    Catalog::Config catalog;
     /// Job identity in a multi-tenant repository: non-empty namespaces the
-    /// catalog name ("<catalog.name>/<job>"), so this session's tenant
-    /// lists, restarts and retires only its own lineage — other jobs'
-    /// catalogs are separate named blobs in the same repository.
+    /// catalog name ("<default catalog name>/<job>"), so this session's
+    /// tenant lists, restarts and retires only its own lineage — other
+    /// jobs' catalogs are separate named blobs in the same repository. The
+    /// catalog's requests run as the deployment's tenant.
     std::string job;
     /// Run retention after every completed checkpoint (reclaimed bytes
     /// accumulate in gc_reclaimed_bytes()).

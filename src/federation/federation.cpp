@@ -152,9 +152,9 @@ sim::Task<> Fabric::replicate_commit(blob::BlobClient& client,
   const std::uint32_t origin = home->config().zone;
   if (!alive(origin)) co_return;
 
-  // Full-version manifest: the failover metadata. Registered even with
-  // payload replication off — metadata-only federation can still adopt a
-  // dead zone's versions (fetches then resolve to whatever copies survive).
+  // Full-version manifest: the failover metadata, through which a survivor
+  // adopts a dead zone's versions (fetches then resolve to whatever copies
+  // survive).
   const blob::BlobMeta meta = co_await client.stat(blob);
   if (version > meta.versions.size()) co_return;
   Manifest m;
@@ -208,7 +208,6 @@ sim::Task<> Fabric::replicate_commit(blob::BlobClient& client,
     manifest_bytes_ += manifest_wire;
   }
 
-  if (!cfg_.replicate) co_return;
   const std::uint32_t buddy = buddy_of(origin);
   if (buddy >= zones_.size()) co_return;  // no live sibling
 

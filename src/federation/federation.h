@@ -66,10 +66,6 @@ struct FederationConfig {
   /// application rate cap layered on the NIC fair share (net::Fabric::Shape).
   sim::Duration wan_latency = 2 * sim::kMillisecond;
   double wan_bandwidth_bps = 50e6;
-  /// Floor replication: copy every drained commit's new chunks once, to the
-  /// origin's buddy zone (next live zone). Off = manifests only, no payload
-  /// redundancy across zones.
-  bool replicate = true;
   /// Per-drain byte budget for extra hot-chunk copies beyond the floor
   /// (pushed popularity-first to every remaining sibling zone). 0 = floor
   /// only. Only meaningful with 3+ zones.

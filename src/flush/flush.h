@@ -27,15 +27,16 @@
 
 namespace blobcr::flush {
 
+/// Staged-but-undrained generations a FlushAgent holds before submit()
+/// blocks the caller (the VM is still paused during submit, so this is the
+/// backpressure bound on local staging memory).
+constexpr std::size_t kMaxPending = 2;
+
 /// Each commit becomes its own staged generation and publishes its own
 /// version, in submission order.
 struct FlushConfig {
   /// Master switch: when false, COMMIT is the fully synchronous path.
   bool enabled = false;
-  /// Staged-but-undrained generations the agent holds before submit()
-  /// blocks the caller (the VM is still paused during submit, so this is
-  /// the backpressure knob bounding local staging memory).
-  std::size_t max_pending = 2;
 };
 
 struct FlushStats {

@@ -12,7 +12,6 @@ namespace blobcr::flush {
 FlushAgent::FlushAgent(blob::BlobStore& store, federation::Fabric& federation,
                        blob::BlobClient& client, storage::Disk& disk,
                        std::uint64_t disk_stream, reduce::Reducer* reducer,
-                       const FlushConfig& cfg,
                        redundancy::Manager* redundancy)
     : store_(&store),
       client_(&client),
@@ -21,10 +20,8 @@ FlushAgent::FlushAgent(blob::BlobStore& store, federation::Fabric& federation,
       reducer_(reducer),
       redundancy_(redundancy),
       fed_(&federation),
-      cfg_(cfg),
       work_wq_(store.simulation()),
       done_wq_(store.simulation()) {
-  if (cfg_.max_pending == 0) cfg_.max_pending = 1;
   loop_ = store.simulation().spawn("flush-agent", drain_loop());
 }
 
@@ -41,7 +38,7 @@ sim::Task<blob::VersionId> FlushAgent::submit(blob::BlobId blob,
   for (const common::Range& r : ranges.to_vector()) payload += r.length();
 
   // Backpressure: bound the staged generations held on this node.
-  while (pending() >= cfg_.max_pending) {
+  while (pending() >= kMaxPending) {
     ++stats_.backpressure_waits;
     co_await done_wq_.wait();
     if (dead_) throw blob::BlobError("flush agent fail-stopped");

@@ -9,7 +9,7 @@
 // window-limited replica stores, metadata path-copy) and publishes each
 // version atomically when its drain completes.
 //
-// Backpressure: at most max_pending generations are held; further submits
+// Backpressure: at most kMaxPending generations are held; further submits
 // block (the VM is still paused inside submit, so the pause absorbs the
 // overload instead of unbounded staging memory). Every submit is its own
 // generation and publishes its own version.
@@ -49,7 +49,6 @@ class FlushAgent {
   FlushAgent(blob::BlobStore& store, federation::Fabric& federation,
              blob::BlobClient& client, storage::Disk& disk,
              std::uint64_t disk_stream, reduce::Reducer* reducer,
-             const FlushConfig& cfg,
              redundancy::Manager* redundancy = nullptr);
   ~FlushAgent();
 
@@ -98,7 +97,6 @@ class FlushAgent {
   reduce::Reducer* reducer_;
   redundancy::Manager* redundancy_;
   federation::Fabric* fed_;  // never null
-  FlushConfig cfg_;
   blob::CommitProbe probe_;
 
   std::deque<StagedCommit> queue_;

@@ -6,9 +6,7 @@
 
 #include "blob/repair.h"
 #include "common/strutil.h"
-#include "cr/remap.h"
 #include "cr/session.h"
-#include "mpi/blcr.h"
 #include "mpi/coordinated.h"
 
 namespace blobcr::ft {
@@ -17,23 +15,12 @@ using core::Cloud;
 using core::Deployment;
 using sim::Task;
 
-const char* dump_mode_name(DumpMode mode) {
-  switch (mode) {
-    case DumpMode::AppLevel:
-      return "app";
-    case DumpMode::Blcr:
-      return "blcr";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Memory-fill rate for refreshing rank state between checkpoints.
 constexpr double kMemFillBps = 4e9;
 
 constexpr const char* kStatePath = "/data/state.bin";
-constexpr const char* kBlcrPath = "/data/proc.blcr";
 
 /// Stable indirection to the current Deployment: a failure before the first
 /// checkpoint forces a from-scratch redeployment (a new Deployment object),
@@ -51,8 +38,7 @@ struct JobShared {
     restore_ok.assign(n, true);
   }
 
-  /// Current job width — mutable: elastic rescales change it mid-job.
-  std::size_t n;
+  const std::size_t n;
 
   // --- per-epoch fields, reset by begin_epoch() ---
   std::size_t finished = 0;
@@ -82,32 +68,6 @@ struct JobShared {
     ckpt_phase_start = 0;
     worker_error = nullptr;
   }
-
-  /// Adopts width `m` across an elastic restart: new instance i's boot
-  /// device holds source remap_source(i, n, m)'s committed state, so the
-  /// restore wave right after the rescale verifies against the remapped
-  /// digest line. (The forced checkpoint that follows re-records a fresh
-  /// m-tuple line, so the remap only ever serves that one wave.)
-  void rescale(std::size_t m) {
-    std::vector<std::uint64_t> remapped(m, 0);
-    for (std::size_t i = 0; i < m; ++i)
-      remapped[i] = committed_digests[cr::remap_source(i, n, m)];
-    committed_digests = std::move(remapped);
-    pending_digests.assign(m, 0);
-    restore_ok.assign(m, true);
-    n = m;
-  }
-
-  /// Plain width change with no digest mapping (a rollback restored a
-  /// record whose tuple count differs from the current width — the old
-  /// line's digests are unrecoverable after the lossy rescale remap, so
-  /// that restore wave skips verification).
-  void resize_unverified(std::size_t m) {
-    committed_digests.assign(m, 0);
-    pending_digests.assign(m, 0);
-    restore_ok.assign(m, true);
-    n = m;
-  }
 };
 
 /// Scalar parameters an epoch worker needs (copied into its frame so the
@@ -119,7 +79,6 @@ struct EpochParams {
   sim::Duration step = 0;
   std::uint64_t state_bytes = 0;
   bool real_data = false;
-  DumpMode mode = DumpMode::AppLevel;
 };
 
 /// One rank's epoch: refresh state, compute `work` in barrier-synchronized
@@ -155,16 +114,10 @@ Task<> epoch_worker(Deployment* dep, cr::Session* session, EpochParams p,
     hooks.vm_leader = true;  // one rank per VM
     hooks.fs = gp->vm().fs();
     hooks.epoch_leader = (p.rank == 0);
-    if (p.mode == DumpMode::AppLevel) {
-      hooks.dump = [gp]() -> Task<> {
-        co_await gp->vm().gate();
-        co_await gp->vm().fs()->write_file(kStatePath, gp->region("state"));
-      };
-    } else {
-      hooks.dump = [gp]() -> Task<> {
-        co_await mpi::Blcr::dump(*gp, kBlcrPath);
-      };
-    }
+    hooks.dump = [gp]() -> Task<> {
+      co_await gp->vm().gate();
+      co_await gp->vm().fs()->write_file(kStatePath, gp->region("state"));
+    };
     hooks.request_disk_snapshot = [dep, st, i = p.rank]() -> Task<> {
       const core::InstanceSnapshot snap = co_await dep->snapshot_instance(i);
       st->ckpt_blocked += snap.vm_downtime;
@@ -205,49 +158,39 @@ Task<> epoch_worker(Deployment* dep, cr::Session* session, EpochParams p,
 Task<> restore_worker(Deployment* dep, EpochParams p,
                       std::shared_ptr<JobShared> st, vm::GuestProcess* gp) {
   dep->mpi().register_rank(static_cast<int>(p.rank), gp);
-  bool ok = false;
-  if (p.mode == DumpMode::AppLevel) {
-    guestfs::SimpleFs* fs = gp->vm().fs();
-    co_await gp->vm().gate();
-    common::Buffer data = co_await fs->read_file(kStatePath);
-    ok = data.size() == p.state_bytes &&
-         data.digest() == st->committed_digests[p.rank];
-    gp->set_region("state", std::move(data));
-  } else {
-    ok = co_await mpi::Blcr::restore(*gp, kBlcrPath);
-    ok = ok && gp->region("state").digest() == st->committed_digests[p.rank];
-  }
+  guestfs::SimpleFs* fs = gp->vm().fs();
+  co_await gp->vm().gate();
+  common::Buffer data = co_await fs->read_file(kStatePath);
+  const bool ok = data.size() == p.state_bytes &&
+                  data.digest() == st->committed_digests[p.rank];
+  gp->set_region("state", std::move(data));
   if (p.real_data) st->restore_ok[p.rank] = ok;
 }
 
 /// One restart wave: restarts the job from the latest complete record onto
-/// nodes shifted by `shift` at width `m`, restores every rank and joins
-/// them. Ranks check their state against the committed digests only when
-/// `verify` is set (`st` must already have width `m`).
+/// nodes shifted by `shift`, restores every rank and joins them.
 Task<> restart_and_restore(cr::Session* session, const FtJobConfig* cfg,
                            std::shared_ptr<JobShared> st, std::size_t shift,
-                           std::size_t m, bool verify, FtReport* report) {
+                           FtReport* report) {
   cr::Session::RestartOptions ropts;
   ropts.node_offset = shift;
-  ropts.instances = m;
   (void)co_await session->restart(cr::Selector::latest(), ropts);
   Deployment& dep = session->deployment();
   dep.mpi().reset_for_restart();
-  dep.mpi().resize_world(static_cast<int>(m));
-  for (std::size_t i = 0; i < m; ++i) {
+  const std::size_t n = st->n;
+  for (std::size_t i = 0; i < n; ++i) {
     EpochParams p;
     p.rank = i;
     p.epoch = st->epoch;
     p.state_bytes = cfg->state_bytes;
-    p.real_data = cfg->real_data && verify;
-    p.mode = cfg->mode;
+    p.real_data = cfg->real_data;
     Deployment* dp = &dep;
     dep.vm(i).start_guest(common::strf("ft-restore-r%zu", i),
                           [dp, p, st](vm::GuestProcess& gp) -> Task<> {
                             co_await restore_worker(dp, p, st, &gp);
                           });
   }
-  for (std::size_t i = 0; i < m; ++i) co_await dep.vm(i).join_guests();
+  for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
   // Fresh mirrors per restart: the counters cover this restart's lazy-fetch
   // traffic (sampled before the next epoch adds copy-ups).
   report->restart += dep.source_bytes();
@@ -273,21 +216,12 @@ Task<> injector_body(sim::Simulation* sim, std::shared_ptr<DepHolder> holder,
 
 Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
   sim::Simulation& sim = cloud->simulation();
-  std::size_t n = cfg->instances;  // current width; rescales change it
-  std::vector<FtJobConfig::RescaleEvent> rescales = cfg->rescales;
-  std::stable_sort(rescales.begin(), rescales.end(),
-                   [](const FtJobConfig::RescaleEvent& a,
-                      const FtJobConfig::RescaleEvent& b) {
-                     return a.after_checkpoints < b.after_checkpoints;
-                   });
-  std::size_t next_rescale = 0;
-  bool force_ckpt = false;  // zero-work epoch right after a rescale
+  const std::size_t n = cfg->instances;
   co_await cloud->provision_base_image();
 
   auto holder = std::make_shared<DepHolder>();
   std::size_t shift = 0;
-  holder->dep = std::make_unique<Deployment>(
-      *cloud, n, Deployment::Options{shift, cfg->tenant, std::nullopt});
+  holder->dep = std::make_unique<Deployment>(*cloud, n, shift);
   co_await holder->dep->deploy_and_boot();
   holder->dep->mpi().set_size(static_cast<int>(n));
 
@@ -295,7 +229,6 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
   // repository-resident catalog, not in this driver's memory.
   cr::Session::Config scfg;
   scfg.retention = cfg->retention;
-  scfg.job = cfg->job;
   auto session = std::make_unique<cr::Session>(*holder->dep, scfg);
 
   auto st = std::make_shared<JobShared>(sim, n);
@@ -311,7 +244,7 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
   while (true) {
     Deployment& dep = *holder->dep;
     const sim::Duration epoch_work =
-        (st->epoch == 0 || force_ckpt)
+        st->epoch == 0
             ? 0
             : std::min(cfg->checkpoint_interval, cfg->total_work - completed);
     st->begin_epoch();
@@ -332,7 +265,6 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
       p.step = cfg->step;
       p.state_bytes = cfg->state_bytes;
       p.real_data = cfg->real_data;
-      p.mode = cfg->mode;
       Deployment* dp = &dep;
       cr::Session* sp = session.get();
       dep.vm(i).start_guest(
@@ -362,7 +294,6 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
       // driver only keeps its verification digests in step.
       completed += epoch_work;
       ++report->checkpoints;
-      force_ckpt = false;  // the post-rescale width has its record now
       st->committed_digests = st->pending_digests;
       if (st->ckpt_phase_start != 0)
         report->checkpoint_overhead += rec.end - st->ckpt_phase_start;
@@ -376,7 +307,7 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
 
     if (st->failed) {
       // Failure detection (heartbeat timeout), then global rollback.
-      co_await sim.delay(cfg->detect_latency);
+      co_await sim.delay(kDetectLatency);
       dep.destroy_all();
       ++report->restarts;
       if (report->restarts > cfg->max_restarts) {
@@ -389,25 +320,13 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
           co_await session->catalog().find(cr::Selector::latest());
       if (target.has_value()) {
         // §3.2: roll back to the last *complete* global checkpoint — the
-        // catalog's selection, not a driver-held snapshot vector. A failure
-        // in the tiny window between a rescale and its forced checkpoint
-        // rolls back to the pre-rescale record: the job snaps back to the
-        // old width, whose digest line is gone after the lossy remap —
-        // adopt the width and skip verification for this one restore wave.
-        const std::size_t m = target->snapshots.size();
-        const bool width_kept = m == n;
-        if (!width_kept) {
-          st->resize_unverified(m);
-          n = m;
-        }
-        co_await restart_and_restore(session.get(), cfg, st, shift, n,
-                                     width_kept, report);
+        // catalog's selection, not a driver-held snapshot vector.
+        co_await restart_and_restore(session.get(), cfg, st, shift, report);
       } else {
         // Failure during the initial checkpoint: no rollback target exists,
         // so resubmit from scratch — a fresh deployment from the base image.
         co_await session->abandon_staged();
-        holder->dep = std::make_unique<Deployment>(
-            *cloud, n, Deployment::Options{shift, cfg->tenant, std::nullopt});
+        holder->dep = std::make_unique<Deployment>(*cloud, n, shift);
         co_await holder->dep->deploy_and_boot();
         holder->dep->mpi().set_size(static_cast<int>(n));
         session->attach(*holder->dep);
@@ -424,32 +343,9 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
           report->repair_bytes += r.bytes_copied;
         }
       }
-      report->restart_overhead += sim.now() - t0 + cfg->detect_latency;
+      report->restart_overhead += sim.now() - t0 + kDetectLatency;
       if (rec.success) ++st->epoch;  // the failure hit after the commit
       continue;  // retry the interrupted work chunk
-    }
-
-    // Elastic rescale (shrink on spot reclaim / grow on queue drain): after
-    // the scheduled number of committed checkpoints, restart the job from
-    // the latest record onto M fresh instances, restore every new rank from
-    // its remapped shard, then force a zero-work checkpoint so the new width
-    // has its own rollback target.
-    if (next_rescale < rescales.size() &&
-        report->checkpoints >= rescales[next_rescale].after_checkpoints) {
-      const std::size_t m = rescales[next_rescale].instances;
-      ++next_rescale;
-      if (m != 0 && m != n) {
-        const sim::Time t0 = sim.now();
-        dep.destroy_all();
-        shift += n;  // fresh machines, like any restart
-        st->rescale(m);
-        n = m;
-        co_await restart_and_restore(session.get(), cfg, st, shift, n,
-                                     /*verify=*/true, report);
-        ++report->rescales;
-        report->rescale_overhead += sim.now() - t0;
-        force_ckpt = true;
-      }
     }
 
     ++st->epoch;

@@ -34,11 +34,8 @@
 
 namespace blobcr::ft {
 
-/// How rank state reaches the virtual disk (paper §4.2, minus full-VM which
-/// has no per-process dump).
-enum class DumpMode { AppLevel, Blcr };
-
-const char* dump_mode_name(DumpMode mode);
+/// Heartbeat timeout: delay between a failure and the middleware reacting.
+constexpr sim::Duration kDetectLatency = 2 * sim::kSecond;
 
 struct FtJobConfig {
   std::size_t instances = 4;
@@ -52,11 +49,8 @@ struct FtJobConfig {
   std::uint64_t state_bytes = 50 * common::kMB;
   /// Real buffers with digest verification (tests) vs phantom (benchmarks).
   bool real_data = false;
-  DumpMode mode = DumpMode::AppLevel;
   /// Injected fail-stop events (empty = failure-free run).
   FailureSchedule failures;
-  /// Heartbeat timeout: delay between a failure and the middleware reacting.
-  sim::Duration detect_latency = 2 * sim::kSecond;
   /// Give up after this many rollbacks (guards pathological configs).
   std::size_t max_restarts = 64;
   /// After every rollback, run a repository repair pass that re-replicates
@@ -69,25 +63,6 @@ struct FtJobConfig {
   /// collector. keep_last == 0 disables. The runner only ever rolls back
   /// to the latest complete checkpoint, so keeping 1 is always safe.
   cr::RetentionPolicy retention;
-  /// Repository tenant this job runs as (multi-tenant clouds; see
-  /// Cloud::register_tenant). Namespaces the job's checkpoint catalog and
-  /// tags its commits for QoS admission and per-tenant accounting.
-  net::TenantId tenant = net::kDefaultTenant;
-  /// Catalog namespace for this job (cr::Session::Config::job). Empty keeps
-  /// the single-job default catalog name.
-  std::string job;
-  /// One scheduled elastic rescale: once `after_checkpoints` global
-  /// checkpoints have committed, the job restarts from the latest record
-  /// onto `instances` fresh instances (shrink on a spot reclaim, grow on a
-  /// queue drain) through cr::Session's elastic restart. The runner forces
-  /// an immediate zero-work checkpoint afterwards so the new width has its
-  /// own rollback target.
-  struct RescaleEvent {
-    std::size_t after_checkpoints = 0;
-    std::size_t instances = 0;
-  };
-  /// Scheduled rescales, applied in after_checkpoints order.
-  std::vector<RescaleEvent> rescales;
 };
 
 /// One epoch (work span between checkpoints) as the driver observed it.
@@ -111,14 +86,11 @@ struct FtReport {
   sim::Duration ckpt_blocked = 0;
   sim::Duration restart_overhead = 0;    // detection + redeploy + restore
   /// Restart lazy-fetch bytes by ladder level, summed over all rollbacks
-  /// and rescales (BlobCR).
+  /// (BlobCR).
   core::SourceBytes restart;
   std::size_t checkpoints = 0;   // committed global checkpoints
   std::size_t failures = 0;      // injected failures that hit the job
   std::size_t restarts = 0;      // rollbacks performed
-  std::size_t rescales = 0;      // elastic N -> M restarts performed
-  /// Teardown + elastic restart + restore time across all rescales.
-  sim::Duration rescale_overhead = 0;
   std::size_t repair_copies = 0; // replica copies re-created by repair
   std::uint64_t repair_bytes = 0;
   std::uint64_t gc_reclaimed_bytes = 0;

@@ -25,10 +25,11 @@ class MpiError : public std::runtime_error {
 
 class MpiWorld {
  public:
-  MpiWorld(sim::Simulation& sim, net::Fabric& fabric,
-           std::uint64_t header_bytes = 64)
-      : sim_(&sim), fabric_(&fabric), header_bytes_(header_bytes),
-        bind_wq_(sim) {}
+  /// Envelope bytes every point-to-point message carries on the wire.
+  static constexpr std::uint64_t kHeaderBytes = 64;
+
+  MpiWorld(sim::Simulation& sim, net::Fabric& fabric)
+      : sim_(&sim), fabric_(&fabric), bind_wq_(sim) {}
 
   /// Fixes the communicator size. Must be called before any rank starts
   /// communicating (collectives consult size() — a lazily growing world
@@ -64,18 +65,6 @@ class MpiWorld {
     }
     barrier_gens_.assign(barrier_gens_.size(), 0);
     coll_gens_.assign(coll_gens_.size(), 0);
-  }
-
-  /// Rebuilds the world at exactly `n` ranks across an elastic (N -> M)
-  /// restart. set_size() only ever grows — register_rank must never shrink
-  /// the world under its peers — so a rescaled job needs this explicit
-  /// form: a shrink would otherwise leave collectives waiting on ranks
-  /// that no longer exist. Only call with no live rank processes.
-  void resize_world(int n) {
-    ranks_.clear();
-    ranks_.resize(static_cast<std::size_t>(n));
-    barrier_gens_.assign(static_cast<std::size_t>(n), 0);
-    coll_gens_.assign(static_cast<std::size_t>(n), 0);
   }
 
   int size() const { return static_cast<int>(ranks_.size()); }
@@ -163,7 +152,6 @@ class MpiWorld {
 
   sim::Simulation* sim_;
   net::Fabric* fabric_;
-  std::uint64_t header_bytes_;
   std::vector<RankState> ranks_;
   std::vector<std::uint64_t> barrier_gens_;
   std::vector<std::uint64_t> coll_gens_;
@@ -179,7 +167,7 @@ inline sim::Task<> MpiWorld::Comm::send(int to, int tag,
   co_await src_vm.gate();
   ++w.messages_sent_;
   co_await w.fabric_->transfer(src_vm.host(), dst_vm.host(),
-                               data.size() + w.header_bytes_);
+                               data.size() + kHeaderBytes);
   w.chan(to, rank_, tag).push(std::move(data));
 }
 

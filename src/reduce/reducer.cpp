@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "reduce/rle.h"
-#include "sim/time.h"
 
 namespace blobcr::reduce {
 
@@ -33,11 +32,6 @@ sim::Task<ReducedChunk> Reducer::reduce(std::uint32_t zone,
   const std::uint32_t raw_size = static_cast<std::uint32_t>(payload.size());
   ++stats_.chunks_total;
   stats_.raw_bytes += raw_size;
-
-  if (cfg_.digest_bps > 0) {
-    co_await stores_.front()->simulation().delay(
-        sim::transfer_time(raw_size, cfg_.digest_bps));
-  }
 
   ReducedChunk out;
 
@@ -98,10 +92,9 @@ sim::Task<ReducedChunk> Reducer::reduce(std::uint32_t zone,
       out.encoding = blob::ChunkEncoding::Rle;
       co_return out;
     }
-  } else if (cfg_.compression && payload.fully_phantom() &&
-             cfg_.phantom_compression_ratio < 1.0) {
-    const auto stored = static_cast<std::size_t>(std::max(
-        1.0, std::ceil(raw_size * cfg_.phantom_compression_ratio)));
+  } else if (cfg_.compression && payload.fully_phantom()) {
+    const auto stored = static_cast<std::size_t>(
+        std::max(1.0, std::ceil(raw_size * kPhantomCompressionRatio)));
     if (stored < raw_size) {
       ++stats_.compressed_chunks;
       stats_.compress_saved_bytes += raw_size - stored;

@@ -13,8 +13,8 @@
 //    chunk instead of being re-stored;
 //  * compression — real payloads go through an actual RLE transform (honest
 //    byte accounting: what ships is what was encoded); phantom payloads use
-//    a configurable ratio model so large sweeps keep their memory-free
-//    bookkeeping.
+//    a fixed ratio model (kPhantomCompressionRatio) so large sweeps keep
+//    their memory-free bookkeeping.
 //
 // Stats distinguish raw (pre-reduction), shipped (sent to providers, before
 // replication) and the per-stage savings, so benches can plot Fig.4-style
@@ -25,6 +25,10 @@
 #include <cstdint>
 
 namespace blobcr::reduce {
+
+/// Stored-size ratio applied to pure-phantom payloads when compression is
+/// on (models the app-data compressibility the simulation cannot see).
+constexpr double kPhantomCompressionRatio = 0.6;
 
 struct ReductionConfig {
   /// Master switch: when false the commit path is byte-for-byte the
@@ -46,12 +50,6 @@ struct ReductionConfig {
   /// phantom payloads). Off by default: the paper's workloads are random
   /// data, where compression only adds cost.
   bool compression = false;
-  /// Stored-size ratio applied to pure-phantom payloads when compression is
-  /// on (models the app-data compressibility the simulation cannot see).
-  double phantom_compression_ratio = 0.6;
-  /// Simulated digest throughput in bytes/s (0 = free). Charged per raw
-  /// chunk byte on the committing node before placement.
-  double digest_bps = 0;
   /// Digest-index shards: the key space is hash-partitioned into this many
   /// independent slices, each with its own stats. Routing depends only on
   /// content identity, so cross-tenant dedup is unaffected by the shard

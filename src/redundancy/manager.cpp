@@ -63,15 +63,14 @@ Manager::Group* Manager::pick_group(net::NodeId node) {
   }
   // Open a new group: the parity holder round-robin over the other attached
   // nodes, then as many distinct member nodes as remain (capped at the
-  // configured width).
+  // group width).
   if (nodes_.size() < 2) return nullptr;
   Group g;
   g.gid = next_gid_++;
   do {
     g.holder = nodes_[holder_rr_++ % nodes_.size()];
   } while (g.holder == node);
-  g.target = std::min(cfg_.group_size < 1 ? 1 : cfg_.group_size,
-                      nodes_.size() - 1);
+  g.target = std::min(kGroupSize, nodes_.size() - 1);
   const auto [it, ok] = groups_.emplace(g.gid, std::move(g));
   (void)ok;
   open_.push_back(it->first);

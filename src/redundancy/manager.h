@@ -72,8 +72,8 @@ class Manager final : public blob::GcObserver {
   };
 
   Manager(sim::Simulation& sim, net::Fabric& fabric,
-          const RedundancyConfig& cfg, net::Fabric::Shape peer_shape)
-      : sim_(&sim), fabric_(&fabric), cfg_(cfg), shape_(peer_shape) {}
+          net::Fabric::Shape peer_shape)
+      : sim_(&sim), fabric_(&fabric), shape_(peer_shape) {}
 
   const Stats& stats() const { return stats_; }
 
@@ -191,7 +191,6 @@ class Manager final : public blob::GcObserver {
 
   sim::Simulation* sim_;
   net::Fabric* fabric_;
-  RedundancyConfig cfg_;
   net::Fabric::Shape shape_;
   Stats stats_;
   std::uint64_t next_gid_ = 1;

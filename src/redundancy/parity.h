@@ -10,15 +10,16 @@
 
 namespace blobcr::redundancy {
 
+/// Data members per parity group (the XOR width), capped by the attached
+/// nodes other than the holder. Members of one group always come from
+/// DISTINCT compute nodes, so a single node failure costs at most one
+/// member per group — the single-erasure case XOR reconstructs exactly.
+constexpr std::size_t kGroupSize = 4;
+
 /// Deployment knobs, wired through CloudConfig::redundancy.
 struct RedundancyConfig {
   /// Master switch; off = PR-3 four-level restart hierarchy, byte-identical.
   bool enabled = false;
-  /// Data members per parity group (the XOR width). Members of one group
-  /// always come from DISTINCT compute nodes, so a single node failure
-  /// costs at most one member per group — the single-erasure case XOR
-  /// reconstructs exactly.
-  std::size_t group_size = 4;
 };
 
 /// Bytewise XOR of two payloads, zero-padded to the longer one. Honesty

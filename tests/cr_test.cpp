@@ -682,10 +682,12 @@ TEST(CrElasticTest, ShrinkRestartUnionBitExactColdCaches) {
   std::size_t records_before = 0, records_after = 0;
   std::size_t post_tuples = 0;
   CheckpointId pre_id = 0, post_parent = 0;
+  bool old_width_ok = false;
 
   cloud.run([](Cloud* cl, bool* union_ok, std::size_t* rec_before,
                std::size_t* rec_after, std::size_t* post_tuples,
-               CheckpointId* pre_id, CheckpointId* post_parent) -> Task<> {
+               CheckpointId* pre_id, CheckpointId* post_parent,
+               bool* old_width_ok) -> Task<> {
     co_await cl->provision_base_image();
     Deployment dep(*cl, 4);
     Session session(dep);
@@ -741,13 +743,30 @@ TEST(CrElasticTest, ShrinkRestartUnionBitExactColdCaches) {
     const CheckpointRecord post = co_await session.checkpoint("post-rescale");
     *post_tuples = post.snapshots.size();
     *post_parent = post.parent;
+
+    // Rolling back past the rescale restarts the pre-rescale record at its
+    // own width: four instances, each with its own pre-rescale state.
+    dep.destroy_all();
+    Session::RestartOptions back;
+    back.cold_caches = true;
+    const CheckpointRecord old =
+        co_await session.restart(Selector::by_tag("pre-rescale"), back);
+    EXPECT_EQ(old.id, pre.id);
+    EXPECT_EQ(dep.size(), 4u);
+    bool ok = dep.size() == 4;
+    for (std::size_t i = 0; ok && i < 4; ++i) {
+      EXPECT_EQ(dep.attached_count(i), 0u);
+      ok = co_await state_matches(&dep.vm(i), 10 + i);
+    }
+    *old_width_ok = ok;
   }(&cloud, &union_ok, &records_before, &records_after, &post_tuples,
-    &pre_id, &post_parent));
+    &pre_id, &post_parent, &old_width_ok));
 
   EXPECT_TRUE(union_ok);
   EXPECT_EQ(records_after, records_before);
   EXPECT_EQ(post_tuples, 2u);
   EXPECT_EQ(post_parent, pre_id);
+  EXPECT_TRUE(old_width_ok);
 }
 
 TEST(CrElasticTest, GrowRestartClonesDeriveFreshImagesWarmCaches) {
@@ -756,10 +775,11 @@ TEST(CrElasticTest, GrowRestartClonesDeriveFreshImagesWarmCaches) {
   std::size_t post_tuples = 0;
   bool images_distinct = false;
   CheckpointId pre_id = 0, post_parent = 0;
+  bool post_restart_ok = false;
 
   cloud.run([](Cloud* cl, bool* union_ok, std::size_t* post_tuples,
                bool* images_distinct, CheckpointId* pre_id,
-               CheckpointId* post_parent) -> Task<> {
+               CheckpointId* post_parent, bool* post_restart_ok) -> Task<> {
     co_await cl->provision_base_image();
     Deployment dep(*cl, 2);
     Session session(dep);
@@ -799,13 +819,28 @@ TEST(CrElasticTest, GrowRestartClonesDeriveFreshImagesWarmCaches) {
     *images_distinct =
         images.size() == 4 &&
         std::adjacent_find(images.begin(), images.end()) == images.end();
+
+    // A cold restart from the record committed after the rescale brings
+    // back all four grown instances with their own states.
+    dep.destroy_all();
+    Session::RestartOptions cold;
+    cold.cold_caches = true;
+    const CheckpointRecord rec =
+        co_await session.restart(Selector::by_tag("post-rescale"), cold);
+    EXPECT_EQ(rec.id, post.id);
+    EXPECT_EQ(dep.size(), 4u);
+    bool ok = dep.size() == 4;
+    for (std::size_t i = 0; ok && i < 4; ++i)
+      ok = co_await state_matches(&dep.vm(i), 40 + i);
+    *post_restart_ok = ok;
   }(&cloud, &union_ok, &post_tuples, &images_distinct, &pre_id,
-    &post_parent));
+    &post_parent, &post_restart_ok));
 
   EXPECT_TRUE(union_ok);
   EXPECT_EQ(post_tuples, 4u);
   EXPECT_TRUE(images_distinct);
   EXPECT_EQ(post_parent, pre_id);
+  EXPECT_TRUE(post_restart_ok);
 }
 
 TEST(CrElasticTest, EqualCountDegeneratesToClassicRestart) {

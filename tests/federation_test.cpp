@@ -200,16 +200,17 @@ TEST(FederationTest, RetentionErasesCrossZoneCopiesOfSweptChunks) {
 }
 
 // ---------------------------------------------------------------------------
-// Nearest-zone serving: a reader restarting in a foreign zone with
-// replication OFF pulls over the WAN class from the origin zone; with floor
-// replication ON the same restart serves from its local zone's replicas and
-// ships (almost) nothing over the WAN.
+// Nearest-zone serving: a reader restarting in a foreign zone with no
+// replicas (synchronous commits: no drain, so no floor copy) pulls over the
+// WAN class from the origin zone; with floor replication off the async
+// drain the same restart serves from its local zone's replicas and ships
+// (almost) nothing over the WAN.
 // ---------------------------------------------------------------------------
 
 TEST(FederationTest, NearestZoneRestartPrefersLocalReplicas) {
   auto wan_bytes_after_foreign_restart = [](bool replicate) {
     CloudConfig cfg = fed_cfg(2, 8);
-    cfg.federation.replicate = replicate;
+    cfg.flush.enabled = replicate;
     Cloud cloud(cfg);
     std::uint64_t wan = 0;
     cloud.run([](Cloud* cl, std::uint64_t* wan) -> Task<> {

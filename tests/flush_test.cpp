@@ -113,11 +113,10 @@ struct FlushRig {
   }
 };
 
-core::MirrorDevice::Config mirror_config(std::size_t max_pending = 2) {
+core::MirrorDevice::Config mirror_config() {
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   mcfg.flush.enabled = true;
-  mcfg.flush.max_pending = max_pending;
   return mcfg;
 }
 
@@ -153,7 +152,7 @@ TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
 TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
   FlushRig rig;
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(4), rig.fresh_cache());
+                       mirror_config(), rig.fresh_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
     std::vector<blob::VersionId> ids;
@@ -190,7 +189,7 @@ TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
 TEST(FlushAgentTest, BackpressureBoundsStagedGenerations) {
   FlushRig rig;
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(1), rig.fresh_cache());
+                       mirror_config(), rig.fresh_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     (void)co_await m->ioctl_clone();
     for (int i = 0; i < 4; ++i) {
@@ -215,7 +214,7 @@ TEST(FlushAgentTest, DrainFailurePoisonsAgentAndDropsQueuedGenerations) {
   // queue and reporting the failure to every waiter.
   FlushRig rig(/*with_reduction=*/false, /*replication=*/2);
   core::MirrorDevice m(*rig.repo, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(4), rig.fresh_cache());
+                       mirror_config(), rig.fresh_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
     co_await m->write(0, Buffer::pattern(kImage, 77));
@@ -549,10 +548,7 @@ TEST(RedundancyManagerTest, XorRebuildReconstructsLostMemberBitExact) {
   fcfg.nic_bandwidth_bps = 1e9;
   fcfg.latency = 50 * sim::kMicrosecond;
   net::Fabric fabric(s, fcfg);
-  redundancy::RedundancyConfig rcfg;
-  rcfg.enabled = true;
-  rcfg.group_size = 3;
-  redundancy::Manager mgr(s, fabric, rcfg, {});
+  redundancy::Manager mgr(s, fabric, {});
   core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22), c3(1 << 22);
   mgr.attach(0, &c0);
   mgr.attach(1, &c1);
@@ -620,10 +616,7 @@ TEST(RedundancyManagerTest, TwoLostMembersFallThroughToRepository) {
     fcfg.nic_bandwidth_bps = 1e9;
     fcfg.latency = 50 * sim::kMicrosecond;
     net::Fabric fabric(s, fcfg);
-    redundancy::RedundancyConfig rcfg;
-    rcfg.enabled = true;
-    rcfg.group_size = 3;
-    redundancy::Manager mgr(s, fabric, rcfg, {});
+    redundancy::Manager mgr(s, fabric, {});
     core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22),
         c3(1 << 22);
     mgr.attach(0, &c0);
@@ -680,10 +673,7 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
   fcfg.nic_bandwidth_bps = 1e9;
   fcfg.latency = 50 * sim::kMicrosecond;
   net::Fabric fabric(s, fcfg);
-  redundancy::RedundancyConfig rcfg;
-  rcfg.enabled = true;
-  rcfg.group_size = 3;
-  redundancy::Manager mgr(s, fabric, rcfg, {});
+  redundancy::Manager mgr(s, fabric, {});
   core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22), c3(1 << 22);
   mgr.attach(0, &c0);
   mgr.attach(1, &c1);
@@ -754,13 +744,10 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
 
 TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   FlushRig rig;
-  redundancy::RedundancyConfig rcfg;
-  rcfg.enabled = true;
-  rcfg.group_size = 4;
-  redundancy::Manager mgr(rig.sim, *rig.fabric, rcfg, {});
+  redundancy::Manager mgr(rig.sim, *rig.fabric, {});
   rig.store->add_gc_observer(&mgr);
 
-  core::MirrorDevice::Config mcfg = mirror_config(2);
+  core::MirrorDevice::Config mcfg = mirror_config();
   mcfg.redundancy = &mgr;
   // Two committing nodes so parity groups can form (the tier needs >= 2
   // attached nodes; with 2, each member seals into a width-1 group whose

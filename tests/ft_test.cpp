@@ -6,11 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <vector>
 
 #include "blob/repair.h"
-#include "cr/catalog.h"
 #include "ft/failure.h"
 #include "ft/interval.h"
 #include "ft/runner.h"
@@ -291,82 +289,6 @@ TEST(FtRunnerTest, FailureFreeMakespanDecomposes) {
   EXPECT_LE(rep.efficiency(), 1.0);
 }
 
-TEST(FtRunnerTest, ShrinkRescaleCompletesVerified) {
-  // Spot reclaim: after two committed checkpoints the job gives back half
-  // its instances and continues at the new width from the latest record.
-  Cloud cloud(tiny_cfg(Backend::BlobCR));
-  FtJobConfig job = small_job();
-  job.instances = 4;
-  job.rescales = {{2, 2}};
-  const FtReport rep = run_ft_job(cloud, job);
-  EXPECT_TRUE(rep.completed);
-  EXPECT_TRUE(rep.verified);
-  EXPECT_EQ(rep.rescales, 1u);
-  EXPECT_GT(rep.rescale_overhead, 0);
-  EXPECT_EQ(rep.failures, 0u);
-  EXPECT_EQ(rep.useful_work, job.total_work);
-}
-
-TEST(FtRunnerTest, GrowRescaleSurvivesLaterFailure) {
-  // Queue drain: grow 2 -> 4 mid-run, then lose one of the *new* ranks.
-  // The rollback target is the forced post-rescale checkpoint, so the job
-  // restarts at the grown width and still completes verified.
-  Cloud cloud(tiny_cfg(Backend::BlobCR));
-  FtJobConfig job = small_job();
-  job.instances = 2;
-  job.rescales = {{2, 4}};
-  job.failures = FailureSchedule::fixed({{70 * sim::kSecond, 3}});
-  const FtReport rep = run_ft_job(cloud, job);
-  EXPECT_TRUE(rep.completed);
-  EXPECT_TRUE(rep.verified);
-  EXPECT_EQ(rep.rescales, 1u);
-  EXPECT_EQ(rep.failures, 1u);
-  EXPECT_EQ(rep.restarts, 1u);
-  EXPECT_EQ(rep.useful_work, job.total_work);
-}
-
-/// Tuple count of the latest Complete record, read through a fresh catalog
-/// the way a new driver would find the repository.
-std::size_t latest_record_width(Cloud& cloud) {
-  std::size_t width = 0;
-  cloud.run([](Cloud* cl, std::size_t* out) -> sim::Task<> {
-    cr::Catalog catalog(*cl);
-    const std::optional<cr::CheckpointRecord> rec =
-        co_await catalog.find(cr::Selector::latest());
-    if (rec.has_value()) *out = rec->snapshots.size();
-  }(&cloud, &width));
-  return width;
-}
-
-TEST(FtRunnerTest, FailureBeforePostRescaleCheckpointRollsBackAtOldWidth) {
-  // Shrink 4 -> 2, then fail before the forced post-rescale checkpoint
-  // commits: the rollback target is the pre-rescale 4-tuple record, so the
-  // job snaps back to width 4 (that one restore wave skips verification,
-  // the old digest line being lost to the remap) and still completes.
-  FtJobConfig job = small_job();
-  job.instances = 4;
-  job.rescales = {{2, 2}};
-  Cloud calm_cloud(tiny_cfg(Backend::BlobCR));
-  const FtReport calm = run_ft_job(calm_cloud, job);
-  ASSERT_GE(calm.epochs.size(), 3u);
-  // The rescale runs between epoch 1's commit and epoch 2, the forced
-  // checkpoint; the injector defers a failure landing in that window to
-  // the start of epoch 2.
-  const sim::Time mid = (calm.epochs[1].end + calm.epochs[2].start) / 2;
-
-  Cloud cloud(tiny_cfg(Backend::BlobCR));
-  job.failures = FailureSchedule::fixed({{mid, 1}});
-  const FtReport rep = run_ft_job(cloud, job);
-  EXPECT_TRUE(rep.completed);
-  EXPECT_TRUE(rep.verified);
-  EXPECT_EQ(rep.rescales, 1u);
-  EXPECT_EQ(rep.restarts, 1u);
-  EXPECT_EQ(rep.failures, 1u);
-  EXPECT_EQ(rep.useful_work, job.total_work);
-  EXPECT_EQ(latest_record_width(calm_cloud), 2u);
-  EXPECT_EQ(latest_record_width(cloud), 4u);
-}
-
 TEST(FtRunnerTest, MidRunFailureRollsBackAndCompletes) {
   Cloud cloud(tiny_cfg(Backend::BlobCR));
   FtJobConfig job = small_job();
@@ -505,17 +427,6 @@ TEST(FtRunnerTest, QcowBaselineAlsoRecovers) {
   EXPECT_EQ(rep.restarts, 1u);
 }
 
-TEST(FtRunnerTest, BlcrModeRoundTripsUnderFailure) {
-  Cloud cloud(tiny_cfg(Backend::BlobCR));
-  FtJobConfig job = small_job();
-  job.mode = DumpMode::Blcr;
-  job.failures = FailureSchedule::fixed({{50 * sim::kSecond, 0}});
-  const FtReport rep = run_ft_job(cloud, job);
-  EXPECT_TRUE(rep.completed);
-  EXPECT_TRUE(rep.verified);
-  EXPECT_EQ(rep.restarts, 1u);
-}
-
 TEST(FtRunnerTest, DeterministicReplay) {
   FtJobConfig job = small_job();
   job.failures = FailureSchedule::sample(FailureLaw::exponential(120.0), 2,
@@ -637,22 +548,18 @@ TEST(FtRunnerTest, WeibullScheduleAlsoRecovers) {
 TEST(FtRunnerTest, DetectionLatencyCountsTowardRestartOverhead) {
   FtJobConfig job = small_job();
   job.failures = FailureSchedule::fixed({{50 * sim::kSecond, 0}});
-  job.detect_latency = 1 * sim::kSecond;
-  Cloud fast_cloud(tiny_cfg(Backend::BlobCR));
-  const FtReport quick = run_ft_job(fast_cloud, job);
-  job.detect_latency = 20 * sim::kSecond;
-  Cloud slow_cloud(tiny_cfg(Backend::BlobCR));
-  const FtReport slow = run_ft_job(slow_cloud, job);
-  ASSERT_TRUE(quick.completed);
-  ASSERT_TRUE(slow.completed);
-  EXPECT_GE(slow.restart_overhead,
-            quick.restart_overhead + 19 * sim::kSecond);
-  EXPECT_GT(slow.makespan, quick.makespan);
-}
-
-TEST(FtRunnerTest, DumpModeNames) {
-  EXPECT_STREQ(dump_mode_name(DumpMode::AppLevel), "app");
-  EXPECT_STREQ(dump_mode_name(DumpMode::Blcr), "blcr");
+  Cloud cloud(tiny_cfg(Backend::BlobCR));
+  const FtReport rep = run_ft_job(cloud, job);
+  ASSERT_TRUE(rep.completed);
+  ASSERT_EQ(rep.restarts, 1u);
+  EXPECT_GE(rep.restart_overhead,
+            static_cast<sim::Duration>(rep.restarts) * kDetectLatency);
+  // Epochs run back to back except across a rollback, so the gaps between
+  // them are exactly the restart overhead: detection, redeploy and restore.
+  sim::Duration gaps = 0;
+  for (std::size_t i = 1; i < rep.epochs.size(); ++i)
+    gaps += rep.epochs[i].start - rep.epochs[i - 1].end;
+  EXPECT_EQ(rep.restart_overhead, gaps);
 }
 
 }  // namespace

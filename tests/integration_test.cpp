@@ -146,8 +146,9 @@ TEST(QcowFullIntegrationTest, ResumeRollsDiskBackWithoutReboot) {
 }
 
 // §3.3: the proxy resumes the VM whether or not the snapshot succeeded.
-// qcow2-full removes its previous PVFS copy inside the pause; with that copy
-// gone the second snapshot fails, and the VM must still run afterwards.
+// qcow2-full ships its new PVFS copy inside the pause; with a file already
+// at that copy's path the second snapshot fails, and the VM must still run
+// afterwards.
 TEST(QcowFullIntegrationTest, FailedSnapshotResumesTheVm) {
   Cloud cloud(tiny_cfg(Backend::Qcow2Full));
   bool threw = false;
@@ -159,8 +160,10 @@ TEST(QcowFullIntegrationTest, FailedSnapshotResumesTheVm) {
     co_await dep.deploy_and_boot();
     co_await write_state(&dep.vm(0), 3000);
     const InstanceSnapshot first = co_await dep.snapshot_instance(0);
+    std::string next = first.pvfs_path;
+    next.replace(next.rfind("_v1"), 3, "_v2");
     pfs::PvfsClient client(*cl->pvfs(), cl->compute_node(0));
-    co_await client.remove(first.pvfs_path);
+    (void)co_await client.create(next);
     try {
       (void)co_await dep.snapshot_instance(0);
     } catch (const pfs::PvfsError&) {
@@ -169,8 +172,44 @@ TEST(QcowFullIntegrationTest, FailedSnapshotResumesTheVm) {
     *paused_after = dep.vm(0).paused();
   }(&cloud, &threw, &paused_after));
 
-  EXPECT_TRUE(threw) << "the snapshot over a removed copy did not fail";
+  EXPECT_TRUE(threw) << "the snapshot onto an occupied path did not fail";
   EXPECT_FALSE(paused_after) << "a failed snapshot left the VM paused";
+}
+
+// qcow2-full keeps only its latest PVFS copy. A previous copy that is
+// already gone (removed from outside) leaves nothing to remove: the next
+// snapshots still succeed, and PVFS holds only the base image and the
+// latest copy afterwards.
+TEST(QcowFullIntegrationTest, SnapshotsSucceedAfterPreviousCopyVanished) {
+  Cloud cloud(tiny_cfg(Backend::Qcow2Full));
+  int succeeded = 0;
+  std::size_t files = 0;
+  std::uint64_t latest_bytes = 0;
+
+  cloud.run([](Cloud* cl, int* succeeded, std::size_t* files,
+               std::uint64_t* latest_bytes) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, 1);
+    co_await dep.deploy_and_boot();
+    co_await write_state(&dep.vm(0), 3100);
+    const InstanceSnapshot first = co_await dep.snapshot_instance(0);
+    pfs::PvfsClient client(*cl->pvfs(), cl->compute_node(0));
+    co_await client.remove(first.pvfs_path);
+    std::string latest;
+    for (int k = 0; k < 2; ++k) {
+      try {
+        latest = (co_await dep.snapshot_instance(0)).pvfs_path;
+        ++*succeeded;
+      } catch (const pfs::PvfsError&) {
+      }
+    }
+    *files = cl->pvfs()->file_count();
+    if (*succeeded == 2) *latest_bytes = co_await client.stat_size(latest);
+  }(&cloud, &succeeded, &files, &latest_bytes));
+
+  EXPECT_EQ(succeeded, 2) << "a vanished previous copy failed the snapshot";
+  EXPECT_EQ(files, 2u) << "PVFS holds more than the base and latest copy";
+  EXPECT_GT(latest_bytes, 0u);
 }
 
 TEST(SuccessiveCheckpointTest, BlobcrShipsDeltasQcowShipsEverything) {

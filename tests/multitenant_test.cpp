@@ -57,7 +57,6 @@ apps::MultiJobRun three_jobs() {
   apps::TenantJobSpec c = b;
   c.name = "jobC";
   c.stagger = 4 * sim::kSecond;
-  c.async_flush = true;  // one tenant on the async pipeline
   run.jobs = {a, b, c};
   return run;
 }
@@ -162,7 +161,9 @@ TEST(MultiTenantTest, SharedIndexShipsLessThanIsolatedOnOverlappingJobs) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiTenantTest, RetentionSweepNeverReclaimsAnotherTenantsChunks) {
-  Cloud cloud(repo_cfg(24));
+  CloudConfig cfg = repo_cfg(24);
+  cfg.flush.enabled = true;  // C's drain is killed mid-commit below
+  Cloud cloud(cfg);
   bool b_restored = false, c_restored = false, c_ckpt_threw = false;
   std::uint64_t a_reclaimed = 0;
   std::uint64_t b_shipped = 0, b_raw = 0;
@@ -174,12 +175,10 @@ TEST(MultiTenantTest, RetentionSweepNeverReclaimsAnotherTenantsChunks) {
     co_await cl->provision_base_image();
     const Buffer dataset = Buffer::pattern(1 * common::kMB, 0xda7a);
 
-    // Tenant A at nodes [0,1), B at [1,2), C (async pipeline) at [2,3).
-    Deployment::Options ao{0, cl->register_tenant("A"), std::nullopt};
-    Deployment::Options bo{1, cl->register_tenant("B"), std::nullopt};
-    flush::FlushConfig async_cfg;
-    async_cfg.enabled = true;
-    Deployment::Options co_opts{2, cl->register_tenant("C"), async_cfg};
+    // Tenant A at nodes [0,1), B at [1,2), C at [2,3).
+    Deployment::Options ao{0, cl->register_tenant("A")};
+    Deployment::Options bo{1, cl->register_tenant("B")};
+    Deployment::Options co_opts{2, cl->register_tenant("C")};
     Deployment dep_a(*cl, 1, ao);
     Deployment dep_b(*cl, 1, bo);
     Deployment dep_c(*cl, 1, co_opts);
@@ -297,12 +296,9 @@ TEST(MultiTenantTest, CapacityQuotasRefuseCommitAndCatalogOverage) {
     // catalog-records ceiling, "free" with none. (A checkpoint stages its
     // catalog record before committing data, so the two ceilings are
     // exercised on separate tenants to keep each refusal unambiguous.)
-    Deployment::Options bcap_opts{0, cl->register_tenant("bcap"),
-                                  std::nullopt};
-    Deployment::Options rcap_opts{1, cl->register_tenant("rcap"),
-                                  std::nullopt};
-    Deployment::Options free_opts{2, cl->register_tenant("free"),
-                                  std::nullopt};
+    Deployment::Options bcap_opts{0, cl->register_tenant("bcap")};
+    Deployment::Options rcap_opts{1, cl->register_tenant("rcap")};
+    Deployment::Options free_opts{2, cl->register_tenant("free")};
     cl->set_tenant_quota(bcap_opts.tenant, {/*max_resident_bytes=*/
                                             2 * common::kMB,
                                             /*max_catalog_records=*/0});
@@ -378,7 +374,7 @@ TEST(MultiTenantTest, RetiredRecordsFreeCatalogQuota) {
 
   cloud.run([](Cloud* cl, int* passed) -> Task<> {
     co_await cl->provision_base_image();
-    Deployment::Options opts{0, cl->register_tenant("rcap"), std::nullopt};
+    Deployment::Options opts{0, cl->register_tenant("rcap")};
     cl->set_tenant_quota(opts.tenant, {0, /*max_catalog_records=*/2});
     Deployment dep(*cl, 1, opts);
     cr::Session::Config scfg;

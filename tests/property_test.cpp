@@ -186,7 +186,6 @@ TEST_P(AsyncCommitPropertyTest, PublishedVersionNeverContainsLaterWrites) {
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   mcfg.flush.enabled = true;
-  mcfg.flush.max_pending = 3;
   core::DecodedChunkCache cache(512 * common::kMiB);
   core::MirrorDevice mirror(*rig.repo, rig.host, *rig.disks[4], 99,
                             rig.base, 1, mcfg, cache);

@@ -925,7 +925,7 @@ TEST(QosPrefetchTest, QueuedRangesWaitOutsideTheRestartPrefetchGate) {
     const net::TenantId tenant = cl->register_tenant("t");
     cr::Session::Config scfg;
     scfg.job = "t";
-    Deployment::Options opts{0, tenant, std::nullopt};
+    Deployment::Options opts{0, tenant};
     Deployment dep(*cl, 2, opts);
     cr::Session session(dep, scfg);
     co_await dep.deploy_and_boot();
@@ -996,7 +996,7 @@ TEST(QosTeardownTest, KilledPrefetchWorkersReleaseAdmissionPermits) {
         // are queued behind it (teardown kills the workers mid-flight; the
         // permit must release and the waiters must unlink as frames
         // unwind).
-        Deployment::Options opts{0, tenant, std::nullopt};
+        Deployment::Options opts{0, tenant};
         Deployment dep(*cl, 2, opts);
         cr::Session session(dep, scfg);
         co_await dep.deploy_and_boot();
@@ -1034,7 +1034,7 @@ TEST(QosTeardownTest, KilledPrefetchWorkersReleaseAdmissionPermits) {
       // Driver generation 2: the gate must still dispatch — a fresh
       // deployment's cold restart (whose scheduler prefetches through the
       // same single slot) restores bit-exactly.
-      Deployment::Options opts2{8, tenant, std::nullopt};
+      Deployment::Options opts2{8, tenant};
       Deployment dep2(*cl, 2, opts2);
       cr::Session session2(dep2, scfg);
       (void)co_await session2.restart(

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -94,9 +95,11 @@ Task<GarbageCollector::Result> collect(BlobStore& store, BlobId blob,
   co_return co_await gc.collect(std::move(drops));
 }
 
-/// Commits `data` at `offset` through the reduction pipeline.
+/// Commits `data` at `offset` through the reduction pipeline, awaiting
+/// `probe` (when set) at every commit stage boundary.
 Task<VersionId> write_reduced(BlobClient& client, Reducer& red, BlobId blob,
-                              std::uint64_t offset, Buffer data) {
+                              std::uint64_t offset, Buffer data,
+                              blob::CommitProbe* probe = nullptr) {
   std::vector<BlobClient::ExtentSpec> specs;
   specs.push_back({offset, data.size()});
   const Buffer* owned = &data;
@@ -105,8 +108,8 @@ Task<VersionId> write_reduced(BlobClient& client, Reducer& red, BlobId blob,
                       std::uint64_t len) -> Task<Buffer> {
     co_return owned->slice(off - offset, len);
   };
-  co_return co_await client.write_extents_via(blob, std::move(specs),
-                                              &reader, {.reducer = &red});
+  co_return co_await client.write_extents_via(
+      blob, std::move(specs), &reader, {.reducer = &red, .probe = probe});
 }
 
 TEST(ReduceTest, ZeroSuppressionRoundTrip) {
@@ -320,18 +323,16 @@ TEST(ReduceTest, PinsHeldThroughMetadataPublish) {
   // reduce phase; after that, only the metadata co_awaits (put_nodes,
   // publish) remain. The Ref pins must span those suspensions too: a GC
   // running there sees the chunks in no published tree, so without the pins
-  // it would reclaim them under the about-to-publish version. digest_bps
-  // stretches the reduce phase so the GC lands deterministically in the
-  // metadata window.
+  // it would reclaim them under the about-to-publish version. The GC runs
+  // from the commit's PrePublish probe: after put_nodes, before publish.
   TestCluster tc;
-  ReductionConfig cfg = all_on();
-  cfg.digest_bps = 1e6;  // ~1 ms per chunk digest
-  Reducer red({tc.store.get()}, cfg);
+  Reducer red({tc.store.get()}, all_on());
   const Buffer shared = Buffer::pattern(2 * kChunk, 41);
   const Buffer other = Buffer::pattern(2 * kChunk, 42);
   bool read_ok = false;
+  bool gc_ran = false;
   tc.run([](TestCluster* tc, Reducer* red, const Buffer* shared,
-            const Buffer* other, bool* read_ok) -> Task<> {
+            const Buffer* other, bool* read_ok, bool* gc_ran) -> Task<> {
     BlobClient a(*tc->store, tc->client_node);
     const BlobId blob_a = co_await a.create();
     (void)co_await write_reduced(a, *red, blob_a, 0, *shared);  // indexes
@@ -339,24 +340,20 @@ TEST(ReduceTest, PinsHeldThroughMetadataPublish) {
 
     BlobClient b(*tc->store, tc->client_node);
     const BlobId blob_b = co_await b.create();
-    auto commit = tc->sim.spawn(
-        "commit", [](BlobClient* b, Reducer* red, BlobId blob,
-                     const Buffer* data) -> Task<> {
-          (void)co_await write_reduced(*b, *red, blob, 0, *data);
-        }(&b, red, blob_b, shared));
-    // ~1.35 ms: reduce phase (resolve + digests) done, every chunk a Ref,
-    // nothing stores; ~1.9 ms: publish completes. Land in between.
-    co_await tc->sim.delay(1600 * sim::kMicrosecond);
-    EXPECT_FALSE(commit->finished());
-    const GarbageCollector::Result r =
-        co_await collect(*tc->store, blob_a, 2);
-    EXPECT_EQ(r.chunks_deleted, 0u);
-    EXPECT_EQ(r.chunks_kept_shared, 2u);
-
-    co_await commit->join();
+    blob::CommitProbe probe =
+        [tc, blob_a, gc_ran](blob::CommitStage s) -> Task<> {
+      if (s != blob::CommitStage::PrePublish) co_return;
+      const GarbageCollector::Result r =
+          co_await collect(*tc->store, blob_a, 2);
+      EXPECT_EQ(r.chunks_deleted, 0u);
+      EXPECT_EQ(r.chunks_kept_shared, 2u);
+      *gc_ran = true;
+    };
+    (void)co_await write_reduced(b, *red, blob_b, 0, *shared, &probe);
     const Buffer back = co_await b.read(blob_b, 1, 0, shared->size());
     *read_ok = (back == *shared);
-  }(&tc, &red, &shared, &other, &read_ok));
+  }(&tc, &red, &shared, &other, &read_ok, &gc_ran));
+  EXPECT_TRUE(gc_ran);
   EXPECT_TRUE(read_ok);
   EXPECT_EQ(red.stats().dedup_hits, 2u);
 }
@@ -444,7 +441,6 @@ TEST(ReduceTest, PhantomRatioCompression) {
   cfg.zero_suppression = true;
   cfg.dedup = true;  // must NOT dedup phantom payloads
   cfg.compression = true;
-  cfg.phantom_compression_ratio = 0.5;
   Reducer red({tc.store.get()}, cfg);
   const Buffer data = Buffer::phantom(4 * kChunk);
   std::uint64_t back_digest = 0;
@@ -463,8 +459,10 @@ TEST(ReduceTest, PhantomRatioCompression) {
   EXPECT_EQ(red.stats().dedup_hits, 0u);
   EXPECT_EQ(red.stats().zero_chunks, 0u);
   EXPECT_EQ(red.stats().compressed_chunks, 4u);
-  EXPECT_EQ(red.stats().shipped_bytes, 4 * (kChunk / 2));
-  EXPECT_EQ(tc.store->total_stored_bytes(), 4 * (kChunk / 2));
+  // The ratio model stores 60% of each phantom chunk, rounded up.
+  const auto stored = static_cast<std::uint64_t>(std::ceil(0.6 * kChunk));
+  EXPECT_EQ(red.stats().shipped_bytes, 4 * stored);
+  EXPECT_EQ(tc.store->total_stored_bytes(), 4 * stored);
   // Round trip preserves the logical payload identity.
   EXPECT_EQ(back_size, 4 * kChunk);
   EXPECT_EQ(back_digest, data.digest());
